@@ -134,7 +134,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
         phase1_cost = np.zeros(full_A.shape[1])
         phase1_cost[ncol:] = 1.0
         iters += _optimize(full_A, b, lo, hi, phase1_cost, basis, value)
-        infeas = _objective(phase1_cost, full_A, b, basis, value)
+        infeas = float(phase1_cost @ value)
         if infeas > 1e-7 * max(1.0, float(np.max(np.abs(b), initial=1.0))):
             raise NumericalTrouble(f"phase I ended infeasible ({infeas:.3e})")
         # artificials are pinned at zero for phase II
@@ -144,8 +144,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
     cost[:nv] = lp.c
     iters += _optimize(full_A, b, lo, hi, cost, basis, value)
 
-    x_full = _assemble(full_A, b, basis, value)
-    x = x_full[:nv]
+    x = value[:nv].copy()
     max_residual = _residual(lp, x)
     if max_residual > 1e-6:
         raise NumericalTrouble(f"solution residual {max_residual:.3e}")
@@ -155,18 +154,6 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
         iterations=iters,
         max_residual=max_residual,
     )
-
-
-def _assemble(A, b, basis, value) -> np.ndarray:
-    x = value.copy()
-    x[basis] = 0.0
-    xb = np.linalg.solve(A[:, basis], b - A @ x)
-    x[basis] = xb
-    return x
-
-
-def _objective(cost, A, b, basis, value) -> float:
-    return float(cost @ _assemble(A, b, basis, value))
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -185,7 +172,10 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def _optimize(A, b, lo, hi, cost, basis, value) -> int:
-    """Run the pivot loop in place; returns the pivot count."""
+    """Run the pivot loop in place; returns the pivot count.
+
+    On return ``value`` holds the optimal vertex, basics included.
+    """
     nr, ncol = A.shape
     is_basic = np.zeros(ncol, dtype=bool)
     is_basic[basis] = True
