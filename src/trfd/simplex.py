@@ -146,7 +146,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
-    if max_residual > 1e-6:
+    if not max_residual <= 1e-6:  # NaN fails too
         raise NumericalTrouble(f"solution residual {max_residual:.3e}")
     return SimplexResult(
         x=x,
@@ -157,18 +157,11 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
-    worst = 0.0
-    for a, s, rhs in zip(lp.rows, lp.sense, lp.rhs):
-        v = float(a @ x)
-        if s == "<=":
-            worst = max(worst, v - rhs)
-        elif s == ">=":
-            worst = max(worst, rhs - v)
-        else:
-            worst = max(worst, abs(v - rhs))
-    worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - lp.upper, initial=0.0)))
-    return worst
+    """Largest violation of any row or bound at x (0 when feasible)."""
+    sense = np.asarray(lp.sense)
+    gap = lp.rows @ x - lp.rhs
+    viol = np.where(sense == "<=", gap, np.where(sense == ">=", -gap, np.abs(gap)))
+    return float(max(viol.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
 
 
 def _optimize(A, b, lo, hi, cost, basis, value) -> int:

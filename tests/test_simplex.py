@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import enumerate_lp_minimum, random_box_lp, random_mixed_lp
 
-from trfd.simplex import LinearProgram, NumericalTrouble, solve_lp, to_mps
+from trfd.simplex import LinearProgram, NumericalTrouble, _residual, solve_lp, to_mps
 
 
 def test_min_of_two_lower_bounds():
@@ -74,6 +74,34 @@ def test_matches_enumeration_mixed_free_and_equality():
         assert got.objective == pytest.approx(want, abs=1e-8)
         solved += 1
     assert solved >= 140
+
+
+def _residual_by_rows(lp, x):
+    # row-by-row reference for the vectorised _residual
+    worst = 0.0
+    for a, s, rhs in zip(lp.rows, lp.sense, lp.rhs):
+        v = float(a @ x)
+        if s == "<=":
+            worst = max(worst, v - rhs)
+        elif s == ">=":
+            worst = max(worst, rhs - v)
+        else:
+            worst = max(worst, abs(v - rhs))
+    worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
+    return max(worst, float(np.max(x - lp.upper, initial=0.0)))
+
+
+def test_residual_matches_row_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lp = random_mixed_lp(rng)
+        # points inside and outside the feasible set
+        x = rng.uniform(-4.0, 4.0, lp.n_variables)
+        want = _residual_by_rows(lp, x)
+        # matrix-vector and row-wise dot products may round differently
+        assert _residual(lp, x) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    box_only = LinearProgram(c=[1.0], rows=np.zeros((0, 1)), sense=(), rhs=[], lower=[0.0], upper=[1.0])
+    assert _residual(box_only, np.array([1.5])) == 0.5
 
 
 def test_beale_cycling_instance():
