@@ -2,9 +2,18 @@
 
 Solves  min c.x  subject to  rows of the form a.x {<=, >=, =} b  and
 box bounds l <= x <= u (either side may be infinite).  Inequalities are
-converted to equalities with slack variables; a Phase-I pass with
-artificial variables produces an initial feasible basis, after which
-Phase II optimizes the true objective.
+converted to equalities with slack variables.
+
+The first basis is crashed from a starting point the caller may supply
+(the origin otherwise).  Nonbasic variables start at that point clamped
+into their bounds, and every row whose implied slack is feasible keeps
+its slack basic.  A structural variable the start puts strictly inside
+its bounds at a nonzero value then takes the place of the slack of one
+tight row (implied slack exactly zero) in which it has a nonzero
+coefficient.  A feasible start therefore yields a feasible first basis
+and Phase II runs at once.  Only rows the start leaves infeasible get
+artificial variables, and then a Phase-I pass restores feasibility
+before Phase II optimizes the true objective.
 
 The subproblems this package generates are small (at most a few hundred
 variables) and dense, so the basis is refactorized from scratch at every
@@ -73,10 +82,16 @@ class SimplexResult:
     objective: float
     iterations: int
     max_residual: float
+    # pivots spent in Phase I (0 when the start was feasible)
+    phase1_iterations: int = 0
 
 
-def solve_lp(lp: LinearProgram) -> SimplexResult:
-    """Solve to proven optimality; raises NumericalTrouble on breakdown."""
+def solve_lp(lp: LinearProgram, start=None) -> SimplexResult:
+    """Solve to proven optimality; raises NumericalTrouble on breakdown.
+
+    ``start`` is an optional point to crash the first basis from; a
+    feasible one skips Phase I.
+    """
     nv = lp.n_variables
     nr = lp.n_rows
 
@@ -105,9 +120,11 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
     lo = np.concatenate([lp.lower, slack_lo])
     hi = np.concatenate([lp.upper, slack_hi])
 
-    # nonbasic start values: clamp 0 into the bounds; free variables sit
-    # at 0 until they enter the basis
+    # nonbasic start values: clamp the start (default 0) into the bounds;
+    # free variables sit there until they enter the basis
     value = np.clip(0.0, lo, hi)
+    if start is not None:
+        value[:nv] = np.clip(np.asarray(start, dtype=float), lp.lower, lp.upper)
     value[np.isnan(value)] = 0.0
 
     # slack basis where the implied slack value is feasible, artificial
@@ -125,7 +142,21 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
             art_cols.append(col)
             basis[i] = ncol + len(art_cols) - 1
 
-    iters = 0
+    # crash: a structural strictly inside its bounds at a nonzero value
+    # becomes basic in the first tight slack row where its coefficient is
+    # nonzero.  That row must be zero in every column crashed before, so
+    # the crashed block of B is triangular with a nonzero diagonal and B
+    # stays nonsingular; a structural with no such row stays nonbasic.
+    x0 = value[:nv]
+    open_rows = (resid == 0.0) & (basis == nv + np.arange(nr))
+    for j in np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper)):
+        col = A[:, j]
+        rows = np.flatnonzero(open_rows & (np.abs(col) > PIVOT_TOL))
+        if rows.size:
+            basis[rows[0]] = j
+            open_rows &= col == 0.0
+
+    phase1_iters = 0
     if art_cols:
         full_A = np.hstack([full_A, np.column_stack(art_cols)])
         lo = np.concatenate([lo, np.zeros(len(art_cols))])
@@ -133,7 +164,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
         value = np.concatenate([value, np.zeros(len(art_cols))])
         phase1_cost = np.zeros(full_A.shape[1])
         phase1_cost[ncol:] = 1.0
-        iters += _optimize(full_A, b, lo, hi, phase1_cost, basis, value)
+        phase1_iters = _optimize(full_A, b, lo, hi, phase1_cost, basis, value)
         infeas = float(phase1_cost @ value)
         if infeas > 1e-7 * max(1.0, float(np.max(np.abs(b), initial=1.0))):
             raise NumericalTrouble(f"phase I ended infeasible ({infeas:.3e})")
@@ -142,7 +173,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
 
     cost = np.zeros(full_A.shape[1])
     cost[:nv] = lp.c
-    iters += _optimize(full_A, b, lo, hi, cost, basis, value)
+    iters = phase1_iters + _optimize(full_A, b, lo, hi, cost, basis, value)
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
@@ -153,6 +184,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
         objective=float(lp.c @ x),
         iterations=iters,
         max_residual=max_residual,
+        phase1_iterations=phase1_iters,
     )
 
 

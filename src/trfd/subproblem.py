@@ -14,7 +14,10 @@ a linear program:
   * region:      bound rows lower - x <= d <= upper - x and a.d <= b - a.x
 
 Because d = 0 is always feasible, the LP optimum exists and never
-exceeds h(F(x)); the normalized model decrease
+exceeds h(F(x)).  That point, with t = |F(x)| (L1) or t = max F(x)
+(minimax), is handed to the simplex as its start, so every subproblem
+LP begins at a feasible basis and skips Phase I.  The normalized model
+decrease
 
     eta = (h(F(x)) - model optimum) / r
 
@@ -35,7 +38,8 @@ from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp, t
 ETA_SNAP = 1e-12
 FEAS_TOL = 1e-9
 
-# if set, every LP solved here is dumped in MPS form into the directory
+# if set, every LP solved here is dumped in MPS form into the directory;
+# file names carry the process id, so pool workers never collide
 DUMP_ENV = "TRFD_LP_DUMP"
 _dump_counter = 0
 
@@ -55,6 +59,8 @@ class TrustRegionLP:
     m: int
     radius: float
     base_value: float
+    # the LP point of d = 0, feasible by construction
+    start: np.ndarray
 
     @property
     def n_variables(self) -> int:
@@ -142,6 +148,7 @@ def reformulate(
         rhs = [-F_x, F_x]
         t_lo = np.zeros(m)
         t_hi = np.full(m, np.inf)
+        t_start = np.abs(F_x)
         c = np.concatenate([np.zeros(nd), np.ones(m)])
     else:
         nt = 1
@@ -149,6 +156,7 @@ def reformulate(
         rhs = [-F_x]
         t_lo = np.array([-np.inf])
         t_hi = np.array([np.inf])
+        t_start = np.array([np.max(F_x)])
         c = np.concatenate([np.zeros(nd), np.ones(1)])
 
     for a_row, b_val in zip(extra_rows, extra_rhs):
@@ -174,6 +182,7 @@ def reformulate(
         m=m,
         radius=float(r),
         base_value=eval_h(h, F_x),
+        start=np.concatenate([np.zeros(nd), t_start]),
     )
 
 
@@ -188,7 +197,7 @@ def solve_tr_subproblem(
 ) -> SubproblemSolution:
     tr = reformulate(h, F_x, A, region, x, p, r)
     _maybe_dump(tr)
-    result = solve_lp(tr.lp)
+    result = solve_lp(tr.lp, start=tr.start)
     d = tr.extract_d(result.x)
     model_value = eval_h(h, np.asarray(F_x, dtype=float) + np.asarray(A, dtype=float) @ d)
 
@@ -234,7 +243,7 @@ def _maybe_dump(tr: TrustRegionLP) -> None:
     if not directory:
         return
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"tr_lp_{_dump_counter:06d}.mps")
+    path = os.path.join(directory, f"tr_lp_{os.getpid()}_{_dump_counter:06d}.mps")
     _dump_counter += 1
     with open(path, "w", encoding="ascii") as fh:
         fh.write(tr.to_mps(name=f"TRLP{_dump_counter - 1}"))

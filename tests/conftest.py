@@ -131,11 +131,27 @@ def random_mixed_lp(rng, max_total=12):
     )
 
 
-def random_tr_instance(rng, h, p, n=2, m=2):
+def random_tr_instance(rng, h, p, n=2, m=2, constrained=False):
+    """Random subproblem inputs.  With ``constrained`` the iterate is
+    random and feasible for a random box (some sides infinite, some
+    touching x) and up to two linear inequalities (some active at x)."""
     A = rng.uniform(-2.0, 2.0, (m, n))
     F_x = rng.uniform(-2.0, 2.0, m)
     r = float(rng.uniform(0.3, 0.8))
-    return OuterFunction.from_value(h), F_x, A, FeasibleRegion.unconstrained(n), np.zeros(n), PNorm.from_value(p), r
+    region, x = FeasibleRegion.unconstrained(n), np.zeros(n)
+    if constrained:
+        x = rng.uniform(-1.0, 1.0, n)
+        gap_lo = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.6, n))
+        gap_hi = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.6, n))
+        lower = np.where(rng.random(n) < 0.2, -np.inf, x - gap_lo)
+        upper = np.where(rng.random(n) < 0.2, np.inf, x + gap_hi)
+        ineq = []
+        for _ in range(int(rng.integers(0, 3))):
+            a = rng.uniform(-2.0, 2.0, n)
+            margin = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.5))
+            ineq.append((a, float(a @ x) + margin))
+        region = FeasibleRegion(lower, upper, tuple(ineq))
+    return OuterFunction.from_value(h), F_x, A, region, x, PNorm.from_value(p), r
 
 
 @pytest.fixture(scope="session")

@@ -114,7 +114,10 @@ def test_handshake_timeout(demo_oracle_cmd):
 
 
 def test_eval_timeout(demo_oracle_cmd):
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo --sleep 5", n=2, m=2, timeout=0.5)
+    # spawn under the default timeout so the child's interpreter start-up
+    # is not bounded by the short per-call limit under test
+    oracle = spawn_external(f"{demo_oracle_cmd} --echo --sleep 5", n=2, m=2)
+    oracle.timeout = 0.5
     try:
         with pytest.raises(OracleFailure):
             oracle.eval_F([1.0, 2.0])

@@ -76,6 +76,43 @@ def test_matches_enumeration_mixed_free_and_equality():
     assert solved >= 140
 
 
+def test_feasible_start_skips_phase_one():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        lp = random_box_lp(rng)
+        want = enumerate_lp_minimum(lp)
+        # a vertex and, mostly interior, the midpoint of two vertices
+        vertex = solve_lp(lp).x
+        flipped = LinearProgram(c=-lp.c, rows=lp.rows, sense=lp.sense, rhs=lp.rhs, lower=lp.lower, upper=lp.upper)
+        for start in (vertex, 0.5 * (vertex + solve_lp(flipped).x)):
+            got = solve_lp(lp, start=start)
+            assert got.phase1_iterations == 0
+            assert got.objective == pytest.approx(want, abs=1e-8)
+
+
+def test_infeasible_start_falls_back_to_phase_one():
+    # x >= 1 and x <= 3 from the start x = 5: the second row needs Phase I
+    lp = LinearProgram(
+        c=[1.0], rows=[[1.0], [1.0]], sense=(">=", "<="), rhs=[1.0, 3.0],
+        lower=[-np.inf], upper=[np.inf],
+    )
+    res = solve_lp(lp, start=[5.0])
+    assert res.phase1_iterations > 0
+    assert res.x[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_crash_makes_interior_start_basic_in_tight_row():
+    # min t s.t. t >= 2, t >= -1, started at t = 2: t replaces the slack
+    # of the tight first row, so the start is already optimal
+    lp = LinearProgram(
+        c=[1.0], rows=[[-1.0], [-1.0]], sense=("<=", "<="), rhs=[-2.0, 1.0],
+        lower=[-np.inf], upper=[np.inf],
+    )
+    res = solve_lp(lp, start=[2.0])
+    assert res.iterations == 0
+    assert res.x[0] == 2.0
+
+
 def _residual_by_rows(lp, x):
     # row-by-row reference for the vectorised _residual
     worst = 0.0

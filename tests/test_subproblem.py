@@ -4,7 +4,13 @@ from conftest import random_tr_instance
 
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from trfd.diagnostics import eta_bruteforce
+from trfd.simplex import solve_lp
 from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
+
+try:  # independent reference solver; optional, not a runtime dependency
+    from scipy.optimize import linprog
+except ImportError:
+    linprog = None
 
 UNC2 = FeasibleRegion.unconstrained(2)
 
@@ -130,6 +136,54 @@ def test_region_constrained_step_stays_feasible():
     for p in (PNorm.ONE, PNorm.INF):
         sol = solve_tr_subproblem(OuterFunction.L1, F, A, region, np.zeros(2), p, 1.0)
         assert region.contains(sol.d_star, tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "h, p, seed", [("l1", "1", 31), ("l1", "inf", 32), ("minimax", "1", 33), ("minimax", "inf", 34)]
+)
+def test_crash_start_matches_cold_solve_and_highs(h, p, seed):
+    # the d = 0 start must give the same optimum as the Phase I path and
+    # an independent solver, without a single Phase I pivot
+    rng = np.random.default_rng(seed)
+    cold_phase1 = 0
+    for k in range(80):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        tr = reformulate(*random_tr_instance(rng, h, p, n=n, m=m, constrained=k % 4 != 0))
+        crashed = solve_lp(tr.lp, start=tr.start)
+        cold = solve_lp(tr.lp)
+        scale = 1.0 + abs(tr.base_value)
+        assert crashed.phase1_iterations == 0
+        assert crashed.objective == pytest.approx(cold.objective, abs=1e-9 * scale)
+        assert crashed.objective <= tr.base_value + 1e-12 * scale
+        if linprog is not None:
+            ref = linprog(
+                tr.lp.c, A_ub=tr.lp.rows, b_ub=tr.lp.rhs,
+                bounds=np.column_stack([tr.lp.lower, tr.lp.upper]), method="highs",
+            )
+            assert ref.status == 0
+            assert crashed.objective == pytest.approx(ref.fun, abs=1e-7 * scale)
+        cold_phase1 += cold.phase1_iterations
+    # the cold path does need Phase I on these layouts
+    assert cold_phase1 > 0
+
+
+def test_subproblem_lps_never_run_phase_one(monkeypatch):
+    import trfd.subproblem
+
+    results = []
+
+    def recording_solve_lp(*args, **kwargs):
+        results.append(solve_lp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(trfd.subproblem, "solve_lp", recording_solve_lp)
+    rng = np.random.default_rng(35)
+    for h in ("l1", "minimax"):
+        for p in ("1", "inf"):
+            for _ in range(10):
+                solve_tr_subproblem(*random_tr_instance(rng, h, p, n=3, m=4, constrained=True))
+    assert len(results) == 40
+    assert all(res.phase1_iterations == 0 for res in results)
 
 
 def test_lp_dump_env_flag(tmp_path, monkeypatch):
