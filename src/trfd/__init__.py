@@ -18,7 +18,7 @@ from .core import (
     norm,
     norm_constants,
 )
-from .jacobian import DegenerateStep, JacobianModel, build_jacobian
+from .jacobian import DegenerateStep, build_jacobian
 from .oracle import (
     BlackBoxOracle,
     EvalBudget,
@@ -27,7 +27,6 @@ from .oracle import (
     InProcessOracle,
     OracleFailure,
     SpawnFailure,
-    spawn_external,
 )
 from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp
 from .solver import (
@@ -58,7 +57,6 @@ __all__ = [
     "HandshakeTimeout",
     "InProcessOracle",
     "IterationClass",
-    "JacobianModel",
     "LinearProgram",
     "NormConstants",
     "NumericalTrouble",
@@ -85,7 +83,6 @@ __all__ = [
     "solve",
     "solve_lp",
     "solve_tr_subproblem",
-    "spawn_external",
 ]
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from . import jsontext
 from .core import PNorm
-from .solver import RunRecord, TrfdParams, record_to_doc, save_trace, solve
+from .oracle import format_float
+from .solver import RunRecord, TrfdParams, record_from_doc, record_to_doc, save_trace, solve
 from .testset import BenchmarkProblem, registry_by_name
 
 DEFAULT_TOLERANCES = (1e-1, 1e-3, 1e-5, 1e-7)
@@ -84,8 +85,6 @@ def _worker(task):
 
 def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignResult:
     """Execute every (problem, config) pair once; write traces and a summary."""
-    from .solver import record_from_doc
-
     tasks = [
         (bp.name if isinstance(bp, BenchmarkProblem) else str(bp), config, campaign.simplex_gradients)
         for bp in campaign.problems
@@ -195,8 +194,6 @@ def data_profile(records: dict, tolerance: float, budget: int | None = None) -> 
 
 def emit_profile_csv(profile: DataProfile, path) -> None:
     """kappa column plus one column per solver, full-precision floats."""
-    from .oracle import format_float
-
     with open(path, "w", encoding="ascii") as fh:
         fh.write("kappa," + ",".join(profile.solvers) + "\n")
         for kappa in range(profile.budget + 1):
@@ -204,17 +201,3 @@ def emit_profile_csv(profile: DataProfile, path) -> None:
                 format_float(profile.curves[s][kappa]) for s in profile.solvers
             ]
             fh.write(",".join(row) + "\n")
-
-
-def read_profile_csv(path) -> DataProfile:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        solvers = tuple(header[1:])
-        curves = {s: [] for s in solvers}
-        budget = -1
-        for line in fh:
-            parts = line.strip().split(",")
-            budget = int(parts[0])
-            for s, val in zip(solvers, parts[1:]):
-                curves[s].append(float(val))
-    return DataProfile(tolerance=float("nan"), budget=budget, solvers=solvers, curves=curves, f_best={})

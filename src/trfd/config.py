@@ -34,7 +34,7 @@ import numpy as np
 
 from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig
 from .core import FeasibleRegion, OuterFunction, Problem
-from .oracle import spawn_external
+from .oracle import ExternalOracle, InProcessOracle
 from .testset import registry, registry_by_name, registry_family
 
 
@@ -73,11 +73,9 @@ def problem_from_config(doc: dict) -> Problem:
         bp = registry_by_name(binding["registry"])
         if bp.m != m:
             raise ValueError(f"registry oracle {bp.name!r} has m={bp.m}, config says {m}")
-        from .oracle import InProcessOracle
-
         oracle = InProcessOracle(bp.residuals, m)
     elif "command" in binding:
-        oracle = spawn_external(binding["command"], n=n, m=m, timeout=binding.get("timeout"))
+        oracle = ExternalOracle(binding["command"], n=n, m=m, timeout=binding.get("timeout"))
     else:
         raise ValueError("oracle binding needs 'registry' or 'command'")
 

@@ -88,7 +88,7 @@ class OuterFunction(enum.Enum):
 
     L1 is the sum of absolute values; MINIMAX is the maximum component.
     Both are positively homogeneous, which the subproblem layer relies
-    on, and MINIMAX is additionally monotone.
+    on.
     """
 
     L1 = "l1"
@@ -106,10 +106,6 @@ class OuterFunction(enum.Enum):
         if p is PNorm.TWO:
             return math.sqrt(m)
         return float(m)
-
-    @property
-    def monotone(self) -> bool:
-        return self is OuterFunction.MINIMAX
 
     @classmethod
     def from_value(cls, value) -> "OuterFunction":
@@ -208,6 +204,3 @@ class Problem:
         if getattr(self.oracle, "m", self.m) != self.m:
             raise ValueError("oracle output dimension mismatch")
         object.__setattr__(self, "x0", x0)
-
-    def f(self, fvec) -> float:
-        return eval_h(self.h, fvec)

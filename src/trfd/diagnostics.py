@@ -191,8 +191,8 @@ def check_psi_eta_gap(ap: AnalyticProblem, x, p: PNorm, r: float, tau: float) ->
     prob = ap.problem
     x = np.asarray(x, dtype=float)
     F_x = prob.oracle.eval_F(x)
-    model = build_jacobian(prob.oracle, x, F_x, tau)
-    eta = solve_tr_subproblem(prob.h, F_x, model.A, prob.region, x, p, r).eta
+    A = build_jacobian(prob.oracle.eval_F, x, F_x, tau)
+    eta = solve_tr_subproblem(prob.h, F_x, A, prob.region, x, p, r).eta
     psi_val = psi(ap, x, p, r)
     consts = norm_constants(p, prob.n, prob.m)
     lip = prob.h.lipschitz(p, prob.m)
@@ -295,10 +295,12 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
         want = _expected_cost(s, n)
         if s.evals_iter != want:
             fail(s.k, f"evaluation cost {s.evals_iter}, expected {want}")
-    total = 1 + sum(s.evals_iter for s in snaps) + record.termination_evals
+    # the start evaluation is in the ledger unless it failed
+    start = min(1, record.total_evals)
+    total = start + sum(s.evals_iter for s in snaps) + record.termination_evals
     if total != record.total_evals:
         raise AuditFailure(
-            f"evaluation ledger off: start 1 + iters + trailing = {total}, trace has {record.total_evals}"
+            f"evaluation ledger off: start {start} + iters + trailing = {total}, trace has {record.total_evals}"
         )
     if record.total_evals > p.budget.max_evals:
         raise AuditFailure("budget exceeded")

@@ -1,34 +1,23 @@
-"""Forward finite-difference Jacobian model.
+"""Forward finite-difference Jacobian.
 
 Column j of the model is (F(x + tau e_j) - F(x)) / tau with one uniform
 stepsize tau for every coordinate: the outer method's coupled tau/radius
 updates assume the literal uniform step, so no per-coordinate rescaling
-is applied.  Building a model costs exactly n fresh evaluations; F(x)
-itself is supplied by the caller and never re-queried.
+is applied.  Building a model costs exactly n calls of the supplied
+``eval_F``; F(x) itself is supplied by the caller and never re-queried.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .oracle import BlackBoxOracle
 
 
 class DegenerateStep(Exception):
     """tau is below the representable resolution at x: x + tau e_j == x."""
 
 
-@dataclass
-class JacobianModel:
-    A: np.ndarray
-    tau: float
-    base_F: np.ndarray
-    base_x: np.ndarray
-
-
-def build_jacobian(oracle: BlackBoxOracle, x, F_x, tau: float) -> JacobianModel:
-    """n forward-difference columns at stepsize tau, in coordinate order."""
+def build_jacobian(eval_F, x, F_x, tau: float) -> np.ndarray:
+    """The (m, n) matrix of forward-difference columns at stepsize tau,
+    evaluated in coordinate order through the callable ``eval_F``."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=float)
@@ -46,5 +35,5 @@ def build_jacobian(oracle: BlackBoxOracle, x, F_x, tau: float) -> JacobianModel:
     for j in range(n):
         xj = x.copy()
         xj[j] += tau
-        A[:, j] = (oracle.eval_F(xj) - F_x) / tau
-    return JacobianModel(A=A, tau=float(tau), base_F=F_x, base_x=x)
+        A[:, j] = (eval_F(xj) - F_x) / tau
+    return A

@@ -117,6 +117,8 @@ class ExternalOracle(BlackBoxOracle):
         self.timeout = timeout
         self._next_id = 0
         argv = shlex.split(command)
+        if not argv:
+            raise SpawnFailure("empty oracle command")
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -205,12 +207,3 @@ class ExternalOracle(BlackBoxOracle):
 
     def __del__(self):
         self.close()
-
-
-def spawn_external(command: str, n: int, m: int, timeout: float | None = None) -> ExternalOracle:
-    """Start an external oracle and complete the handshake.
-
-    The hello message carries both dimensions, so n is required at spawn
-    time alongside the output dimension m.
-    """
-    return ExternalOracle(command, n=n, m=m, timeout=timeout)

@@ -1,20 +1,28 @@
 """The trust-region solve loop with coupled stepsize/radius updates.
 
-One iteration classifies as one of four kinds:
+Each iteration first classifies itself as one of four kinds:
 
-  * U1:      the criticality measure eta at the reference radius fell
-             below epsilon/2; halve tau, rebuild the model.
+  * U1:      entered at step 1 (a fresh model) and the criticality
+             measure eta at the reference radius fell below epsilon/2;
+             halve tau, rebuild the model.
   * success: the trial step achieved ratio rho >= alpha; accept it and
              double the radius (capped at the reference radius).
   * U2:      rho < alpha but tau * sqrt(n) still fits under the halved
              radius; halve the radius and retry the step with the same
-             model, costing a single evaluation.
+             model (re-entering at step 3), costing a single evaluation.
   * U3:      rho < alpha and the halved radius would violate the
              tau * sqrt(n) <= radius coupling; halve both and rebuild.
 
-The coupling invariant tau_k * sqrt(n) <= Delta_k holds at every
-iteration boundary and is asserted as such.  Evaluation accounting is
-strict: a model rebuild costs exactly n evaluations, a trial point one,
+It then runs one transition shared by all four: record one snapshot,
+scale (tau, delta) by the class's entry in ``_UPDATE``, assert the
+coupling tau * sqrt(n) <= delta (``TrfdParams`` guarantees it for the
+start), stop if the radius reached its floor (U1 leaves the radius
+alone and is exempt), and pick the next entry point: step 3 after U2,
+step 1 otherwise.
+
+Evaluation accounting is strict and kept in one ledger, the best-f
+list, which gains one entry per evaluation that returned a usable
+value: a model rebuild costs exactly n evaluations, a trial point one,
 and the budget is checked before each oracle call group so that no
 partial Jacobian is ever bought.
 """
@@ -85,6 +93,8 @@ class TrfdParams:
             raise ValueError("theta must lie in (0, 1]")
         if self.epsilon <= 0 or self.sigma <= 0:
             raise ValueError("epsilon and sigma must be positive")
+        if self.p is PNorm.TWO:
+            raise ValueError("p = 2 subproblems are not linear programs; use p = 1 or inf")
         n = self.budget.n
         if self.tau0 * math.sqrt(n) > self.delta0:
             raise ValueError("delta0 must be at least tau0 * sqrt(n)")
@@ -178,21 +188,13 @@ def compute_rho(f_x: float, f_trial: float, model_at_d: float) -> float | None:
     return (f_x - f_trial) / denom
 
 
-class _TrackingOracle:
-    """Delegating wrapper that routes every evaluation through the
-    driver's best-f bookkeeping without double-counting."""
-
-    def __init__(self, oracle, tracked_eval):
-        self._oracle = oracle
-        self._tracked_eval = tracked_eval
-        self.m = oracle.m
-
-    @property
-    def eval_count(self) -> int:
-        return self._oracle.eval_count
-
-    def eval_F(self, x):
-        return self._tracked_eval(x)
+# (tau, delta) multipliers per class; the radius is then capped at delta*
+_UPDATE = {
+    IterationClass.U1: (0.5, 1.0),
+    IterationClass.SUCCESS: (1.0, 2.0),
+    IterationClass.U2: (1.0, 0.5),
+    IterationClass.U3: (0.5, 0.5),
+}
 
 
 def solve(problem: Problem, params: TrfdParams) -> RunRecord:
@@ -206,24 +208,19 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
     max_evals = params.budget.max_evals
     eps_half = params.epsilon / 2.0
 
+    # one entry per successful evaluation: the run's only evaluation count
     best_f: list = []
     snapshots: list = []
-    count_at_entry = oracle.eval_count
 
-    def used() -> int:
-        return oracle.eval_count - count_at_entry
-
-    def tracked_eval(point):
+    # the data-profile convention scores every evaluation, probe points
+    # included, so the Jacobian builder evaluates through this too
+    def evaluate(point):
         fvec = oracle.eval_F(point)
         fv = eval_h(h, fvec)
         best_f.append(fv if not best_f else min(best_f[-1], fv))
         return fvec
 
-    # the data-profile convention scores every evaluation, probe points
-    # included, so the Jacobian builder goes through the same tracking
-    tracking = _TrackingOracle(oracle, tracked_eval)
-
-    def finish(term: Termination, last_classified_evals: int) -> RunRecord:
+    def finish(term: Termination) -> RunRecord:
         return RunRecord(
             problem_name=problem.name,
             n=n,
@@ -233,7 +230,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
             iterations=snapshots,
             best_f=best_f,
             termination=term,
-            termination_evals=used() - last_classified_evals,
+            termination_evals=len(best_f) - evals_done,
             final_x=x.copy(),
             final_f=f_x,
         )
@@ -242,107 +239,66 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
     f_x = math.inf
     tau = params.tau0
     delta = params.delta0
-    evals_done = 0  # evaluations covered by classified iterations
-    assert tau * sqrt_n <= delta
+    evals_done = 0  # evaluations covered by the start point and classified iterations
+    entry = "step1"
 
     try:
-        if used() + 1 > max_evals:
-            return finish(Termination.BUDGET_EXHAUSTED, used())
-        F_x = tracked_eval(x)
+        # max_evals >= n + 1 >= 2, so the start point always fits
+        F_x = evaluate(x)
         f_x = eval_h(h, F_x)
-
-        k = 0
-        evals_done = used()
-        entry = "step1"
-        A_model = None
-        eta = None
-        eta_sol = None
+        evals_done = len(best_f)
 
         while True:
             if entry == "step1":
-                if used() + n > max_evals:
-                    return finish(Termination.BUDGET_EXHAUSTED, evals_done)
-                A_model = build_jacobian(tracking, x, F_x, tau)
-                eta_sol = solve_tr_subproblem(h, F_x, A_model.A, region, x, params.p, params.delta_star)
+                if len(best_f) + n > max_evals:
+                    return finish(Termination.BUDGET_EXHAUSTED)
+                A = build_jacobian(evaluate, x, F_x, tau)
+                eta_sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, params.delta_star)
                 eta = eta_sol.eta
                 if eta <= params.stop_eta:
-                    return finish(Termination.ETA_FLOOR, evals_done)
-                if eta < eps_half:
-                    snapshots.append(IterationSnapshot(
-                        k=k, cls=IterationClass.U1, entered_at=entry,
-                        tau=tau, delta=delta, eta=eta, rho=None, rho_degenerate=False,
-                        f=f_x, x=x.copy(), evals_iter=n, evals_total=used(),
-                    ))
-                    evals_done = used()
-                    tau = tau / 2.0
-                    k += 1
-                    assert tau * sqrt_n <= delta
-                    continue
+                    return finish(Termination.ETA_FLOOR)
 
-            if delta == params.delta_star:
-                sol = eta_sol
+            if entry == "step1" and eta < eps_half:
+                cls, rho = IterationClass.U1, None
             else:
-                sol = solve_tr_subproblem(h, F_x, A_model.A, region, x, params.p, delta)
+                if delta == params.delta_star:
+                    sol = eta_sol
+                else:
+                    sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, delta)
+                if len(best_f) + 1 > max_evals:
+                    return finish(Termination.BUDGET_EXHAUSTED)
+                trial_x = x + sol.d_star
+                F_trial = evaluate(trial_x)
+                f_trial = eval_h(h, F_trial)
+                rho = compute_rho(f_x, f_trial, sol.model_value)
+                if rho is not None and rho >= params.alpha:
+                    cls = IterationClass.SUCCESS
+                elif tau * sqrt_n <= delta / 2.0:
+                    cls = IterationClass.U2
+                else:
+                    cls = IterationClass.U3
 
-            if used() + 1 > max_evals:
-                return finish(Termination.BUDGET_EXHAUSTED, evals_done)
-            trial_x = x + sol.d_star
-            F_trial = tracked_eval(trial_x)
-            f_trial = eval_h(h, F_trial)
-            rho = compute_rho(f_x, f_trial, sol.model_value)
-            evals_iter = (n + 1) if entry == "step1" else 1
-
-            if rho is not None and rho >= params.alpha:
-                snapshots.append(IterationSnapshot(
-                    k=k, cls=IterationClass.SUCCESS, entered_at=entry,
-                    tau=tau, delta=delta, eta=eta, rho=rho, rho_degenerate=False,
-                    f=f_x, x=x.copy(), evals_iter=evals_iter, evals_total=used(),
-                ))
-                evals_done = used()
-                x = trial_x
-                F_x = F_trial
-                f_x = f_trial
-                delta = min(2.0 * delta, params.delta_star)
-                k += 1
-                assert tau * sqrt_n <= delta
-                if delta <= params.stop_delta:
-                    return finish(Termination.DELTA_FLOOR, evals_done)
-                entry = "step1"
-                continue
-
-            delta_next = delta / 2.0
-            if tau * sqrt_n <= delta_next:
-                snapshots.append(IterationSnapshot(
-                    k=k, cls=IterationClass.U2, entered_at=entry,
-                    tau=tau, delta=delta, eta=eta, rho=rho, rho_degenerate=rho is None,
-                    f=f_x, x=x.copy(), evals_iter=evals_iter, evals_total=used(),
-                ))
-                evals_done = used()
-                delta = delta_next
-                k += 1
-                assert tau * sqrt_n <= delta
-                if delta <= params.stop_delta:
-                    return finish(Termination.DELTA_FLOOR, evals_done)
-                entry = "step3"
-            else:
-                snapshots.append(IterationSnapshot(
-                    k=k, cls=IterationClass.U3, entered_at=entry,
-                    tau=tau, delta=delta, eta=eta, rho=rho, rho_degenerate=rho is None,
-                    f=f_x, x=x.copy(), evals_iter=evals_iter, evals_total=used(),
-                ))
-                evals_done = used()
-                delta = delta_next
-                tau = tau / 2.0
-                k += 1
-                assert tau * sqrt_n <= delta
-                if delta <= params.stop_delta:
-                    return finish(Termination.DELTA_FLOOR, evals_done)
-                entry = "step1"
+            snapshots.append(IterationSnapshot(
+                k=len(snapshots), cls=cls, entered_at=entry,
+                tau=tau, delta=delta, eta=eta, rho=rho,
+                rho_degenerate=cls is not IterationClass.U1 and rho is None,
+                f=f_x, x=x.copy(), evals_iter=len(best_f) - evals_done, evals_total=len(best_f),
+            ))
+            evals_done = len(best_f)
+            if cls is IterationClass.SUCCESS:
+                x, F_x, f_x = trial_x, F_trial, f_trial
+            tau_mult, delta_mult = _UPDATE[cls]
+            tau *= tau_mult
+            delta = min(delta * delta_mult, params.delta_star)
+            assert tau * sqrt_n <= delta
+            if cls is not IterationClass.U1 and delta <= params.stop_delta:
+                return finish(Termination.DELTA_FLOOR)
+            entry = "step3" if cls is IterationClass.U2 else "step1"
 
     except OracleFailure:
-        return finish(Termination.ORACLE_ERROR, evals_done)
+        return finish(Termination.ORACLE_ERROR)
     except (NumericalTrouble, DegenerateStep):
-        return finish(Termination.NUMERICAL_TROUBLE, evals_done)
+        return finish(Termination.NUMERICAL_TROUBLE)
 
 
 def record_to_doc(record: RunRecord) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleRegion, OuterFunction, PNorm, eval_h
+from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp, to_mps
 
 # eta within this of zero is snapped to zero to keep the criticality
@@ -62,25 +62,10 @@ class TrustRegionLP:
     # the LP point of d = 0, feasible by construction
     start: np.ndarray
 
-    @property
-    def n_variables(self) -> int:
-        return self.lp.n_variables
-
-    @property
-    def n_rows(self) -> int:
-        return self.lp.n_rows
-
-    @property
-    def n_finite_bounds(self) -> int:
-        return int(np.sum(np.isfinite(self.lp.lower)) + np.sum(np.isfinite(self.lp.upper)))
-
     def extract_d(self, x_lp: np.ndarray) -> np.ndarray:
         if self.p is PNorm.INF:
             return x_lp[: self.n]
         return x_lp[: self.n] - x_lp[self.n : 2 * self.n]
-
-    def to_mps(self, name: str = "TRLP") -> str:
-        return to_mps(self.lp, name)
 
 
 @dataclass
@@ -88,7 +73,6 @@ class SubproblemSolution:
     d_star: np.ndarray
     model_value: float
     eta: float
-    status: str = "optimal"
 
 
 def reformulate(
@@ -213,8 +197,6 @@ def solve_tr_subproblem(
 
 
 def _check_solution(tr, d, model_value, result: SimplexResult, region, x) -> None:
-    from .core import norm  # local import keeps module load order simple
-
     # abort threshold is 1e-6 absolute on constraint residuals; the LP
     # works in absolute arithmetic, so at tiny radii the step may
     # overshoot the ball by rounding-level amounts without being wrong
@@ -246,4 +228,4 @@ def _maybe_dump(tr: TrustRegionLP) -> None:
     path = os.path.join(directory, f"tr_lp_{os.getpid()}_{_dump_counter:06d}.mps")
     _dump_counter += 1
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(tr.to_mps(name=f"TRLP{_dump_counter - 1}"))
+        fh.write(to_mps(tr.lp, name=f"TRLP{_dump_counter - 1}"))

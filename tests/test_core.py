@@ -77,8 +77,6 @@ def test_outer_function_lipschitz_table():
     assert OuterFunction.L1.lipschitz(PNorm.INF, m) == 9.0
     for p in PNorm:
         assert OuterFunction.MINIMAX.lipschitz(p, m) == 1.0
-    assert OuterFunction.MINIMAX.monotone
-    assert not OuterFunction.L1.monotone
 
 
 def test_lipschitz_property_1000_pairs():
@@ -133,7 +131,7 @@ def test_problem_validation():
     from conftest import make_problem, rosenbrock_residuals
 
     prob = make_problem(rosenbrock_residuals, 2, 2, "l1", [-1.2, 1.0])
-    assert prob.f([1.0, -2.0]) == 3.0
+    assert prob.h([1.0, -2.0]) == 3.0
     with pytest.raises(ValueError):
         make_problem(
             rosenbrock_residuals, 2, 2, "l1", [5.0, 5.0],

@@ -228,8 +228,8 @@ def test_eta_radius_monotonicity_on_trace():
         if s.delta >= rec.params.delta_star or s.tau < 1e-10:
             continue
         F_x = scratch.oracle.eval_F(s.x)
-        model = build_jacobian(scratch.oracle, s.x, F_x, s.tau)
+        A = build_jacobian(scratch.oracle.eval_F, s.x, F_x, s.tau)
         sol = solve_tr_subproblem(
-            prob.h, F_x, model.A, prob.region, s.x, rec.params.p, s.delta
+            prob.h, F_x, A, prob.region, s.x, rec.params.p, s.delta
         )
         assert sol.eta >= s.eta - 1e-9

@@ -4,12 +4,12 @@ from conftest import rosenbrock_residuals
 
 from trfd.oracle import (
     EvalBudget,
+    ExternalOracle,
     HandshakeTimeout,
     InProcessOracle,
     OracleFailure,
     SpawnFailure,
     format_float,
-    spawn_external,
 )
 
 
@@ -54,7 +54,7 @@ def test_format_float_roundtrip():
 
 
 def test_external_echo(demo_oracle_cmd):
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
     try:
         assert oracle.eval_count == 0
         out = oracle.eval_F([2.0, 3.0])
@@ -68,7 +68,7 @@ def test_external_echo(demo_oracle_cmd):
 
 
 def test_external_registry_problem(demo_oracle_cmd):
-    oracle = spawn_external(f"{demo_oracle_cmd} --problem rosenbrock", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --problem rosenbrock", n=2, m=2)
     try:
         assert oracle.eval_F([-1.2, 1.0]) == pytest.approx([-4.4, 2.2], rel=1e-15)
     finally:
@@ -76,12 +76,13 @@ def test_external_registry_problem(demo_oracle_cmd):
 
 
 def test_spawn_failure():
-    with pytest.raises(SpawnFailure):
-        spawn_external("definitely-not-a-real-command-xyz --echo", n=2, m=2)
+    for command in ("definitely-not-a-real-command-xyz --echo", ""):
+        with pytest.raises(SpawnFailure):
+            ExternalOracle(command, n=2, m=2)
 
 
 def test_wrong_m_reply(demo_oracle_cmd):
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo --wrong-m", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --wrong-m", n=2, m=2)
     try:
         with pytest.raises(OracleFailure):
             oracle.eval_F([1.0, 2.0])
@@ -90,7 +91,7 @@ def test_wrong_m_reply(demo_oracle_cmd):
 
 
 def test_garbage_reply(demo_oracle_cmd):
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo --garbage", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --garbage", n=2, m=2)
     try:
         with pytest.raises(OracleFailure):
             oracle.eval_F([1.0, 2.0])
@@ -99,7 +100,7 @@ def test_garbage_reply(demo_oracle_cmd):
 
 
 def test_process_death(demo_oracle_cmd):
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo --die-after 1", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --die-after 1", n=2, m=2)
     try:
         oracle.eval_F([1.0, 2.0])
         with pytest.raises(OracleFailure):
@@ -110,13 +111,13 @@ def test_process_death(demo_oracle_cmd):
 
 def test_handshake_timeout(demo_oracle_cmd):
     with pytest.raises(HandshakeTimeout):
-        spawn_external(f"{demo_oracle_cmd} --echo --no-ready", n=2, m=2, timeout=0.5)
+        ExternalOracle(f"{demo_oracle_cmd} --echo --no-ready", n=2, m=2, timeout=0.5)
 
 
 def test_eval_timeout(demo_oracle_cmd):
     # spawn under the default timeout so the child's interpreter start-up
     # is not bounded by the short per-call limit under test
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo --sleep 5", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --sleep 5", n=2, m=2)
     oracle.timeout = 0.5
     try:
         with pytest.raises(OracleFailure):
@@ -127,7 +128,7 @@ def test_eval_timeout(demo_oracle_cmd):
 
 def test_timeout_env_override(demo_oracle_cmd, monkeypatch):
     monkeypatch.setenv("TRFD_ORACLE_TIMEOUT_SECS", "7.5")
-    oracle = spawn_external(f"{demo_oracle_cmd} --echo", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
     try:
         assert oracle.timeout == 7.5
     finally:

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_problem, rosenbrock_residuals
 
 from trfd.core import MACHINE_EPS, PNorm
+from trfd.diagnostics import audit_trace
 from trfd.solver import (
     IterationClass,
     Termination,
@@ -72,6 +73,10 @@ def test_params_validation():
         kwargs[field] = bad
         with pytest.raises(ValueError):
             TrfdParams(**kwargs)
+    # p = 2 has no LP subproblem: rejected before any evaluation is spent
+    with pytest.raises(ValueError):
+        TrfdParams.defaults(prob, PNorm.TWO)
+    assert prob.oracle.eval_count == 0
 
 
 def test_affine_l1_converges_exactly():
@@ -217,19 +222,25 @@ def test_budget_exhaustion_never_overruns():
         assert fresh.oracle.eval_count == rec.total_evals
 
 
-def test_oracle_failure_records_termination():
+@pytest.mark.parametrize("fail_at", range(1, 2 * 2 + 4))
+def test_oracle_failure_records_termination(fail_at):
+    # failure points 1..2n+3 cover the start point, a model build, a
+    # trial point and the next model build
     calls = {"n": 0}
 
     def flaky(x):
         calls["n"] += 1
-        if calls["n"] > 5:
+        if calls["n"] >= fail_at:
             return np.array([np.nan, np.nan])
         return rosenbrock_residuals(x)
 
     prob = make_problem(flaky, 2, 2, "l1", (-1.2, 1.0))
     rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
     assert rec.termination is Termination.ORACLE_ERROR
-    assert len(rec.best_f) == 5
+    assert len(rec.best_f) == fail_at - 1
+    # the failed call is counted by the oracle but not by the ledger
+    assert rec.total_evals == prob.oracle.eval_count - 1
+    assert audit_trace(rec).ok
 
 
 def test_tau_underflow_is_numerical_trouble():
@@ -289,8 +300,8 @@ def test_tau0_formula_with_custom_sigma():
 
 
 def test_sequential_solves_share_one_oracle():
-    # the driver baselines the counter at entry, so back-to-back runs on
-    # one problem object keep exact accounting
+    # the solver counts its own evaluations, so back-to-back runs on one
+    # problem object keep exact accounting
     prob = make_problem(rosenbrock_residuals, 2, 2, "l1", (-1.2, 1.0))
     rec1 = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, simplex_gradients=5))
     count_after_first = prob.oracle.eval_count

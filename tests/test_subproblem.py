@@ -19,17 +19,17 @@ def test_reformulate_counts_minimax_inf():
     tr = reformulate(
         OuterFunction.MINIMAX, np.zeros(3), np.zeros((3, 2)), UNC2, np.zeros(2), PNorm.INF, 1.0
     )
-    assert tr.n_variables == 3  # d1, d2, t
-    assert tr.n_rows == 3
-    assert tr.n_finite_bounds == 4
+    assert tr.lp.n_variables == 3  # d1, d2, t
+    assert tr.lp.n_rows == 3
+    assert np.isfinite(tr.lp.lower).sum() + np.isfinite(tr.lp.upper).sum() == 4
 
 
 def test_reformulate_counts_l1_p1():
     tr = reformulate(
         OuterFunction.L1, np.zeros(2), np.zeros((2, 2)), UNC2, np.zeros(2), PNorm.ONE, 1.0
     )
-    assert tr.n_variables == 6  # u1, u2, v1, v2, t1, t2
-    assert tr.n_rows == 5
+    assert tr.lp.n_variables == 6  # u1, u2, v1, v2, t1, t2
+    assert tr.lp.n_rows == 5
 
 
 def test_reformulate_extra_inequality_row():
@@ -39,7 +39,7 @@ def test_reformulate_extra_inequality_row():
     tr = reformulate(
         OuterFunction.L1, np.zeros(2), np.zeros((2, 2)), region, np.zeros(2), PNorm.ONE, 1.0
     )
-    assert tr.n_rows == 6
+    assert tr.lp.n_rows == 6
 
 
 def test_p2_rejected():
