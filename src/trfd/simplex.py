@@ -128,19 +128,13 @@ def solve_lp(lp: LinearProgram, start=None) -> SimplexResult:
     value[np.isnan(value)] = 0.0
 
     # slack basis where the implied slack value is feasible, artificial
-    # columns elsewhere
+    # columns elsewhere, in row order and signed like the residual (a NaN
+    # residual gets a -1 artificial)
     resid = b - A @ value[:nv]
-    basis = np.empty(nr, dtype=int)
-    art_cols = []
-    for i in range(nr):
-        s_val = resid[i]
-        if slack_lo[i] - OPT_TOL <= s_val <= slack_hi[i] + OPT_TOL:
-            basis[i] = nv + i
-        else:
-            col = np.zeros(nr)
-            col[i] = 1.0 if s_val > 0 else -1.0
-            art_cols.append(col)
-            basis[i] = ncol + len(art_cols) - 1
+    art_rows = np.flatnonzero(~((slack_lo - OPT_TOL <= resid) & (resid <= slack_hi + OPT_TOL)))
+    n_art = art_rows.size
+    basis = nv + np.arange(nr)
+    basis[art_rows] = ncol + np.arange(n_art)
 
     # crash: a structural strictly inside its bounds at a nonzero value
     # becomes basic in the first tight slack row where its coefficient is
@@ -157,11 +151,13 @@ def solve_lp(lp: LinearProgram, start=None) -> SimplexResult:
             open_rows &= col == 0.0
 
     phase1_iters = 0
-    if art_cols:
-        full_A = np.hstack([full_A, np.column_stack(art_cols)])
-        lo = np.concatenate([lo, np.zeros(len(art_cols))])
-        hi = np.concatenate([hi, np.full(len(art_cols), np.inf)])
-        value = np.concatenate([value, np.zeros(len(art_cols))])
+    if n_art:
+        art = np.zeros((nr, n_art))
+        art[art_rows, np.arange(n_art)] = np.where(resid[art_rows] > 0, 1.0, -1.0)
+        full_A = np.hstack([full_A, art])
+        lo = np.concatenate([lo, np.zeros(n_art)])
+        hi = np.concatenate([hi, np.full(n_art, np.inf)])
+        value = np.concatenate([value, np.zeros(n_art)])
         phase1_cost = np.zeros(full_A.shape[1])
         phase1_cost[ncol:] = 1.0
         phase1_iters = _optimize(full_A, b, lo, hi, phase1_cost, basis, value)
