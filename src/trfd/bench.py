@@ -45,6 +45,12 @@ class SolverConfig:
     p: str = "1"
     overrides: tuple = ()
 
+    def __post_init__(self):
+        # aliases such as "one" pass; p = 2 and unknown values fail here,
+        # before any run of a campaign starts
+        if self.p != "auto" and PNorm.from_value(self.p) is PNorm.TWO:
+            raise ValueError("p = 2 subproblems are not linear programs; use p = 1, inf or auto")
+
     def build_params(self, problem, simplex_gradients: int = 100) -> TrfdParams:
         if self.p == "auto":
             p = PNorm.ONE if math.sqrt(problem.m) < problem.n else PNorm.INF

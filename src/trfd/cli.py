@@ -9,7 +9,8 @@ Subcommands:
 
 Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
-and when every audited trace is clean (audit).
+and when every audited trace is clean (audit).  A campaign config that
+cannot be read or built makes ``run`` print one error line and exit 2.
 """
 from __future__ import annotations
 
@@ -27,9 +28,10 @@ from .bench import (
     emit_profile_csv,
     run_campaign,
 )
+from .config import campaign_from_config, load_json
 from .diagnostics import AuditFailure, audit_trace
 from .solver import Termination, load_trace
-from .testset import registry, registry_by_name
+from .testset import registry, registry_by_name, registry_family
 
 
 def main(argv=None) -> int:
@@ -70,17 +72,19 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.config:
-        from .config import campaign_from_config, load_json
-
-        campaign = campaign_from_config(load_json(args.config))
+        # a bad config fails here, before any run starts or any file is written
+        try:
+            campaign = campaign_from_config(load_json(args.config))
+        except (OSError, ValueError, KeyError) as exc:
+            # KeyError's str() quotes its message
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"trfd run: error: {message}", file=sys.stderr)
+            return 2
     else:
-        from .testset import registry_family
-
         campaign = Campaign(
-            problems=registry_family("l1"), solver_configs=[TRFD_L1]
+            problems=registry_family("l1") + registry_family("minimax"),
+            solver_configs=[TRFD_L1, TRFD_M],
         )
-        campaign.problems = campaign.problems + registry_family("minimax")
-        campaign.solver_configs = [TRFD_L1, TRFD_M]
     if args.budget is not None:
         campaign.simplex_gradients = args.budget
     if args.tolerance:

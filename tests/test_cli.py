@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from trfd.bench import SolverConfig
 from trfd.cli import main
 
 
@@ -109,3 +112,22 @@ def test_external_oracle_config_end_to_end(tmp_path, demo_oracle_cmd):
         assert rec.final_f < 1e-3
     finally:
         prob.oracle.close()
+
+
+@pytest.mark.parametrize("case", ["p2", "unknown_problem", "missing_file"])
+def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):
+    cfg = tmp_path / "campaign.json"
+    if case == "p2":
+        cfg.write_text(json.dumps({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "2"}]}))
+    elif case == "unknown_problem":
+        write_campaign(cfg, ["no_such_problem"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("trfd run: error: ")
+    assert not out.exists()
+    # aliases still pass the check
+    SolverConfig(name="X", p="Infinity")
+
