@@ -20,6 +20,11 @@ start), stop if the radius reached its floor (U1 leaves the radius
 alone and is exempt), and pick the next entry point: step 3 after U2,
 step 1 otherwise.
 
+A step LP below the reference radius is solved on the same model as the
+LP before it (the Delta* LP of the rebuild, or the step LP that a U2
+retry halves), so it is warm-started from that LP's final simplex
+basis.  The Delta* LP of a fresh model starts cold.
+
 Evaluation accounting is strict and kept in one ledger, the best-f
 list, which gains one entry per evaluation that returned a usable
 value: a model rebuild costs exactly n evaluations, a trial point one,
@@ -253,18 +258,19 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 if len(best_f) + n > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 A = build_jacobian(evaluate, x, F_x, tau)
-                eta_sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, params.delta_star)
-                eta = eta_sol.eta
+                sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, params.delta_star)
+                eta = sol.eta
                 if eta <= params.stop_eta:
                     return finish(Termination.ETA_FLOOR)
 
             if entry == "step1" and eta < eps_half:
                 cls, rho = IterationClass.U1, None
             else:
-                if delta == params.delta_star:
-                    sol = eta_sol
-                else:
-                    sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, delta)
+                if delta < params.delta_star:
+                    # x, F(x) and A are those of the last LP solved (the
+                    # Delta* LP, or the step LP a U2 retry halves), so its
+                    # basis warm-starts this one
+                    sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, delta, warm=sol.basis)
                 if len(best_f) + 1 > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 trial_x = x + sol.d_star

@@ -22,6 +22,13 @@ decrease
     eta = (h(F(x)) - model optimum) / r
 
 is the approximate stationarity measure that drives the outer method.
+
+The LP's rows and columns depend on h, F(x), A, the region, x and p, and
+the radius moves only bounds and right-hand sides.  A solution therefore
+carries the LP's final simplex basis, and a later solve of the same
+model at another radius may pass it as ``warm``; the simplex restarts
+from it when it is still feasible and falls back to the d = 0 crash
+otherwise.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp, to_mps
+from .simplex import Basis, LinearProgram, NumericalTrouble, SimplexResult, solve_lp, to_mps
 
 # eta within this of zero is snapped to zero to keep the criticality
 # test free of sign noise
@@ -73,6 +80,8 @@ class SubproblemSolution:
     d_star: np.ndarray
     model_value: float
     eta: float
+    # the LP's final basis, to warm-start another radius on the same model
+    basis: Basis | None
 
 
 def reformulate(
@@ -178,10 +187,13 @@ def solve_tr_subproblem(
     x: np.ndarray,
     p: PNorm,
     r: float,
+    warm: Basis | None = None,
 ) -> SubproblemSolution:
+    """Solve the subproblem at radius r.  ``warm`` is the ``basis`` of an
+    earlier solution with the same h, F(x), A, region, x and p."""
     tr = reformulate(h, F_x, A, region, x, p, r)
     _maybe_dump(tr)
-    result = solve_lp(tr.lp, start=tr.start)
+    result = solve_lp(tr.lp, start=tr.start, basis=warm)
     d = tr.extract_d(result.x)
     model_value = eval_h(h, np.asarray(F_x, dtype=float) + np.asarray(A, dtype=float) @ d)
 
@@ -193,7 +205,7 @@ def solve_tr_subproblem(
     eta = (tr.base_value - model_value) / tr.radius
     if eta <= ETA_SNAP:
         eta = 0.0
-    return SubproblemSolution(d_star=d, model_value=model_value, eta=eta)
+    return SubproblemSolution(d_star=d, model_value=model_value, eta=eta, basis=result.basis)
 
 
 def _check_solution(tr, d, model_value, result: SimplexResult, region, x) -> None:

@@ -3,6 +3,7 @@ import pytest
 from conftest import random_tr_instance
 
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
+from trfd import simplex
 from trfd.diagnostics import eta_bruteforce
 from trfd.simplex import solve_lp
 from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
@@ -138,17 +139,38 @@ def test_region_constrained_step_stays_feasible():
         assert region.contains(sol.d_star, tol=1e-9)
 
 
+def _highs_objective(lp):
+    ref = linprog(
+        lp.c, A_ub=lp.rows, b_ub=lp.rhs,
+        bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
+    )
+    assert ref.status == 0
+    return ref.fun
+
+
 @pytest.mark.parametrize(
     "h, p, seed", [("l1", "1", 31), ("l1", "inf", 32), ("minimax", "1", 33), ("minimax", "inf", 34)]
 )
-def test_crash_start_matches_cold_solve_and_highs(h, p, seed):
+def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
     # the d = 0 start must give the same optimum as the Phase I path and
-    # an independent solver, without a single Phase I pivot
+    # an independent solver, without a single Phase I pivot; so must a
+    # warm start from the basis of the same model at another radius
+    used = []  # per warm solve: was the earlier basis usable?
+    real_warm_start = simplex._warm_start
+
+    def recording_warm_start(*args):
+        out = real_warm_start(*args)
+        used.append(out is not None)
+        return out
+
+    monkeypatch.setattr(simplex, "_warm_start", recording_warm_start)
     rng = np.random.default_rng(seed)
     cold_phase1 = 0
+    warm_pivots = []
     for k in range(80):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-        tr = reformulate(*random_tr_instance(rng, h, p, n=n, m=m, constrained=k % 4 != 0))
+        inst = random_tr_instance(rng, h, p, n=n, m=m, constrained=k % 4 != 0)
+        tr = reformulate(*inst)
         crashed = solve_lp(tr.lp, start=tr.start)
         cold = solve_lp(tr.lp)
         scale = 1.0 + abs(tr.base_value)
@@ -156,15 +178,27 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed):
         assert crashed.objective == pytest.approx(cold.objective, abs=1e-9 * scale)
         assert crashed.objective <= tr.base_value + 1e-12 * scale
         if linprog is not None:
-            ref = linprog(
-                tr.lp.c, A_ub=tr.lp.rows, b_ub=tr.lp.rhs,
-                bounds=np.column_stack([tr.lp.lower, tr.lp.upper]), method="highs",
-            )
-            assert ref.status == 0
-            assert crashed.objective == pytest.approx(ref.fun, abs=1e-7 * scale)
+            assert crashed.objective == pytest.approx(_highs_objective(tr.lp), abs=1e-7 * scale)
         cold_phase1 += cold.phase1_iterations
+
+        # the same model re-solved warm: a U2 retry at r/2, and the step
+        # LP at r after the Delta* LP
+        r = inst[-1]
+        half = reformulate(*inst[:-1], r / 2)
+        star = reformulate(*inst[:-1], 1000.0)
+        for target, earlier in ((half, crashed), (tr, solve_lp(star.lp, start=star.start))):
+            warm = solve_lp(target.lp, start=target.start, basis=earlier.basis)
+            want = solve_lp(target.lp, start=target.start)
+            assert warm.objective == pytest.approx(want.objective, abs=1e-9 * scale)
+            if linprog is not None:
+                assert warm.objective == pytest.approx(_highs_objective(target.lp), abs=1e-7 * scale)
+            warm_pivots.append(warm.iterations)
     # the cold path does need Phase I on these layouts
     assert cold_phase1 > 0
+    # some earlier bases stay optimal, and some no longer fit the bounds
+    assert len(used) == len(warm_pivots) == 160
+    assert any(u and its == 0 for u, its in zip(used, warm_pivots))
+    assert not all(used)
 
 
 def test_subproblem_lps_never_run_phase_one(monkeypatch):
