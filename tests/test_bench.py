@@ -190,3 +190,32 @@ def test_solver_config_auto_rule():
     assert TRFD_M.build_params(maxl).p is PNorm.ONE
     assert TRFD_M.build_params(cheb).p is PNorm.INF
     assert SolverConfig(name="x", p="inf").build_params(maxl).p is PNorm.INF
+
+
+def test_profile_delta_script(tmp_path, capsys):
+    # a shorter budget stands in for a version that regressed
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "profile_delta.py")
+    spec = importlib.util.spec_from_file_location("profile_delta", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    problems = [registry_by_name("rosenbrock"), registry_by_name("dem")]
+    for name, budget in (("old", 20), ("new", 2)):
+        run_campaign(Campaign(problems, [TRFD_L1], simplex_gradients=budget), out_dir=str(tmp_path / name))
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+
+    assert script.main([old, old]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0 of 2 runs changed"
+    assert len(lines) == 5
+    assert all(line.endswith("TRFD-L1 min +0.0000 max +0.0000") for line in lines[1:])
+
+    assert script.main([old, new]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "2 of 2 runs changed"
+    assert all("-> budget_exhausted" in line for line in lines[:2])
+    assert lines[-1].startswith("profile delta at tol 1e-07: TRFD-L1 min -")
+    assert lines[-1].endswith("max +0.0000")
+    assert script.main([old, str(tmp_path)]) == 2
