@@ -267,9 +267,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 cls, rho = IterationClass.U1, None
             else:
                 if delta < params.delta_star:
-                    # x, F(x) and A are those of the last LP solved (the
-                    # Delta* LP, or the step LP a U2 retry halves), so its
-                    # basis warm-starts this one
+                    # same model as the last LP solved: restart from its basis
                     sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, delta, warm=sol.basis)
                 if len(best_f) + 1 > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from conftest import random_tr_instance
 
-from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from trfd import simplex
+from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from trfd.diagnostics import eta_bruteforce
 from trfd.simplex import solve_lp
 from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
