@@ -11,6 +11,8 @@ Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
 and when every audited trace is clean (audit).  A campaign config that
 cannot be read or built makes ``run`` print one error line and exit 2.
+A trace that cannot be read or is not a trace fails the audit with one
+line, and ``audit`` goes on to the next path.
 """
 from __future__ import annotations
 
@@ -136,7 +138,12 @@ def _cmd_audit(args) -> int:
             paths.append(entry)
     failures = 0
     for path in paths:
-        record = load_trace(path)
+        try:
+            record = load_trace(path)
+        except (OSError, ValueError, KeyError) as exc:
+            failures += 1
+            print(f"{path}: FAILED: {type(exc).__name__}: {exc}")
+            continue
         analytic = None
         try:
             bp = registry_by_name(record.problem_name)

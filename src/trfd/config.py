@@ -83,15 +83,24 @@ def problem_from_config(doc: dict) -> Problem:
 
 
 def campaign_from_config(doc: dict) -> Campaign:
+    if not isinstance(doc, dict):
+        raise ValueError("a campaign config must be a JSON object")
     selection = doc.get("problems", {"family": "all"})
     if isinstance(selection, dict):
         family = selection.get("family", "all")
         problems = registry() if family == "all" else registry_family(family)
-    else:
+    elif isinstance(selection, list):
         problems = [registry_by_name(name) for name in selection]
+    else:
+        raise ValueError('"problems" must be a list of names or a {"family": ...} object')
 
+    entries = doc.get("solvers", [{"name": "TRFD-L1", "p": "1"}])
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError('"solvers" must be a list of objects')
     solvers = []
-    for entry in doc.get("solvers", [{"name": "TRFD-L1", "p": "1"}]):
+    for entry in entries:
+        if not isinstance(entry.get("name"), str):
+            raise ValueError('every "solvers" entry needs a string "name"')
         overrides = {
             k: v
             for k, v in entry.items()

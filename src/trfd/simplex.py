@@ -1,27 +1,25 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal simplex for the LPs trfd builds.
 
-Solves  min c.x  subject to  rows of the form a.x {<=, >=, =} b  and
-box bounds l <= x <= u (either side may be infinite).  Inequalities are
-converted to equalities with slack variables.
+Solves  min c.x  subject to  rows a.x <= b  and box bounds
+l <= x <= u (either side may be infinite), from a caller's feasible
+starting point.  Each row gets a slack variable s >= 0 with a.x + s = b.
 
 The first basis comes from one of two places.  A caller that re-solves
 an LP with the same rows and columns but other bounds or right-hand
 sides may pass the ``Basis`` of the earlier result: its nonbasics go to
 the bounds it names and the basics are solved for once.  If that basis
-is nonsingular and primal feasible within OPT_TOL, Phase II starts from
-it; its reduced costs do not depend on bounds or right-hand sides, so a
-basis that was optimal before and is still feasible is optimal at once.
+is nonsingular and primal feasible within OPT_TOL, the pivot loop starts
+from it; its reduced costs do not depend on bounds or right-hand sides,
+so a basis that was optimal before and is still feasible is optimal at
+once.
 
-Otherwise the first basis is crashed from a starting point the caller
-may supply (the origin otherwise).  Nonbasic variables start at that
-point clamped into their bounds, and every row whose implied slack is
-feasible keeps its slack basic.  A structural variable the start puts
-strictly inside its bounds at a nonzero value then takes the place of
-the slack of one tight row (implied slack exactly zero) in which it has
-a nonzero coefficient.  A feasible start therefore yields a feasible
-first basis and Phase II runs at once.  Only rows the start leaves
-infeasible get artificial variables, and then a Phase-I pass restores
-feasibility before Phase II optimizes the true objective.
+Otherwise the first basis is crashed from the start.  Nonbasic variables
+start at that point clamped into their bounds, and every row starts with
+its slack basic.  A structural variable the start puts strictly inside its
+bounds at a nonzero value then takes the place of the slack of one tight
+row (implied slack exactly zero) in which it has a nonzero coefficient.
+The start must satisfy every row within OPT_TOL, so this first basis is
+feasible; a start that does not, or that is NaN, raises NumericalTrouble.
 
 The subproblems this package generates are small (at most a few hundred
 variables) and dense.  The pivot loop inverts the basis matrix once and
@@ -56,11 +54,10 @@ class NumericalTrouble(Exception):
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t.  rows[i].x (sense[i]) rhs[i],  lower <= x <= upper."""
+    """min c.x  s.t.  rows[i].x <= rhs[i],  lower <= x <= upper."""
 
     c: np.ndarray
     rows: np.ndarray
-    sense: tuple
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -72,14 +69,10 @@ class LinearProgram:
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        self.sense = tuple(self.sense)
-        if self.rows.shape[0] != self.rhs.size or len(self.sense) != self.rhs.size:
-            raise ValueError("row/sense/rhs length mismatch")
+        if self.rows.shape[0] != self.rhs.size:
+            raise ValueError("row/rhs length mismatch")
         if self.lower.size != nv or self.upper.size != nv:
             raise ValueError("bound length mismatch")
-        for s in self.sense:
-            if s not in ("<=", ">=", "="):
-                raise ValueError(f"bad sense {s!r}")
 
     @property
     def n_variables(self) -> int:
@@ -110,68 +103,40 @@ class SimplexResult:
     objective: float
     iterations: int
     max_residual: float
-    # pivots spent in Phase I (0 when the start was feasible)
-    phase1_iterations: int = 0
-    # the final basis; None while an artificial column is still basic
-    basis: Basis | None = None
+    # the final basis
+    basis: Basis
 
 
-def solve_lp(lp: LinearProgram, start=None, basis: Basis | None = None) -> SimplexResult:
+def solve_lp(lp: LinearProgram, start, basis: Basis | None = None) -> SimplexResult:
     """Solve to proven optimality; raises NumericalTrouble on breakdown.
 
-    ``basis`` is an optional earlier result's basis to restart from; when
-    it is singular or infeasible for this LP, the first basis is crashed
-    from ``start`` instead.  ``start`` is an optional point to crash from;
-    a feasible one skips Phase I.
+    ``start`` is a point that satisfies every row; the first basis is
+    crashed from it.  ``basis`` is an optional earlier result's basis to
+    restart from instead; when it is singular or infeasible for this LP,
+    the crash runs after all.
     """
     nv = lp.n_variables
     nr = lp.n_rows
-
-    if nr == 0:
-        # box-only problem: each coordinate minimizes independently
-        x = np.where(lp.c > 0, lp.lower, np.where(lp.c < 0, lp.upper, np.clip(0.0, lp.lower, lp.upper)))
-        if not np.all(np.isfinite(x)):
-            raise NumericalTrouble("unbounded direction")
-        return SimplexResult(x=x, objective=float(lp.c @ x), iterations=0, max_residual=_residual(lp, x))
-
-    # canonical form: A x + s = b with >= rows negated, = rows given a
-    # slack fixed at zero
-    A = lp.rows.copy()
-    b = lp.rhs.astype(float).copy()
-    ge = np.array([s == ">=" for s in lp.sense])
-    A[ge] *= -1.0
-    b[ge] *= -1.0
-
-    slack_lo = np.zeros(nr)
-    slack_hi = np.full(nr, np.inf)
-    eq = np.array([s == "=" for s in lp.sense])
-    slack_hi[eq] = 0.0
-
     ncol = nv + nr
-    full_A = np.hstack([A, np.eye(nr)])
-    lo = np.concatenate([lp.lower, slack_lo])
-    hi = np.concatenate([lp.upper, slack_hi])
+    # A x + s = b with one slack s >= 0 per row
+    A = np.hstack([lp.rows, np.eye(nr)])
+    b = lp.rhs
+    lo = np.concatenate([lp.lower, np.zeros(nr)])
+    hi = np.concatenate([lp.upper, np.full(nr, np.inf)])
 
-    phase1_iters = 0
-    warm = None if basis is None else _warm_start(full_A, b, lo, hi, basis)
+    warm = None if basis is None else _warm_start(A, b, lo, hi, basis)
     if warm is not None:
         basic, value = warm
     else:
-        # nonbasic start values: clamp the start (default 0) into the
-        # bounds; free variables sit there until they enter the basis
-        value = np.clip(0.0, lo, hi)
-        if start is not None:
-            value[:nv] = np.clip(np.asarray(start, dtype=float), lp.lower, lp.upper)
-        value[np.isnan(value)] = 0.0
-
-        # slack basis where the implied slack value is feasible, artificial
-        # columns elsewhere, in row order and signed like the residual (a
-        # NaN residual gets a -1 artificial)
-        resid = b - A @ value[:nv]
-        art_rows = np.flatnonzero(~((slack_lo - OPT_TOL <= resid) & (resid <= slack_hi + OPT_TOL)))
-        n_art = art_rows.size
+        # nonbasic start values: the start clamped into the bounds, and
+        # slacks at zero; every row starts with its slack basic
+        value = np.zeros(ncol)
+        value[:nv] = np.clip(np.asarray(start, dtype=float), lp.lower, lp.upper)
+        x0 = value[:nv]
+        resid = b - lp.rows @ x0
+        if not np.all(resid >= -OPT_TOL):  # a NaN start fails too
+            raise NumericalTrouble("start violates a row")
         basic = nv + np.arange(nr)
-        basic[art_rows] = ncol + np.arange(n_art)
 
         # crash: a structural strictly inside its bounds at a nonzero value
         # becomes basic in the first tight slack row where its coefficient
@@ -179,51 +144,30 @@ def solve_lp(lp: LinearProgram, start=None, basis: Basis | None = None) -> Simpl
         # before, so the crashed block of B is triangular with a nonzero
         # diagonal and B stays nonsingular; a structural with no such row
         # stays nonbasic.
-        x0 = value[:nv]
-        open_rows = (resid == 0.0) & (basic == nv + np.arange(nr))
+        open_rows = resid == 0.0
         for j in np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper)):
-            col = A[:, j]
+            col = lp.rows[:, j]
             rows = np.flatnonzero(open_rows & (np.abs(col) > PIVOT_TOL))
             if rows.size:
                 basic[rows[0]] = j
                 open_rows &= col == 0.0
 
-        if n_art:
-            art = np.zeros((nr, n_art))
-            art[art_rows, np.arange(n_art)] = np.where(resid[art_rows] > 0, 1.0, -1.0)
-            full_A = np.hstack([full_A, art])
-            lo = np.concatenate([lo, np.zeros(n_art)])
-            hi = np.concatenate([hi, np.full(n_art, np.inf)])
-            value = np.concatenate([value, np.zeros(n_art)])
-            phase1_cost = np.zeros(full_A.shape[1])
-            phase1_cost[ncol:] = 1.0
-            phase1_iters = _optimize(full_A, b, lo, hi, phase1_cost, basic, value)
-            infeas = float(phase1_cost @ value)
-            if infeas > 1e-7 * max(1.0, float(np.max(np.abs(b), initial=1.0))):
-                raise NumericalTrouble(f"phase I ended infeasible ({infeas:.3e})")
-            # artificials are pinned at zero for phase II
-            hi[ncol:] = 0.0
-
-    cost = np.zeros(full_A.shape[1])
+    cost = np.zeros(ncol)
     cost[:nv] = lp.c
-    iters = phase1_iters + _optimize(full_A, b, lo, hi, cost, basic, value)
+    iters = _optimize(A, b, lo, hi, cost, basic, value)
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
     if not max_residual <= 1e-6:  # NaN fails too
         raise NumericalTrouble(f"solution residual {max_residual:.3e}")
-    final = None
-    if np.all(basic < ncol):
-        at_upper = value[:ncol] == hi[:ncol]
-        at_upper[basic] = False
-        final = Basis(basic=basic, at_upper=at_upper)
+    at_upper = value == hi
+    at_upper[basic] = False
     return SimplexResult(
         x=x,
         objective=float(lp.c @ x),
         iterations=iters,
         max_residual=max_residual,
-        phase1_iterations=phase1_iters,
-        basis=final,
+        basis=Basis(basic=basic, at_upper=at_upper),
     )
 
 
@@ -255,10 +199,8 @@ def _warm_start(A, b, lo, hi, basis: Basis):
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any row or bound at x (0 when feasible)."""
-    sense = np.asarray(lp.sense)
     gap = lp.rows @ x - lp.rhs
-    viol = np.where(sense == "<=", gap, np.where(sense == ">=", -gap, np.abs(gap)))
-    return float(max(viol.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
+    return float(max(gap.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
 
 
 def _optimize(A, b, lo, hi, cost, basis, value) -> int:
@@ -380,9 +322,8 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 def to_mps(lp: LinearProgram, name: str = "TRLP") -> str:
     """Render the instance in fixed-column MPS text for offline inspection."""
     lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    tags = {"<=": "L", ">=": "G", "=": "E"}
-    for i, s in enumerate(lp.sense):
-        lines.append(f" {tags[s]}  R{i}")
+    for i in range(lp.n_rows):
+        lines.append(f" L  R{i}")
     lines.append("COLUMNS")
     for j in range(lp.n_variables):
         entries = [("COST", lp.c[j])] if lp.c[j] != 0.0 else []

@@ -359,8 +359,9 @@ def record_to_doc(record: RunRecord) -> dict:
 
 
 def record_from_doc(doc: dict) -> RunRecord:
-    if doc.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"unknown trace schema: {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != TRACE_SCHEMA:
+        raise ValueError(f"unknown trace schema: {schema!r}")
     pd = doc["params"]
     n = doc["problem"]["n"]
     params = TrfdParams(

@@ -13,11 +13,10 @@ a linear program:
   * p = 1:       d = u - v with u, v >= 0 and sum(u + v) <= r
   * region:      bound rows lower - x <= d <= upper - x and a.d <= b - a.x
 
-Because d = 0 is always feasible, the LP optimum exists and never
-exceeds h(F(x)).  That point, with t = |F(x)| (L1) or t = max F(x)
-(minimax), is handed to the simplex as its start, so every subproblem
-LP begins at a feasible basis and skips Phase I.  The normalized model
-decrease
+Every row is a <= row, and d = 0 is always feasible, so the LP optimum
+exists and never exceeds h(F(x)).  That point, with t = |F(x)| (L1) or
+t = max F(x) (minimax), is the feasible start the simplex requires; it
+crashes its first basis from it.  The normalized model decrease
 
     eta = (h(F(x)) - model optimum) / r
 
@@ -81,7 +80,7 @@ class SubproblemSolution:
     model_value: float
     eta: float
     # the LP's final basis, to warm-start another radius on the same model
-    basis: Basis | None
+    basis: Basis
 
 
 def reformulate(
@@ -162,7 +161,6 @@ def reformulate(
     lp = LinearProgram(
         c=c,
         rows=np.vstack(rows),
-        sense=("<=",) * sum(r_.shape[0] for r_ in rows),
         rhs=np.concatenate(rhs),
         lower=np.concatenate([d_lo, t_lo]),
         upper=np.concatenate([d_hi, t_hi]),

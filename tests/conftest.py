@@ -1,5 +1,7 @@
 import itertools
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,43 +28,24 @@ def rosenbrock_residuals(x):
 
 
 def random_box_lp(rng, max_total=12):
-    """Feasible-by-construction LP: random box, rows satisfied at an
-    interior point with positive slack."""
+    """Feasible-by-construction LP and its interior point xbar: random
+    box, rows satisfied at xbar with positive slack."""
     nv = int(rng.integers(2, 6))
     nr = int(rng.integers(1, max_total - nv + 1))
     lo = rng.uniform(-3.0, 0.0, nv)
     hi = lo + rng.uniform(0.5, 3.0, nv)
     xbar = rng.uniform(lo, hi)
     A = rng.uniform(-2.0, 2.0, (nr, nv))
-    rows, senses, rhs = [], [], []
-    for i in range(nr):
-        margin = rng.uniform(0.05, 2.0)
-        if rng.random() < 0.3:
-            rows.append(-A[i])
-            senses.append(">=")
-            rhs.append(float(-A[i] @ xbar - margin))
-        else:
-            rows.append(A[i])
-            senses.append("<=")
-            rhs.append(float(A[i] @ xbar + margin))
+    rhs = A @ xbar + rng.uniform(0.05, 2.0, nr)
     c = rng.uniform(-2.0, 2.0, nv)
-    return LinearProgram(
-        c=c, rows=np.array(rows), sense=tuple(senses), rhs=np.array(rhs), lower=lo, upper=hi
-    )
+    return LinearProgram(c=c, rows=A, rhs=rhs, lower=lo, upper=hi), xbar
 
 
 def enumerate_lp_minimum(lp):
     """Exhaustive vertex enumeration over all nv-subsets of active
     constraints; independent of the simplex implementation."""
     nv = lp.n_variables
-    G, g = [], []
-    for a, s, b in zip(lp.rows, lp.sense, lp.rhs):
-        if s in ("<=", "="):
-            G.append(a)
-            g.append(b)
-        if s in (">=", "="):
-            G.append(-a)
-            g.append(-b)
+    G, g = list(lp.rows), list(lp.rhs)
     for j in range(nv):
         e = np.zeros(nv)
         e[j] = 1.0
@@ -86,8 +69,9 @@ def enumerate_lp_minimum(lp):
 
 
 def random_mixed_lp(rng, max_total=12):
-    """Harder generator: free variables capped by explicit rows, mixed
-    senses including equalities through an interior point."""
+    """Harder generator: free variables capped by explicit rows, and
+    equalities through the interior point xbar as pairs of opposite rows.
+    Returns the LP and xbar."""
     nv = int(rng.integers(2, 6))
     nr_coupling = int(rng.integers(1, max(2, max_total - nv)))
     lo = np.full(nv, -np.inf)
@@ -97,38 +81,25 @@ def random_mixed_lp(rng, max_total=12):
     hi[boxed] = lo[boxed] + rng.uniform(0.5, 3.0, int(boxed.sum()))
     xbar = np.where(boxed, np.clip(rng.uniform(-1.0, 1.0, nv), lo, hi), rng.uniform(-1.0, 1.0, nv))
 
-    rows, senses, rhs = [], [], []
+    rows, rhs = [], []
     # cap every free variable with two explicit rows so the feasible set
     # is bounded and vertex enumeration is exact
     for j in np.flatnonzero(~boxed):
         e = np.zeros(nv)
         e[j] = 1.0
         cap = abs(xbar[j]) + float(rng.uniform(0.5, 2.0))
-        rows.append(e.copy())
-        senses.append("<=")
-        rhs.append(cap)
-        rows.append(-e)
-        senses.append("<=")
-        rhs.append(cap)
+        rows += [e, -e]
+        rhs += [cap, cap]
     A = rng.uniform(-2.0, 2.0, (nr_coupling, nv))
     for i in range(nr_coupling):
-        roll = rng.random()
-        if roll < 0.2:
-            rows.append(A[i])
-            senses.append("=")
-            rhs.append(float(A[i] @ xbar))
-        elif roll < 0.5:
-            rows.append(-A[i])
-            senses.append(">=")
-            rhs.append(float(-A[i] @ xbar - rng.uniform(0.05, 2.0)))
+        if rng.random() < 0.2:
+            rows += [A[i], -A[i]]
+            rhs += [float(A[i] @ xbar), float(-A[i] @ xbar)]
         else:
             rows.append(A[i])
-            senses.append("<=")
             rhs.append(float(A[i] @ xbar + rng.uniform(0.05, 2.0)))
     c = rng.uniform(-2.0, 2.0, nv)
-    return LinearProgram(
-        c=c, rows=np.array(rows), sense=tuple(senses), rhs=np.array(rhs), lower=lo, upper=hi
-    )
+    return LinearProgram(c=c, rows=np.array(rows), rhs=np.array(rhs), lower=lo, upper=hi), xbar
 
 
 def random_tr_instance(rng, h, p, n=2, m=2, constrained=False):
@@ -156,4 +127,7 @@ def random_tr_instance(rng, h, p, n=2, m=2, constrained=False):
 
 @pytest.fixture(scope="session")
 def demo_oracle_cmd():
-    return f"{sys.executable} -m trfd.demo_oracle"
+    # the child imports trfd from this checkout, installed or not
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"), prepend=os.pathsep)
+        yield f"{sys.executable} -m trfd.demo_oracle"

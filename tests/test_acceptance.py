@@ -148,8 +148,8 @@ def test_criterion_2_oracle_equivalence():
 
     worst_lp = 0.0
     for _ in range(100):
-        lp = random_box_lp(rng)
-        got = solve_lp(lp).objective
+        lp, xbar = random_box_lp(rng)
+        got = solve_lp(lp, xbar).objective
         want = enumerate_lp_minimum(lp)
         worst_lp = max(worst_lp, abs(got - want))
         assert abs(got - want) <= 1e-8

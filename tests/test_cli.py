@@ -52,6 +52,35 @@ def test_audit_rejects_corrupted_trace(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_audit_reports_unreadable_traces_and_goes_on(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    good = out / "rosenbrock__TRFD-L1.json"
+    doc = json.loads(good.read_text())
+    del doc["params"]
+    bad = {
+        "missing": tmp_path / "missing.json",
+        "not_json": tmp_path / "not_json.json",
+        "wrong_schema": tmp_path / "wrong_schema.json",
+        "array": tmp_path / "array.json",
+        "missing_key": tmp_path / "missing_key.json",
+    }
+    bad["not_json"].write_text("{")
+    bad["wrong_schema"].write_text(json.dumps({"schema": "trfd-summary-v1"}))
+    bad["array"].write_text("[]")
+    bad["missing_key"].write_text(json.dumps(doc))
+    paths = [str(p) for p in bad.values()] + [str(good)]
+    assert main(["audit", *paths]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(paths)
+    for line, path in zip(lines[:-1], paths):
+        assert line.startswith(f"{path}: FAILED: ")
+    assert lines[-1].startswith(f"{good}: ok")
+
+
 def test_run_with_family_config_and_budget_flag(tmp_path):
     cfg = tmp_path / "campaign.json"
     cfg.write_text(json.dumps({
@@ -114,11 +143,24 @@ def test_external_oracle_config_end_to_end(tmp_path, demo_oracle_cmd):
         prob.oracle.close()
 
 
-@pytest.mark.parametrize("case", ["p2", "unknown_problem", "missing_file"])
+# case: (campaign document, text its error line must contain)
+BAD_CONFIGS = {
+    "p2": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "2"}]}, "p = 2"),
+    "problems_string": ({"problems": "rosenbrock"}, '"problems"'),
+    "solvers_string": ({"problems": ["rosenbrock"], "solvers": "TRFD-L1"}, '"solvers"'),
+    "solver_without_name": ({"problems": ["rosenbrock"], "solvers": [{"p": "1"}]}, '"name"'),
+    "not_object": (["rosenbrock"], "JSON object"),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name", "not_object"],
+)
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):
     cfg = tmp_path / "campaign.json"
-    if case == "p2":
-        cfg.write_text(json.dumps({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "2"}]}))
+    if case in BAD_CONFIGS:
+        cfg.write_text(json.dumps(BAD_CONFIGS[case][0]))
     elif case == "unknown_problem":
         write_campaign(cfg, ["no_such_problem"])
     out = tmp_path / "out"
@@ -127,6 +169,8 @@ def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("trfd run: error: ")
+    if case in BAD_CONFIGS:
+        assert BAD_CONFIGS[case][1] in lines[0]
     assert not out.exists()
     # aliases still pass the check
     SolverConfig(name="X", p="Infinity")

@@ -5,7 +5,7 @@ from conftest import random_tr_instance
 from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from trfd.diagnostics import eta_bruteforce
-from trfd.simplex import solve_lp
+from trfd.simplex import _residual, solve_lp
 from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
 
 try:  # independent reference solver; optional, not a runtime dependency
@@ -152,9 +152,9 @@ def _highs_objective(lp):
     "h, p, seed", [("l1", "1", 31), ("l1", "inf", 32), ("minimax", "1", 33), ("minimax", "inf", 34)]
 )
 def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
-    # the d = 0 start must give the same optimum as the Phase I path and
-    # an independent solver, without a single Phase I pivot; so must a
-    # warm start from the basis of the same model at another radius
+    # the d = 0 start must give the same optimum as an independent
+    # solver; so must a warm start from the basis of the same model at
+    # another radius
     used = []  # per warm solve: was the earlier basis usable?
     real_warm_start = simplex._warm_start
 
@@ -165,21 +165,16 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
 
     monkeypatch.setattr(simplex, "_warm_start", recording_warm_start)
     rng = np.random.default_rng(seed)
-    cold_phase1 = 0
     warm_pivots = []
     for k in range(80):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         inst = random_tr_instance(rng, h, p, n=n, m=m, constrained=k % 4 != 0)
         tr = reformulate(*inst)
         crashed = solve_lp(tr.lp, start=tr.start)
-        cold = solve_lp(tr.lp)
         scale = 1.0 + abs(tr.base_value)
-        assert crashed.phase1_iterations == 0
-        assert crashed.objective == pytest.approx(cold.objective, abs=1e-9 * scale)
         assert crashed.objective <= tr.base_value + 1e-12 * scale
         if linprog is not None:
             assert crashed.objective == pytest.approx(_highs_objective(tr.lp), abs=1e-7 * scale)
-        cold_phase1 += cold.phase1_iterations
 
         # the same model re-solved warm: a U2 retry at r/2, and the step
         # LP at r after the Delta* LP
@@ -193,31 +188,24 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
             if linprog is not None:
                 assert warm.objective == pytest.approx(_highs_objective(target.lp), abs=1e-7 * scale)
             warm_pivots.append(warm.iterations)
-    # the cold path does need Phase I on these layouts
-    assert cold_phase1 > 0
     # some earlier bases stay optimal, and some no longer fit the bounds
     assert len(used) == len(warm_pivots) == 160
     assert any(u and its == 0 for u, its in zip(used, warm_pivots))
     assert not all(used)
 
 
-def test_subproblem_lps_never_run_phase_one(monkeypatch):
-    import trfd.subproblem
-
-    results = []
-
-    def recording_solve_lp(*args, **kwargs):
-        results.append(solve_lp(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(trfd.subproblem, "solve_lp", recording_solve_lp)
+def test_subproblem_start_satisfies_every_row():
+    # solve_lp needs a start that satisfies every row; the d = 0 point of
+    # every layout is one, exactly, boxes and linear constraints included
     rng = np.random.default_rng(35)
     for h in ("l1", "minimax"):
         for p in ("1", "inf"):
-            for _ in range(10):
-                solve_tr_subproblem(*random_tr_instance(rng, h, p, n=3, m=4, constrained=True))
-    assert len(results) == 40
-    assert all(res.phase1_iterations == 0 for res in results)
+            for _ in range(25):
+                n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+                inst = random_tr_instance(rng, h, p, n=n, m=m, constrained=True)
+                tr = reformulate(*inst)
+                assert _residual(tr.lp, tr.start) == 0.0
+                solve_tr_subproblem(*inst)
 
 
 def test_lp_dump_env_flag(tmp_path, monkeypatch):
