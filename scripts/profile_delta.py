@@ -9,20 +9,14 @@ so every problem's f_best is the lowest value either version found.
 
 Usage:  PYTHONPATH=src python scripts/profile_delta.py OLD_DIR NEW_DIR
 """
-import glob
-import os
 import sys
 
-from trfd.bench import DEFAULT_TOLERANCES, data_profile
+from trfd.bench import DEFAULT_TOLERANCES, data_profile, trace_files
 from trfd.solver import load_trace
 
 
 def load_dir(directory) -> dict:
-    records = {}
-    for path in sorted(glob.glob(os.path.join(directory, "*__*.json"))):
-        pname, cname = os.path.splitext(os.path.basename(path))[0].split("__", 1)
-        records[(pname, cname)] = load_trace(path)
-    return records
+    return {key: load_trace(path) for key, path in trace_files(directory)}
 
 
 def main(argv=None) -> int:

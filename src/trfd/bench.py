@@ -19,6 +19,7 @@ runs; each run is single-threaded and the collector writes every file.
 """
 from __future__ import annotations
 
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -113,6 +114,13 @@ def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignRes
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="ascii") as fh:
             fh.write(jsontext.dumps(summarize(records), indent=1))
     return CampaignResult(records=records, out_dir=out_dir)
+
+
+def trace_files(directory) -> list:
+    """((problem, config), path) for every trace file ``run_campaign``
+    wrote into ``directory``, sorted by path."""
+    paths = sorted(glob.glob(os.path.join(directory, "*__*.json")))
+    return [(tuple(os.path.basename(path)[: -len(".json")].split("__", 1)), path) for path in paths]
 
 
 def summarize(records: dict) -> dict:

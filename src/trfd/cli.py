@@ -17,7 +17,6 @@ line, and ``audit`` goes on to the next path.
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 
@@ -29,6 +28,7 @@ from .bench import (
     data_profile,
     emit_profile_csv,
     run_campaign,
+    trace_files,
 )
 from .config import campaign_from_config, load_json
 from .diagnostics import AuditFailure, audit_trace
@@ -106,11 +106,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    records = {}
-    for path in sorted(glob.glob(os.path.join(args.out, "*__*.json"))):
-        stem = os.path.splitext(os.path.basename(path))[0]
-        pname, cname = stem.split("__", 1)
-        records[(pname, cname)] = load_trace(path)
+    records = {key: load_trace(path) for key, path in trace_files(args.out)}
     if not records:
         print(f"no trace files under {args.out}", file=sys.stderr)
         return 1
@@ -133,7 +129,7 @@ def _cmd_audit(args) -> int:
     paths = []
     for entry in args.traces:
         if os.path.isdir(entry):
-            paths.extend(sorted(glob.glob(os.path.join(entry, "*__*.json"))))
+            paths.extend(path for _, path in trace_files(entry))
         else:
             paths.append(entry)
     failures = 0

@@ -102,7 +102,7 @@ def campaign_from_config(doc: dict) -> Campaign:
         if not isinstance(entry.get("name"), str):
             raise ValueError('every "solvers" entry needs a string "name"')
         overrides = {
-            k: v
+            k: _number(v, f'solver override "{k}"')
             for k, v in entry.items()
             if k in ("epsilon", "alpha", "theta", "delta_star", "stop_delta", "stop_eta")
         }
@@ -114,9 +114,19 @@ def campaign_from_config(doc: dict) -> Campaign:
             )
         )
 
+    tolerances = doc.get("tolerances", DEFAULT_TOLERANCES)
+    if not isinstance(tolerances, (list, tuple)):
+        raise ValueError('"tolerances" must be a list of numbers')
     return Campaign(
         problems=problems,
         solver_configs=solvers,
         simplex_gradients=int(doc.get("budget_simplex_gradients", 100)),
-        tolerances=tuple(doc.get("tolerances", DEFAULT_TOLERANCES)),
+        tolerances=tuple(_number(t, '"tolerances"') for t in tolerances),
     )
+
+
+def _number(value, what):
+    """value, when it is a JSON number; a ValueError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return value

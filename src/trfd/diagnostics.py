@@ -16,7 +16,7 @@ import numpy as np
 from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm_constants
 from .jacobian import build_jacobian
 from .solver import IterationClass, RunRecord, TrfdParams
-from .subproblem import UnsupportedNorm, solve_tr_subproblem
+from .subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
 
 GRID_POINT_CAP = 50_000_000
 
@@ -71,8 +71,7 @@ def psi(ap: AnalyticProblem, x, p: PNorm, r: float) -> float:
         base = eval_h(prob.h, F_x)
         model_min = base - r * float(np.linalg.norm(J[0]))
         return (base - model_min) / r
-    sol = solve_tr_subproblem(prob.h, F_x, J, prob.region, x, p, r)
-    return sol.eta
+    return solve_tr_subproblem(reformulate(prob.h, F_x, J, prob.region, x, p, r)).eta
 
 
 def eta_bruteforce(
@@ -192,7 +191,7 @@ def check_psi_eta_gap(ap: AnalyticProblem, x, p: PNorm, r: float, tau: float) ->
     x = np.asarray(x, dtype=float)
     F_x = prob.oracle.eval_F(x)
     A = build_jacobian(prob.oracle.eval_F, x, F_x, tau)
-    eta = solve_tr_subproblem(prob.h, F_x, A, prob.region, x, p, r).eta
+    eta = solve_tr_subproblem(reformulate(prob.h, F_x, A, prob.region, x, p, r)).eta
     psi_val = psi(ap, x, p, r)
     consts = norm_constants(p, prob.n, prob.m)
     lip = prob.h.lipschitz(p, prob.m)

@@ -4,22 +4,23 @@ Solves  min c.x  subject to  rows a.x <= b  and box bounds
 l <= x <= u (either side may be infinite), from a caller's feasible
 starting point.  Each row gets a slack variable s >= 0 with a.x + s = b.
 
-The first basis comes from one of two places.  A caller that re-solves
-an LP with the same rows and columns but other bounds or right-hand
-sides may pass the ``Basis`` of the earlier result: its nonbasics go to
-the bounds it names and the basics are solved for once.  If that basis
-is nonsingular and primal feasible within OPT_TOL, the pivot loop starts
-from it; its reduced costs do not depend on bounds or right-hand sides,
-so a basis that was optimal before and is still feasible is optimal at
-once.
+An instance keeps the final basis of its last solve, and a later solve
+restarts from it; between solves only bounds and right-hand sides may
+change.  The nonbasics go to the bounds the basis names and the basics
+are solved for once.  If that basis is nonsingular and primal feasible
+within OPT_TOL, the pivot loop starts from it; its reduced costs do not
+depend on bounds or right-hand sides, so a basis that was optimal before
+and is still feasible is optimal at once.
 
-Otherwise the first basis is crashed from the start.  Nonbasic variables
-start at that point clamped into their bounds, and every row starts with
-its slack basic.  A structural variable the start puts strictly inside its
-bounds at a nonzero value then takes the place of the slack of one tight
-row (implied slack exactly zero) in which it has a nonzero coefficient.
-The start must satisfy every row within OPT_TOL, so this first basis is
-feasible; a start that does not, or that is NaN, raises NumericalTrouble.
+Otherwise, and on a first solve, the first basis is crashed from the
+start.  Nonbasic variables start at that point clamped into their
+bounds, and every row starts with its slack basic.  A structural
+variable the start puts strictly inside its bounds at a nonzero value
+then takes the place of the slack of one tight row (implied slack
+exactly zero) in which it has a nonzero coefficient.  The start must
+satisfy every row within OPT_TOL, so this first basis is feasible; a
+start that does not, or that is NaN, raises NumericalTrouble, on a
+restart too.
 
 The subproblems this package generates are small (at most a few hundred
 variables) and dense.  The pivot loop inverts the basis matrix once and
@@ -34,7 +35,7 @@ the degenerate-pivot count passes 5 * (rows + columns).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +62,12 @@ class LinearProgram:
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    # [rows | I], one slack column per row
+    augmented: np.ndarray = field(init=False, repr=False)
+    # the last solve's final basis, where the next solve restarts: the
+    # column basic in each row, and per column whether nonbasic at upper
+    basic: np.ndarray | None = field(default=None, init=False, repr=False)
+    at_upper: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -73,6 +80,7 @@ class LinearProgram:
             raise ValueError("row/rhs length mismatch")
         if self.lower.size != nv or self.upper.size != nv:
             raise ValueError("bound length mismatch")
+        self.augmented = np.hstack([self.rows, np.eye(self.rhs.size)])
 
     @property
     def n_variables(self) -> int:
@@ -83,67 +91,50 @@ class LinearProgram:
         return self.rhs.size
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A final simplex basis, to warm-start a later solve of an LP with the
-    same rows and columns but other bounds or right-hand sides.
-
-    Columns are numbered structurals first, then one slack per row.
-    """
-
-    # the column basic in each row
-    basic: np.ndarray
-    # one flag per column: nonbasic at its upper bound
-    at_upper: np.ndarray
-
-
 @dataclass
 class SimplexResult:
     x: np.ndarray
     objective: float
     iterations: int
     max_residual: float
-    # the final basis
-    basis: Basis
 
 
-def solve_lp(lp: LinearProgram, start, basis: Basis | None = None) -> SimplexResult:
+def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     """Solve to proven optimality; raises NumericalTrouble on breakdown.
 
-    ``start`` is a point that satisfies every row; the first basis is
-    crashed from it.  ``basis`` is an optional earlier result's basis to
-    restart from instead; when it is singular or infeasible for this LP,
-    the crash runs after all.
+    ``start`` is a point that satisfies every row.  A first solve crashes
+    from it; a later solve of ``lp`` restarts from the basis the last one
+    left, or crashes when that basis is singular or infeasible.
     """
     nv = lp.n_variables
     nr = lp.n_rows
     ncol = nv + nr
-    # A x + s = b with one slack s >= 0 per row
-    A = np.hstack([lp.rows, np.eye(nr)])
+    A = lp.augmented
     b = lp.rhs
     lo = np.concatenate([lp.lower, np.zeros(nr)])
     hi = np.concatenate([lp.upper, np.full(nr, np.inf)])
 
-    warm = None if basis is None else _warm_start(A, b, lo, hi, basis)
+    # nonbasic start values: the start clamped into the bounds, and
+    # slacks at zero
+    value = np.zeros(ncol)
+    value[:nv] = np.clip(np.asarray(start, dtype=float), lp.lower, lp.upper)
+    x0 = value[:nv]
+    resid = b - lp.rows @ x0
+    if not np.all(resid >= -OPT_TOL):  # a NaN start fails too
+        raise NumericalTrouble("start violates a row")
+
+    warm = None if lp.basic is None else _warm_start(A, b, lo, hi, lp.basic, lp.at_upper)
     if warm is not None:
         basic, value = warm
     else:
-        # nonbasic start values: the start clamped into the bounds, and
-        # slacks at zero; every row starts with its slack basic
-        value = np.zeros(ncol)
-        value[:nv] = np.clip(np.asarray(start, dtype=float), lp.lower, lp.upper)
-        x0 = value[:nv]
-        resid = b - lp.rows @ x0
-        if not np.all(resid >= -OPT_TOL):  # a NaN start fails too
-            raise NumericalTrouble("start violates a row")
-        basic = nv + np.arange(nr)
-
-        # crash: a structural strictly inside its bounds at a nonzero value
-        # becomes basic in the first tight slack row where its coefficient
+        # crash: every row starts with its slack basic, and a structural
+        # strictly inside its bounds at a nonzero value then becomes
+        # basic in the first tight slack row where its coefficient
         # is nonzero.  That row must be zero in every column crashed
         # before, so the crashed block of B is triangular with a nonzero
         # diagonal and B stays nonsingular; a structural with no such row
         # stays nonbasic.
+        basic = nv + np.arange(nr)
         open_rows = resid == 0.0
         for j in np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper)):
             col = lp.rows[:, j]
@@ -160,33 +151,30 @@ def solve_lp(lp: LinearProgram, start, basis: Basis | None = None) -> SimplexRes
     max_residual = _residual(lp, x)
     if not max_residual <= 1e-6:  # NaN fails too
         raise NumericalTrouble(f"solution residual {max_residual:.3e}")
-    at_upper = value == hi
-    at_upper[basic] = False
+    lp.basic = basic
+    lp.at_upper = value == hi
+    lp.at_upper[basic] = False
     return SimplexResult(
         x=x,
         objective=float(lp.c @ x),
         iterations=iters,
         max_residual=max_residual,
-        basis=Basis(basic=basic, at_upper=at_upper),
     )
 
 
-def _warm_start(A, b, lo, hi, basis: Basis):
-    """(basic columns, nonbasic values) that restart from ``basis``, or
-    None when its basis matrix is singular or its basics leave their
-    bounds by more than OPT_TOL.
+def _warm_start(A, b, lo, hi, basic, at_upper):
+    """(basic columns, nonbasic values) that restart from an earlier
+    basis, or None when its basis matrix is singular or its basics leave
+    their bounds by more than OPT_TOL.
 
-    Nonbasics go to the bound the basis names; where that bound is
+    Nonbasics go to the bound ``at_upper`` names; where that bound is
     infinite they go to the point of their bounds nearest 0, as in a
     cold start.
     """
-    nr, ncol = A.shape
-    if basis.basic.shape != (nr,) or basis.at_upper.shape != (ncol,):
-        raise ValueError("basis does not fit this LP")
-    value = np.where(basis.at_upper, hi, lo)
+    value = np.where(at_upper, hi, lo)
     infinite = ~np.isfinite(value)
     value[infinite] = np.clip(0.0, lo, hi)[infinite]
-    basic = basis.basic.copy()
+    basic = basic.copy()
     value[basic] = 0.0
     try:
         xb = np.linalg.solve(A[:, basic], b - A @ value)

@@ -20,10 +20,10 @@ start), stop if the radius reached its floor (U1 leaves the radius
 alone and is exempt), and pick the next entry point: step 3 after U2,
 step 1 otherwise.
 
-A step LP below the reference radius is solved on the same model as the
-LP before it (the Delta* LP of the rebuild, or the step LP that a U2
-retry halves), so it is warm-started from that LP's final simplex
-basis.  The Delta* LP of a fresh model starts cold.
+Each model's LP is assembled once, right after its Jacobian, and solved
+first at the reference radius.  A step LP below that radius (after the
+Delta* LP, or the step LP that a U2 retry halves) moves the same LP to
+its radius, so the simplex restarts from the basis of the solve before.
 
 Evaluation accounting is strict and kept in one ledger, the best-f
 list, which gains one entry per evaluation that returned a usable
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsontext
+from . import jsontext, subproblem
 from .core import NormConstants, OuterFunction, PNorm, Problem, eval_h, norm_constants, MACHINE_EPS
 from .jacobian import DegenerateStep, build_jacobian
 from .oracle import EvalBudget, OracleFailure
@@ -258,7 +258,9 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 if len(best_f) + n > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 A = build_jacobian(evaluate, x, F_x, tau)
-                sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, params.delta_star)
+                # looked up on its module, where perfbench's tracer wraps it
+                tr = subproblem.reformulate(h, F_x, A, region, x, params.p, params.delta_star)
+                sol = solve_tr_subproblem(tr)
                 eta = sol.eta
                 if eta <= params.stop_eta:
                     return finish(Termination.ETA_FLOOR)
@@ -267,8 +269,8 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 cls, rho = IterationClass.U1, None
             else:
                 if delta < params.delta_star:
-                    # same model as the last LP solved: restart from its basis
-                    sol = solve_tr_subproblem(h, F_x, A, region, x, params.p, delta, warm=sol.basis)
+                    tr.set_radius(delta)
+                    sol = solve_tr_subproblem(tr)
                 if len(best_f) + 1 > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 trial_x = x + sol.d_star

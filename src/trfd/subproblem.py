@@ -23,21 +23,21 @@ crashes its first basis from it.  The normalized model decrease
 is the approximate stationarity measure that drives the outer method.
 
 The LP's rows and columns depend on h, F(x), A, the region, x and p, and
-the radius moves only bounds and right-hand sides.  A solution therefore
-carries the LP's final simplex basis, and a later solve of the same
-model at another radius may pass it as ``warm``; the simplex restarts
-from it when it is still feasible and falls back to the d = 0 crash
-otherwise.
+the radius moves only bounds (p = inf) or one right-hand side (p = 1).
+So ``reformulate`` assembles the LP of one model once, ``set_radius``
+moves it to another radius, and ``solve_tr_subproblem`` on it again
+restarts the simplex from the basis its last solve left, falling back
+to the d = 0 crash when that basis is no longer feasible.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from .simplex import Basis, LinearProgram, NumericalTrouble, SimplexResult, solve_lp, to_mps
+from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp, to_mps
 
 # eta within this of zero is snapped to zero to keep the criticality
 # test free of sign noise
@@ -56,22 +56,39 @@ class UnsupportedNorm(Exception):
 
 @dataclass
 class TrustRegionLP:
-    """An assembled subproblem LP plus the layout needed to read it back."""
+    """The subproblem LP of one model plus the layout needed to read it
+    back; ``set_radius`` moves it to another radius."""
 
     lp: LinearProgram
     h: OuterFunction
     p: PNorm
-    n: int
-    m: int
-    radius: float
+    F_x: np.ndarray
+    A: np.ndarray
+    region: FeasibleRegion
+    x: np.ndarray
     base_value: float
     # the LP point of d = 0, feasible by construction
     start: np.ndarray
+    radius: float = field(init=False)
+
+    def set_radius(self, r: float) -> None:
+        """Move the trust region to radius r; the LP keeps its last basis."""
+        if r <= 0:
+            raise ValueError("radius must be positive")
+        self.radius = float(r)
+        if self.p is PNorm.INF:
+            # the trust region and the box are the d columns' bounds
+            self.lp.lower[: self.x.size] = np.maximum(-r, self.region.lower - self.x)
+            self.lp.upper[: self.x.size] = np.minimum(r, self.region.upper - self.x)
+        else:
+            # sum(u + v) <= r is the first row after the model rows
+            self.lp.rhs[self.F_x.size * (2 if self.h is OuterFunction.L1 else 1)] = r
 
     def extract_d(self, x_lp: np.ndarray) -> np.ndarray:
+        n = self.x.size
         if self.p is PNorm.INF:
-            return x_lp[: self.n]
-        return x_lp[: self.n] - x_lp[self.n : 2 * self.n]
+            return x_lp[:n]
+        return x_lp[:n] - x_lp[n : 2 * n]
 
 
 @dataclass
@@ -79,8 +96,6 @@ class SubproblemSolution:
     d_star: np.ndarray
     model_value: float
     eta: float
-    # the LP's final basis, to warm-start another radius on the same model
-    basis: Basis
 
 
 def reformulate(
@@ -94,8 +109,6 @@ def reformulate(
 ) -> TrustRegionLP:
     if p is PNorm.TWO:
         raise UnsupportedNorm("p=2 subproblems are not linear programs")
-    if r <= 0:
-        raise ValueError("radius must be positive")
     F_x = np.asarray(F_x, dtype=float)
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -108,10 +121,8 @@ def reformulate(
 
     if p is PNorm.INF:
         nd = n
-        # d columns carry the trust region and the box directly as bounds
         d_cols = np.eye(n)
-        d_lo = np.maximum(-r, shift_lo)
-        d_hi = np.minimum(r, shift_hi)
+        d_lo = d_hi = np.zeros(n)  # set by set_radius
         extra_rows, extra_rhs = [], []
     else:
         nd = 2 * n
@@ -119,7 +130,7 @@ def reformulate(
         d_lo = np.zeros(2 * n)
         d_hi = np.full(2 * n, np.inf)
         extra_rows = [np.ones(2 * n)]
-        extra_rhs = [r]
+        extra_rhs = [0.0]  # r, set by set_radius
         # finite box bounds become rows in the split formulation
         for j in range(n):
             if np.isfinite(shift_hi[j]):
@@ -165,37 +176,30 @@ def reformulate(
         lower=np.concatenate([d_lo, t_lo]),
         upper=np.concatenate([d_hi, t_hi]),
     )
-    return TrustRegionLP(
+    tr = TrustRegionLP(
         lp=lp,
         h=h,
         p=p,
-        n=n,
-        m=m,
-        radius=float(r),
+        F_x=F_x,
+        A=A,
+        region=region,
+        x=x,
         base_value=eval_h(h, F_x),
         start=np.concatenate([np.zeros(nd), t_start]),
     )
+    tr.set_radius(r)
+    return tr
 
 
-def solve_tr_subproblem(
-    h: OuterFunction,
-    F_x: np.ndarray,
-    A: np.ndarray,
-    region: FeasibleRegion,
-    x: np.ndarray,
-    p: PNorm,
-    r: float,
-    warm: Basis | None = None,
-) -> SubproblemSolution:
-    """Solve the subproblem at radius r.  ``warm`` is the ``basis`` of an
-    earlier solution with the same h, F(x), A, region, x and p."""
-    tr = reformulate(h, F_x, A, region, x, p, r)
+def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
+    """Solve the subproblem at ``tr``'s radius.  A re-solve of the same
+    ``tr`` restarts from the basis its LP kept from the last solve."""
     _maybe_dump(tr)
-    result = solve_lp(tr.lp, start=tr.start, basis=warm)
+    result = solve_lp(tr.lp, start=tr.start)
     d = tr.extract_d(result.x)
-    model_value = eval_h(h, np.asarray(F_x, dtype=float) + np.asarray(A, dtype=float) @ d)
+    model_value = eval_h(tr.h, tr.F_x + tr.A @ d)
 
-    _check_solution(tr, d, model_value, result, region, x)
+    _check_solution(tr, d, model_value, result)
 
     # the true optimum never exceeds the value at d = 0, so any negative
     # eta that survives the model-vs-base guard is rounding; snapping it
@@ -203,10 +207,10 @@ def solve_tr_subproblem(
     eta = (tr.base_value - model_value) / tr.radius
     if eta <= ETA_SNAP:
         eta = 0.0
-    return SubproblemSolution(d_star=d, model_value=model_value, eta=eta, basis=result.basis)
+    return SubproblemSolution(d_star=d, model_value=model_value, eta=eta)
 
 
-def _check_solution(tr, d, model_value, result: SimplexResult, region, x) -> None:
+def _check_solution(tr, d, model_value, result: SimplexResult) -> None:
     # abort threshold is 1e-6 absolute on constraint residuals; the LP
     # works in absolute arithmetic, so at tiny radii the step may
     # overshoot the ball by rounding-level amounts without being wrong
@@ -214,10 +218,10 @@ def _check_solution(tr, d, model_value, result: SimplexResult, region, x) -> Non
     r = tr.radius
     if norm(d, tr.p) - r > abort:
         raise NumericalTrouble("step left the trust region")
-    xt = np.asarray(x, dtype=float) + d
-    if np.any(xt < region.lower - abort) or np.any(xt > region.upper + abort):
+    xt = tr.x + d
+    if np.any(xt < tr.region.lower - abort) or np.any(xt > tr.region.upper + abort):
         raise NumericalTrouble("step left the feasible box")
-    for a, b in region.linear_ineq:
+    for a, b in tr.region.linear_ineq:
         if float(a @ xt) > b + abort:
             raise NumericalTrouble("step violated a linear constraint")
     # the LP objective and the recomputed model must agree

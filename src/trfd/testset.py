@@ -40,13 +40,6 @@ def linear_full_rank(x, m):
     return out
 
 
-def linear_full_rank_jac(x, m):
-    n = len(x)
-    J = np.full((m, n), -2.0 / m)
-    J[:n, :n] += np.eye(n)
-    return J
-
-
 def linear_rank_one(x, m):
     x = np.asarray(x, dtype=float)
     s = float(np.arange(1, x.size + 1) @ x)

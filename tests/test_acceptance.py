@@ -26,7 +26,7 @@ from trfd.diagnostics import (
 from trfd.jacobian import build_jacobian
 from trfd.simplex import solve_lp
 from trfd.solver import IterationClass, Termination, TrfdParams, solve
-from trfd.subproblem import solve_tr_subproblem
+from trfd.subproblem import reformulate, solve_tr_subproblem
 from trfd.testset import registry, registry_by_name, registry_family
 
 
@@ -82,7 +82,7 @@ def test_criterion_1_invariant_suite(campaigns):
         h, F_x, A, region, x, p, r = random_tr_instance(
             rng, "l1" if rng.random() < 0.5 else "minimax", "1" if rng.random() < 0.5 else "inf"
         )
-        sol = solve_tr_subproblem(h, F_x, A, region, x, p, r)
+        sol = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r))
         etas.append(sol.eta)
         if sol.eta < 0:
             negative += 1
@@ -106,8 +106,8 @@ def test_criterion_1_invariant_suite(campaigns):
         )
         r1 = float(rng.uniform(0.1, 1.0))
         r2 = r1 + float(rng.uniform(0.0, 2.0))
-        e1 = solve_tr_subproblem(h, F_x, A, region, x, p, r1).eta
-        e2 = solve_tr_subproblem(h, F_x, A, region, x, p, r2).eta
+        e1 = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r1)).eta
+        e2 = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r2)).eta
         assert e1 >= e2 - 1e-9
 
     # coupling invariant and recorded etas on every benchmark trace
@@ -138,7 +138,7 @@ def test_criterion_2_oracle_equivalence():
         for p in ("1", "inf"):
             for _ in range(100):
                 h_, F_x, A, region, x, p_, r = random_tr_instance(rng, h, p)
-                sol = solve_tr_subproblem(h_, F_x, A, region, x, p_, r)
+                sol = solve_tr_subproblem(reformulate(h_, F_x, A, region, x, p_, r))
                 eta_grid = eta_bruteforce(h_, F_x, A, region, x, p_, r)
                 model_grid = eval_h(h_, F_x) - r * eta_grid
                 tol = 2e-3 * (1 + np.linalg.norm(A, 2))
@@ -356,10 +356,7 @@ def test_criterion_9_determinism(campaigns, tmp_path):
 
 
 def _load_dir(path):
+    from trfd.bench import trace_files
     from trfd.solver import load_trace
 
-    records = {}
-    for p in sorted(path.glob("*__*.json")):
-        pname, cname = p.stem.split("__", 1)
-        records[(pname, cname)] = load_trace(p)
-    return records
+    return {key: load_trace(p) for key, p in trace_files(path)}

@@ -150,12 +150,19 @@ BAD_CONFIGS = {
     "solvers_string": ({"problems": ["rosenbrock"], "solvers": "TRFD-L1"}, '"solvers"'),
     "solver_without_name": ({"problems": ["rosenbrock"], "solvers": [{"p": "1"}]}, '"name"'),
     "not_object": (["rosenbrock"], "JSON object"),
+    "tolerances_number": ({"problems": ["rosenbrock"], "tolerances": 0.1}, '"tolerances"'),
+    "override_string": (
+        {"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": "abc"}]}, '"epsilon"'
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "case",
-    ["p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name", "not_object"],
+    [
+        "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
+        "not_object", "tolerances_number", "override_string",
+    ],
 )
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):
     cfg = tmp_path / "campaign.json"

@@ -18,7 +18,7 @@ from trfd.diagnostics import (
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
 from trfd.solver import TrfdParams, solve
-from trfd.subproblem import UnsupportedNorm, solve_tr_subproblem
+from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
 from trfd.testset import registry_by_name
 
 
@@ -229,7 +229,7 @@ def test_eta_radius_monotonicity_on_trace():
             continue
         F_x = scratch.oracle.eval_F(s.x)
         A = build_jacobian(scratch.oracle.eval_F, s.x, F_x, s.tau)
-        sol = solve_tr_subproblem(
+        sol = solve_tr_subproblem(reformulate(
             prob.h, F_x, A, prob.region, s.x, rec.params.p, s.delta
-        )
+        ))
         assert sol.eta >= s.eta - 1e-9

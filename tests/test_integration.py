@@ -155,9 +155,11 @@ def test_grid_oracle_generic_dimensions():
     A = rng.uniform(-1, 1, (2, 3))
     F_x = rng.uniform(-1, 1, 2)
     region = FeasibleRegion.unconstrained(3)
-    from trfd.subproblem import solve_tr_subproblem
+    from trfd.subproblem import reformulate, solve_tr_subproblem
 
-    sol = solve_tr_subproblem(OuterFunction.L1, F_x, A, region, np.zeros(3), PNorm.INF, 0.4)
+    sol = solve_tr_subproblem(reformulate(
+        OuterFunction.L1, F_x, A, region, np.zeros(3), PNorm.INF, 0.4
+    ))
     eta_grid = eta_bruteforce(
         OuterFunction.L1, F_x, A, region, np.zeros(3), PNorm.INF, 0.4, resolution=5e-3
     )

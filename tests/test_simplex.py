@@ -65,6 +65,9 @@ def test_infeasible_raises():
     # a violation within OPT_TOL is accepted
     res = solve_lp(lp, [3.0 + 0.5 * OPT_TOL])
     assert res.x[0] == pytest.approx(1.0, abs=1e-12)
+    # a re-solve restarts from the kept basis, but checks its start too
+    with pytest.raises(NumericalTrouble, match="start violates a row"):
+        solve_lp(lp, [5.0])
 
 
 def test_matches_vertex_enumeration_100_random():
@@ -100,7 +103,10 @@ def test_vertex_and_midpoint_starts_match_enumeration():
         vertex = solve_lp(lp, xbar).x
         flipped = LinearProgram(c=-lp.c, rows=lp.rows, rhs=lp.rhs, lower=lp.lower, upper=lp.upper)
         for start in (vertex, 0.5 * (vertex + solve_lp(flipped, xbar).x)):
-            got = solve_lp(lp, start)
+            # a fresh instance, so the solve crashes from the start instead
+            # of restarting from the basis an earlier solve left
+            fresh = LinearProgram(c=lp.c, rows=lp.rows, rhs=lp.rhs, lower=lp.lower, upper=lp.upper)
+            got = solve_lp(fresh, start)
             assert got.objective == pytest.approx(want, abs=1e-8)
 
 

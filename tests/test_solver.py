@@ -181,6 +181,38 @@ def test_u2_economy_and_eta_inheritance():
             assert cur.entered_at == "step1"
 
 
+@pytest.mark.parametrize(
+    "name, p, lps",
+    [("rosenbrock", "1", 39), ("powell_singular", "inf", 28), ("cb2", "1", 174), ("cb2", "inf", 171)],
+)
+def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
+    # each Jacobian gets one LP, which the Delta* solve, the step solve
+    # and every U2 retry re-solve at their radii; the solve count is the
+    # one of the design that assembled an LP per solve
+    import trfd.solver
+    import trfd.subproblem
+    from trfd.testset import registry_by_name
+
+    calls = Counter()
+
+    def counting(owner, attr):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    counting(trfd.solver, "build_jacobian")
+    counting(trfd.subproblem, "reformulate")
+    counting(trfd.subproblem, "solve_lp")
+    prob = registry_by_name(name).make_problem()
+    solve(prob, TrfdParams.defaults(prob, PNorm.from_value(p)))
+    assert calls["reformulate"] == calls["build_jacobian"]
+    assert calls["solve_lp"] == lps
+
+
 def test_per_class_costs():
     prob = make_problem(rosenbrock_residuals, 2, 2, "l1", (-1.2, 1.0))
     rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))

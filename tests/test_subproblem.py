@@ -52,9 +52,9 @@ def test_p2_rejected():
 
 def test_zero_matrix_gives_zero_eta():
     for h in OuterFunction:
-        sol = solve_tr_subproblem(
+        sol = solve_tr_subproblem(reformulate(
             h, np.array([1.0, -1.0]), np.zeros((2, 2)), UNC2, np.zeros(2), PNorm.ONE, 0.5
-        )
+        ))
         assert sol.eta == 0.0
         assert sol.model_value == eval_h(h, [1.0, -1.0])
 
@@ -62,9 +62,9 @@ def test_zero_matrix_gives_zero_eta():
 def test_minimax_single_row_closed_form():
     # model is linear: min over the inf-ball sits at d = -r * sign(g)
     g = np.array([[0.7, -1.3]])
-    sol = solve_tr_subproblem(
+    sol = solve_tr_subproblem(reformulate(
         OuterFunction.MINIMAX, np.array([2.0]), g, UNC2, np.zeros(2), PNorm.INF, 0.5
-    )
+    ))
     assert sol.model_value == pytest.approx(2.0 - 0.5 * 2.0, rel=1e-12)
     assert sol.eta == pytest.approx(2.0, rel=1e-12)
 
@@ -72,7 +72,7 @@ def test_minimax_single_row_closed_form():
 def test_l1_identity_example_against_grid():
     A = np.eye(2)
     F = np.array([1.0, -1.0])
-    sol = solve_tr_subproblem(OuterFunction.L1, F, A, UNC2, np.zeros(2), PNorm.ONE, 0.5)
+    sol = solve_tr_subproblem(reformulate(OuterFunction.L1, F, A, UNC2, np.zeros(2), PNorm.ONE, 0.5))
     eta_grid = eta_bruteforce(OuterFunction.L1, F, A, UNC2, np.zeros(2), PNorm.ONE, 0.5)
     model_grid = eval_h(OuterFunction.L1, F) - 0.5 * eta_grid
     assert abs(sol.model_value - model_grid) <= 2e-3 * (1 + np.linalg.norm(A, 2))
@@ -84,7 +84,7 @@ def test_matches_grid_oracle_random(h, p):
     rng = np.random.default_rng(abs(hash((h, p))) % 2**32)
     for _ in range(25):
         h_, F_x, A, region, x, p_, r = random_tr_instance(rng, h, p)
-        sol = solve_tr_subproblem(h_, F_x, A, region, x, p_, r)
+        sol = solve_tr_subproblem(reformulate(h_, F_x, A, region, x, p_, r))
         eta_grid = eta_bruteforce(h_, F_x, A, region, x, p_, r)
         model_grid = eval_h(h_, F_x) - r * eta_grid
         tol = 2e-3 * (1 + np.linalg.norm(A, 2))
@@ -99,7 +99,7 @@ def test_eta_nonnegative_random():
         h, F_x, A, region, x, p, r = random_tr_instance(
             rng, "l1" if rng.random() < 0.5 else "minimax", "1" if rng.random() < 0.5 else "inf"
         )
-        sol = solve_tr_subproblem(h, F_x, A, region, x, p, r)
+        sol = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r))
         assert sol.eta >= 0.0
         assert norm(sol.d_star, p) <= r * (1 + 1e-9) + 1e-9
 
@@ -112,8 +112,8 @@ def test_radius_monotonicity():
         )
         r1 = float(rng.uniform(0.1, 1.0))
         r2 = r1 + float(rng.uniform(0.0, 2.0))
-        eta1 = solve_tr_subproblem(h, F_x, A, region, x, p, r1).eta
-        eta2 = solve_tr_subproblem(h, F_x, A, region, x, p, r2).eta
+        eta1 = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r1)).eta
+        eta2 = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r2)).eta
         assert eta1 >= eta2 - 1e-9
 
 
@@ -124,8 +124,8 @@ def test_scale_covariance():
             rng, "l1" if rng.random() < 0.5 else "minimax", "1" if rng.random() < 0.5 else "inf"
         )
         lam = float(rng.uniform(0.2, 5.0))
-        base = solve_tr_subproblem(h, F_x, A, region, x, p, r)
-        scaled = solve_tr_subproblem(h, lam * F_x, lam * A, region, x, p, r)
+        base = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r))
+        scaled = solve_tr_subproblem(reformulate(h, lam * F_x, lam * A, region, x, p, r))
         assert scaled.model_value == pytest.approx(lam * base.model_value, rel=1e-9, abs=1e-12)
         assert scaled.eta == pytest.approx(lam * base.eta, rel=1e-9, abs=1e-12)
 
@@ -135,7 +135,7 @@ def test_region_constrained_step_stays_feasible():
     A = np.array([[1.0, 2.0], [-1.0, 1.0]])
     F = np.array([0.5, -0.4])
     for p in (PNorm.ONE, PNorm.INF):
-        sol = solve_tr_subproblem(OuterFunction.L1, F, A, region, np.zeros(2), p, 1.0)
+        sol = solve_tr_subproblem(reformulate(OuterFunction.L1, F, A, region, np.zeros(2), p, 1.0))
         assert region.contains(sol.d_star, tol=1e-9)
 
 
@@ -153,8 +153,8 @@ def _highs_objective(lp):
 )
 def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
     # the d = 0 start must give the same optimum as an independent
-    # solver; so must a warm start from the basis of the same model at
-    # another radius
+    # solver; so must a re-solve of the same model at another radius,
+    # which restarts from the basis of its last solve
     used = []  # per warm solve: was the earlier basis usable?
     real_warm_start = simplex._warm_start
 
@@ -179,14 +179,18 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
         # the same model re-solved warm: a U2 retry at r/2, and the step
         # LP at r after the Delta* LP
         r = inst[-1]
-        half = reformulate(*inst[:-1], r / 2)
         star = reformulate(*inst[:-1], 1000.0)
-        for target, earlier in ((half, crashed), (tr, solve_lp(star.lp, start=star.start))):
-            warm = solve_lp(target.lp, start=target.start, basis=earlier.basis)
-            want = solve_lp(target.lp, start=target.start)
+        solve_lp(star.lp, start=star.start)
+        for target, radius in ((tr, r / 2), (star, r)):
+            target.set_radius(radius)
+            fresh = reformulate(*inst[:-1], radius)
+            for name in ("rows", "rhs", "lower", "upper"):
+                assert np.array_equal(getattr(target.lp, name), getattr(fresh.lp, name))
+            warm = solve_lp(target.lp, start=target.start)
+            want = solve_lp(fresh.lp, start=fresh.start)
             assert warm.objective == pytest.approx(want.objective, abs=1e-9 * scale)
             if linprog is not None:
-                assert warm.objective == pytest.approx(_highs_objective(target.lp), abs=1e-7 * scale)
+                assert warm.objective == pytest.approx(_highs_objective(fresh.lp), abs=1e-7 * scale)
             warm_pivots.append(warm.iterations)
     # some earlier bases stay optimal, and some no longer fit the bounds
     assert len(used) == len(warm_pivots) == 160
@@ -205,14 +209,14 @@ def test_subproblem_start_satisfies_every_row():
                 inst = random_tr_instance(rng, h, p, n=n, m=m, constrained=True)
                 tr = reformulate(*inst)
                 assert _residual(tr.lp, tr.start) == 0.0
-                solve_tr_subproblem(*inst)
+                solve_tr_subproblem(reformulate(*inst))
 
 
 def test_lp_dump_env_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("TRFD_LP_DUMP", str(tmp_path))
-    solve_tr_subproblem(
+    solve_tr_subproblem(reformulate(
         OuterFunction.L1, np.array([1.0, -1.0]), np.eye(2), UNC2, np.zeros(2), PNorm.ONE, 0.5
-    )
+    ))
     dumps = list(tmp_path.glob("tr_lp_*.mps"))
     assert dumps
     text = dumps[0].read_text()
@@ -224,7 +228,7 @@ def test_theta_condition_exactness():
     rng = np.random.default_rng(21)
     for _ in range(40):
         h, F_x, A, region, x, p, r = random_tr_instance(rng, "l1", "1")
-        sol = solve_tr_subproblem(h, F_x, A, region, x, p, r)
+        sol = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r))
         base = eval_h(h, F_x)
         decrease = base - sol.model_value
         assert decrease >= 1.0 * decrease - 1e-9 * (1 + abs(base))
