@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a campaign")
     p_run.add_argument("--config", help="campaign config file (JSON)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--budget", type=int, default=None, help="simplex gradients per run")
+    p_run.add_argument("--budget", type=_budget, default=None, help="simplex gradients per run")
     p_run.add_argument("--tolerance", type=float, action="append", default=None)
     p_run.add_argument("--jobs", type=int, default=1, help="parallel runs")
 
@@ -61,6 +61,14 @@ def main(argv=None) -> int:
     return {"list": _cmd_list, "run": _cmd_run, "profile": _cmd_profile, "audit": _cmd_audit}[
         args.command
     ](args)
+
+
+def _budget(text: str) -> int:
+    """--budget as a whole number of simplex gradients, at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _cmd_list(args) -> int:

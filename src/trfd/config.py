@@ -34,7 +34,7 @@ import numpy as np
 
 from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig
 from .core import FeasibleRegion, OuterFunction, Problem
-from .oracle import ExternalOracle, InProcessOracle
+from .oracle import EvalBudget, ExternalOracle, InProcessOracle
 from .testset import registry, registry_by_name, registry_family
 
 
@@ -114,13 +114,27 @@ def campaign_from_config(doc: dict) -> Campaign:
             )
         )
 
+    simplex_gradients = int(_number(doc.get("budget_simplex_gradients", 100), '"budget_simplex_gradients"'))
+    # build the budget and each solver's parameters once, on every problem,
+    # so that a value out of range fails here, before any run starts
+    try:
+        EvalBudget(simplex_gradients=simplex_gradients)
+    except ValueError as exc:
+        raise ValueError(f'"budget_simplex_gradients": {exc}') from None
+    for config in solvers:
+        for bp in problems:
+            try:
+                config.build_params(bp.make_problem(), simplex_gradients)
+            except ValueError as exc:
+                raise ValueError(f'solver "{config.name}": {exc}') from None
+
     tolerances = doc.get("tolerances", DEFAULT_TOLERANCES)
     if not isinstance(tolerances, (list, tuple)):
         raise ValueError('"tolerances" must be a list of numbers')
     return Campaign(
         problems=problems,
         solver_configs=solvers,
-        simplex_gradients=int(doc.get("budget_simplex_gradients", 100)),
+        simplex_gradients=simplex_gradients,
         tolerances=tuple(_number(t, '"tolerances"') for t in tolerances),
     )
 

@@ -8,6 +8,7 @@ benchmark harness's determinism guarantee rests on this emitter.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -26,7 +27,12 @@ def loads(text: str):
 
 
 def _emit(node, out, indent, level) -> None:
-    if isinstance(node, dict):
+    # JSON has no non-finite literals; a run that died before its first
+    # evaluation has no objective value to report.  Plain floats are most
+    # of every trace, so they are tested first.
+    if type(node) is float:
+        out.append(format_float(node) if math.isfinite(node) else "null")
+    elif isinstance(node, dict):
         if not node:
             out.append("{}")
             return
@@ -52,8 +58,6 @@ def _emit(node, out, indent, level) -> None:
     elif isinstance(node, (int, np.integer)):
         out.append(str(int(node)))
     elif isinstance(node, (float, np.floating)):
-        # JSON has no non-finite literals; a run that died before its
-        # first evaluation has no objective value to report
         out.append(format_float(float(node)) if np.isfinite(node) else "null")
     else:
         out.append(json.dumps(str(node)))

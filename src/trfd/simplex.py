@@ -4,13 +4,16 @@ Solves  min c.x  subject to  rows a.x <= b  and box bounds
 l <= x <= u (either side may be infinite), from a caller's feasible
 starting point.  Each row gets a slack variable s >= 0 with a.x + s = b.
 
-An instance keeps the final basis of its last solve, and a later solve
-restarts from it; between solves only bounds and right-hand sides may
-change.  The nonbasics go to the bounds the basis names and the basics
-are solved for once.  If that basis is nonsingular and primal feasible
-within OPT_TOL, the pivot loop starts from it; its reduced costs do not
-depend on bounds or right-hand sides, so a basis that was optimal before
-and is still feasible is optimal at once.
+An instance keeps the final basis of its last solve and the inverse of
+that basis matrix, and a later solve restarts from them; between solves
+only bounds and right-hand sides may change.  Neither enters the basis
+matrix, which holds columns of [rows | I] alone, so the kept inverse is
+still exact: the last solve confirmed its basis with LAPACK solves.  The
+nonbasics go to the bounds the basis names and one product with the kept
+inverse gives the basics.  If they are within OPT_TOL of their bounds,
+the pivot loop starts from that basis and inverse; its reduced costs do
+not depend on bounds or right-hand sides, so a basis that was optimal
+before and is still feasible is optimal at once.
 
 Otherwise, and on a first solve, the first basis is crashed from the
 start.  Nonbasic variables start at that point clamped into their
@@ -23,18 +26,20 @@ start that does not, or that is NaN, raises NumericalTrouble, on a
 restart too.
 
 The subproblems this package generates are small (at most a few hundred
-variables) and dense.  The pivot loop inverts the basis matrix once and
+variables) and dense.  A crashed basis is inverted once; the pivot loop
 then keeps the inverse current with a product-form (rank-one) update at
-each basis change, inverting afresh every REFACTOR_EVERY changes.  When
-the updated inverse shows no improving reduced cost, the basic values
-and duals are recomputed by LAPACK solves with the basis matrix itself
-and the reduced costs checked again; if one still improves, the loop
-goes on from a fresh inverse.  Everything is deterministic: Dantzig
-pricing with first-index tie-breaking, switching to Bland's rule once
-the degenerate-pivot count passes 5 * (rows + columns).
+each basis change, inverting afresh every REFACTOR_EVERY changes, counted
+across the solves of one instance.  When the updated inverse shows no
+improving reduced cost, the basic values and duals are recomputed by
+LAPACK solves with the basis matrix itself and the reduced costs checked
+again; if one still improves, the loop goes on from a fresh inverse.
+Everything is deterministic: Dantzig pricing with first-index
+tie-breaking, switching to Bland's rule once the degenerate-pivot count
+passes 5 * (rows + columns).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +73,10 @@ class LinearProgram:
     # column basic in each row, and per column whether nonbasic at upper
     basic: np.ndarray | None = field(default=None, init=False, repr=False)
     at_upper: np.ndarray | None = field(default=None, init=False, repr=False)
+    # the inverse of augmented[:, basic], and the product-form updates
+    # applied to it since it was last inverted afresh
+    B_inv: np.ndarray | None = field(default=None, init=False, repr=False)
+    updates: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -103,8 +112,8 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     """Solve to proven optimality; raises NumericalTrouble on breakdown.
 
     ``start`` is a point that satisfies every row.  A first solve crashes
-    from it; a later solve of ``lp`` restarts from the basis the last one
-    left, or crashes when that basis is singular or infeasible.
+    from it; a later solve of ``lp`` restarts from the basis and inverse
+    the last one left, or crashes when that basis is infeasible.
     """
     nv = lp.n_variables
     nr = lp.n_rows
@@ -117,15 +126,17 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     # nonbasic start values: the start clamped into the bounds, and
     # slacks at zero
     value = np.zeros(ncol)
-    value[:nv] = np.clip(np.asarray(start, dtype=float), lp.lower, lp.upper)
+    value[:nv] = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
     x0 = value[:nv]
     resid = b - lp.rows @ x0
-    if not np.all(resid >= -OPT_TOL):  # a NaN start fails too
+    if not (resid >= -OPT_TOL).all():  # a NaN start fails too
         raise NumericalTrouble("start violates a row")
 
-    warm = None if lp.basic is None else _warm_start(A, b, lo, hi, lp.basic, lp.at_upper)
+    warm = None if lp.basic is None else _warm_start(lp, lo, hi)
     if warm is not None:
-        basic, value = warm
+        value = warm
+        basic = lp.basic.copy()
+        B_inv, updates = lp.B_inv, lp.updates
     else:
         # crash: every row starts with its slack basic, and a structural
         # strictly inside its bounds at a nonzero value then becomes
@@ -136,16 +147,18 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
         # stays nonbasic.
         basic = nv + np.arange(nr)
         open_rows = resid == 0.0
-        for j in np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper)):
-            col = lp.rows[:, j]
-            rows = np.flatnonzero(open_rows & (np.abs(col) > PIVOT_TOL))
-            if rows.size:
-                basic[rows[0]] = j
-                open_rows &= col == 0.0
+        crash = np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper))
+        cols = lp.rows[:, crash].T
+        for j, usable, zero in zip(crash, np.abs(cols) > PIVOT_TOL, cols == 0.0):
+            tight = open_rows & usable
+            if tight.any():
+                basic[tight.argmax()] = j
+                open_rows &= zero
+        B_inv, updates = _inverse(A[:, basic]), 0
 
     cost = np.zeros(ncol)
     cost[:nv] = lp.c
-    iters = _optimize(A, b, lo, hi, cost, basic, value)
+    iters, B_inv, updates = _optimize(A, b, lo, hi, cost, basic, value, B_inv, updates)
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
@@ -154,6 +167,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     lp.basic = basic
     lp.at_upper = value == hi
     lp.at_upper[basic] = False
+    lp.B_inv, lp.updates = B_inv, updates
     return SimplexResult(
         x=x,
         objective=float(lp.c @ x),
@@ -162,27 +176,22 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     )
 
 
-def _warm_start(A, b, lo, hi, basic, at_upper):
-    """(basic columns, nonbasic values) that restart from an earlier
-    basis, or None when its basis matrix is singular or its basics leave
-    their bounds by more than OPT_TOL.
+def _warm_start(lp: LinearProgram, lo, hi):
+    """Nonbasic values that restart from the basis of ``lp``'s last solve,
+    or None when its basics leave their bounds by more than OPT_TOL.
 
     Nonbasics go to the bound ``at_upper`` names; where that bound is
     infinite they go to the point of their bounds nearest 0, as in a
-    cold start.
+    cold start.  Basics get value 0 here; the pivot loop solves for them.
     """
-    value = np.where(at_upper, hi, lo)
+    value = np.where(lp.at_upper, hi, lo)
     infinite = ~np.isfinite(value)
-    value[infinite] = np.clip(0.0, lo, hi)[infinite]
-    basic = basic.copy()
-    value[basic] = 0.0
-    try:
-        xb = np.linalg.solve(A[:, basic], b - A @ value)
-    except np.linalg.LinAlgError:
+    value[infinite] = np.minimum(np.maximum(0.0, lo), hi)[infinite]
+    value[lp.basic] = 0.0
+    xb = lp.B_inv @ (lp.rhs - lp.augmented @ value)
+    if not ((lo[lp.basic] - OPT_TOL <= xb) & (xb <= hi[lp.basic] + OPT_TOL)).all():  # NaN fails too
         return None
-    if not np.all((lo[basic] - OPT_TOL <= xb) & (xb <= hi[basic] + OPT_TOL)):  # NaN fails too
-        return None
-    return basic, value
+    return value
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -191,36 +200,43 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(max(gap.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
 
 
-def _optimize(A, b, lo, hi, cost, basis, value) -> int:
-    """Run the pivot loop in place; returns the pivot count.
+def _optimize(A, b, lo, hi, cost, basis, value, B_inv, updates):
+    """Run the pivot loop in place from ``basis`` and its inverse
+    ``B_inv``, which has had ``updates`` product-form updates; returns the
+    pivot count and the final inverse and update count.
 
     On return ``value`` holds the optimal vertex, basics included.
+    ``B_inv`` itself is never written to, so the inverse an LP keeps
+    stays intact when a solve from it fails.
     """
     nr, ncol = A.shape
-    is_basic = np.zeros(ncol, dtype=bool)
-    is_basic[basis] = True
     fixed = lo == hi
+    movable = ~fixed
+    movable[basis] = False
+    # the basics' entries of ``value`` stay 0 until the end, so A @ value
+    # holds the nonbasics' part of the rows alone
+    value[basis] = 0.0
+    # cost and bounds of the basics, kept current at each basis change
+    cost_b = cost[basis]
+    lo_b = lo[basis]
+    hi_b = hi[basis]
 
     bland = False
     degenerate = 0
     bland_after = 5 * (nr + ncol)
     max_iters = 2000 + 200 * (nr + ncol)
-    B_inv = _inverse(A[:, basis])
-    updates = 0
 
     for it in range(max_iters):
         if updates == REFACTOR_EVERY:
             B_inv = _inverse(A[:, basis])
             updates = 0
-        v_masked = value.copy()
-        v_masked[basis] = 0.0
-        rhs = b - A @ v_masked
+        rhs = b - A @ value
         xb = B_inv @ rhs
-        y = cost[basis] @ B_inv
+        y = cost_b @ B_inv
 
         z = cost - y @ A
-        can_up = ~is_basic & ~fixed & (value < hi)
-        can_dn = ~is_basic & ~fixed & (value > lo)
+        can_up = movable & (value < hi)
+        can_dn = movable & (value > lo)
         improving = (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
         if not improving.any():
             # confirm optimality with a fresh LAPACK solve of B; if a
@@ -228,22 +244,21 @@ def _optimize(A, b, lo, hi, cost, basis, value) -> int:
             B = A[:, basis]
             try:
                 xb = np.linalg.solve(B, rhs)
-                y = np.linalg.solve(B.T, cost[basis])
+                y = np.linalg.solve(B.T, cost_b)
             except np.linalg.LinAlgError as exc:
                 raise NumericalTrouble("singular basis") from exc
             z = cost - y @ A
             improving = (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
             if not improving.any():
                 value[basis] = xb
-                return it
+                return it, B_inv, updates
             B_inv = _inverse(B)
             updates = 0
 
         if bland:
-            e = int(np.flatnonzero(improving)[0])
+            e = int(improving.argmax())
         else:
-            scores = np.where(improving, np.abs(z), -1.0)
-            e = int(np.argmax(scores))
+            e = int(np.where(improving, np.abs(z), -1.0).argmax())
         direction = 1.0 if z[e] < 0 else -1.0
 
         w = B_inv @ A[:, e]
@@ -252,17 +267,13 @@ def _optimize(A, b, lo, hi, cost, basis, value) -> int:
         # ratio test over the basics, plus the entering variable's own
         # opposite bound
         sigma_own = (hi[e] - value[e]) if direction > 0 else (value[e] - lo[e])
-        lo_b = lo[basis]
-        hi_b = hi[basis]
-        ratios = np.full(nr, np.inf)
-        dec = dw > PIVOT_TOL
-        ratios[dec] = np.maximum(xb[dec] - lo_b[dec], 0.0) / dw[dec]
-        inc = dw < -PIVOT_TOL
-        ratios[inc] = np.maximum(hi_b[inc] - xb[inc], 0.0) / (-dw[inc])
+        size = np.abs(dw)
+        gap = np.maximum(np.where(dw > 0, xb - lo_b, hi_b - xb), 0.0)
+        ratios = np.divide(gap, size, out=np.full(nr, np.inf), where=size > PIVOT_TOL)
 
-        sigma_rows = float(np.min(ratios)) if nr else np.inf
+        sigma_rows = ratios.min() if nr else np.inf
         sigma = min(sigma_own, sigma_rows)
-        if not np.isfinite(sigma):
+        if not math.isfinite(sigma):
             raise NumericalTrouble("unbounded direction")
 
         if sigma_own <= sigma_rows:
@@ -270,25 +281,28 @@ def _optimize(A, b, lo, hi, cost, basis, value) -> int:
             value[e] = hi[e] if direction > 0 else lo[e]
             continue
 
-        window = sigma + 1e-12 * max(1.0, sigma)
-        candidates = np.flatnonzero(ratios <= window)
+        tied = ratios <= sigma + 1e-12 * max(1.0, sigma)
         if bland:
-            leave = int(candidates[np.argmin(basis[candidates])])
+            leave = int(np.where(tied, basis, ncol).argmin())
         else:
-            leave = int(candidates[np.argmax(np.abs(dw[candidates]))])
+            leave = int(np.where(tied, size, -1.0).argmax())
         if abs(w[leave]) <= PIVOT_TOL:
             raise NumericalTrouble("pivot element too small")
 
         leave_col = int(basis[leave])
         value[leave_col] = lo_b[leave] if dw[leave] > 0 else hi_b[leave]
-        is_basic[leave_col] = False
+        movable[leave_col] = not fixed[leave_col]
         basis[leave] = e
-        is_basic[e] = True
+        value[e] = 0.0
+        movable[e] = False
+        cost_b[leave] = cost[e]
+        lo_b[leave] = lo[e]
+        hi_b[leave] = hi[e]
         # product-form update: the new inverse is E B_inv, with E the
         # identity but for column ``leave``, which is -w / w[leave] off the
         # diagonal and 1 / w[leave] on it
         pivot_row = B_inv[leave] / w[leave]
-        B_inv -= np.outer(w, pivot_row)
+        B_inv = B_inv - w[:, None] * pivot_row
         B_inv[leave] = pivot_row
         updates += 1
 

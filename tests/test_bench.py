@@ -209,12 +209,14 @@ def test_profile_delta_script(tmp_path, capsys):
     assert script.main([old, old]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "0 of 2 runs changed"
-    assert len(lines) == 5
-    assert all(line.endswith("TRFD-L1 min +0.0000 max +0.0000") for line in lines[1:])
+    assert lines[1] == "2 of 2 traces byte-identical"
+    assert len(lines) == 6
+    assert all(line.endswith("TRFD-L1 min +0.0000 max +0.0000") for line in lines[2:])
 
     assert script.main([old, new]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "2 of 2 runs changed"
+    assert lines[3] == "0 of 2 traces byte-identical"
     assert all("-> budget_exhausted" in line for line in lines[:2])
     assert lines[-1].startswith("profile delta at tol 1e-07: TRFD-L1 min -")
     assert lines[-1].endswith("max +0.0000")

@@ -95,6 +95,15 @@ def test_run_with_family_config_and_budget_flag(tmp_path):
     assert doc["params"]["simplex_gradients"] == 5
 
 
+def test_run_rejects_budget_flag_below_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(out), "--budget", "0"])
+    assert exc.value.code == 2
+    assert "argument --budget: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_parallel_jobs_flag(tmp_path):
     cfg = tmp_path / "campaign.json"
     write_campaign(cfg, ["rosenbrock", "dem", "lq"])
@@ -154,6 +163,10 @@ BAD_CONFIGS = {
     "override_string": (
         {"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": "abc"}]}, '"epsilon"'
     ),
+    "epsilon_negative": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": -1}]}, "epsilon"),
+    "alpha_above_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpha": 2}]}, "alpha"),
+    "budget_zero": ({"problems": ["rosenbrock"], "budget_simplex_gradients": 0}, '"budget_simplex_gradients"'),
+    "budget_string": ({"problems": ["rosenbrock"], "budget_simplex_gradients": "abc"}, '"budget_simplex_gradients"'),
 }
 
 
@@ -161,7 +174,8 @@ BAD_CONFIGS = {
     "case",
     [
         "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
-        "not_object", "tolerances_number", "override_string",
+        "not_object", "tolerances_number", "override_string", "epsilon_negative", "alpha_above_one",
+        "budget_zero", "budget_string",
     ],
 )
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):

@@ -40,3 +40,11 @@ def test_key_order_preserved():
 def test_byte_determinism():
     doc = {"x": [0.1, 0.2, {"y": 3}], "z": "s"}
     assert jsontext.dumps(doc, indent=1) == jsontext.dumps(doc, indent=1)
+
+
+def test_python_and_numpy_floats_emit_equal_bytes():
+    for value in (0.1, -0.0, math.inf, -math.inf, math.nan):
+        assert jsontext.dumps({"v": [value]}) == jsontext.dumps({"v": [np.float64(value)]})
+    assert jsontext.dumps([0.1, -0.0, math.inf, math.nan]) == (
+        "[1.0000000000000001e-01,-0.0000000000000000e+00,null,null]\n"
+    )
