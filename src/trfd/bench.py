@@ -64,6 +64,13 @@ TRFD_L1 = SolverConfig(name="TRFD-L1", p="1")
 TRFD_M = SolverConfig(name="TRFD-M", p="auto")
 
 
+def check_tolerance(tol):
+    """``tol``, when it lies in (0, 1); a ValueError otherwise (NaN too)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"a tolerance must lie in (0, 1), not {tol!r}")
+    return tol
+
+
 @dataclass
 class Campaign:
     problems: list

@@ -10,8 +10,10 @@ Subcommands:
 Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
 and when every audited trace is clean (audit).  A campaign config that
-cannot be read or built makes ``run`` print one error line and exit 2.
-A trace that cannot be read or is not a trace fails the audit with one
+cannot be read or built, or an option out of range (a tolerance outside
+(0, 1), a budget or job count below 1), makes ``run`` or ``profile``
+print one error line and exit 2.  A trace that cannot be read or is not
+a trace, and a directory that holds no trace, fail the audit with one
 line, and ``audit`` goes on to the next path.
 """
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .bench import (
     DEFAULT_TOLERANCES,
     TRFD_L1,
     TRFD_M,
+    check_tolerance,
     data_profile,
     emit_profile_csv,
     run_campaign,
@@ -46,13 +49,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a campaign")
     p_run.add_argument("--config", help="campaign config file (JSON)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--budget", type=_budget, default=None, help="simplex gradients per run")
-    p_run.add_argument("--tolerance", type=float, action="append", default=None)
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p_run.add_argument("--budget", type=_at_least_one, default=None, help="simplex gradients per run")
+    p_run.add_argument("--tolerance", type=_tolerance, action="append", default=None)
+    p_run.add_argument("--jobs", type=_at_least_one, default=1, help="parallel runs")
 
     p_prof = sub.add_parser("profile", help="data profiles from stored traces")
     p_prof.add_argument("--out", required=True, help="directory holding trace files")
-    p_prof.add_argument("--tolerance", type=float, action="append", default=None)
+    p_prof.add_argument("--tolerance", type=_tolerance, action="append", default=None)
 
     p_audit = sub.add_parser("audit", help="replay traces against the invariants")
     p_audit.add_argument("traces", nargs="+", help="trace files or directories")
@@ -63,12 +66,19 @@ def main(argv=None) -> int:
     ](args)
 
 
-def _budget(text: str) -> int:
-    """--budget as a whole number of simplex gradients, at least one."""
+def _at_least_one(text: str) -> int:
+    """--budget and --jobs: a whole number, at least one."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_list(args) -> int:
@@ -135,12 +145,16 @@ def _write_profiles(records, tolerances, budget, out_dir) -> None:
 
 def _cmd_audit(args) -> int:
     paths = []
+    failures = 0
     for entry in args.traces:
         if os.path.isdir(entry):
-            paths.extend(path for _, path in trace_files(entry))
+            found = [path for _, path in trace_files(entry)]
+            if not found:
+                failures += 1
+                print(f"no trace files under {entry}", file=sys.stderr)
+            paths.extend(found)
         else:
             paths.append(entry)
-    failures = 0
     for path in paths:
         try:
             record = load_trace(path)

@@ -32,7 +32,7 @@ import json
 
 import numpy as np
 
-from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig
+from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig, check_tolerance
 from .core import FeasibleRegion, OuterFunction, Problem
 from .oracle import EvalBudget, ExternalOracle, InProcessOracle
 from .testset import registry, registry_by_name, registry_family
@@ -131,11 +131,15 @@ def campaign_from_config(doc: dict) -> Campaign:
     tolerances = doc.get("tolerances", DEFAULT_TOLERANCES)
     if not isinstance(tolerances, (list, tuple)):
         raise ValueError('"tolerances" must be a list of numbers')
+    try:
+        tolerances = tuple(check_tolerance(_number(t, "a tolerance")) for t in tolerances)
+    except ValueError as exc:
+        raise ValueError(f'"tolerances": {exc}') from None
     return Campaign(
         problems=problems,
         solver_configs=solvers,
         simplex_gradients=simplex_gradients,
-        tolerances=tuple(_number(t, '"tolerances"') for t in tolerances),
+        tolerances=tolerances,
     )
 
 

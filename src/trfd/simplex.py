@@ -4,7 +4,14 @@ Solves  min c.x  subject to  rows a.x <= b  and box bounds
 l <= x <= u (either side may be infinite), from a caller's feasible
 starting point.  Each row gets a slack variable s >= 0 with a.x + s = b.
 
-An instance keeps the final basis of its last solve and the inverse of
+An instance holds its LP over all columns, structurals then slacks, as
+arrays built once: the matrix [rows | I], and the cost and bounds of
+every column (``cost``, ``lo``, ``hi``; a slack costs 0 and lies in
+[0, inf)).  ``c``, ``lower`` and ``upper`` are views of their first
+entries, so bounds written through them are the ones every solve reads,
+and a solve builds no cost or bound array of its own.
+
+An instance also keeps the final basis of its last solve and the inverse of
 that basis matrix, and a later solve restarts from them; between solves
 only bounds and right-hand sides may change.  Neither enters the basis
 matrix, which holds columns of [rows | I] alone, so the kept inverse is
@@ -67,8 +74,12 @@ class LinearProgram:
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    # [rows | I], one slack column per row
+    # [rows | I], one slack column per row, and the costs and bounds of
+    # all its columns; c, lower and upper are views of their first entries
     augmented: np.ndarray = field(init=False, repr=False)
+    cost: np.ndarray = field(init=False, repr=False)
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
     # the last solve's final basis, where the next solve restarts: the
     # column basic in each row, and per column whether nonbasic at upper
     basic: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -79,17 +90,22 @@ class LinearProgram:
     updates: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        nv = self.c.size
+        c = np.asarray(self.c, dtype=float)
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        nv = c.size
         self.rows = np.asarray(self.rows, dtype=float).reshape(-1, nv)
         self.rhs = np.asarray(self.rhs, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.rows.shape[0] != self.rhs.size:
+        nr = self.rhs.size
+        if self.rows.shape[0] != nr:
             raise ValueError("row/rhs length mismatch")
-        if self.lower.size != nv or self.upper.size != nv:
+        if lower.size != nv or upper.size != nv:
             raise ValueError("bound length mismatch")
-        self.augmented = np.hstack([self.rows, np.eye(self.rhs.size)])
+        self.augmented = np.hstack([self.rows, np.eye(nr)])
+        self.cost = np.concatenate([c, np.zeros(nr)])
+        self.lo = np.concatenate([lower, np.zeros(nr)])
+        self.hi = np.concatenate([upper, np.full(nr, np.inf)])
+        self.c, self.lower, self.upper = self.cost[:nv], self.lo[:nv], self.hi[:nv]
 
     @property
     def n_variables(self) -> int:
@@ -115,24 +131,18 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     from it; a later solve of ``lp`` restarts from the basis and inverse
     the last one left, or crashes when that basis is infeasible.
     """
-    nv = lp.n_variables
-    nr = lp.n_rows
-    ncol = nv + nr
-    A = lp.augmented
-    b = lp.rhs
-    lo = np.concatenate([lp.lower, np.zeros(nr)])
-    hi = np.concatenate([lp.upper, np.full(nr, np.inf)])
+    nv, nr = lp.n_variables, lp.n_rows
 
     # nonbasic start values: the start clamped into the bounds, and
     # slacks at zero
-    value = np.zeros(ncol)
+    value = np.zeros(nv + nr)
     value[:nv] = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
     x0 = value[:nv]
-    resid = b - lp.rows @ x0
+    resid = lp.rhs - lp.rows @ x0
     if not (resid >= -OPT_TOL).all():  # a NaN start fails too
         raise NumericalTrouble("start violates a row")
 
-    warm = None if lp.basic is None else _warm_start(lp, lo, hi)
+    warm = None if lp.basic is None else _warm_start(lp)
     if warm is not None:
         value = warm
         basic = lp.basic.copy()
@@ -154,18 +164,16 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
             if tight.any():
                 basic[tight.argmax()] = j
                 open_rows &= zero
-        B_inv, updates = _inverse(A[:, basic]), 0
+        B_inv, updates = _inverse(lp.augmented[:, basic]), 0
 
-    cost = np.zeros(ncol)
-    cost[:nv] = lp.c
-    iters, B_inv, updates = _optimize(A, b, lo, hi, cost, basic, value, B_inv, updates)
+    iters, B_inv, updates = _optimize(lp, basic, value, B_inv, updates)
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
     if not max_residual <= 1e-6:  # NaN fails too
         raise NumericalTrouble(f"solution residual {max_residual:.3e}")
     lp.basic = basic
-    lp.at_upper = value == hi
+    lp.at_upper = value == lp.hi
     lp.at_upper[basic] = False
     lp.B_inv, lp.updates = B_inv, updates
     return SimplexResult(
@@ -176,7 +184,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     )
 
 
-def _warm_start(lp: LinearProgram, lo, hi):
+def _warm_start(lp: LinearProgram):
     """Nonbasic values that restart from the basis of ``lp``'s last solve,
     or None when its basics leave their bounds by more than OPT_TOL.
 
@@ -184,6 +192,7 @@ def _warm_start(lp: LinearProgram, lo, hi):
     infinite they go to the point of their bounds nearest 0, as in a
     cold start.  Basics get value 0 here; the pivot loop solves for them.
     """
+    lo, hi = lp.lo, lp.hi
     value = np.where(lp.at_upper, hi, lo)
     infinite = ~np.isfinite(value)
     value[infinite] = np.minimum(np.maximum(0.0, lo), hi)[infinite]
@@ -200,8 +209,8 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(max(gap.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
 
 
-def _optimize(A, b, lo, hi, cost, basis, value, B_inv, updates):
-    """Run the pivot loop in place from ``basis`` and its inverse
+def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
+    """Run the pivot loop on ``lp`` in place from ``basis`` and its inverse
     ``B_inv``, which has had ``updates`` product-form updates; returns the
     pivot count and the final inverse and update count.
 
@@ -209,6 +218,7 @@ def _optimize(A, b, lo, hi, cost, basis, value, B_inv, updates):
     ``B_inv`` itself is never written to, so the inverse an LP keeps
     stays intact when a solve from it fails.
     """
+    A, b, lo, hi, cost = lp.augmented, lp.rhs, lp.lo, lp.hi, lp.cost
     nr, ncol = A.shape
     fixed = lo == hi
     movable = ~fixed
@@ -320,37 +330,3 @@ def _inverse(B: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalTrouble("singular basis") from exc
 
-
-def to_mps(lp: LinearProgram, name: str = "TRLP") -> str:
-    """Render the instance in fixed-column MPS text for offline inspection."""
-    lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    for i in range(lp.n_rows):
-        lines.append(f" L  R{i}")
-    lines.append("COLUMNS")
-    for j in range(lp.n_variables):
-        entries = [("COST", lp.c[j])] if lp.c[j] != 0.0 else []
-        entries += [(f"R{i}", lp.rows[i, j]) for i in range(lp.n_rows) if lp.rows[i, j] != 0.0]
-        for k in range(0, len(entries), 2):
-            pair = entries[k : k + 2]
-            body = "".join(f"  {rname:<10}{val:>15.8g}" for rname, val in pair)
-            lines.append(f"    X{j:<9}{body}")
-    lines.append("RHS")
-    for i in range(lp.n_rows):
-        if lp.rhs[i] != 0.0:
-            lines.append(f"    RHS       R{i:<9} {lp.rhs[i]:>14.8g}")
-    lines.append("BOUNDS")
-    for j in range(lp.n_variables):
-        l, u = lp.lower[j], lp.upper[j]
-        if np.isneginf(l) and np.isposinf(u):
-            lines.append(f" FR BND       X{j}")
-            continue
-        if np.isneginf(l):
-            lines.append(f" MI BND       X{j}")
-        elif l != 0.0:
-            lines.append(f" LO BND       X{j:<9} {l:>14.8g}")
-        if np.isposinf(u):
-            lines.append(f" PL BND       X{j}")
-        else:
-            lines.append(f" UP BND       X{j:<9} {u:>14.8g}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"

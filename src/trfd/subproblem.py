@@ -37,14 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp, to_mps
+from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp
 
 # eta within this of zero is snapped to zero to keep the criticality
 # test free of sign noise
 ETA_SNAP = 1e-12
 FEAS_TOL = 1e-9
 
-# if set, every LP solved here is dumped in MPS form into the directory;
+# if set, every LP solved here is saved into the directory as an .npz of
+# the arrays c, rows, rhs, lower, upper and start, exact to the bit;
 # file names carry the process id, so pool workers never collide
 DUMP_ENV = "TRFD_LP_DUMP"
 _dump_counter = 0
@@ -116,65 +117,50 @@ def reformulate(
     if F_x.shape != (m,) or x.shape != (n,):
         raise ValueError("dimension mismatch")
 
-    shift_lo = region.lower - x
-    shift_hi = region.upper - x
+    # d = E z with E = I (p = inf) or [I, -I] (p = 1, z = (u, v));
+    # on_z(M) writes M's columns on d as columns on z.  The blocks are
+    # joined by np.concatenate, which costs less per call than hstack,
+    # vstack or block on matrices this small.
+    def on_z(M):
+        return M if p is PNorm.INF else np.concatenate([M, -M], axis=1)
 
+    # the rows on z alone: for p = 1 the radius row sum(u + v) <= r and
+    # each finite box side as a row (upper, then lower, per coordinate),
+    # for p = inf the box is in z's bounds; then the region's rows
+    G = np.array([a for a, _ in region.linear_ineq]).reshape(-1, n)
+    g = [b - float(a @ x) for a, b in region.linear_ineq]
     if p is PNorm.INF:
-        nd = n
-        d_cols = np.eye(n)
-        d_lo = d_hi = np.zeros(n)  # set by set_radius
-        extra_rows, extra_rhs = [], []
+        z_lo = z_hi = np.zeros(n)  # set by set_radius
+        z_rows, z_rhs = G, g
     else:
-        nd = 2 * n
-        d_cols = np.hstack([np.eye(n), -np.eye(n)])
-        d_lo = np.zeros(2 * n)
-        d_hi = np.full(2 * n, np.inf)
-        extra_rows = [np.ones(2 * n)]
-        extra_rhs = [0.0]  # r, set by set_radius
-        # finite box bounds become rows in the split formulation
-        for j in range(n):
-            if np.isfinite(shift_hi[j]):
-                extra_rows.append(d_cols[j])
-                extra_rhs.append(shift_hi[j])
-            if np.isfinite(shift_lo[j]):
-                extra_rows.append(-d_cols[j])
-                extra_rhs.append(-shift_lo[j])
+        z_lo, z_hi = np.zeros(2 * n), np.full(2 * n, np.inf)
+        box = np.array([region.upper - x, x - region.lower]).T.ravel()
+        finite = np.isfinite(box)
+        sides = (np.eye(n)[:, None, :] * [[1.0], [-1.0]]).reshape(2 * n, n)[finite]
+        z_rows = np.concatenate([np.ones((1, 2 * n)), on_z(np.concatenate([sides, G]))])
+        z_rhs = np.concatenate([[0.0], box[finite], g])  # r, set by set_radius
 
-    Ad = A @ d_cols
-
+    # the model block over [z | t]
+    AE = on_z(A)
     if h is OuterFunction.L1:
-        nt = m
         # A d - t <= -F  and  -A d - t <= F
-        top = np.hstack([Ad, -np.eye(m)])
-        bot = np.hstack([-Ad, -np.eye(m)])
-        rows = [top, bot]
-        rhs = [-F_x, F_x]
-        t_lo = np.zeros(m)
-        t_hi = np.full(m, np.inf)
-        t_start = np.abs(F_x)
-        c = np.concatenate([np.zeros(nd), np.ones(m)])
+        minus_t = -np.eye(m)
+        model = np.concatenate([np.concatenate([AE, -AE]), np.concatenate([minus_t, minus_t])], axis=1)
+        model_rhs = [-F_x, F_x]
+        t_lo, t_hi, t_start = np.zeros(m), np.full(m, np.inf), np.abs(F_x)
     else:
-        nt = 1
-        rows = [np.hstack([Ad, -np.ones((m, 1))])]
-        rhs = [-F_x]
-        t_lo = np.array([-np.inf])
-        t_hi = np.array([np.inf])
-        t_start = np.array([np.max(F_x)])
-        c = np.concatenate([np.zeros(nd), np.ones(1)])
-
-    for a_row, b_val in zip(extra_rows, extra_rhs):
-        rows.append(np.concatenate([a_row, np.zeros(nt)])[None, :])
-        rhs.append(np.array([b_val]))
-    for a, b_val in region.linear_ineq:
-        rows.append(np.concatenate([a @ d_cols, np.zeros(nt)])[None, :])
-        rhs.append(np.array([b_val - float(a @ x)]))
+        # A d - t <= -F
+        model = np.concatenate([AE, np.full((m, 1), -1.0)], axis=1)
+        model_rhs = [-F_x]
+        t_lo, t_hi, t_start = np.array([-np.inf]), np.array([np.inf]), np.array([np.max(F_x)])
+    nz, nt = z_lo.size, t_lo.size
 
     lp = LinearProgram(
-        c=c,
-        rows=np.vstack(rows),
-        rhs=np.concatenate(rhs),
-        lower=np.concatenate([d_lo, t_lo]),
-        upper=np.concatenate([d_hi, t_hi]),
+        c=np.concatenate([np.zeros(nz), np.ones(nt)]),
+        rows=np.concatenate([model, np.concatenate([z_rows, np.zeros((len(z_rhs), nt))], axis=1)]),
+        rhs=np.concatenate([*model_rhs, z_rhs]),
+        lower=np.concatenate([z_lo, t_lo]),
+        upper=np.concatenate([z_hi, t_hi]),
     )
     tr = TrustRegionLP(
         lp=lp,
@@ -185,7 +171,7 @@ def reformulate(
         region=region,
         x=x,
         base_value=eval_h(h, F_x),
-        start=np.concatenate([np.zeros(nd), t_start]),
+        start=np.concatenate([np.zeros(nz), t_start]),
     )
     tr.set_radius(r)
     return tr
@@ -239,7 +225,7 @@ def _maybe_dump(tr: TrustRegionLP) -> None:
     if not directory:
         return
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"tr_lp_{os.getpid()}_{_dump_counter:06d}.mps")
+    path = os.path.join(directory, f"tr_lp_{os.getpid()}_{_dump_counter:06d}.npz")
     _dump_counter += 1
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_mps(tr.lp, name=f"TRLP{_dump_counter - 1}"))
+    lp = tr.lp
+    np.savez(path, c=lp.c, rows=lp.rows, rhs=lp.rhs, lower=lp.lower, upper=lp.upper, start=tr.start)

@@ -172,7 +172,7 @@ def test_lp_dump_counts_match_serial_and_parallel(tmp_path, monkeypatch):
         dump = tmp_path / f"jobs{jobs}"
         monkeypatch.setenv("TRFD_LP_DUMP", str(dump))
         run_campaign(camp, jobs=jobs)
-        counts.append(len(list(dump.glob("tr_lp_*.mps"))))
+        counts.append(len(list(dump.glob("tr_lp_*.npz"))))
     assert counts[0] > 0
     assert counts[1] == counts[0]
 
@@ -192,15 +192,20 @@ def test_solver_config_auto_rule():
     assert SolverConfig(name="x", p="inf").build_params(maxl).p is PNorm.INF
 
 
-def test_profile_delta_script(tmp_path, capsys):
-    # a shorter budget stands in for a version that regressed
+def load_script(name):
     import importlib.util
     import os
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "profile_delta.py")
-    spec = importlib.util.spec_from_file_location("profile_delta", path)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_profile_delta_script(tmp_path, capsys):
+    # a shorter budget stands in for a version that regressed
+    script = load_script("profile_delta")
     problems = [registry_by_name("rosenbrock"), registry_by_name("dem")]
     for name, budget in (("old", 20), ("new", 2)):
         run_campaign(Campaign(problems, [TRFD_L1], simplex_gradients=budget), out_dir=str(tmp_path / name))
@@ -221,3 +226,14 @@ def test_profile_delta_script(tmp_path, capsys):
     assert lines[-1].startswith("profile delta at tol 1e-07: TRFD-L1 min -")
     assert lines[-1].endswith("max +0.0000")
     assert script.main([old, str(tmp_path)]) == 2
+
+
+def test_robustness_sweep_script(capsys):
+    # two problems stand in for the registry; zero numerical_trouble is
+    # asserted only unscaled until the runs are invariant to units
+    script = load_script("robustness_sweep")
+    assert script.main(["rosenbrock", "cb2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:18].strip() for line in lines] == [name for name, _, _ in script.CASES]
+    assert all(" 4 runs: " in line for line in lines)
+    assert lines[0].startswith("scale 1 ") and "numerical_trouble" not in lines[0]

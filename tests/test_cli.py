@@ -104,6 +104,34 @@ def test_run_rejects_budget_flag_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("run", "--tolerance", "-1"), ("run", "--tolerance", "nan"), ("run", "--tolerance", "2"),
+        ("profile", "--tolerance", "-1"), ("profile", "--tolerance", "nan"), ("profile", "--tolerance", "2"),
+        ("run", "--jobs", "0"), ("run", "--jobs", "-3"),
+    ],
+)
+def test_option_out_of_range_fails_with_one_error_line(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"], budget=2)
+    out = tmp_path / "out"
+    args = ["run", "--config", str(cfg)] if command == "run" else ["profile"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+    assert not out.exists()
+
+
+def test_audit_of_a_directory_without_traces_fails(tmp_path, capsys):
+    assert main(["audit", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no trace files under {tmp_path}\n"
+
+
 def test_run_parallel_jobs_flag(tmp_path):
     cfg = tmp_path / "campaign.json"
     write_campaign(cfg, ["rosenbrock", "dem", "lq"])
@@ -167,6 +195,9 @@ BAD_CONFIGS = {
     "alpha_above_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpha": 2}]}, "alpha"),
     "budget_zero": ({"problems": ["rosenbrock"], "budget_simplex_gradients": 0}, '"budget_simplex_gradients"'),
     "budget_string": ({"problems": ["rosenbrock"], "budget_simplex_gradients": "abc"}, '"budget_simplex_gradients"'),
+    "tolerance_negative": ({"problems": ["rosenbrock"], "tolerances": [1e-3, -1]}, '"tolerances"'),
+    "tolerance_nan": ({"problems": ["rosenbrock"], "tolerances": [float("nan")]}, '"tolerances"'),
+    "tolerance_above_one": ({"problems": ["rosenbrock"], "tolerances": [2]}, '"tolerances"'),
 }
 
 
@@ -175,7 +206,7 @@ BAD_CONFIGS = {
     [
         "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "alpha_above_one",
-        "budget_zero", "budget_string",
+        "budget_zero", "budget_string", "tolerance_negative", "tolerance_nan", "tolerance_above_one",
     ],
 )
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):

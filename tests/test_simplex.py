@@ -3,7 +3,7 @@ import pytest
 from conftest import enumerate_lp_minimum, random_box_lp, random_mixed_lp
 
 from trfd.core import FeasibleRegion, OuterFunction, PNorm
-from trfd.simplex import OPT_TOL, REFACTOR_EVERY, LinearProgram, NumericalTrouble, _residual, solve_lp, to_mps
+from trfd.simplex import OPT_TOL, REFACTOR_EVERY, LinearProgram, NumericalTrouble, _residual, solve_lp
 from trfd.subproblem import reformulate
 
 try:  # independent reference solver; optional, not a runtime dependency
@@ -173,18 +173,6 @@ def test_degenerate_stacked_constraints():
     )
     res = solve_lp(lp, np.zeros(2))
     assert res.objective == pytest.approx(-1.5, abs=1e-10)
-
-
-def test_mps_dump_roundtrippable_text():
-    lp = LinearProgram(
-        c=[1.0, -2.0], rows=[[1.0, 1.0]], rhs=[3.0],
-        lower=[0.0, -np.inf], upper=[np.inf, 4.0],
-    )
-    text = to_mps(lp, name="CASE")
-    assert text.startswith("NAME")
-    for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert section in text
-    assert " L  R0" in text
 
 
 def test_large_lp_through_refactors_matches_highs():

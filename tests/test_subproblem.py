@@ -217,10 +217,10 @@ def test_lp_dump_env_flag(tmp_path, monkeypatch):
     solve_tr_subproblem(reformulate(
         OuterFunction.L1, np.array([1.0, -1.0]), np.eye(2), UNC2, np.zeros(2), PNorm.ONE, 0.5
     ))
-    dumps = list(tmp_path.glob("tr_lp_*.mps"))
-    assert dumps
-    text = dumps[0].read_text()
-    assert text.startswith("NAME") and "ENDATA" in text
+    dumps = list(tmp_path.glob("tr_lp_*.npz"))
+    assert len(dumps) == 1
+    with np.load(dumps[0]) as saved:
+        assert sorted(saved.files) == ["c", "lower", "rhs", "rows", "start", "upper"]
 
 
 def test_theta_condition_exactness():
