@@ -16,6 +16,9 @@ included), so the curves have evaluation-level resolution.
 All outputs are byte-deterministic: ordered documents, 17-digit floats,
 no timestamps.  Parallelism (``jobs``) only distributes independent
 runs; each run is single-threaded and the collector writes every file.
+A worker returns the ``RunRecord`` that ``solve`` made, and a process
+pool pickles it, exactly; records become documents only when
+``save_trace`` writes them.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from . import jsontext
 from .core import PNorm
 from .oracle import format_float
-from .solver import RunRecord, TrfdParams, record_from_doc, record_to_doc, save_trace, solve
+from .solver import TrfdParams, save_trace, solve
 from .testset import BenchmarkProblem, registry_by_name
 
 DEFAULT_TOLERANCES = (1e-1, 1e-3, 1e-5, 1e-7)
@@ -82,19 +85,12 @@ class Campaign:
 @dataclass
 class CampaignResult:
     records: dict  # (problem_name, config_name) -> RunRecord
-    out_dir: str | None
-
-
-def run_one(problem_name: str, config: SolverConfig, simplex_gradients: int) -> RunRecord:
-    bp = registry_by_name(problem_name)
-    problem = bp.make_problem()
-    return solve(problem, config.build_params(problem, simplex_gradients))
 
 
 def _worker(task):
     problem_name, config, simplex_gradients = task
-    record = run_one(problem_name, config, simplex_gradients)
-    return problem_name, config.name, record_to_doc(record)
+    problem = registry_by_name(problem_name).make_problem()
+    return problem_name, config.name, solve(problem, config.build_params(problem, simplex_gradients))
 
 
 def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignResult:
@@ -104,15 +100,12 @@ def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignRes
         for bp in campaign.problems
         for config in campaign.solver_configs
     ]
-    records = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for pname, cname, doc in pool.map(_worker, tasks):
-                records[(pname, cname)] = record_from_doc(doc)
+            results = list(pool.map(_worker, tasks))
     else:
-        for task in tasks:
-            pname, cname, doc = _worker(task)
-            records[(pname, cname)] = record_from_doc(doc)
+        results = [_worker(task) for task in tasks]
+    records = {(pname, cname): record for pname, cname, record in results}
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -120,7 +113,7 @@ def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignRes
             save_trace(rec, os.path.join(out_dir, f"{pname}__{cname}.json"))
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="ascii") as fh:
             fh.write(jsontext.dumps(summarize(records), indent=1))
-    return CampaignResult(records=records, out_dir=out_dir)
+    return CampaignResult(records=records)
 
 
 def trace_files(directory) -> list:
@@ -157,7 +150,6 @@ class DataProfile:
     budget: int
     solvers: tuple
     curves: dict  # solver name -> list of fractions, index = kappa 0..budget
-    f_best: dict  # problem name -> lowest value found by any solver
 
 
 def data_profile(records: dict, tolerance: float, budget: int | None = None) -> DataProfile:
@@ -209,7 +201,6 @@ def data_profile(records: dict, tolerance: float, budget: int | None = None) -> 
         budget=budget,
         solvers=tuple(solvers),
         curves=curves,
-        f_best=f_best,
     )
 
 

@@ -10,11 +10,15 @@ Subcommands:
 Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
 and when every audited trace is clean (audit).  A campaign config that
-cannot be read or built, or an option out of range (a tolerance outside
-(0, 1), a budget or job count below 1), makes ``run`` or ``profile``
-print one error line and exit 2.  A trace that cannot be read or is not
-a trace, and a directory that holds no trace, fail the audit with one
-line, and ``audit`` goes on to the next path.
+cannot be read or built, a key outside its schema, or an option out of
+range (a tolerance outside (0, 1), a budget or job count below 1), makes
+``run`` or ``profile`` print one error line and exit 2.  A trace that
+cannot be read or is not a trace, and a directory that holds no trace,
+fail the audit with one line, and ``audit`` goes on to the next path.
+``profile`` writes no profile, prints one error line and exits 1 when a
+trace cannot be read or is missing for a (problem, solver) pair, or when
+there is none.  It names each profile by the shortest scientific form
+that reads back as its tolerance, as in ``profile_tol1.4e-03.csv``.
 """
 from __future__ import annotations
 
@@ -22,11 +26,14 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .bench import (
     Campaign,
     DEFAULT_TOLERANCES,
     TRFD_L1,
     TRFD_M,
+    EmptyGroup,
     check_tolerance,
     data_profile,
     emit_profile_csv,
@@ -124,20 +131,34 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    records = {key: load_trace(path) for key, path in trace_files(args.out)}
+    records = {}
+    for key, path in trace_files(args.out):
+        try:
+            records[key] = load_trace(path)
+        except (OSError, ValueError, KeyError) as exc:
+            return _profile_error(f"cannot read {path}: {type(exc).__name__}: {exc}")
     if not records:
-        print(f"no trace files under {args.out}", file=sys.stderr)
-        return 1
+        return _profile_error(f"no trace files under {args.out}")
     tolerances = tuple(args.tolerance) if args.tolerance else DEFAULT_TOLERANCES
     budget = max(rec.params.budget.simplex_gradients for rec in records.values())
-    _write_profiles(records, tolerances, budget, args.out)
+    try:
+        _write_profiles(records, tolerances, budget, args.out)
+    except EmptyGroup as exc:
+        return _profile_error(exc)
     return 0
 
 
+def _profile_error(message) -> int:
+    print(f"trfd profile: error: {message}", file=sys.stderr)
+    return 1
+
+
 def _write_profiles(records, tolerances, budget, out_dir) -> None:
-    for tol in tolerances:
-        profile = data_profile(records, tol, budget)
-        path = os.path.join(out_dir, f"profile_tol{tol:.0e}.csv")
+    """Build every profile, then write them: a group that cannot be
+    profiled raises EmptyGroup before any file is written."""
+    for profile in [data_profile(records, tol, budget) for tol in tolerances]:
+        name = np.format_float_scientific(profile.tolerance, trim="-", exp_digits=2)
+        path = os.path.join(out_dir, f"profile_tol{name}.csv")
         emit_profile_csv(profile, path)
         print(f"wrote {path} (solved at full budget: "
               + ", ".join(f"{s}={profile.curves[s][-1]:.3f}" for s in profile.solvers) + ")")

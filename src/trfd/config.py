@@ -24,7 +24,7 @@ Campaign document:
 
 Solver entries accept optional overrides (epsilon, alpha, theta,
 delta_star, stop_delta, stop_eta) passed straight to the parameter
-factory.
+factory.  Any other key is refused: a misspelt one must not go unread.
 """
 from __future__ import annotations
 
@@ -36,6 +36,9 @@ from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig, check_tolerance
 from .core import FeasibleRegion, OuterFunction, Problem
 from .oracle import EvalBudget, ExternalOracle, InProcessOracle
 from .testset import registry, registry_by_name, registry_family
+
+CAMPAIGN_KEYS = ("problems", "solvers", "budget_simplex_gradients", "tolerances")
+OVERRIDE_KEYS = ("epsilon", "alpha", "theta", "delta_star", "stop_delta", "stop_eta")
 
 
 def load_json(path) -> dict:
@@ -85,8 +88,10 @@ def problem_from_config(doc: dict) -> Problem:
 def campaign_from_config(doc: dict) -> Campaign:
     if not isinstance(doc, dict):
         raise ValueError("a campaign config must be a JSON object")
+    _known_keys(doc, CAMPAIGN_KEYS, "the campaign config")
     selection = doc.get("problems", {"family": "all"})
     if isinstance(selection, dict):
+        _known_keys(selection, ("family",), '"problems"')
         family = selection.get("family", "all")
         problems = registry() if family == "all" else registry_family(family)
     elif isinstance(selection, list):
@@ -101,11 +106,8 @@ def campaign_from_config(doc: dict) -> Campaign:
     for entry in entries:
         if not isinstance(entry.get("name"), str):
             raise ValueError('every "solvers" entry needs a string "name"')
-        overrides = {
-            k: _number(v, f'solver override "{k}"')
-            for k, v in entry.items()
-            if k in ("epsilon", "alpha", "theta", "delta_star", "stop_delta", "stop_eta")
-        }
+        _known_keys(entry, ("name", "p", *OVERRIDE_KEYS), f'solver "{entry["name"]}"')
+        overrides = {k: _number(v, f'solver override "{k}"') for k, v in entry.items() if k in OVERRIDE_KEYS}
         solvers.append(
             SolverConfig(
                 name=entry["name"],
@@ -141,6 +143,13 @@ def campaign_from_config(doc: dict) -> Campaign:
         simplex_gradients=simplex_gradients,
         tolerances=tolerances,
     )
+
+
+def _known_keys(doc, known, where):
+    """A ValueError naming the first key of ``doc`` outside ``known``."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f'unknown key "{key}" in {where}; expected one of {", ".join(known)}')
 
 
 def _number(value, what):

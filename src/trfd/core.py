@@ -94,9 +94,6 @@ class OuterFunction(enum.Enum):
     L1 = "l1"
     MINIMAX = "minimax"
 
-    def __call__(self, z) -> float:
-        return eval_h(self, z)
-
     def lipschitz(self, p: PNorm, m: int) -> float:
         """Lipschitz constant of h with respect to the p-norm on R^m."""
         if self is OuterFunction.MINIMAX:
@@ -157,10 +154,6 @@ class FeasibleRegion:
     @classmethod
     def unconstrained(cls, n: int) -> "FeasibleRegion":
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
-
-    @classmethod
-    def box(cls, lower, upper) -> "FeasibleRegion":
-        return cls(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
 
     @property
     def n(self) -> int:

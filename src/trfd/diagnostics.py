@@ -44,7 +44,6 @@ class AnalyticProblem:
     jacobian: object  # callable x -> (m, n) array
     lipschitz_jacobian: float
     box: tuple
-    f_star: float | None = None
 
     def in_box(self, x) -> bool:
         lo, hi = self.box

@@ -22,10 +22,6 @@ def dumps(doc, indent: int = 0) -> str:
     return "".join(pieces)
 
 
-def loads(text: str):
-    return json.loads(text)
-
-
 def _emit(node, out, indent, level) -> None:
     # JSON has no non-finite literals; a run that died before its first
     # evaluation has no objective value to report.  Plain floats are most

@@ -16,21 +16,23 @@ that basis matrix, and a later solve restarts from them; between solves
 only bounds and right-hand sides may change.  Neither enters the basis
 matrix, which holds columns of [rows | I] alone, so the kept inverse is
 still exact: the last solve confirmed its basis with LAPACK solves.  The
-nonbasics go to the bounds the basis names and one product with the kept
-inverse gives the basics.  If they are within OPT_TOL of their bounds,
-the pivot loop starts from that basis and inverse; its reduced costs do
-not depend on bounds or right-hand sides, so a basis that was optimal
-before and is still feasible is optimal at once.
+nonbasics go to the bounds the basis names, and the pivot loop starts
+from that basis and inverse.  Its first pass computes the basics with one
+product with the kept inverse and checks them against their bounds,
+within OPT_TOL; that check is the whole test of the kept basis.  The
+reduced costs do not depend on bounds or right-hand sides, so a basis
+that was optimal before and passes is optimal at once.
 
-Otherwise, and on a first solve, the first basis is crashed from the
-start.  Nonbasic variables start at that point clamped into their
-bounds, and every row starts with its slack basic.  A structural
+When the check fails, and on a first solve, the first basis is crashed
+from the start.  Nonbasic variables start at that point clamped into
+their bounds, and every row starts with its slack basic.  A structural
 variable the start puts strictly inside its bounds at a nonzero value
 then takes the place of the slack of one tight row (implied slack
 exactly zero) in which it has a nonzero coefficient.  The start must
-satisfy every row within OPT_TOL, so this first basis is feasible; a
-start that does not, or that is NaN, raises NumericalTrouble, on a
-restart too.
+satisfy every row within OPT_TOL, so this first basis is feasible and
+passes the same first-pass check (NumericalTrouble if it ever does
+not); a start that does not, or that is NaN, raises NumericalTrouble,
+on a restart too.
 
 The subproblems this package generates are small (at most a few hundred
 variables) and dense.  A crashed basis is inverted once; the pivot loop
@@ -132,29 +134,30 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     the last one left, or crashes when that basis is infeasible.
     """
     nv, nr = lp.n_variables, lp.n_rows
-
-    # nonbasic start values: the start clamped into the bounds, and
-    # slacks at zero
-    value = np.zeros(nv + nr)
-    value[:nv] = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
-    x0 = value[:nv]
+    x0 = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
     resid = lp.rhs - lp.rows @ x0
     if not (resid >= -OPT_TOL).all():  # a NaN start fails too
         raise NumericalTrouble("start violates a row")
 
-    warm = None if lp.basic is None else _warm_start(lp)
-    if warm is not None:
-        value = warm
+    found = None
+    if lp.basic is not None:
+        # restart: nonbasics go to the bound ``at_upper`` names, or where
+        # that bound is infinite to the point of their bounds nearest 0
+        value = np.where(lp.at_upper, lp.hi, lp.lo)
+        infinite = ~np.isfinite(value)
+        value[infinite] = np.minimum(np.maximum(0.0, lp.lo), lp.hi)[infinite]
         basic = lp.basic.copy()
-        B_inv, updates = lp.B_inv, lp.updates
-    else:
-        # crash: every row starts with its slack basic, and a structural
+        found = _optimize(lp, basic, value, lp.B_inv, lp.updates)
+    if found is None:
+        # crash: nonbasics start at the clamped start and slacks at zero;
+        # every row starts with its slack basic, and a structural
         # strictly inside its bounds at a nonzero value then becomes
         # basic in the first tight slack row where its coefficient
         # is nonzero.  That row must be zero in every column crashed
         # before, so the crashed block of B is triangular with a nonzero
         # diagonal and B stays nonsingular; a structural with no such row
         # stays nonbasic.
+        value = np.concatenate([x0, np.zeros(nr)])
         basic = nv + np.arange(nr)
         open_rows = resid == 0.0
         crash = np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper))
@@ -164,9 +167,10 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
             if tight.any():
                 basic[tight.argmax()] = j
                 open_rows &= zero
-        B_inv, updates = _inverse(lp.augmented[:, basic]), 0
-
-    iters, B_inv, updates = _optimize(lp, basic, value, B_inv, updates)
+        found = _optimize(lp, basic, value, _inverse(lp.augmented[:, basic]), 0)
+        if found is None:
+            raise NumericalTrouble("crashed basis infeasible")
+    iters, B_inv, updates = found
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
@@ -184,25 +188,6 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     )
 
 
-def _warm_start(lp: LinearProgram):
-    """Nonbasic values that restart from the basis of ``lp``'s last solve,
-    or None when its basics leave their bounds by more than OPT_TOL.
-
-    Nonbasics go to the bound ``at_upper`` names; where that bound is
-    infinite they go to the point of their bounds nearest 0, as in a
-    cold start.  Basics get value 0 here; the pivot loop solves for them.
-    """
-    lo, hi = lp.lo, lp.hi
-    value = np.where(lp.at_upper, hi, lo)
-    infinite = ~np.isfinite(value)
-    value[infinite] = np.minimum(np.maximum(0.0, lo), hi)[infinite]
-    value[lp.basic] = 0.0
-    xb = lp.B_inv @ (lp.rhs - lp.augmented @ value)
-    if not ((lo[lp.basic] - OPT_TOL <= xb) & (xb <= hi[lp.basic] + OPT_TOL)).all():  # NaN fails too
-        return None
-    return value
-
-
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any row or bound at x (0 when feasible)."""
     gap = lp.rows @ x - lp.rhs
@@ -212,7 +197,9 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
 def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
     """Run the pivot loop on ``lp`` in place from ``basis`` and its inverse
     ``B_inv``, which has had ``updates`` product-form updates; returns the
-    pivot count and the final inverse and update count.
+    pivot count and the final inverse and update count, or None when the
+    first pass puts a basic more than OPT_TOL outside its bounds (NaN
+    too): that basis is no feasible start.
 
     On return ``value`` holds the optimal vertex, basics included.
     ``B_inv`` itself is never written to, so the inverse an LP keeps
@@ -242,6 +229,8 @@ def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
             updates = 0
         rhs = b - A @ value
         xb = B_inv @ rhs
+        if not it and not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
+            return None
         y = cost_b @ B_inv
 
         z = cost - y @ A

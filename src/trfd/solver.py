@@ -34,6 +34,7 @@ partial Jacobian is ever bought.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass
 
@@ -419,4 +420,4 @@ def save_trace(record: RunRecord, path) -> None:
 
 def load_trace(path) -> RunRecord:
     with open(path, "r", encoding="ascii") as fh:
-        return record_from_doc(jsontext.loads(fh.read()))
+        return record_from_doc(json.load(fh))

@@ -418,7 +418,6 @@ class BenchmarkProblem:
             jacobian=self.jacobian,
             lipschitz_jacobian=self.lipschitz_jacobian,
             box=(np.full(self.n, lo, dtype=float), np.full(self.n, hi, dtype=float)),
-            f_star=self.f_ref,
         )
 
 

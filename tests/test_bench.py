@@ -1,3 +1,7 @@
+import dataclasses
+import enum
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,7 @@ from trfd.bench import (
 )
 from trfd.core import OuterFunction, PNorm
 from trfd.oracle import EvalBudget
-from trfd.solver import RunRecord, Termination, TrfdParams
+from trfd.solver import RunRecord, Termination, TrfdParams, load_trace
 from trfd.testset import registry_by_name
 from trfd.core import NormConstants
 
@@ -158,6 +162,43 @@ def test_campaign_parallel_matches_serial(tmp_path):
     run_campaign(camp, out_dir=str(out2), jobs=3)
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+def assert_same_fields(got, want, where="record"):
+    """Field by field: floats bit for bit, arrays equal, enums the same."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            assert_same_fields(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, where
+        assert np.array_equal(got, want), where
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_fields(g, w, f"{where}[{i}]")
+    elif isinstance(want, enum.Enum):
+        assert got is want, where
+    elif isinstance(want, float):
+        assert isinstance(got, float) and struct.pack("<d", got) == struct.pack("<d", want), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_campaign_records_equal_their_traces(tmp_path, jobs):
+    # run_campaign hands back the records its workers made; the traces it
+    # writes must read back as the same records
+    camp = Campaign(
+        problems=[registry_by_name(name) for name in ("rosenbrock", "dem", "cb2", "lq")],
+        solver_configs=[TRFD_L1, TRFD_M],
+    )
+    result = run_campaign(camp, out_dir=str(tmp_path), jobs=jobs)
+    assert len(result.records) == 8
+    # None survives too: some iteration has no decrease ratio
+    assert any(it.rho is None for record in result.records.values() for it in record.iterations)
+    for (pname, cname), record in result.records.items():
+        assert_same_fields(record, load_trace(tmp_path / f"{pname}__{cname}.json"))
 
 
 def test_lp_dump_counts_match_serial_and_parallel(tmp_path, monkeypatch):

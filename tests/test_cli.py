@@ -125,6 +125,55 @@ def test_option_out_of_range_fails_with_one_error_line(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_profile_tolerances_never_share_a_file(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"], budget=2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for csv in out.glob("profile_*.csv"):
+        csv.unlink()
+    capsys.readouterr()
+    tolerances = [1e-3, 1.4e-3, 0.10000000000000003, 1e-3]
+    assert main(["profile", "--out", str(out), *(f"--tolerance={t!r}" for t in tolerances)]) == 0
+    written = capsys.readouterr().out.splitlines()
+    assert len(written) == 4
+    # one-digit tolerances keep their names, and every name reads back as its tolerance
+    assert (out / "profile_tol1e-03.csv").exists() and (out / "profile_tol1.4e-03.csv").exists()
+    names = sorted(p.name for p in out.glob("profile_*.csv"))
+    assert len(names) == 3
+    assert sorted(float(name[len("profile_tol"):-len(".csv")]) for name in names) == sorted(set(tolerances))
+
+
+@pytest.mark.parametrize("case", ["missing_pair", "unreadable", "empty"])
+def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({
+        "problems": ["rosenbrock", "dem"],
+        "solvers": [{"name": "TRFD-L1", "p": "1"}, {"name": "TRFD-M", "p": "inf"}],
+        "budget_simplex_gradients": 2,
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for path in out.iterdir():
+        if path.name.startswith("profile_") or case == "empty":
+            path.unlink()
+    if case == "missing_pair":
+        (out / "dem__TRFD-L1.json").unlink()
+        named = "missing record for 'dem' under 'TRFD-L1'"
+    elif case == "unreadable":
+        (out / "dem__TRFD-L1.json").write_text(json.dumps({"schema": "trfd-trace-v1"}))
+        named = f"{out / 'dem__TRFD-L1.json'}: KeyError"
+    else:
+        named = f"no trace files under {out}"
+    capsys.readouterr()
+    assert main(["profile", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("trfd profile: error: ") and named in lines[0]
+    assert not list(out.glob("profile_*.csv"))
+
+
 def test_audit_of_a_directory_without_traces_fails(tmp_path, capsys):
     assert main(["audit", str(tmp_path)]) == 1
     captured = capsys.readouterr()
@@ -198,6 +247,10 @@ BAD_CONFIGS = {
     "tolerance_negative": ({"problems": ["rosenbrock"], "tolerances": [1e-3, -1]}, '"tolerances"'),
     "tolerance_nan": ({"problems": ["rosenbrock"], "tolerances": [float("nan")]}, '"tolerances"'),
     "tolerance_above_one": ({"problems": ["rosenbrock"], "tolerances": [2]}, '"tolerances"'),
+    "solver_key_misspelt": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpah": 0.9}]}, '"alpah"'),
+    "top_key_budget": ({"problems": ["rosenbrock"], "budget": 2}, '"budget"'),
+    "top_key_tolerance": ({"problems": ["rosenbrock"], "tolerance": [0.5]}, '"tolerance"'),
+    "family_key_misspelt": ({"problems": {"famliy": "l1"}}, '"famliy"'),
 }
 
 
@@ -207,6 +260,7 @@ BAD_CONFIGS = {
         "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "alpha_above_one",
         "budget_zero", "budget_string", "tolerance_negative", "tolerance_nan", "tolerance_above_one",
+        "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
     ],
 )
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):

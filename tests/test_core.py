@@ -114,12 +114,12 @@ def test_minimax_monotone_property():
 
 
 def test_region_validation():
-    region = FeasibleRegion.box([0.0, 0.0], [1.0, 2.0])
+    region = FeasibleRegion([0.0, 0.0], [1.0, 2.0])
     assert region.contains([0.5, 1.0])
     assert not region.contains([1.5, 1.0])
     assert FeasibleRegion.unconstrained(3).is_unconstrained
     with pytest.raises(ValueError):
-        FeasibleRegion.box([1.0], [0.0])
+        FeasibleRegion([1.0], [0.0])
     tri = FeasibleRegion(
         np.full(2, -np.inf), np.full(2, np.inf), ((np.array([1.0, 1.0]), 1.0),)
     )
@@ -131,9 +131,9 @@ def test_problem_validation():
     from conftest import make_problem, rosenbrock_residuals
 
     prob = make_problem(rosenbrock_residuals, 2, 2, "l1", [-1.2, 1.0])
-    assert prob.h([1.0, -2.0]) == 3.0
+    assert eval_h(prob.h, [1.0, -2.0]) == 3.0
     with pytest.raises(ValueError):
         make_problem(
             rosenbrock_residuals, 2, 2, "l1", [5.0, 5.0],
-            region=FeasibleRegion.box([0.0, 0.0], [1.0, 1.0]),
+            region=FeasibleRegion([0.0, 0.0], [1.0, 1.0]),
         )

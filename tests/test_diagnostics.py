@@ -36,7 +36,7 @@ def quadratic_scalar_ap(b):
     prob = make_problem(fn, n, 1, "minimax", np.zeros(n), name="scalar_quad")
     return AnalyticProblem(
         problem=prob, jacobian=jac, lipschitz_jacobian=1.0,
-        box=(np.full(n, -1e6), np.full(n, 1e6)), f_star=None,
+        box=(np.full(n, -1e6), np.full(n, 1e6)),
     )
 
 

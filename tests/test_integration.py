@@ -18,7 +18,7 @@ from trfd.testset import registry, registry_by_name
 def test_box_constrained_rosenbrock():
     # the cap x2 <= 0.5 moves the minimizer to the boundary: residual 1
     # vanishes at x1 = sqrt(0.5), leaving f* = 1 - sqrt(0.5)
-    region = FeasibleRegion.box([-2.0, -2.0], [2.0, 0.5])
+    region = FeasibleRegion([-2.0, -2.0], [2.0, 0.5])
     prob = make_problem(
         rosenbrock_residuals, 2, 2, "l1", (-1.2, 0.3), region=region, name="rosen_box"
     )
@@ -49,7 +49,7 @@ def test_linear_inequality_constrained_rosenbrock():
 
 
 def test_constrained_minimax_inf_norm():
-    region = FeasibleRegion.box([-0.5, -0.5], [0.5, 0.5])
+    region = FeasibleRegion([-0.5, -0.5], [0.5, 0.5])
     bp = registry_by_name("dem")
     prob = make_problem(bp.residuals, 2, 3, "minimax", (0.2, 0.2), region=region)
     rec = solve(prob, TrfdParams.defaults(prob, PNorm.INF))
@@ -118,7 +118,7 @@ def test_grid_oracle_fast_path_matches_plain_mesh():
         h = OuterFunction.L1 if trial % 2 else OuterFunction.MINIMAX
         p = PNorm.ONE if trial % 3 else PNorm.INF
         if trial % 4 == 0:
-            region = FeasibleRegion.box([-0.3, -0.4], [0.5, 0.3])
+            region = FeasibleRegion([-0.3, -0.4], [0.5, 0.3])
         else:
             region = FeasibleRegion.unconstrained(2)
 

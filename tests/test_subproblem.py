@@ -131,7 +131,7 @@ def test_scale_covariance():
 
 
 def test_region_constrained_step_stays_feasible():
-    region = FeasibleRegion.box([-0.2, -0.1], [0.1, 0.3])
+    region = FeasibleRegion([-0.2, -0.1], [0.1, 0.3])
     A = np.array([[1.0, 2.0], [-1.0, 1.0]])
     F = np.array([0.5, -0.4])
     for p in (PNorm.ONE, PNorm.INF):
@@ -156,14 +156,15 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
     # solver; so must a re-solve of the same model at another radius,
     # which restarts from the basis of its last solve
     used = []  # per warm solve: was the earlier basis usable?
-    real_warm_start = simplex._warm_start
+    runs = []  # per pivot-loop run: did it start from a feasible basis?
+    real_optimize = simplex._optimize
 
-    def recording_warm_start(*args):
-        out = real_warm_start(*args)
-        used.append(out is not None)
+    def recording_optimize(*args):
+        out = real_optimize(*args)
+        runs.append(out is not None)
         return out
 
-    monkeypatch.setattr(simplex, "_warm_start", recording_warm_start)
+    monkeypatch.setattr(simplex, "_optimize", recording_optimize)
     rng = np.random.default_rng(seed)
     warm_pivots = []
     for k in range(80):
@@ -186,7 +187,11 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
             fresh = reformulate(*inst[:-1], radius)
             for name in ("rows", "rhs", "lower", "upper"):
                 assert np.array_equal(getattr(target.lp, name), getattr(fresh.lp, name))
+            runs.clear()
             warm = solve_lp(target.lp, start=target.start)
+            # a restart runs the loop once; a fallback runs it again from the crash
+            assert runs in ([True], [False, True])
+            used.append(runs[0])
             want = solve_lp(fresh.lp, start=fresh.start)
             assert warm.objective == pytest.approx(want.objective, abs=1e-9 * scale)
             if linprog is not None:
