@@ -5,84 +5,50 @@ Jacobian is modeled by forward finite differences whose stepsize is
 coupled to the trust-region radius.  The outer function h is the 1-norm
 or the maximum of components, so every subproblem is solved exactly as
 a small dense linear program.
+
+The names below are imported from their submodules on first use
+(PEP 562), so that ``python -m trfd.demo_oracle`` starts an oracle child
+without loading the solver, the simplex or the campaign runner.
 """
 
-from .core import (
-    MACHINE_EPS,
-    FeasibleRegion,
-    NormConstants,
-    OuterFunction,
-    PNorm,
-    Problem,
-    eval_h,
-    norm,
-    norm_constants,
-)
-from .jacobian import DegenerateStep, build_jacobian
-from .oracle import (
-    BlackBoxOracle,
-    EvalBudget,
-    ExternalOracle,
-    HandshakeTimeout,
-    InProcessOracle,
-    OracleFailure,
-    SpawnFailure,
-)
-from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp
-from .solver import (
-    IterationClass,
-    RunRecord,
-    Termination,
-    TrfdParams,
-    compute_rho,
-    load_trace,
-    save_trace,
-    solve,
-)
-from .subproblem import (
-    SubproblemSolution,
-    TrustRegionLP,
-    UnsupportedNorm,
-    reformulate,
-    solve_tr_subproblem,
-)
+import importlib
 
-__all__ = [
-    "MACHINE_EPS",
-    "BlackBoxOracle",
-    "DegenerateStep",
-    "EvalBudget",
-    "ExternalOracle",
-    "FeasibleRegion",
-    "HandshakeTimeout",
-    "InProcessOracle",
-    "IterationClass",
-    "LinearProgram",
-    "NormConstants",
-    "NumericalTrouble",
-    "OracleFailure",
-    "OuterFunction",
-    "PNorm",
-    "Problem",
-    "RunRecord",
-    "SimplexResult",
-    "SpawnFailure",
-    "SubproblemSolution",
-    "Termination",
-    "TrfdParams",
-    "TrustRegionLP",
-    "UnsupportedNorm",
-    "build_jacobian",
-    "compute_rho",
-    "eval_h",
-    "load_trace",
-    "norm",
-    "norm_constants",
-    "reformulate",
-    "save_trace",
-    "solve",
-    "solve_lp",
-    "solve_tr_subproblem",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("MACHINE_EPS", "FeasibleRegion", "NormConstants", "OuterFunction", "PNorm",
+         "Problem", "eval_h", "norm", "norm_constants"),
+        "core",
+    ),
+    **dict.fromkeys(("DegenerateStep", "build_jacobian"), "jacobian"),
+    **dict.fromkeys(
+        ("BlackBoxOracle", "EvalBudget", "ExternalOracle", "HandshakeTimeout",
+         "InProcessOracle", "OracleFailure", "SpawnFailure"),
+        "oracle",
+    ),
+    **dict.fromkeys(("LinearProgram", "NumericalTrouble", "SimplexResult", "solve_lp"), "simplex"),
+    **dict.fromkeys(
+        ("IterationClass", "RunRecord", "Termination", "TrfdParams", "compute_rho",
+         "load_trace", "save_trace", "solve"),
+        "solver",
+    ),
+    **dict.fromkeys(
+        ("SubproblemSolution", "TrustRegionLP", "UnsupportedNorm", "reformulate",
+         "solve_tr_subproblem"),
+        "subproblem",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

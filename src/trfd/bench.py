@@ -165,27 +165,31 @@ def data_profile(records: dict, tolerance: float, budget: int | None = None) -> 
     if budget is None:
         budget = max(rec.params.budget.simplex_gradients for rec in records.values())
 
-    f_best = {
-        prob: min(records[(prob, s)].best_f[-1] for s in solvers) for prob in problems
-    }
-    f_start = {prob: records[(prob, solvers[0])].best_f[0] for prob in problems}
+    # a run that made no evaluation (an oracle error at x0) never solves
+    # its problem and sets neither f(x0) nor f_best
+    f_start, f_best = {}, {}
+    for prob in problems:
+        runs = [records[(prob, s)].best_f for s in solvers if records[(prob, s)].best_f]
+        if runs:
+            f_start[prob] = runs[0][0]
+            f_best[prob] = min(bf[-1] for bf in runs)
 
     curves = {}
     for solver in solvers:
         solved_at = []
         for prob in problems:
             rec = records[(prob, solver)]
-            target_gap = f_start[prob] - f_best[prob]
-            need = (1.0 - tolerance) * target_gap
             t_solved = None
-            if target_gap <= 0:
-                t_solved = 1
-            else:
-                bf = rec.best_f
-                for t, val in enumerate(bf, start=1):
-                    if f_start[prob] - val >= need:
-                        t_solved = t
-                        break
+            if rec.best_f:
+                target_gap = f_start[prob] - f_best[prob]
+                need = (1.0 - tolerance) * target_gap
+                if target_gap <= 0:
+                    t_solved = 1
+                else:
+                    for t, val in enumerate(rec.best_f, start=1):
+                        if f_start[prob] - val >= need:
+                            t_solved = t
+                            break
             solved_at.append((prob, t_solved, rec.n))
         curve = []
         for kappa in range(budget + 1):

@@ -13,8 +13,9 @@ and when every audited trace is clean (audit).  A campaign config that
 cannot be read or built, a key outside its schema, or an option out of
 range (a tolerance outside (0, 1), a budget or job count below 1), makes
 ``run`` or ``profile`` print one error line and exit 2.  A trace that
-cannot be read or is not a trace, and a directory that holds no trace,
-fail the audit with one line, and ``audit`` goes on to the next path.
+cannot be read or is not a trace (a field missing or of the wrong JSON
+type included), and a directory that holds no trace, fail the audit
+with one line, and ``audit`` goes on to the next path.
 ``profile`` writes no profile, prints one error line and exits 1 when a
 trace cannot be read or is missing for a (problem, solver) pair, or when
 there is none.  It names each profile by the shortest scientific form

@@ -24,7 +24,8 @@ Campaign document:
 
 Solver entries accept optional overrides (epsilon, alpha, theta,
 delta_star, stop_delta, stop_eta) passed straight to the parameter
-factory.  Any other key is refused: a misspelt one must not go unread.
+factory.  In both documents any other key is refused: a misspelt one
+must not go unread.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ from .core import FeasibleRegion, OuterFunction, Problem
 from .oracle import EvalBudget, ExternalOracle, InProcessOracle
 from .testset import registry, registry_by_name, registry_family
 
+PROBLEM_KEYS = ("name", "n", "m", "h", "x0", "start", "lower", "upper", "linear_ineq", "oracle")
+ORACLE_KEYS = ("registry", "command", "timeout")
 CAMPAIGN_KEYS = ("problems", "solvers", "budget_simplex_gradients", "tolerances")
 OVERRIDE_KEYS = ("epsilon", "alpha", "theta", "delta_star", "stop_delta", "stop_eta")
 
@@ -48,6 +51,7 @@ def load_json(path) -> dict:
 
 def problem_from_config(doc: dict) -> Problem:
     """Build a Problem from one problem document."""
+    _known_keys(doc, PROBLEM_KEYS, "the problem config")
     n = int(doc["n"])
     m = int(doc["m"])
     h = OuterFunction.from_value(doc["h"])
@@ -72,6 +76,7 @@ def problem_from_config(doc: dict) -> Problem:
         x0 = np.asarray(start, dtype=float)
 
     binding = doc["oracle"]
+    _known_keys(binding, ORACLE_KEYS, '"oracle"')
     if "registry" in binding:
         bp = registry_by_name(binding["registry"])
         if bp.m != m:

@@ -14,8 +14,6 @@ import time
 
 import numpy as np
 
-from .oracle import format_float
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="trfd-demo-oracle")
@@ -65,7 +63,7 @@ def main(argv=None) -> int:
         fvec = np.asarray(fn(np.asarray(req["x"], dtype=float)), dtype=float).reshape(-1)
         if args.wrong_m:
             fvec = np.concatenate([fvec, [0.0]])
-        body = ", ".join(format_float(v) for v in fvec)
+        body = ", ".join(map(repr, fvec.tolist()))
         stdout.write('{"id": %d, "fvec": [%s]}\n' % (qid, body))
         stdout.flush()
         served += 1

@@ -14,9 +14,10 @@ Wire protocol (one JSON document per line):
     oracle -> solver   {"id": <int>, "fvec": [<m floats>]}
                        or {"id": <int>, "error": "<message>"}
 
-Floats are written with 17 significant digits so that the decimal text
-round-trips bit-exactly.  Failures are fatal: the exact-oracle model has
-no retry semantics.
+Both ends write each float as its shortest round-trip decimal (Python's
+``repr``), so the text parses back to the same float64 bit for bit; any
+JSON number is accepted on reading.  Failures are fatal: the exact-oracle
+model has no retry semantics.
 """
 from __future__ import annotations
 
@@ -76,14 +77,14 @@ class BlackBoxOracle:
 
     def eval_F(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise OracleFailure("query point has non-finite components")
         fvec = self._evaluate(x)
         self.eval_count += 1
         fvec = np.asarray(fvec, dtype=float).reshape(-1)
         if fvec.size != self.m:
             raise OracleFailure(f"oracle returned {fvec.size} values, expected {self.m}")
-        if not np.all(np.isfinite(fvec)):
+        if not np.isfinite(fvec).all():
             raise OracleFailure("oracle returned non-finite values")
         return fvec
 
@@ -172,7 +173,7 @@ class ExternalOracle(BlackBoxOracle):
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         qid = self._next_id
         self._next_id += 1
-        payload = ", ".join(format_float(v) for v in x)
+        payload = ", ".join(map(repr, x.tolist()))
         self._send('{"id": %d, "x": [%s]}' % (qid, payload))
         reply = self._read_line()
         try:

@@ -362,55 +362,83 @@ def record_to_doc(record: RunRecord) -> dict:
 
 
 def record_from_doc(doc: dict) -> RunRecord:
+    """The record a trace document holds.  A missing field raises
+    KeyError; a field of the wrong JSON type, or a value outside its
+    schema, raises ValueError."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != TRACE_SCHEMA:
         raise ValueError(f"unknown trace schema: {schema!r}")
-    pd = doc["params"]
-    n = doc["problem"]["n"]
+    problem = _field(doc, "problem", "object")
+    pd = _field(doc, "params", "object")
+    n = _field(problem, "n", "integer")
     params = TrfdParams(
-        epsilon=pd["epsilon"],
-        alpha=pd["alpha"],
-        theta=pd["theta"],
-        sigma=pd["sigma"],
-        lipschitz_h=pd["lipschitz_h"],
-        consts=NormConstants(c2p_n=pd["c2p_n"], cp2_m=pd["cp2_m"]),
-        p=PNorm.from_value(pd["p"]),
-        budget=EvalBudget(simplex_gradients=pd["simplex_gradients"], n=n),
-        delta0=pd["delta0"],
-        delta_star=pd["delta_star"],
-        stop_delta=pd["stop_delta"],
-        stop_eta=pd["stop_eta"],
+        epsilon=_field(pd, "epsilon", "number"),
+        alpha=_field(pd, "alpha", "number"),
+        theta=_field(pd, "theta", "number"),
+        sigma=_field(pd, "sigma", "number"),
+        lipschitz_h=_field(pd, "lipschitz_h", "number"),
+        consts=NormConstants(c2p_n=_field(pd, "c2p_n", "number"), cp2_m=_field(pd, "cp2_m", "number")),
+        p=PNorm.from_value(_field(pd, "p", "string")),
+        budget=EvalBudget(simplex_gradients=_field(pd, "simplex_gradients", "integer"), n=n),
+        delta0=_field(pd, "delta0", "number"),
+        delta_star=_field(pd, "delta_star", "number"),
+        stop_delta=_field(pd, "stop_delta", "number"),
+        stop_eta=_field(pd, "stop_eta", "number"),
     )
     snapshots = [
         IterationSnapshot(
-            k=it["k"],
-            cls=IterationClass(it["class"]),
-            entered_at=it["entered_at"],
-            tau=it["tau"],
-            delta=it["delta"],
-            eta=it["eta"],
-            rho=it["rho"],
-            rho_degenerate=it["rho_degenerate"],
-            f=it["f"],
-            x=np.asarray(it["x"], dtype=float),
-            evals_iter=it["evals_iter"],
-            evals_total=it["evals_total"],
+            k=_field(it, "k", "integer"),
+            cls=IterationClass(_field(it, "class", "string")),
+            entered_at=_field(it, "entered_at", "string"),
+            tau=_field(it, "tau", "number"),
+            delta=_field(it, "delta", "number"),
+            eta=_field(it, "eta", "number"),
+            rho=_field(it, "rho", "number", null=True),
+            rho_degenerate=_field(it, "rho_degenerate", "boolean"),
+            f=_field(it, "f", "number"),
+            x=np.asarray(_field(it, "x", "array", of="number"), dtype=float),
+            evals_iter=_field(it, "evals_iter", "integer"),
+            evals_total=_field(it, "evals_total", "integer"),
         )
-        for it in doc["iterations"]
+        for it in _field(doc, "iterations", "array", of="object")
     ]
+    final_f = _field(doc, "final_f", "number", null=True)
     return RunRecord(
-        problem_name=doc["problem"]["name"],
+        problem_name=_field(problem, "name", "string"),
         n=n,
-        m=doc["problem"]["m"],
-        h=OuterFunction.from_value(doc["problem"]["h"]),
+        m=_field(problem, "m", "integer"),
+        h=OuterFunction.from_value(_field(problem, "h", "string")),
         params=params,
         iterations=snapshots,
-        best_f=list(doc["best_f"]),
-        termination=Termination(doc["termination"]),
-        termination_evals=doc["termination_evals"],
-        final_x=np.asarray(doc["final_x"], dtype=float),
-        final_f=math.inf if doc["final_f"] is None else doc["final_f"],
+        best_f=_field(doc, "best_f", "array", of="number"),
+        termination=Termination(_field(doc, "termination", "string")),
+        termination_evals=_field(doc, "termination_evals", "integer"),
+        final_x=np.asarray(_field(doc, "final_x", "array", of="number"), dtype=float),
+        final_f=math.inf if final_f is None else final_f,
     )
+
+
+# JSON type -> the Python types json.load gives it; a number may be
+# written without a fraction, and a boolean is no number
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+               "array": list, "object": dict}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, _JSON_TYPES[kind]) and (kind == "boolean" or not isinstance(value, bool))
+
+
+def _field(doc, key, kind, null=False, of=None):
+    """``doc[key]`` when it has the JSON type ``kind`` (or is null, when
+    ``null``) and, for an array, each element the type ``of``; a
+    ValueError naming the field otherwise."""
+    value = doc[key]
+    if value is None and null:
+        return value
+    if not _is(value, kind) or (of is not None and not all(_is(v, of) for v in value)):
+        what = kind if of is None else f"{kind} of {of}s"
+        raise ValueError(f'trace field "{key}" must be JSON {what}, not {value!r:.40}')
+    return value
 
 
 def save_trace(record: RunRecord, path) -> None:

@@ -26,7 +26,6 @@ from functools import partial
 import numpy as np
 
 from .core import FeasibleRegion, OuterFunction, Problem
-from .oracle import InProcessOracle
 
 # ---------------------------------------------------------------------------
 # residual vectors, least-absolute-deviation family
@@ -397,6 +396,10 @@ class BenchmarkProblem:
     jacobian_box: tuple = None
 
     def make_problem(self) -> Problem:
+        # imported here: a demo_oracle child imports this module to serve
+        # residuals and needs no oracle or process code
+        from .oracle import InProcessOracle
+
         return Problem(
             n=self.n,
             m=self.m,

@@ -17,7 +17,7 @@ from trfd.bench import (
 )
 from trfd.core import OuterFunction, PNorm
 from trfd.oracle import EvalBudget
-from trfd.solver import RunRecord, Termination, TrfdParams, load_trace
+from trfd.solver import RunRecord, Termination, TrfdParams, load_trace, solve
 from trfd.testset import registry_by_name
 from trfd.core import NormConstants
 
@@ -106,6 +106,30 @@ def test_profile_missing_record_raises():
         data_profile(records, 1e-3)
     with pytest.raises(EmptyGroup):
         data_profile({}, 1e-3)
+
+
+def test_profile_run_without_evaluations_never_solves():
+    # an oracle error at x0 leaves best_f empty: that run solves nothing
+    # and sets neither f(x0) nor f_best, whichever solver comes first
+    from conftest import make_problem
+
+    prob = make_problem(lambda x: np.array([np.nan]), 1, 1, "l1", (0.0,), name="p")
+    dead = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, simplex_gradients=2))
+    assert dead.termination is Termination.ORACLE_ERROR and dead.best_f == []
+    records = {
+        ("p", "a"): dead,
+        ("p", "b"): fake_record("p", 1, [10.0, 5.0, 5.0, 5.0], budget=2),
+        ("q", "a"): fake_record("q", 1, [3.0, 3.0, 3.0, 3.0], budget=2),
+        ("q", "b"): fake_record("q", 1, [3.0, 3.0, 3.0, 3.0], budget=2),
+    }
+    prof = data_profile(records, 1e-3, budget=2)
+    assert prof.curves["a"] == [0.0, 0.5, 0.5]
+    assert prof.curves["b"] == [0.0, 1.0, 1.0]
+    # no run of a problem made an evaluation: nobody solved it
+    records[("q", "b")] = records[("q", "a")] = dead
+    prof = data_profile(records, 1e-3, budget=2)
+    assert prof.curves["a"] == [0.0, 0.0, 0.0]
+    assert prof.curves["b"] == [0.0, 0.5, 0.5]
 
 
 def test_csv_row_count_and_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from trfd.bench import SolverConfig
@@ -81,6 +82,52 @@ def test_audit_reports_unreadable_traces_and_goes_on(tmp_path, capsys):
     assert lines[-1].startswith(f"{good}: ok")
 
 
+def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"], budget=2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    trace = out / "rosenbrock__TRFD-L1.json"
+    for field, value in [("best_f", None), ("final_x", ["a"]), ("termination_evals", True)]:
+        doc = json.loads(trace.read_text())
+        doc[field] = value
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["audit", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == f'{bad}: FAILED: ValueError: trace field "{field}" must be JSON ' + (
+            "integer, not True\n" if field == "termination_evals"
+            else f"array of numbers, not {value!r}\n"
+        )
+
+
+def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, capsys):
+    from conftest import make_problem
+    from trfd.core import PNorm
+    from trfd.solver import Termination, TrfdParams, save_trace, solve
+
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({
+        "problems": ["rosenbrock", "dem"],
+        "solvers": [{"name": "TRFD-L1", "p": "1"}, {"name": "TRFD-M", "p": "inf"}],
+        "budget_simplex_gradients": 2,
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--tolerance", "0.5"]) == 0
+    prob = make_problem(lambda x: np.array([np.nan, np.nan]), 2, 2, "l1", (-1.2, 1.0), name="rosenbrock")
+    dead = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, simplex_gradients=2))
+    assert dead.termination is Termination.ORACLE_ERROR and dead.best_f == []
+    save_trace(dead, out / "rosenbrock__TRFD-L1.json")
+    capsys.readouterr()
+    assert main(["profile", "--out", str(out), "--tolerance", "0.5"]) == 0
+    # at budget 2, TRFD-L1 solved rosenbrock and TRFD-M dem; with TRFD-L1's
+    # rosenbrock run dead, TRFD-M's run alone sets f_best there and solves it
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("(solved at full budget: TRFD-L1=0.000, TRFD-M=1.000)")
+
+
 def test_run_with_family_config_and_budget_flag(tmp_path):
     cfg = tmp_path / "campaign.json"
     cfg.write_text(json.dumps({
@@ -144,7 +191,7 @@ def test_profile_tolerances_never_share_a_file(tmp_path, capsys):
     assert sorted(float(name[len("profile_tol"):-len(".csv")]) for name in names) == sorted(set(tolerances))
 
 
-@pytest.mark.parametrize("case", ["missing_pair", "unreadable", "empty"])
+@pytest.mark.parametrize("case", ["missing_pair", "unreadable", "wrong_type", "empty"])
 def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
     cfg = tmp_path / "campaign.json"
     cfg.write_text(json.dumps({
@@ -163,6 +210,11 @@ def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
     elif case == "unreadable":
         (out / "dem__TRFD-L1.json").write_text(json.dumps({"schema": "trfd-trace-v1"}))
         named = f"{out / 'dem__TRFD-L1.json'}: KeyError"
+    elif case == "wrong_type":
+        doc = json.loads((out / "dem__TRFD-L1.json").read_text())
+        doc["best_f"] = None
+        (out / "dem__TRFD-L1.json").write_text(json.dumps(doc))
+        named = f'{out / "dem__TRFD-L1.json"}: ValueError: trace field "best_f" must be JSON array of numbers'
     else:
         named = f"no trace files under {out}"
     capsys.readouterr()

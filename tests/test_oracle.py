@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import rosenbrock_residuals
@@ -65,6 +68,40 @@ def test_external_echo(demo_oracle_cmd):
         assert np.array_equal(oracle.eval_F(x), x)
     finally:
         oracle.close()
+
+
+def test_wire_is_bit_exact(demo_oracle_cmd):
+    # shortest round-trip decimals carry every float64 bit for bit:
+    # the smallest subnormal, a negative zero, the largest finite float
+    rng = np.random.default_rng(7)
+    x = np.array([5e-324, -0.0, 1.7976931348623157e308, 0.1 + 0.2, *rng.normal(size=12)])
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=x.size, m=x.size)
+    try:
+        for query in (x, -x, x * 1e-300):
+            assert oracle.eval_F(query).tobytes() == query.tobytes()
+    finally:
+        oracle.close()
+
+
+def test_oracle_child_imports_no_solver_code(demo_oracle_cmd):
+    # a fresh interpreter: the child's imports, then the lazy package names
+    code = """
+import sys
+import trfd.demo_oracle
+assert not {"trfd.solver", "trfd.simplex", "trfd.subproblem", "trfd.bench", "trfd.oracle"} & set(sys.modules)
+import trfd
+from trfd import simplex
+assert trfd.solve is sys.modules["trfd.solver"].solve
+for name in trfd.__all__:
+    getattr(trfd, name)
+try:
+    trfd.no_such_name
+except AttributeError:
+    print("ok")
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def test_external_registry_problem(demo_oracle_cmd):

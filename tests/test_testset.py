@@ -130,6 +130,18 @@ def test_config_export_roundtrip():
     assert np.array_equal(prob.oracle.eval_F(x0), bp.residuals(x0))
 
 
+@pytest.mark.parametrize("where, key", [("problem", "lowr"), ("oracle", "timout")])
+def test_problem_config_refuses_unknown_keys(where, key):
+    from trfd.config import problem_from_config
+
+    doc = problem_to_config(registry_by_name("cb2"))
+    # the key check comes first: this command is never started
+    doc["oracle"] = {"command": "definitely-not-a-real-command-xyz"}
+    (doc if where == "problem" else doc["oracle"])[key] = 1
+    with pytest.raises(ValueError, match=f'unknown key "{key}"'):
+        problem_from_config(doc)
+
+
 def test_auto_norm_rule_covers_both_branches():
     # sqrt(m) < n picks the 1-norm, otherwise the inf-norm
     mm = registry_family("minimax")
