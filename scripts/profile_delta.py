@@ -1,20 +1,54 @@
 #!/usr/bin/env python3
 """Compare two campaign trace directories, old and new.
 
-For every run whose termination, evaluation count or final f changed it
-prints the old and new values, and then how many trace files are
-byte-identical in the two directories.  Then, for each default tolerance, it
-prints the smallest and largest change (new minus old) of each solver's
-data-profile curve over kappa.  Both versions are profiled as one group,
-so every problem's f_best is the lowest value either version found.
+For every run whose trace differs in any field but ``eta`` and
+``eta_upper`` it prints the old and new termination, evaluation count
+and final f, and the first iteration and field that differ (or the
+first top-level field, when every iteration agrees).  Then it prints how
+many trace files are byte-identical in the two directories.  Then, for
+each default tolerance, it prints the smallest and largest change (new
+minus old) of each solver's data-profile curve over kappa.  Both
+versions are profiled as one group, so every problem's f_best is the
+lowest value either version found.
+
+A v1 trace, written before snapshots had ``eta_upper``, is read as a v2
+trace whose every eta is exact, so a tree from before that change can
+be compared with one from after it.
 
 Usage:  PYTHONPATH=src python scripts/profile_delta.py OLD_DIR NEW_DIR
 """
+import json
 import sys
 from pathlib import Path
 
 from trfd.bench import DEFAULT_TOLERANCES, data_profile, trace_files
-from trfd.solver import load_trace
+from trfd.solver import TRACE_SCHEMA, record_from_doc
+
+# fields whose change the bracketed eta of v2 explains
+ETA_FIELDS = ("eta", "eta_upper")
+
+
+def load_doc(path) -> dict:
+    doc = json.loads(Path(path).read_text())
+    if doc.get("schema") == "trfd-trace-v1":
+        doc["schema"] = TRACE_SCHEMA
+        for it in doc["iterations"]:
+            it["eta_upper"] = None
+    return doc
+
+
+def first_difference(a: dict, b: dict) -> str | None:
+    """Where two trace documents first differ outside the eta fields."""
+    for ia, ib in zip(a["iterations"], b["iterations"]):
+        for key in ia:
+            if key not in ETA_FIELDS and ia[key] != ib.get(key):
+                return f"iteration {ia['k']} field {key}"
+    if len(a["iterations"]) != len(b["iterations"]):
+        return f"iteration {min(len(a['iterations']), len(b['iterations']))} (in one trace only)"
+    for key in a:
+        if key != "iterations" and a[key] != b.get(key):
+            return f"field {key}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -23,21 +57,25 @@ def main(argv=None) -> int:
         print("usage: profile_delta.py OLD_DIR NEW_DIR", file=sys.stderr)
         return 2
     old_paths, new_paths = (dict(trace_files(d)) for d in argv)
-    old = {key: load_trace(path) for key, path in old_paths.items()}
-    new = {key: load_trace(path) for key, path in new_paths.items()}
-    if not old or old.keys() != new.keys():
+    old_docs = {key: load_doc(path) for key, path in old_paths.items()}
+    new_docs = {key: load_doc(path) for key, path in new_paths.items()}
+    if not old_docs or old_docs.keys() != new_docs.keys():
         print("the two directories must hold traces of the same, nonempty set of runs", file=sys.stderr)
         return 2
+    old = {key: record_from_doc(doc) for key, doc in old_docs.items()}
+    new = {key: record_from_doc(doc) for key, doc in new_docs.items()}
 
     changed = 0
     for key in sorted(old):
-        a, b = old[key], new[key]
-        if (a.termination, a.total_evals, a.final_f) == (b.termination, b.total_evals, b.final_f):
+        where = first_difference(old_docs[key], new_docs[key])
+        if where is None:
             continue
         changed += 1
+        a, b = old[key], new[key]
         print(f"{key[0]:24s} {key[1]:10s} {a.termination.value} -> {b.termination.value}, "
               f"evals {a.total_evals} -> {b.total_evals}, "
-              f"final f {a.final_f:.10g} -> {b.final_f:.10g} ({b.final_f - a.final_f:+.2g})")
+              f"final f {a.final_f:.10g} -> {b.final_f:.10g} ({b.final_f - a.final_f:+.2g}), "
+              f"first at {where}")
     print(f"{changed} of {len(old)} runs changed")
     same = sum(Path(old_paths[key]).read_bytes() == Path(new_paths[key]).read_bytes() for key in old)
     print(f"{same} of {len(old)} traces byte-identical")

@@ -16,7 +16,7 @@ import numpy as np
 from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm_constants
 from .jacobian import build_jacobian
 from .solver import IterationClass, RunRecord, TrfdParams
-from .subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
+from .subproblem import BRACKET_RTOL, ETA_SNAP, UnsupportedNorm, reformulate, solve_tr_subproblem
 
 GRID_POINT_CAP = 50_000_000
 
@@ -269,9 +269,26 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             fail(cur.k, "iteration after U2 did not re-enter at step 3")
         if prev.cls is not IterationClass.U2 and cur.entered_at != "step1":
             fail(cur.k, "iteration after non-U2 did not enter at step 1")
-        if prev.cls is IterationClass.U2 and cur.eta != prev.eta:
-            fail(cur.k, "inherited eta changed across a U2 re-entry")
+        if prev.cls is IterationClass.U2 and (cur.eta, cur.eta_upper) != (prev.eta, prev.eta_upper):
+            fail(cur.k, "inherited eta or eta_upper changed across a U2 re-entry")
     checks.append("tau/delta update rules replay bitwise")
+
+    # a bracket [eta, eta_upper] on eta(Delta*) stands in for the Delta*
+    # LP only when its lower end rules out U1 and eta_floor with margin
+    skip_floor = 2.0 * max(ETA_SNAP, p.stop_eta, eps_half)
+    for s in snaps:
+        if s.eta_upper is None or s.entered_at != "step1":
+            continue
+        if s.cls is IterationClass.U1:
+            fail(s.k, "a U1 iteration took eta from a bracket")
+        if not s.eta > skip_floor:
+            fail(s.k, f"bracketed eta {s.eta!r} does not clear {skip_floor!r}")
+        if not (s.delta < p.delta_star and s.eta <= s.eta_upper):
+            fail(s.k, f"bracket needs delta < Delta* and eta <= eta_upper: {s.delta!r}, {s.eta!r}, {s.eta_upper!r}")
+        psi_lower, psi_upper = s.eta * p.delta_star, s.eta_upper * s.delta
+        if abs(psi_upper - psi_lower) > BRACKET_RTOL * psi_upper:
+            fail(s.k, f"bracket ends disagree: eta*Delta* = {psi_lower!r}, eta_upper*delta = {psi_upper!r}")
+    checks.append("eta brackets clear the U1/eta_floor threshold and agree")
 
     for prev, cur in zip(snaps, snaps[1:]):
         if cur.f > prev.f:

@@ -32,6 +32,8 @@ import numpy as np
 
 TIMEOUT_ENV = "TRFD_ORACLE_TIMEOUT_SECS"
 DEFAULT_TIMEOUT = 60.0
+# seconds a closed child gets to exit after SIGTERM before it is killed
+TERMINATE_WAIT = 5.0
 
 
 class OracleFailure(Exception):
@@ -200,11 +202,30 @@ class ExternalOracle(BlackBoxOracle):
                 pass
         if proc.poll() is None:
             proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
+            if not _exits_within(proc, TERMINATE_WAIT):
                 proc.kill()
-                proc.wait()
+            proc.wait()
 
     def __del__(self):
         self.close()
+
+
+def _exits_within(proc: subprocess.Popen, timeout: float) -> bool:
+    """Whether the unreaped child ``proc`` exits within ``timeout`` seconds.
+
+    Blocks on a pidfd, which turns readable when the child exits, instead
+    of the sleep-and-poll loop of ``Popen.wait(timeout)``; without pidfds
+    it falls back to that loop."""
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        try:
+            proc.wait(timeout=timeout)
+            return True
+        except subprocess.TimeoutExpired:
+            return False
+    try:
+        ready, _, _ = select.select([fd], [], [], timeout)
+    finally:
+        os.close(fd)
+    return bool(ready)

@@ -20,10 +20,17 @@ start), stop if the radius reached its floor (U1 leaves the radius
 alone and is exempt), and pick the next entry point: step 3 after U2,
 step 1 otherwise.
 
-Each model's LP is assembled once, right after its Jacobian, and solved
-first at the reference radius.  A step LP below that radius (after the
-Delta* LP, or the step LP that a U2 retry halves) moves the same LP to
-its radius, so the simplex restarts from the basis of the solve before.
+Each model's LP is assembled once, right after its Jacobian, at the
+step radius delta and solved there first.  Below the reference radius
+Delta*, that step brackets eta(Delta*) between psi(delta)/Delta* and
+psi(delta)/delta (``subproblem.eta_bracket``).  When the lower end
+clears twice the floor under which eta would stop the run or take a U1
+step (``max(ETA_SNAP, stop_eta, epsilon/2)``), the bracket decides the
+iteration and the snapshot records both ends; otherwise the same LP is
+moved to Delta* and solved for the exact eta, which the snapshot records
+alone.  A U2 retry moves the LP to its halved radius.  Each move keeps
+the LP's basis, so the simplex restarts from the basis of the solve
+before.
 
 Evaluation accounting is strict and kept in one ledger, the best-f
 list, which gains one entry per evaluation that returned a usable
@@ -45,9 +52,9 @@ from .core import NormConstants, OuterFunction, PNorm, Problem, eval_h, norm_con
 from .jacobian import DegenerateStep, build_jacobian
 from .oracle import EvalBudget, OracleFailure
 from .simplex import NumericalTrouble
-from .subproblem import solve_tr_subproblem
+from .subproblem import ETA_SNAP, eta_bracket, solve_tr_subproblem
 
-TRACE_SCHEMA = "trfd-trace-v1"
+TRACE_SCHEMA = "trfd-trace-v2"
 
 # model decrease below 1e-15 * (1 + |f|) is treated as no decrease
 RHO_DEGENERATE_REL = 1e-15
@@ -158,7 +165,9 @@ class IterationSnapshot:
     entered_at: str  # "step1" | "step3"
     tau: float
     delta: float
+    # eta at Delta*, or the lower end of its bracket when eta_upper is set
     eta: float
+    eta_upper: float | None
     rho: float | None
     rho_degenerate: bool
     f: float
@@ -213,6 +222,8 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
     sqrt_n = math.sqrt(n)
     max_evals = params.budget.max_evals
     eps_half = params.epsilon / 2.0
+    # an eta at or under this stops the run or takes a U1 step
+    eta_floor = max(ETA_SNAP, params.stop_eta, eps_half)
 
     # one entry per successful evaluation: the run's only evaluation count
     best_f: list = []
@@ -260,16 +271,23 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 A = build_jacobian(evaluate, x, F_x, tau)
                 # looked up on its module, where perfbench's tracer wraps it
-                tr = subproblem.reformulate(h, F_x, A, region, x, params.p, params.delta_star)
+                tr = subproblem.reformulate(h, F_x, A, region, x, params.p, delta)
                 sol = solve_tr_subproblem(tr)
-                eta = sol.eta
+                eta, eta_upper = sol.eta, None
+                if delta < params.delta_star:
+                    bracket = eta_bracket(tr, sol, params.delta_star, eta_floor)
+                    if bracket is None:
+                        tr.set_radius(params.delta_star)
+                        eta = solve_tr_subproblem(tr).eta
+                    else:
+                        eta, eta_upper = bracket
                 if eta <= params.stop_eta:
                     return finish(Termination.ETA_FLOOR)
 
             if entry == "step1" and eta < eps_half:
                 cls, rho = IterationClass.U1, None
             else:
-                if delta < params.delta_star:
+                if entry == "step3":
                     tr.set_radius(delta)
                     sol = solve_tr_subproblem(tr)
                 if len(best_f) + 1 > max_evals:
@@ -287,7 +305,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
 
             snapshots.append(IterationSnapshot(
                 k=len(snapshots), cls=cls, entered_at=entry,
-                tau=tau, delta=delta, eta=eta, rho=rho,
+                tau=tau, delta=delta, eta=eta, eta_upper=eta_upper, rho=rho,
                 rho_degenerate=cls is not IterationClass.U1 and rho is None,
                 f=f_x, x=x.copy(), evals_iter=len(best_f) - evals_done, evals_total=len(best_f),
             ))
@@ -343,6 +361,7 @@ def record_to_doc(record: RunRecord) -> dict:
                 "tau": s.tau,
                 "delta": s.delta,
                 "eta": s.eta,
+                "eta_upper": s.eta_upper,
                 "rho": s.rho,
                 "rho_degenerate": s.rho_degenerate,
                 "f": s.f,
@@ -376,8 +395,8 @@ def record_from_doc(doc: dict) -> RunRecord:
         alpha=_field(pd, "alpha", "number"),
         theta=_field(pd, "theta", "number"),
         sigma=_field(pd, "sigma", "number"),
-        lipschitz_h=_field(pd, "lipschitz_h", "number"),
-        consts=NormConstants(c2p_n=_field(pd, "c2p_n", "number"), cp2_m=_field(pd, "cp2_m", "number")),
+        lipschitz_h=_positive(pd, "lipschitz_h"),
+        consts=NormConstants(c2p_n=_positive(pd, "c2p_n"), cp2_m=_positive(pd, "cp2_m")),
         p=PNorm.from_value(_field(pd, "p", "string")),
         budget=EvalBudget(simplex_gradients=_field(pd, "simplex_gradients", "integer"), n=n),
         delta0=_field(pd, "delta0", "number"),
@@ -393,10 +412,11 @@ def record_from_doc(doc: dict) -> RunRecord:
             tau=_field(it, "tau", "number"),
             delta=_field(it, "delta", "number"),
             eta=_field(it, "eta", "number"),
+            eta_upper=_field(it, "eta_upper", "number", null=True),
             rho=_field(it, "rho", "number", null=True),
             rho_degenerate=_field(it, "rho_degenerate", "boolean"),
             f=_field(it, "f", "number"),
-            x=np.asarray(_field(it, "x", "array", of="number"), dtype=float),
+            x=_point(it, "x", n),
             evals_iter=_field(it, "evals_iter", "integer"),
             evals_total=_field(it, "evals_total", "integer"),
         )
@@ -413,7 +433,7 @@ def record_from_doc(doc: dict) -> RunRecord:
         best_f=_field(doc, "best_f", "array", of="number"),
         termination=Termination(_field(doc, "termination", "string")),
         termination_evals=_field(doc, "termination_evals", "integer"),
-        final_x=np.asarray(_field(doc, "final_x", "array", of="number"), dtype=float),
+        final_x=_point(doc, "final_x", n),
         final_f=math.inf if final_f is None else final_f,
     )
 
@@ -439,6 +459,20 @@ def _field(doc, key, kind, null=False, of=None):
         what = kind if of is None else f"{kind} of {of}s"
         raise ValueError(f'trace field "{key}" must be JSON {what}, not {value!r:.40}')
     return value
+
+
+def _positive(doc, key) -> float:
+    value = _field(doc, key, "number")
+    if not value > 0:
+        raise ValueError(f'trace field "{key}" must be positive, not {value!r}')
+    return value
+
+
+def _point(doc, key, n) -> np.ndarray:
+    value = _field(doc, key, "array", of="number")
+    if len(value) != n:
+        raise ValueError(f'trace field "{key}" must hold n = {n} numbers, not {len(value)}')
+    return np.asarray(value, dtype=float)
 
 
 def save_trace(record: RunRecord, path) -> None:

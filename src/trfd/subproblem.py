@@ -28,6 +28,12 @@ So ``reformulate`` assembles the LP of one model once, ``set_radius``
 moves it to another radius, and ``solve_tr_subproblem`` on it again
 restarts the simplex from the basis its last solve left, falling back
 to the d = 0 crash when that basis is no longer feasible.
+
+The model decrease psi(r) = r * eta(r) is concave and nondecreasing in
+r with psi(0) = 0, so one solve at a radius r brackets eta at any larger
+radius R:  psi(r)/R <= eta(R) <= psi(r)/r.  ``eta_bracket`` returns that
+bracket when its lower end alone decides the outer method's tests, and
+the LP at R need not be solved.
 """
 from __future__ import annotations
 
@@ -36,13 +42,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
+from .core import MACHINE_EPS, FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp
 
 # eta within this of zero is snapped to zero to keep the criticality
 # test free of sign noise
 ETA_SNAP = 1e-12
 FEAS_TOL = 1e-9
+# the two ends of an eta bracket read psi at the step and at the step
+# pulled into the ball; a bracket whose ends disagree by more than this
+# is not returned
+BRACKET_RTOL = 1e-6
 
 # if set, every LP solved here is saved into the directory as an .npz of
 # the arrays c, rows, rhs, lower, upper and start, exact to the bit;
@@ -194,6 +204,42 @@ def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
     if eta <= ETA_SNAP:
         eta = 0.0
     return SubproblemSolution(d_star=d, model_value=model_value, eta=eta)
+
+
+def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor: float):
+    """Bounds ``(lower, upper)`` on eta at a radius ``r_ref`` above
+    ``tr``'s, from ``sol``, the solve at ``tr``'s radius; None unless the
+    lower end, less rounding, exceeds ``2 * floor`` and the two ends
+    agree within BRACKET_RTOL.
+
+    psi(r) = h(F) - min over the feasible r-ball of h(F + A d) is concave
+    and nondecreasing with psi(0) = 0 (Yuan 1985, Math. Prog. 31;
+    Cartis, Gould and Toint 2011, SIAM J. Optim. 21, Lemma 2.1), so
+    psi(r)/r_ref <= eta(r_ref) <= psi(r)/r.  The lower end reads psi(r)
+    at the step pulled into the ball: ``_check_solution`` lets the step
+    overshoot it slightly, and the region is convex and holds x, so the
+    pulled-in step is feasible and its decrease is one psi(r) attains.
+    """
+    r = tr.radius
+    d = sol.d_star
+    size = norm(d, tr.p)
+    if size > r:
+        d = d * (r / size)
+    psi_lower = tr.base_value - eval_h(tr.h, tr.F_x + tr.A @ d)
+    # h(F) and h(F + A d) are sums or maxima of m entries, each entry F_i
+    # plus n products, so each is off by at most (m + n + 1) u times
+    # sum(|F| + |A||d|), u the machine epsilon (Higham 2002, sec. 3.1);
+    # twice that covers the difference, and twice again leaves slack.  The
+    # allowance grows with the residuals while the threshold stays
+    # absolute, so at residuals x1e8 a decrease that is rounding noise of
+    # that size never clears it.
+    m, n = tr.A.shape
+    spread = float(np.sum(np.abs(tr.F_x) + np.abs(tr.A) @ np.abs(d)))
+    allowance = 4 * (m + n + 1) * MACHINE_EPS * spread
+    psi_upper = max(psi_lower, tr.base_value - sol.model_value)
+    if (psi_lower - allowance) / r_ref <= 2.0 * floor or psi_lower < (1.0 - BRACKET_RTOL) * psi_upper:
+        return None
+    return psi_lower / r_ref, psi_upper / r
 
 
 def _check_solution(tr, d, model_value, result: SimplexResult) -> None:

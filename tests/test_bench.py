@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import enum
+import json
 import struct
 
 import numpy as np
@@ -288,9 +290,48 @@ def test_profile_delta_script(tmp_path, capsys):
     assert lines[2] == "2 of 2 runs changed"
     assert lines[3] == "0 of 2 traces byte-identical"
     assert all("-> budget_exhausted" in line for line in lines[:2])
+    assert all(line.endswith("first at iteration 1 (in one trace only)") for line in lines[:2])
     assert lines[-1].startswith("profile delta at tol 1e-07: TRFD-L1 min -")
     assert lines[-1].endswith("max +0.0000")
     assert script.main([old, str(tmp_path)]) == 2
+
+
+def test_profile_delta_names_the_first_difference_outside_eta(tmp_path, capsys):
+    script = load_script("profile_delta")
+    run_campaign(Campaign([registry_by_name("rosenbrock")], [TRFD_L1]), out_dir=str(tmp_path / "old"))
+    name = "rosenbrock__TRFD-L1.json"
+    doc = json.loads((tmp_path / "old" / name).read_text())
+    (tmp_path / "new").mkdir()
+
+    def compare(edit):
+        edited = copy.deepcopy(doc)
+        edit(edited)
+        (tmp_path / "new" / name).write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert script.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def eta_only(d):
+        d["iterations"][1]["eta"] *= 2.0
+        d["iterations"][1]["eta_upper"] = 1.0
+
+    assert compare(eta_only)[0] == "0 of 1 runs changed"
+
+    def rho_and_later(d):
+        d["iterations"][3]["rho"] = 0.5
+        d["iterations"][5]["f"] = 7.0
+        d["final_f"] = 7.0
+
+    lines = compare(rho_and_later)
+    assert lines[0].endswith("first at iteration 3 field rho") and lines[1] == "1 of 1 runs changed"
+
+    def v1(d):
+        # a trace of a tree from before eta_upper, with the same run
+        d["schema"] = "trfd-trace-v1"
+        for it in d["iterations"]:
+            del it["eta_upper"]
+
+    assert compare(v1)[0] == "0 of 1 runs changed"
 
 
 def test_robustness_sweep_script(capsys):

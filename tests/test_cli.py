@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trfd import solver
 from trfd.bench import SolverConfig
 from trfd.cli import main
 
@@ -101,6 +102,30 @@ def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, ca
             "integer, not True\n" if field == "termination_evals"
             else f"array of numbers, not {value!r}\n"
         )
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lipschitz_h", 0, "must be positive, not 0"),
+    ("c2p_n", 0.0, "must be positive, not 0.0"),
+    ("cp2_m", -1.0, "must be positive, not -1.0"),
+    ("x", [1.0], "must hold n = 2 numbers, not 1"),
+    ("final_x", [1.0, 2.0, 3.0], "must hold n = 2 numbers, not 3"),
+])
+def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys, field, value, message):
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"], budget=2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "rosenbrock__TRFD-L1.json").read_text())
+    owner = {"x": doc["iterations"][0], "final_x": doc}.get(field, doc["params"])
+    owner[field] = value
+    bad = tmp_path / f"{field}.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f'{bad}: FAILED: ValueError: trace field "{field}" {message}\n'
 
 
 def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, capsys):
@@ -208,7 +233,7 @@ def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
         (out / "dem__TRFD-L1.json").unlink()
         named = "missing record for 'dem' under 'TRFD-L1'"
     elif case == "unreadable":
-        (out / "dem__TRFD-L1.json").write_text(json.dumps({"schema": "trfd-trace-v1"}))
+        (out / "dem__TRFD-L1.json").write_text(json.dumps({"schema": solver.TRACE_SCHEMA}))
         named = f"{out / 'dem__TRFD-L1.json'}: KeyError"
     elif case == "wrong_type":
         doc = json.loads((out / "dem__TRFD-L1.json").read_text())

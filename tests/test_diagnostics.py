@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from trfd.diagnostics import (
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
 from trfd.solver import TrfdParams, solve
-from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
+from trfd.subproblem import ETA_SNAP, UnsupportedNorm, reformulate, solve_tr_subproblem
 from trfd.testset import registry_by_name
 
 
@@ -233,3 +234,55 @@ def test_eta_radius_monotonicity_on_trace():
             prob.h, F_x, A, prob.region, s.x, rec.params.p, s.delta
         ))
         assert sol.eta >= s.eta - 1e-9
+
+
+def _edited_trace(rec, edit):
+    """``rec`` written as a trace document, edited, and read back."""
+    from trfd.solver import record_from_doc, record_to_doc
+
+    doc = json.loads(json.dumps(record_to_doc(rec)))
+    edit(doc)
+    return record_from_doc(doc)
+
+
+def _bracketed_step(doc) -> dict:
+    # a bracketed step-1 snapshot no U2 re-entry inherits from
+    return next(it for it in doc["iterations"]
+                if it["eta_upper"] is not None and it["entered_at"] == "step1" and it["class"] != "u2")
+
+
+def test_audit_accepts_brackets_and_rejects_one_on_a_u1_iteration():
+    prob = make_problem(lambda x: x - np.array([1.0, 2.0]), 2, 2, "l1", (-1.0, 0.5))
+    rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, epsilon=1.0, stop_eta=0.0, simplex_gradients=10))
+    assert audit_trace(rec).ok
+
+    def bracket_a_u1(doc):
+        it = next(it for it in doc["iterations"] if it["class"] == "u1")
+        it["eta_upper"] = 2.0 * it["eta"] + 1.0
+
+    with pytest.raises(AuditFailure, match=r"^iteration \d+: a U1 iteration took eta from a bracket$"):
+        audit_trace(_edited_trace(rec, bracket_a_u1))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("low", r"bracketed eta .* does not clear"),
+    ("disagree", r"bracket ends disagree: "),
+])
+def test_audit_rejects_a_bracket_under_the_threshold_or_with_ends_that_disagree(fault, message):
+    prob = registry_by_name("cb2").make_problem()
+    params = TrfdParams.defaults(prob, PNorm.ONE)
+    rec = solve(prob, params)
+    assert audit_trace(rec).ok
+    floor = max(ETA_SNAP, params.stop_eta, params.epsilon / 2.0)
+
+    def edit(doc):
+        it = _bracketed_step(doc)
+        if fault == "low":
+            # still above epsilon/2, so the class stays as recorded
+            it["eta"] = 1.5 * floor
+        else:
+            it["eta_upper"] *= 2.0
+
+    with pytest.raises(AuditFailure, match=rf"^iteration \d+: {message}") as info:
+        audit_trace(_edited_trace(rec, edit))
+    assert "\n" not in str(info.value)

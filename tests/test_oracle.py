@@ -1,10 +1,13 @@
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from conftest import rosenbrock_residuals
 
+import trfd.oracle
 from trfd.oracle import (
     EvalBudget,
     ExternalOracle,
@@ -161,6 +164,35 @@ def test_eval_timeout(demo_oracle_cmd):
             oracle.eval_F([1.0, 2.0])
     finally:
         oracle.close()
+
+
+def test_close_reaps_a_child_that_exits_on_sigterm(demo_oracle_cmd):
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
+    proc = oracle._proc
+    start = time.perf_counter()
+    oracle.close()
+    assert proc.returncode in (0, -signal.SIGTERM)
+    assert time.perf_counter() - start < trfd.oracle.TERMINATE_WAIT
+
+
+def test_close_kills_a_child_that_ignores_sigterm(tmp_path, monkeypatch):
+    # the child answers the handshake, then ignores SIGTERM and the
+    # closed pipes, so only the kill after TERMINATE_WAIT ends it
+    child = tmp_path / "stubborn.py"
+    child.write_text(
+        "import signal, sys, time\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "sys.stdin.readline()\n"
+        "print('{\"ready\": true}', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    monkeypatch.setattr(trfd.oracle, "TERMINATE_WAIT", 0.2)
+    oracle = ExternalOracle(f"{sys.executable} {child}", n=2, m=2)
+    proc = oracle._proc
+    start = time.perf_counter()
+    oracle.close()
+    assert proc.returncode == -signal.SIGKILL
+    assert 0.2 <= time.perf_counter() - start < 5.0
 
 
 def test_timeout_env_override(demo_oracle_cmd, monkeypatch):
