@@ -7,21 +7,26 @@ starting point.  Each row gets a slack variable s >= 0 with a.x + s = b.
 An instance holds its LP over all columns, structurals then slacks, as
 arrays built once: the matrix [rows | I], and the cost and bounds of
 every column (``cost``, ``lo``, ``hi``; a slack costs 0 and lies in
-[0, inf)).  ``c``, ``lower`` and ``upper`` are views of their first
-entries, so bounds written through them are the ones every solve reads,
-and a solve builds no cost or bound array of its own.
+[0, inf)).  ``rows``, ``c``, ``lower`` and ``upper`` are views of their
+first columns or entries, so rows and bounds written through them are
+the ones every solve reads, and a solve builds no matrix, cost or bound
+array of its own.
 
-An instance also keeps the final basis of its last solve and the inverse of
-that basis matrix, and a later solve restarts from them; between solves
-only bounds and right-hand sides may change.  Neither enters the basis
-matrix, which holds columns of [rows | I] alone, so the kept inverse is
-still exact: the last solve confirmed its basis with LAPACK solves.  The
-nonbasics go to the bounds the basis names, and the pivot loop starts
-from that basis and inverse.  Its first pass computes the basics with one
-product with the kept inverse and checks them against their bounds,
-within OPT_TOL; that check is the whole test of the kept basis.  The
-reduced costs do not depend on bounds or right-hand sides, so a basis
-that was optimal before and passes is optimal at once.
+An instance also keeps the final basis of its last solve and the reduced
+costs that solve's LAPACK confirmation proved for it, and a later solve
+restarts from that basis.  Bounds and right-hand sides may change
+between solves; so may the rows, when ``reduced`` is then cleared.  The
+reduced costs depend on neither bounds nor right-hand sides, so they
+stay exact while the rows do not change.  The nonbasics go to the bounds
+the basis names, and a restart's first pass solves the basis matrix once
+with LAPACK for the basics and checks them against their bounds, within
+OPT_TOL; that check is the whole test of the kept basis.  A basis that
+passes and shows no improving reduced cost (recomputed by a second
+LAPACK solve when cleared) is optimal at once, and nothing is inverted;
+otherwise its inverse is formed and the pivot loop goes on from it.  A
+restart that ends above the start's objective by more than OPT_TOL,
+relatively, stopped at a false optimum, since no optimum lies above a
+feasible point; it falls back to the crash.
 
 When the check fails, and on a first solve, the first basis is crashed
 from the start.  Nonbasic variables start at that point clamped into
@@ -30,21 +35,22 @@ variable the start puts strictly inside its bounds at a nonzero value
 then takes the place of the slack of one tight row (implied slack
 exactly zero) in which it has a nonzero coefficient.  The start must
 satisfy every row within OPT_TOL, so this first basis is feasible and
-passes the same first-pass check (NumericalTrouble if it ever does
-not); a start that does not, or that is NaN, raises NumericalTrouble,
-on a restart too.
+passes the pivot loop's first-pass check (NumericalTrouble if it ever
+does not); a start that does not, or that is NaN, raises
+NumericalTrouble, on a restart too.  A crash never ends above the
+start's objective, since each pivot lowers it or leaves it.
 
 The subproblems this package generates are small (at most a few hundred
 variables) and dense.  A crashed basis is inverted once; the pivot loop
 then keeps the inverse current with a product-form (rank-one) update at
-each basis change, inverting afresh every REFACTOR_EVERY changes, counted
-across the solves of one instance.  When the updated inverse shows no
-improving reduced cost, the basic values and duals are recomputed by
-LAPACK solves with the basis matrix itself and the reduced costs checked
-again; if one still improves, the loop goes on from a fresh inverse.
-Everything is deterministic: Dantzig pricing with first-index
-tie-breaking, switching to Bland's rule once the degenerate-pivot count
-passes 5 * (rows + columns).
+each basis change, inverting afresh every REFACTOR_EVERY changes within
+a solve.  When the updated inverse shows no improving reduced cost, the
+basic values and duals are recomputed by LAPACK solves with the basis
+matrix itself and the reduced costs checked again; if one still
+improves, the loop goes on from a fresh inverse.  Everything is
+deterministic: Dantzig pricing with first-index tie-breaking, switching
+to Bland's rule once the degenerate-pivot count passes 5 * (rows +
+columns).
 """
 from __future__ import annotations
 
@@ -77,7 +83,8 @@ class LinearProgram:
     lower: np.ndarray
     upper: np.ndarray
     # [rows | I], one slack column per row, and the costs and bounds of
-    # all its columns; c, lower and upper are views of their first entries
+    # all its columns; rows, c, lower and upper are views of their first
+    # columns or entries
     augmented: np.ndarray = field(init=False, repr=False)
     cost: np.ndarray = field(init=False, repr=False)
     lo: np.ndarray = field(init=False, repr=False)
@@ -86,27 +93,27 @@ class LinearProgram:
     # column basic in each row, and per column whether nonbasic at upper
     basic: np.ndarray | None = field(default=None, init=False, repr=False)
     at_upper: np.ndarray | None = field(default=None, init=False, repr=False)
-    # the inverse of augmented[:, basic], and the product-form updates
-    # applied to it since it was last inverted afresh
-    B_inv: np.ndarray | None = field(default=None, init=False, repr=False)
-    updates: int = field(default=0, init=False, repr=False)
+    # the reduced costs of ``basic`` over all columns, as a LAPACK solve
+    # proved them; None once the rows have changed since
+    reduced: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
         nv = c.size
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, nv)
+        rows = np.asarray(self.rows, dtype=float).reshape(-1, nv)
         self.rhs = np.asarray(self.rhs, dtype=float)
         nr = self.rhs.size
-        if self.rows.shape[0] != nr:
+        if rows.shape[0] != nr:
             raise ValueError("row/rhs length mismatch")
         if lower.size != nv or upper.size != nv:
             raise ValueError("bound length mismatch")
-        self.augmented = np.hstack([self.rows, np.eye(nr)])
+        self.augmented = np.concatenate([rows, np.eye(nr)], axis=1)
         self.cost = np.concatenate([c, np.zeros(nr)])
         self.lo = np.concatenate([lower, np.zeros(nr)])
         self.hi = np.concatenate([upper, np.full(nr, np.inf)])
+        self.rows = self.augmented[:, :nv]
         self.c, self.lower, self.upper = self.cost[:nv], self.lo[:nv], self.hi[:nv]
 
     @property
@@ -130,8 +137,9 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     """Solve to proven optimality; raises NumericalTrouble on breakdown.
 
     ``start`` is a point that satisfies every row.  A first solve crashes
-    from it; a later solve of ``lp`` restarts from the basis and inverse
-    the last one left, or crashes when that basis is infeasible.
+    from it; a later solve of ``lp`` restarts from the basis the last one
+    left, or crashes when that basis is infeasible or the restart ends
+    above the start's objective.
     """
     nv, nr = lp.n_variables, lp.n_rows
     x0 = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
@@ -147,7 +155,11 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
         infinite = ~np.isfinite(value)
         value[infinite] = np.minimum(np.maximum(0.0, lp.lo), lp.hi)[infinite]
         basic = lp.basic.copy()
-        found = _optimize(lp, basic, value, lp.B_inv, lp.updates)
+        found = _optimize(lp, basic, value, None)
+        if found is not None:
+            at_start = float(lp.c @ x0)
+            if float(lp.c @ value[:nv]) > at_start + OPT_TOL * (1.0 + abs(at_start)):
+                found = None
     if found is None:
         # crash: nonbasics start at the clamped start and slacks at zero;
         # every row starts with its slack basic, and a structural
@@ -167,10 +179,10 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
             if tight.any():
                 basic[tight.argmax()] = j
                 open_rows &= zero
-        found = _optimize(lp, basic, value, _inverse(lp.augmented[:, basic]), 0)
+        found = _optimize(lp, basic, value, _inverse(lp.augmented[:, basic]))
         if found is None:
             raise NumericalTrouble("crashed basis infeasible")
-    iters, B_inv, updates = found
+    iters, reduced = found
 
     x = value[:nv].copy()
     max_residual = _residual(lp, x)
@@ -179,7 +191,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     lp.basic = basic
     lp.at_upper = value == lp.hi
     lp.at_upper[basic] = False
-    lp.B_inv, lp.updates = B_inv, updates
+    lp.reduced = reduced
     return SimplexResult(
         x=x,
         objective=float(lp.c @ x),
@@ -194,16 +206,20 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(max(gap.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
 
 
-def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
+def _optimize(lp: LinearProgram, basis, value, B_inv):
     """Run the pivot loop on ``lp`` in place from ``basis`` and its inverse
-    ``B_inv``, which has had ``updates`` product-form updates; returns the
-    pivot count and the final inverse and update count, or None when the
-    first pass puts a basic more than OPT_TOL outside its bounds (NaN
-    too): that basis is no feasible start.
+    ``B_inv``; returns the pivot count and the reduced costs the final
+    LAPACK confirmation proved, or None when the first pass puts a basic
+    more than OPT_TOL outside its bounds (NaN too): that basis is no
+    feasible start.
+
+    With ``B_inv`` None, ``basis`` is the one ``lp`` kept, and the first
+    pass solves its matrix with LAPACK instead, None also when it is
+    singular.  It takes the reduced costs ``lp`` kept, or solves for
+    them when there are none, and when none improves returns at once;
+    otherwise it inverts the basis matrix for the pivot loop.
 
     On return ``value`` holds the optimal vertex, basics included.
-    ``B_inv`` itself is never written to, so the inverse an LP keeps
-    stays intact when a solve from it fails.
     """
     A, b, lo, hi, cost = lp.augmented, lp.rhs, lp.lo, lp.hi, lp.cost
     nr, ncol = A.shape
@@ -218,8 +234,31 @@ def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
     lo_b = lo[basis]
     hi_b = hi[basis]
 
+    def improving(z):
+        can_up = movable & (value < hi)
+        can_dn = movable & (value > lo)
+        return (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
+
+    restart = B_inv is None
+    if restart:
+        B = A[:, basis]
+        try:
+            xb = np.linalg.solve(B, b - A @ value)
+            if not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
+                return None
+            z = lp.reduced
+            if z is None:
+                z = cost - np.linalg.solve(B.T, cost_b) @ A
+        except np.linalg.LinAlgError:
+            return None
+        if not improving(z).any():
+            value[basis] = xb
+            return 0, z
+        B_inv = _inverse(B)
+
     bland = False
     degenerate = 0
+    updates = 0
     bland_after = 5 * (nr + ncol)
     max_iters = 2000 + 200 * (nr + ncol)
 
@@ -229,15 +268,13 @@ def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
             updates = 0
         rhs = b - A @ value
         xb = B_inv @ rhs
-        if not it and not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
+        if not (it or restart) and not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
             return None
         y = cost_b @ B_inv
 
         z = cost - y @ A
-        can_up = movable & (value < hi)
-        can_dn = movable & (value > lo)
-        improving = (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
-        if not improving.any():
+        entering = improving(z)
+        if not entering.any():
             # confirm optimality with a fresh LAPACK solve of B; if a
             # reduced cost still improves, go on from a fresh inverse
             B = A[:, basis]
@@ -247,17 +284,17 @@ def _optimize(lp: LinearProgram, basis, value, B_inv, updates):
             except np.linalg.LinAlgError as exc:
                 raise NumericalTrouble("singular basis") from exc
             z = cost - y @ A
-            improving = (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
-            if not improving.any():
+            entering = improving(z)
+            if not entering.any():
                 value[basis] = xb
-                return it, B_inv, updates
+                return it, z
             B_inv = _inverse(B)
             updates = 0
 
         if bland:
-            e = int(improving.argmax())
+            e = int(entering.argmax())
         else:
-            e = int(np.where(improving, np.abs(z), -1.0).argmax())
+            e = int(np.where(entering, np.abs(z), -1.0).argmax())
         direction = 1.0 if z[e] < 0 else -1.0
 
         w = B_inv @ A[:, e]

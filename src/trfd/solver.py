@@ -20,17 +20,18 @@ start), stop if the radius reached its floor (U1 leaves the radius
 alone and is exempt), and pick the next entry point: step 3 after U2,
 step 1 otherwise.
 
-Each model's LP is assembled once, right after its Jacobian, at the
-step radius delta and solved there first.  Below the reference radius
-Delta*, that step brackets eta(Delta*) between psi(delta)/Delta* and
-psi(delta)/delta (``subproblem.eta_bracket``).  When the lower end
+The run's LP is assembled once, with the first model, and each later
+model is written into it in place (``TrustRegionLP.set_model``).  Each
+model is solved first at the step radius delta.  Below the reference
+radius Delta*, that step brackets eta(Delta*) between psi(delta)/Delta*
+and psi(delta)/delta (``subproblem.eta_bracket``).  When the lower end
 clears twice the floor under which eta would stop the run or take a U1
 step (``max(ETA_SNAP, stop_eta, epsilon/2)``), the bracket decides the
-iteration and the snapshot records both ends; otherwise the same LP is
-moved to Delta* and solved for the exact eta, which the snapshot records
-alone.  A U2 retry moves the LP to its halved radius.  Each move keeps
-the LP's basis, so the simplex restarts from the basis of the solve
-before.
+iteration and the snapshot records both ends; otherwise the LP is moved
+to Delta* and solved for the exact eta, which the snapshot records
+alone.  A U2 retry moves the LP to its halved radius.  The LP keeps its
+basis through every move and every new model, so the simplex restarts
+from the basis of the solve before.
 
 Evaluation accounting is strict and kept in one ledger, the best-f
 list, which gains one entry per evaluation that returned a usable
@@ -258,6 +259,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
     delta = params.delta0
     evals_done = 0  # evaluations covered by the start point and classified iterations
     entry = "step1"
+    tr = None  # the run's one subproblem LP, assembled with the first model
 
     try:
         # max_evals >= n + 1 >= 2, so the start point always fits
@@ -270,8 +272,12 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 if len(best_f) + n > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 A = build_jacobian(evaluate, x, F_x, tau)
-                # looked up on its module, where perfbench's tracer wraps it
-                tr = subproblem.reformulate(h, F_x, A, region, x, params.p, delta)
+                if tr is None:
+                    # looked up on its module, where perfbench's tracer wraps it
+                    tr = subproblem.reformulate(h, F_x, A, region, x, params.p, delta)
+                else:
+                    tr.set_model(F_x, A, x)
+                    tr.set_radius(delta)
                 sol = solve_tr_subproblem(tr)
                 eta, eta_upper = sol.eta, None
                 if delta < params.delta_star:

@@ -22,12 +22,16 @@ crashes its first basis from it.  The normalized model decrease
 
 is the approximate stationarity measure that drives the outer method.
 
-The LP's rows and columns depend on h, F(x), A, the region, x and p, and
-the radius moves only bounds (p = inf) or one right-hand side (p = 1).
-So ``reformulate`` assembles the LP of one model once, ``set_radius``
-moves it to another radius, and ``solve_tr_subproblem`` on it again
-restarts the simplex from the basis its last solve left, falling back
-to the d = 0 crash when that basis is no longer feasible.
+The LP's shape depends on h, the region, p and the dimensions alone.
+The model (F(x), A and x) fills its model rows and the right-hand sides
+of the region's rows, and the radius moves only bounds (p = inf) or one
+right-hand side (p = 1).  So one LP serves a whole run: ``reformulate``
+assembles it for the first model, ``set_model`` writes each later model
+into it in place, and ``set_radius`` moves it to another radius.  The
+LP keeps the basis of its last solve through both, so each solve
+restarts the simplex from the basis the solve before left, even the
+previous model's, falling back to the d = 0 crash when that basis is no
+longer feasible.
 
 The model decrease psi(r) = r * eta(r) is concave and nondecreasing in
 r with psi(0) = 0, so one solve at a radius r brackets eta at any larger
@@ -67,8 +71,9 @@ class UnsupportedNorm(Exception):
 
 @dataclass
 class TrustRegionLP:
-    """The subproblem LP of one model plus the layout needed to read it
-    back; ``set_radius`` moves it to another radius."""
+    """The subproblem LP plus the layout needed to read it back;
+    ``set_model`` writes another model into it and ``set_radius`` moves
+    it to another radius."""
 
     lp: LinearProgram
     h: OuterFunction
@@ -81,6 +86,45 @@ class TrustRegionLP:
     # the LP point of d = 0, feasible by construction
     start: np.ndarray
     radius: float = field(init=False)
+
+    def set_model(self, F_x, A, x) -> None:
+        """Write the model h(F_x + A d) at x into the LP in place, then
+        call ``set_radius``; the LP keeps its last basis, not its reduced
+        costs."""
+        F_x = np.asarray(F_x, dtype=float)
+        A = np.asarray(A, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if A.shape != self.A.shape or F_x.shape != self.F_x.shape or x.shape != self.x.shape:
+            raise ValueError("dimension mismatch")
+        m, n = A.shape
+        rows, rhs = self.lp.rows, self.lp.rhs
+        # the model rows over z, with d = z (p = inf) or d = u - v
+        # (p = 1, z = (u, v)): A d - t <= -F, and for L1 also -A d - t <= F
+        rows[:m, :n] = A
+        nz = n
+        if self.p is PNorm.ONE:
+            rows[:m, n : 2 * n] = -A
+            nz = 2 * n
+        rhs[:m] = -F_x
+        if self.h is OuterFunction.L1:
+            rows[m : 2 * m, :nz] = -rows[:m, :nz]
+            rhs[m : 2 * m] = F_x
+            self.start[nz:] = np.abs(F_x)
+            k = 2 * m
+        else:
+            self.start[nz:] = np.max(F_x)
+            k = m
+        # then, for p = 1, the radius row and each finite box side, and
+        # the region's linear rows
+        g = [b - float(a @ x) for a, b in self.region.linear_ineq]
+        if self.p is PNorm.ONE:
+            box = np.array([self.region.upper - x, x - self.region.lower]).T.ravel()
+            g = np.concatenate([box[np.isfinite(box)], g])
+            k += 1
+        rhs[k:] = g
+        self.F_x, self.A, self.x = F_x, A, x
+        self.base_value = eval_h(self.h, F_x)
+        self.lp.reduced = None
 
     def set_radius(self, r: float) -> None:
         """Move the trust region to radius r; the LP keeps its last basis."""
@@ -127,62 +171,44 @@ def reformulate(
     if F_x.shape != (m,) or x.shape != (n,):
         raise ValueError("dimension mismatch")
 
-    # d = E z with E = I (p = inf) or [I, -I] (p = 1, z = (u, v));
-    # on_z(M) writes M's columns on d as columns on z.  The blocks are
-    # joined by np.concatenate, which costs less per call than hstack,
-    # vstack or block on matrices this small.
-    def on_z(M):
-        return M if p is PNorm.INF else np.concatenate([M, -M], axis=1)
-
-    # the rows on z alone: for p = 1 the radius row sum(u + v) <= r and
-    # each finite box side as a row (upper, then lower, per coordinate),
-    # for p = inf the box is in z's bounds; then the region's rows
+    # d = E z with E = I (p = inf) or [I, -I] (p = 1, z = (u, v)).  The
+    # model block over [z | t] and the region's right-hand sides are left
+    # to set_model; here are the t columns and the rows on z alone: for
+    # p = 1 the radius row sum(u + v) <= r and each finite box side as a
+    # row (upper, then lower, per coordinate), for p = inf the box is in
+    # z's bounds; then the region's rows.
     G = np.array([a for a, _ in region.linear_ineq]).reshape(-1, n)
-    g = [b - float(a @ x) for a, b in region.linear_ineq]
     if p is PNorm.INF:
         z_lo = z_hi = np.zeros(n)  # set by set_radius
-        z_rows, z_rhs = G, g
+        z_rows = G
     else:
         z_lo, z_hi = np.zeros(2 * n), np.full(2 * n, np.inf)
-        box = np.array([region.upper - x, x - region.lower]).T.ravel()
-        finite = np.isfinite(box)
+        finite = np.isfinite(np.array([region.upper - x, x - region.lower]).T.ravel())
         sides = (np.eye(n)[:, None, :] * [[1.0], [-1.0]]).reshape(2 * n, n)[finite]
-        z_rows = np.concatenate([np.ones((1, 2 * n)), on_z(np.concatenate([sides, G]))])
-        z_rhs = np.concatenate([[0.0], box[finite], g])  # r, set by set_radius
-
-    # the model block over [z | t]
-    AE = on_z(A)
+        GE = np.concatenate([sides, G])
+        z_rows = np.concatenate([np.ones((1, 2 * n)), np.concatenate([GE, -GE], axis=1)])
+    nz = z_lo.size
     if h is OuterFunction.L1:
-        # A d - t <= -F  and  -A d - t <= F
         minus_t = -np.eye(m)
-        model = np.concatenate([np.concatenate([AE, -AE]), np.concatenate([minus_t, minus_t])], axis=1)
-        model_rhs = [-F_x, F_x]
-        t_lo, t_hi, t_start = np.zeros(m), np.full(m, np.inf), np.abs(F_x)
+        t_cols = np.concatenate([minus_t, minus_t])
+        t_lo, t_hi = np.zeros(m), np.full(m, np.inf)
     else:
-        # A d - t <= -F
-        model = np.concatenate([AE, np.full((m, 1), -1.0)], axis=1)
-        model_rhs = [-F_x]
-        t_lo, t_hi, t_start = np.array([-np.inf]), np.array([np.inf]), np.array([np.max(F_x)])
-    nz, nt = z_lo.size, t_lo.size
+        t_cols = np.full((m, 1), -1.0)
+        t_lo, t_hi = np.array([-np.inf]), np.array([np.inf])
+    nt = t_lo.size
+    model = np.concatenate([np.zeros((t_cols.shape[0], nz)), t_cols], axis=1)
 
     lp = LinearProgram(
         c=np.concatenate([np.zeros(nz), np.ones(nt)]),
-        rows=np.concatenate([model, np.concatenate([z_rows, np.zeros((len(z_rhs), nt))], axis=1)]),
-        rhs=np.concatenate([*model_rhs, z_rhs]),
+        rows=np.concatenate([model, np.concatenate([z_rows, np.zeros((len(z_rows), nt))], axis=1)]),
+        rhs=np.zeros(len(model) + len(z_rows)),
         lower=np.concatenate([z_lo, t_lo]),
         upper=np.concatenate([z_hi, t_hi]),
     )
     tr = TrustRegionLP(
-        lp=lp,
-        h=h,
-        p=p,
-        F_x=F_x,
-        A=A,
-        region=region,
-        x=x,
-        base_value=eval_h(h, F_x),
-        start=np.concatenate([np.zeros(nz), t_start]),
+        lp=lp, h=h, p=p, F_x=F_x, A=A, region=region, x=x, base_value=0.0, start=np.zeros(nz + nt),
     )
+    tr.set_model(F_x, A, x)
     tr.set_radius(r)
     return tr
 

@@ -1,0 +1,59 @@
+"""``TrustRegionLP.set_model`` against a fresh assembly.
+
+A run keeps one subproblem LP and writes each new model into it in
+place.  Moved to a new model and radius, that LP must hold every array a
+fresh ``reformulate`` of the same inputs builds, bit for bit, box rows
+and linear rows included: no registry problem has either, so no campaign
+checks them.
+"""
+import numpy as np
+import pytest
+from conftest import random_tr_instance
+
+from trfd.core import FeasibleRegion
+from trfd.subproblem import reformulate, solve_tr_subproblem
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, seed, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def bits(a) -> bytes:
+    a = np.asarray(a)
+    return a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes()
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    h=st.sampled_from(["l1", "minimax"]),
+    p=st.sampled_from(["1", "inf"]),
+    region=st.sampled_from(["none", "box", "box+rows"]),
+    n=st.integers(1, 5),
+    m=st.integers(1, 6),
+    instance_seed=st.integers(0, 2**32 - 1),
+    log_r2=st.floats(-13.0, 3.0),
+)
+def test_set_model_matches_reformulate(h, p, region, n, m, instance_seed, log_r2):
+    rng = np.random.default_rng(instance_seed)
+    h, F1, A1, reg, x1, p, r1 = random_tr_instance(rng, h, p, n=n, m=m, constrained=region != "none")
+    if region == "box":
+        reg = FeasibleRegion(reg.lower, reg.upper, ())
+    F2, A2 = rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, (m, n))
+    x2 = np.clip(x1 + rng.uniform(-0.5, 0.5, n), reg.lower, reg.upper)
+    r2 = 10.0**log_r2
+
+    tr = reformulate(h, F1, A1, reg, x1, p, r1)
+    solve_tr_subproblem(tr)  # the LP keeps a basis, and the arrays are set_model's alone
+    tr.set_model(F2, A2, x2)
+    tr.set_radius(r2)
+    fresh = reformulate(h, F2, A2, reg, x2, p, r2)
+    for name in ("augmented", "rhs", "lo", "hi", "cost"):
+        assert bits(getattr(tr.lp, name)) == bits(getattr(fresh.lp, name)), name
+    assert bits(tr.start) == bits(fresh.start)
+    assert bits(tr.base_value) == bits(fresh.base_value)
+    # the rows, costs and bounds solve_lp reads are still views of those
+    lp = tr.lp
+    assert lp.rows.base is lp.augmented and lp.c.base is lp.cost
+    assert lp.lower.base is lp.lo and lp.upper.base is lp.hi
+    assert lp.reduced is None and lp.basic is not None

@@ -122,6 +122,38 @@ def test_crash_makes_interior_start_basic_in_tight_row():
     assert res.x[0] == 2.0
 
 
+def test_restart_ending_above_the_start_falls_back_to_the_crash():
+    # a Delta* LP (radius 1e3) of the ql problem with residuals x1e-8,
+    # as a carried basis met it: the basis [t, slack 1, v2, u1] passes
+    # the first pass, and its reduced costs of -2.8e-10 clear -OPT_TOL, so
+    # the restart stops at once; yet at this radius they leave a decrease
+    # of 2.8e-7, and that vertex lies 1.4e-7 above the d = 0 start
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lp = LinearProgram(
+        c=[0.0, 0.0, 0.0, 0.0, 1.0],
+        rows=[
+            [2.4166666889868793e-08, 4.7916666190417345e-08, -2.4166666889868793e-08,
+             -4.7916666190417345e-08, -1.0],
+            [-3.758333342318565e-07, -5.208333320183556e-08, 3.758333342318565e-07,
+             5.208333320183556e-08, -1.0],
+            [-7.583333339056253e-08, -1.5208333348226688e-07, 7.583333339056253e-08,
+             1.5208333348226688e-07, -1.0],
+            [1.0, 1.0, 1.0, 1.0, 0.0],
+        ],
+        rhs=[-7.200086805110953e-08, 2.5091579858471757e-07, -7.200086806961321e-08, 1000.0],
+        lower=[0.0, 0.0, 0.0, 0.0, -np.inf],
+        upper=[np.inf] * 5,
+    )
+    start = np.array([0.0, 0.0, 0.0, 0.0, 7.200086806961321e-08])
+    lp.basic = np.array([4, 6, 3, 0])
+    lp.at_upper = np.zeros(9, dtype=bool)
+    ref = linprog(lp.c, A_ub=lp.rows, b_ub=lp.rhs, bounds=np.column_stack([lp.lower, lp.upper]),
+                  method="highs")
+    res = solve_lp(lp, start)
+    assert res.objective <= lp.c @ start
+    assert res.objective == pytest.approx(ref.fun, abs=OPT_TOL * (1.0 + abs(ref.fun)))
+
+
 def _residual_by_rows(lp, x):
     # row-by-row reference for the vectorised _residual
     worst = 0.0

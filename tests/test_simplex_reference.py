@@ -1,12 +1,13 @@
-"""The simplex's vectorised pivot loop and kept basis inverse against the
-loop they replaced.
+"""The simplex's vectorised pivot loop and restarts from a kept basis
+against the loop they replaced, and restarts across models.
 
 ``reference_solve_lp`` is the earlier solver, kept verbatim apart from
 names: every restart checks its basis with a LAPACK solve and inverts it
 afresh, and the pivot loop masks, indexes and clips element by element.
 The arithmetic of a pivot is the same in both, so on the same LP the two
 must agree bit for bit: the vertex, the objective, the pivot count and
-the final basis.
+the final basis.  A basis carried to a new model has no such reference;
+its optima are checked against cold solves and HiGHS instead.
 """
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ from trfd.simplex import (
     solve_lp,
 )
 from trfd.subproblem import reformulate
+
+try:  # independent reference solver; optional, not a runtime dependency
+    from scipy.optimize import linprog
+except ImportError:
+    linprog = None
 
 
 def reference_solve_lp(lp, start):
@@ -253,14 +259,44 @@ def test_zero_pivot_restart_inverts_nothing(monkeypatch):
     assert len(calls) == 1
 
 
-def test_kept_inverse_stays_exact_across_refactors():
+def test_carried_bases_across_models_match_cold_solves_and_highs(monkeypatch):
+    # as in a run: one LP, a new model written in place after every few
+    # radii, each solve restarting from the basis the solve before left;
+    # every optimum must match a cold solve of the same arrays, and HiGHS
+    runs = []  # per pivot-loop run: (restart?, found a feasible basis?)
+    real_optimize = simplex._optimize
+
+    def recording_optimize(lp, basis, value, B_inv):
+        out = real_optimize(lp, basis, value, B_inv)
+        runs.append((B_inv is None, out is not None))
+        return out
+
+    monkeypatch.setattr(simplex, "_optimize", recording_optimize)
     rng = np.random.default_rng(55)
-    n, m = 12, 24
-    tr = reformulate(*random_tr_instance(rng, "l1", "1", n=n, m=m)[:-1], 1000.0)
-    pivots = 0
-    for radius in (1000.0, 0.8, 0.4, 0.2, 0.1, 0.05, 0.025):
-        tr.set_radius(radius)
-        pivots += solve_lp(tr.lp, tr.start).iterations
-        eye = tr.lp.B_inv @ tr.lp.augmented[:, tr.lp.basic]
-        assert np.abs(eye - np.eye(tr.lp.n_rows)).max() <= 1e-9
-    assert pivots > REFACTOR_EVERY
+    n, m = 6, 12
+    h, F_x, A, region, x, p, _ = random_tr_instance(rng, "l1", "1", n=n, m=m)
+    tr = reformulate(h, F_x, A, region, x, p, 1000.0)
+    carried = []  # (pivots, fell back) of each first solve of a new model
+    for k in range(8):
+        if k:
+            x = x + rng.uniform(-0.01, 0.01, n)
+            F_x = F_x + rng.uniform(-0.01, 0.01, m)
+            A = A + rng.uniform(-0.01, 0.01, (m, n))
+            tr.set_model(F_x, A, x)
+        for i, radius in enumerate(((1000.0, 0.4, 0.2), (0.4, 1000.0, 0.2), (0.1, 0.05), (0.2,))[k % 4]):
+            tr.set_radius(radius)
+            lp = tr.lp
+            runs.clear()
+            got = solve_lp(lp, tr.start)
+            assert runs[0][0] == bool(k or i) and runs[-1][1]
+            if k and not i:
+                carried.append((got.iterations, len(runs) > 1))
+            cold = solve_lp(_twin(lp), tr.start)
+            scale = 1.0 + abs(cold.objective)
+            assert abs(got.objective - cold.objective) <= 1e-9 * scale
+            if linprog is not None:
+                ref = linprog(lp.c, A_ub=lp.rows, b_ub=lp.rhs,
+                              bounds=np.column_stack([lp.lower, lp.upper]), method="highs")
+                assert abs(got.objective - ref.fun) <= 1e-9 * scale
+    assert any(pivots == 0 and not fell_back for pivots, fell_back in carried)
+    assert any(fell_back for _, fell_back in carried)

@@ -189,9 +189,11 @@ def test_u2_economy_and_eta_inheritance():
     [("rosenbrock", "1", 27), ("powell_singular", "inf", 18), ("cb2", "1", 152), ("cb2", "inf", 150)],
 )
 def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
-    # each Jacobian gets one LP, which the step solve, the Delta* solve
-    # when the step's eta bracket does not decide the iteration, and
-    # every U2 retry re-solve at their radii
+    # one LP serves every model of a run: reformulate assembles it with
+    # the first model, and every later Jacobian's is written into it in
+    # place; the step solve, the Delta* solve when the step's eta bracket
+    # does not decide the iteration, and every U2 retry solve it at their
+    # radii
     import trfd.solver
     import trfd.subproblem
     from trfd.testset import registry_by_name
@@ -209,10 +211,13 @@ def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
 
     counting(trfd.solver, "build_jacobian")
     counting(trfd.subproblem, "reformulate")
+    counting(trfd.subproblem.TrustRegionLP, "set_model")
     counting(trfd.subproblem, "solve_lp")
     prob = registry_by_name(name).make_problem()
     solve(prob, TrfdParams.defaults(prob, PNorm.from_value(p)))
-    assert calls["reformulate"] == calls["build_jacobian"]
+    assert calls["reformulate"] == 1
+    # reformulate writes the first model through set_model too
+    assert calls["set_model"] - calls["reformulate"] == calls["build_jacobian"] - 1
     assert calls["solve_lp"] == lps
 
 
