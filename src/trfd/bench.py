@@ -13,12 +13,12 @@ fraction of problems solved within kappa * (n + 1) evaluations.
 Best-f trajectories are recorded per single evaluation (probe points
 included), so the curves have evaluation-level resolution.
 
-All outputs are byte-deterministic: ordered documents, 17-digit floats,
-no timestamps.  Parallelism (``jobs``) only distributes independent
-runs; each run is single-threaded and the collector writes every file.
-A worker returns the ``RunRecord`` that ``solve`` made, and a process
-pool pickles it, exactly; records become documents only when
-``save_trace`` writes them.
+All outputs are byte-deterministic: ordered documents, shortest
+round-trip floats (see ``jsontext``), no timestamps.  Parallelism
+(``jobs``) only distributes independent runs; each run is
+single-threaded and the collector writes every file.  A worker returns
+the ``RunRecord`` that ``solve`` made, and a process pool pickles it,
+exactly; records become documents only when ``save_trace`` writes them.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from . import jsontext
 from .core import PNorm
-from .oracle import format_float
 from .solver import TrfdParams, save_trace, solve
 from .testset import BenchmarkProblem, registry_by_name
 
@@ -130,7 +129,7 @@ def summarize(records: dict) -> dict:
             {
                 "problem": pname,
                 "config": cname,
-                "final_f": rec.final_f,
+                "final_f": rec.final_f if math.isfinite(rec.final_f) else None,
                 "best_f": rec.best_f[-1] if rec.best_f else None,
                 "evals": rec.total_evals,
                 "iterations": len(rec.iterations),
@@ -213,7 +212,5 @@ def emit_profile_csv(profile: DataProfile, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("kappa," + ",".join(profile.solvers) + "\n")
         for kappa in range(profile.budget + 1):
-            row = [str(kappa)] + [
-                format_float(profile.curves[s][kappa]) for s in profile.solvers
-            ]
+            row = [str(kappa)] + [repr(profile.curves[s][kappa]) for s in profile.solvers]
             fh.write(",".join(row) + "\n")

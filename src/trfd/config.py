@@ -30,6 +30,7 @@ must not go unread.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -158,7 +159,10 @@ def _known_keys(doc, known, where):
 
 
 def _number(value, what):
-    """value, when it is a JSON number; a ValueError naming ``what`` otherwise."""
+    """value, when it is a finite JSON number; a ValueError naming ``what``
+    otherwise.  ``json.load`` reads NaN and Infinity as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
     return value

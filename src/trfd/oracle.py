@@ -49,11 +49,6 @@ class HandshakeTimeout(Exception):
     """The external oracle did not complete the hello/ready exchange."""
 
 
-def format_float(v: float) -> str:
-    """17-significant-digit decimal; parses back to the same float64."""
-    return f"{float(v):.16e}"
-
-
 @dataclass
 class EvalBudget:
     """Evaluation allowance in simplex gradients (n + 1 evaluations each)."""

@@ -12,21 +12,23 @@ first columns or entries, so rows and bounds written through them are
 the ones every solve reads, and a solve builds no matrix, cost or bound
 array of its own.
 
+Every solve enters the pivot loop one way.  Its first pass solves the
+basis matrix once with LAPACK for the basics and checks them against
+their bounds, within OPT_TOL.  A basis that passes and shows no
+improving reduced cost (given, or found by a second LAPACK solve) is
+optimal at once, and nothing is inverted; otherwise its inverse is
+formed and the loop pivots from it.
+
 An instance also keeps the final basis of its last solve and the reduced
 costs that solve's LAPACK confirmation proved for it, and a later solve
 restarts from that basis.  Bounds and right-hand sides may change
 between solves; so may the rows, when ``reduced`` is then cleared.  The
 reduced costs depend on neither bounds nor right-hand sides, so they
 stay exact while the rows do not change.  The nonbasics go to the bounds
-the basis names, and a restart's first pass solves the basis matrix once
-with LAPACK for the basics and checks them against their bounds, within
-OPT_TOL; that check is the whole test of the kept basis.  A basis that
-passes and shows no improving reduced cost (recomputed by a second
-LAPACK solve when cleared) is optimal at once, and nothing is inverted;
-otherwise its inverse is formed and the pivot loop goes on from it.  A
-restart that ends above the start's objective by more than OPT_TOL,
-relatively, stopped at a false optimum, since no optimum lies above a
-feasible point; it falls back to the crash.
+the basis names, and the first pass's check is the whole test of the
+kept basis.  A restart that ends above the start's objective by more
+than OPT_TOL, relatively, stopped at a false optimum, since no optimum
+lies above a feasible point; it falls back to the crash.
 
 When the check fails, and on a first solve, the first basis is crashed
 from the start.  Nonbasic variables start at that point clamped into
@@ -35,22 +37,21 @@ variable the start puts strictly inside its bounds at a nonzero value
 then takes the place of the slack of one tight row (implied slack
 exactly zero) in which it has a nonzero coefficient.  The start must
 satisfy every row within OPT_TOL, so this first basis is feasible and
-passes the pivot loop's first-pass check (NumericalTrouble if it ever
-does not); a start that does not, or that is NaN, raises
-NumericalTrouble, on a restart too.  A crash never ends above the
-start's objective, since each pivot lowers it or leaves it.
+passes the first pass's check (NumericalTrouble if it ever does not);
+a start that does not, or that is NaN, raises NumericalTrouble, on a
+restart too.  A crash never ends above the start's objective, since
+each pivot lowers it or leaves it.
 
 The subproblems this package generates are small (at most a few hundred
-variables) and dense.  A crashed basis is inverted once; the pivot loop
-then keeps the inverse current with a product-form (rank-one) update at
-each basis change, inverting afresh every REFACTOR_EVERY changes within
-a solve.  When the updated inverse shows no improving reduced cost, the
-basic values and duals are recomputed by LAPACK solves with the basis
-matrix itself and the reduced costs checked again; if one still
-improves, the loop goes on from a fresh inverse.  Everything is
-deterministic: Dantzig pricing with first-index tie-breaking, switching
-to Bland's rule once the degenerate-pivot count passes 5 * (rows +
-columns).
+variables) and dense.  Once the loop has inverted a basis, it keeps
+the inverse current with a product-form (rank-one) update at each basis
+change, inverting afresh every REFACTOR_EVERY changes within a solve.
+When the updated inverse shows no improving reduced cost, the basic
+values and duals are recomputed by LAPACK solves with the basis matrix
+itself and the reduced costs checked again; if one still improves, the
+loop goes on from a fresh inverse.  Everything is deterministic:
+Dantzig pricing with first-index tie-breaking, switching to Bland's
+rule once the degenerate-pivot count passes 5 * (rows + columns).
 """
 from __future__ import annotations
 
@@ -155,7 +156,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
         infinite = ~np.isfinite(value)
         value[infinite] = np.minimum(np.maximum(0.0, lp.lo), lp.hi)[infinite]
         basic = lp.basic.copy()
-        found = _optimize(lp, basic, value, None)
+        found = _optimize(lp, basic, value, lp.reduced)
         if found is not None:
             at_start = float(lp.c @ x0)
             if float(lp.c @ value[:nv]) > at_start + OPT_TOL * (1.0 + abs(at_start)):
@@ -179,7 +180,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
             if tight.any():
                 basic[tight.argmax()] = j
                 open_rows &= zero
-        found = _optimize(lp, basic, value, _inverse(lp.augmented[:, basic]))
+        found = _optimize(lp, basic, value, None)
         if found is None:
             raise NumericalTrouble("crashed basis infeasible")
     iters, reduced = found
@@ -206,18 +207,18 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(max(gap.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
 
 
-def _optimize(lp: LinearProgram, basis, value, B_inv):
-    """Run the pivot loop on ``lp`` in place from ``basis`` and its inverse
-    ``B_inv``; returns the pivot count and the reduced costs the final
-    LAPACK confirmation proved, or None when the first pass puts a basic
-    more than OPT_TOL outside its bounds (NaN too): that basis is no
-    feasible start.
+def _optimize(lp: LinearProgram, basis, value, reduced):
+    """Run the pivot loop on ``lp`` in place from ``basis``; returns the
+    pivot count and the reduced costs the final LAPACK confirmation
+    proved, or None when the first pass finds the basis matrix singular
+    or puts a basic more than OPT_TOL outside its bounds (NaN too): that
+    basis is no feasible start.
 
-    With ``B_inv`` None, ``basis`` is the one ``lp`` kept, and the first
-    pass solves its matrix with LAPACK instead, None also when it is
-    singular.  It takes the reduced costs ``lp`` kept, or solves for
-    them when there are none, and when none improves returns at once;
-    otherwise it inverts the basis matrix for the pivot loop.
+    The first pass solves the basis matrix with LAPACK for the basics and
+    takes ``reduced`` as the basis's reduced costs (a restart passes the
+    ones ``lp`` kept), or solves for them when it is None.  When none
+    improves it returns at once; otherwise it inverts the basis matrix
+    for the pivot loop.
 
     On return ``value`` holds the optimal vertex, basics included.
     """
@@ -239,22 +240,20 @@ def _optimize(lp: LinearProgram, basis, value, B_inv):
         can_dn = movable & (value > lo)
         return (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
 
-    restart = B_inv is None
-    if restart:
-        B = A[:, basis]
-        try:
-            xb = np.linalg.solve(B, b - A @ value)
-            if not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
-                return None
-            z = lp.reduced
-            if z is None:
-                z = cost - np.linalg.solve(B.T, cost_b) @ A
-        except np.linalg.LinAlgError:
+    B = A[:, basis]
+    try:
+        xb = np.linalg.solve(B, b - A @ value)
+        if not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
             return None
-        if not improving(z).any():
-            value[basis] = xb
-            return 0, z
-        B_inv = _inverse(B)
+        z = reduced
+        if z is None:
+            z = cost - np.linalg.solve(B.T, cost_b) @ A
+    except np.linalg.LinAlgError:
+        return None
+    if not improving(z).any():
+        value[basis] = xb
+        return 0, z
+    B_inv = _inverse(B)
 
     bland = False
     degenerate = 0
@@ -268,8 +267,6 @@ def _optimize(lp: LinearProgram, basis, value, B_inv):
             updates = 0
         rhs = b - A @ value
         xb = B_inv @ rhs
-        if not (it or restart) and not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
-            return None
         y = cost_b @ B_inv
 
         z = cost - y @ A

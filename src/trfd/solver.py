@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class TrfdParams:
     stop_eta: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):  # NaN too
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if not (0 < self.theta <= 1):
@@ -381,7 +385,8 @@ def record_to_doc(record: RunRecord) -> dict:
         "termination": record.termination.value,
         "termination_evals": record.termination_evals,
         "final_x": list(map(float, record.final_x)),
-        "final_f": record.final_f,
+        # a run whose first evaluation failed has no objective value
+        "final_f": record.final_f if math.isfinite(record.final_f) else None,
         "total_evals": record.total_evals,
     }
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import enum
 import json
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,7 @@ from trfd.bench import (
 )
 from trfd.core import OuterFunction, PNorm
 from trfd.oracle import EvalBudget
-from trfd.solver import RunRecord, Termination, TrfdParams, load_trace, solve
+from trfd.solver import RunRecord, Termination, TrfdParams, load_trace, save_trace, solve
 from trfd.testset import registry_by_name
 from trfd.core import NormConstants
 
@@ -135,14 +136,21 @@ def test_profile_run_without_evaluations_never_solves():
 
 
 def test_csv_row_count_and_roundtrip(tmp_path):
-    records = {("p", "S"): fake_record("p", 1, [10.0] + [1.0] * 199, budget=100)}
+    # n = 1: three problems solved at kappa 1, 3 and 50, so the curve
+    # holds thirds, which no short decimal writes exactly
+    records = {
+        (name, "S"): fake_record(name, 1, [10.0] * (2 * kappa - 1) + [1.0] * (201 - 2 * kappa), budget=100)
+        for name, kappa in (("p", 1), ("q", 3), ("r", 50))
+    }
     prof = data_profile(records, 1e-3, budget=100)
+    assert prof.curves["S"][1] == 1 / 3 and prof.curves["S"][3] == 2 / 3
     path = tmp_path / "profile.csv"
     emit_profile_csv(prof, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 102  # header + kappa 0..100
     assert lines[0] == "kappa,S"
-    assert [float(line.split(",")[1]) for line in lines[1:]] == prof.curves["S"]
+    back = [float(line.split(",")[1]) for line in lines[1:]]
+    assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in prof.curves["S"]]
 
 
 def test_run_campaign_writes_traces_and_summary(tmp_path):
@@ -225,6 +233,27 @@ def test_campaign_records_equal_their_traces(tmp_path, jobs):
     assert any(it.rho is None for record in result.records.values() for it in record.iterations)
     for (pname, cname), record in result.records.items():
         assert_same_fields(record, load_trace(tmp_path / f"{pname}__{cname}.json"))
+
+
+def test_traces_in_the_old_float_text_load_the_same(tmp_path):
+    # traces once wrote every float as %.16e text; load_trace reads any
+    # JSON number, so such a trace still gives the record bit for bit
+    problem = registry_by_name("rosenbrock").make_problem()
+    record = solve(problem, TRFD_L1.build_params(problem, 20))
+    path = tmp_path / "trace.json"
+    save_trace(record, path)
+    number = re.compile(r'^(\s*(?:"\w+": )?)(-?\d[\d.eE+-]*)(,?)$')
+
+    def old_text(line):
+        match = number.match(line)
+        if match is None or not any(c in match[2] for c in ".eE"):
+            return line  # no float here: ints were written as ints
+        return f"{match[1]}{float(match[2]):.16e}{match[3]}"
+
+    old = "".join(old_text(line) + "\n" for line in path.read_text().splitlines())
+    assert f'"final_f": {record.final_f:.16e},' in old
+    path.write_text(old)
+    assert_same_fields(load_trace(path), record)
 
 
 def test_lp_dump_counts_match_serial_and_parallel(tmp_path, monkeypatch):

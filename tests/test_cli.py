@@ -318,9 +318,17 @@ BAD_CONFIGS = {
         {"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": "abc"}]}, '"epsilon"'
     ),
     "epsilon_negative": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": -1}]}, "epsilon"),
+    # json.load reads NaN and Infinity; no parameter may take them
+    "epsilon_nan": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": float("nan")}]}, '"epsilon"'),
+    "stop_eta_infinite": (
+        {"problems": ["rosenbrock"], "solvers": [{"name": "X", "stop_eta": float("inf")}]}, '"stop_eta"'
+    ),
     "alpha_above_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpha": 2}]}, "alpha"),
     "budget_zero": ({"problems": ["rosenbrock"], "budget_simplex_gradients": 0}, '"budget_simplex_gradients"'),
     "budget_string": ({"problems": ["rosenbrock"], "budget_simplex_gradients": "abc"}, '"budget_simplex_gradients"'),
+    "budget_infinite": (
+        {"problems": ["rosenbrock"], "budget_simplex_gradients": float("inf")}, '"budget_simplex_gradients"'
+    ),
     "tolerance_negative": ({"problems": ["rosenbrock"], "tolerances": [1e-3, -1]}, '"tolerances"'),
     "tolerance_nan": ({"problems": ["rosenbrock"], "tolerances": [float("nan")]}, '"tolerances"'),
     "tolerance_above_one": ({"problems": ["rosenbrock"], "tolerances": [2]}, '"tolerances"'),
@@ -335,8 +343,9 @@ BAD_CONFIGS = {
     "case",
     [
         "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
-        "not_object", "tolerances_number", "override_string", "epsilon_negative", "alpha_above_one",
-        "budget_zero", "budget_string", "tolerance_negative", "tolerance_nan", "tolerance_above_one",
+        "not_object", "tolerances_number", "override_string", "epsilon_negative", "epsilon_nan",
+        "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_infinite",
+        "tolerance_negative", "tolerance_nan", "tolerance_above_one",
         "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
     ],
 )

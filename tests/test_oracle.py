@@ -15,7 +15,6 @@ from trfd.oracle import (
     InProcessOracle,
     OracleFailure,
     SpawnFailure,
-    format_float,
 )
 
 
@@ -51,12 +50,6 @@ def test_budget_accounting():
     assert b.max_evals == 500
     with pytest.raises(ValueError):
         EvalBudget(simplex_gradients=0, n=4)
-
-
-def test_format_float_roundtrip():
-    rng = np.random.default_rng(1)
-    for v in [0.0, 1.0, -1.0, 0.1, 1e-300, np.pi] + list(rng.normal(size=50)):
-        assert float(format_float(v)) == float(v)
 
 
 def test_external_echo(demo_oracle_cmd):

@@ -266,9 +266,12 @@ def test_carried_bases_across_models_match_cold_solves_and_highs(monkeypatch):
     runs = []  # per pivot-loop run: (restart?, found a feasible basis?)
     real_optimize = simplex._optimize
 
-    def recording_optimize(lp, basis, value, B_inv):
-        out = real_optimize(lp, basis, value, B_inv)
-        runs.append((B_inv is None, out is not None))
+    def recording_optimize(lp, basis, value, reduced):
+        # a restart is a solve's first run on an LP that kept a basis;
+        # solve_lp stores the new basis only after its last run
+        restart = lp.basic is not None and not runs
+        out = real_optimize(lp, basis, value, reduced)
+        runs.append((restart, out is not None))
         return out
 
     monkeypatch.setattr(simplex, "_optimize", recording_optimize)

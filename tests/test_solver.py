@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from conftest import make_problem, rosenbrock_residuals
 
-from trfd.core import MACHINE_EPS, PNorm
+from trfd import bench
+from trfd.bench import TRFD_L1, Campaign, run_campaign
+from trfd.core import MACHINE_EPS, OuterFunction, PNorm
 from trfd.diagnostics import audit_trace
 from trfd.solver import (
     IterationClass,
@@ -17,6 +20,7 @@ from trfd.solver import (
     save_trace,
     solve,
 )
+from trfd.testset import BenchmarkProblem
 
 # integer-valued affine maps keep forward differences exact in floating
 # point, so the model coincides with the function bit for bit
@@ -63,7 +67,10 @@ def test_defaults_tau0_is_sqrt_eps():
 def test_params_validation():
     prob = affine_l1_problem()
     good = TrfdParams.defaults(prob, PNorm.ONE)
-    for field, bad in (("alpha", 1.5), ("theta", 0.0), ("epsilon", -1.0)):
+    # a non-finite field fails too, NaN included: NaN <= 0 is false
+    for field, bad in (("alpha", 1.5), ("theta", 0.0), ("epsilon", -1.0), ("epsilon", math.nan),
+                       ("alpha", math.nan), ("delta_star", math.inf), ("stop_eta", math.inf),
+                       ("stop_delta", -math.inf), ("lipschitz_h", math.nan)):
         kwargs = dict(
             epsilon=good.epsilon, alpha=good.alpha, theta=good.theta, sigma=good.sigma,
             lipschitz_h=good.lipschitz_h, consts=good.consts, p=good.p, budget=good.budget,
@@ -71,7 +78,7 @@ def test_params_validation():
             stop_delta=good.stop_delta, stop_eta=good.stop_eta,
         )
         kwargs[field] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             TrfdParams(**kwargs)
     # p = 2 has no LP subproblem: rejected before any evaluation is spent
     with pytest.raises(ValueError):
@@ -303,16 +310,29 @@ def test_trace_roundtrip_bitexact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_failure_on_first_evaluation_still_serializes(tmp_path):
-    prob = make_problem(lambda x: np.array([np.nan, np.nan]), 2, 2, "l1", (0.0, 0.0))
+def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):
+    def nan_residuals(x):
+        return np.array([np.nan, np.nan])
+
+    prob = make_problem(nan_residuals, 2, 2, "l1", (0.0, 0.0))
     rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
     assert rec.termination is Termination.ORACLE_ERROR
     assert rec.total_evals == 0
     path = tmp_path / "dead.json"
     save_trace(rec, path)
+    assert '"final_f": null' in path.read_text()
     back = load_trace(path)
     assert back.termination is Termination.ORACLE_ERROR
     assert back.final_f == math.inf
+    # through a campaign, the summary says "absent" with explicit nulls
+    dead = BenchmarkProblem(name="dead", family=OuterFunction.L1, n=2, m=2, residuals=nan_residuals,
+                            x0=(0.0, 0.0), f_ref=0.0, f_ref_note="")
+    monkeypatch.setattr(bench, "registry_by_name", lambda name: dead)
+    out = tmp_path / "campaign"
+    run_campaign(Campaign(problems=["dead"], solver_configs=[TRFD_L1]), out_dir=str(out))
+    (run,) = json.loads((out / "summary.json").read_text())["runs"]
+    assert run["termination"] == "oracle_error"
+    assert run["final_f"] is None and run["best_f"] is None
 
 
 def test_budget_dimension_mismatch():
