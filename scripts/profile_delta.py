@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Compare two campaign trace directories, old and new.
 
-For every run whose trace differs in any field but ``eta`` and
-``eta_upper`` it prints the old and new termination, evaluation count
-and final f, and the first iteration and field that differ (or the
-first top-level field, when every iteration agrees).  Then it prints how
-many trace files are byte-identical in the two directories.  Then, for
-each default tolerance, it prints the smallest and largest change (new
-minus old) of each solver's data-profile curve over kappa.  Both
-versions are profiled as one group, so every problem's f_best is the
-lowest value either version found.
+For every run whose trace differs in any field but ``eta``,
+``eta_upper`` and ``eta_radius`` it prints the old and new termination,
+evaluation count and final f, and the first iteration and field that
+differ (or the first top-level field, when every iteration agrees).
+Then it prints how many trace files are byte-identical in the two
+directories.  Then, for each default tolerance, it prints the smallest
+and largest change (new minus old) of each solver's data-profile curve
+over kappa.  Both versions are profiled as one group, so every
+problem's f_best is the lowest value either version found.
 
-A v1 trace, written before snapshots had ``eta_upper``, is read as a v2
-trace whose every eta is exact, so a tree from before that change can
-be compared with one from after it.
+Older traces are read as the current schema, so a tree from before a
+change of schema can be compared with one from after it: a v1 trace,
+written before snapshots had ``eta_upper``, has every eta exact, and a
+v2 trace, written before ``eta_radius``, read every bracket's lower end
+at rho = delta.
 
 Usage:  PYTHONPATH=src python scripts/profile_delta.py OLD_DIR NEW_DIR
 """
@@ -24,16 +26,20 @@ from pathlib import Path
 from trfd.bench import DEFAULT_TOLERANCES, data_profile, trace_files
 from trfd.solver import TRACE_SCHEMA, record_from_doc
 
-# fields whose change the bracketed eta of v2 explains
-ETA_FIELDS = ("eta", "eta_upper")
+# fields whose change a bracketed eta explains
+ETA_FIELDS = ("eta", "eta_upper", "eta_radius")
 
 
 def load_doc(path) -> dict:
     doc = json.loads(Path(path).read_text())
-    if doc.get("schema") == "trfd-trace-v1":
-        doc["schema"] = TRACE_SCHEMA
+    if doc.get("schema") in ("trfd-trace-v1", "trfd-trace-v2"):
         for it in doc["iterations"]:
-            it["eta_upper"] = None
+            it.setdefault("eta_upper", None)
+            # a U2 retry inherits the radius of the step-1 snapshot before it
+            if it["entered_at"] == "step1":
+                radius = None if it["eta_upper"] is None else it["delta"]
+            it["eta_radius"] = radius
+        doc["schema"] = TRACE_SCHEMA
     return doc
 
 

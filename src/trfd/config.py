@@ -122,7 +122,10 @@ def campaign_from_config(doc: dict) -> Campaign:
             )
         )
 
-    simplex_gradients = int(_number(doc.get("budget_simplex_gradients", 100), '"budget_simplex_gradients"'))
+    simplex_gradients = _number(doc.get("budget_simplex_gradients", 100), '"budget_simplex_gradients"')
+    if simplex_gradients != int(simplex_gradients):
+        raise ValueError(f'"budget_simplex_gradients" must be a whole number, not {simplex_gradients!r}')
+    simplex_gradients = int(simplex_gradients)
     # build the budget and each solver's parameters once, on every problem,
     # so that a value out of range fails here, before any run starts
     try:

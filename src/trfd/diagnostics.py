@@ -269,14 +269,21 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             fail(cur.k, "iteration after U2 did not re-enter at step 3")
         if prev.cls is not IterationClass.U2 and cur.entered_at != "step1":
             fail(cur.k, "iteration after non-U2 did not enter at step 1")
-        if prev.cls is IterationClass.U2 and (cur.eta, cur.eta_upper) != (prev.eta, prev.eta_upper):
-            fail(cur.k, "inherited eta or eta_upper changed across a U2 re-entry")
+        if prev.cls is IterationClass.U2 and (
+            (cur.eta, cur.eta_upper, cur.eta_radius) != (prev.eta, prev.eta_upper, prev.eta_radius)
+        ):
+            fail(cur.k, "inherited eta, eta_upper or eta_radius changed across a U2 re-entry")
     checks.append("tau/delta update rules replay bitwise")
 
     # a bracket [eta, eta_upper] on eta(Delta*) stands in for the Delta*
-    # LP only when its lower end rules out U1 and eta_floor with margin
+    # LP only when its lower end rules out U1 and eta_floor with margin.
+    # Its lower end is psi(rho)/Delta* and its upper end psi(delta)/delta:
+    # at rho = delta both describe the same psi(delta); further out, psi's
+    # concavity bounds psi(rho) by rho psi(delta)/delta
     skip_floor = 2.0 * max(ETA_SNAP, p.stop_eta, eps_half)
     for s in snaps:
+        if (s.eta_upper is None) != (s.eta_radius is None):
+            fail(s.k, f"eta_upper {s.eta_upper!r} and eta_radius {s.eta_radius!r} must be set together")
         if s.eta_upper is None or s.entered_at != "step1":
             continue
         if s.cls is IterationClass.U1:
@@ -285,10 +292,18 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             fail(s.k, f"bracketed eta {s.eta!r} does not clear {skip_floor!r}")
         if not (s.delta < p.delta_star and s.eta <= s.eta_upper):
             fail(s.k, f"bracket needs delta < Delta* and eta <= eta_upper: {s.delta!r}, {s.eta!r}, {s.eta_upper!r}")
-        psi_lower, psi_upper = s.eta * p.delta_star, s.eta_upper * s.delta
-        if abs(psi_upper - psi_lower) > BRACKET_RTOL * psi_upper:
-            fail(s.k, f"bracket ends disagree: eta*Delta* = {psi_lower!r}, eta_upper*delta = {psi_upper!r}")
-    checks.append("eta brackets clear the U1/eta_floor threshold and agree")
+        rho = s.eta_radius
+        if rho == s.delta:
+            psi_lower, psi_upper = s.eta * p.delta_star, s.eta_upper * s.delta
+            if abs(psi_upper - psi_lower) > BRACKET_RTOL * psi_upper:
+                fail(s.k, f"bracket ends disagree: eta*Delta* = {psi_lower!r}, eta_upper*delta = {psi_upper!r}")
+            continue
+        if not (s.delta <= rho <= p.delta_star):
+            fail(s.k, f"eta_radius {rho!r} outside [delta, Delta*] = [{s.delta!r}, {p.delta_star!r}]")
+        psi_rho, bound = s.eta * p.delta_star, s.eta_upper * (1.0 + BRACKET_RTOL) * rho
+        if psi_rho > bound:
+            fail(s.k, f"bracket breaks concavity: eta*Delta* = {psi_rho!r} > eta_upper*(1 + rtol)*rho = {bound!r}")
+    checks.append("eta brackets clear the U1/eta_floor threshold and obey psi's concavity")
 
     for prev, cur in zip(snaps, snaps[1:]):
         if cur.f > prev.f:

@@ -23,15 +23,18 @@ step 1 otherwise.
 The run's LP is assembled once, with the first model, and each later
 model is written into it in place (``TrustRegionLP.set_model``).  Each
 model is solved first at the step radius delta.  Below the reference
-radius Delta*, that step brackets eta(Delta*) between psi(delta)/Delta*
-and psi(delta)/delta (``subproblem.eta_bracket``).  When the lower end
+radius Delta*, that step brackets eta(Delta*) between psi(rho)/Delta*
+and psi(delta)/delta, with psi(rho) read at the step (rho = delta) or
+further along its ray (``subproblem.eta_bracket``).  When the lower end
 clears twice the floor under which eta would stop the run or take a U1
 step (``max(ETA_SNAP, stop_eta, epsilon/2)``), the bracket decides the
-iteration and the snapshot records both ends; otherwise the LP is moved
-to Delta* and solved for the exact eta, which the snapshot records
-alone.  A U2 retry moves the LP to its halved radius.  The LP keeps its
-basis through every move and every new model, so the simplex restarts
-from the basis of the solve before.
+iteration and the snapshot records both ends and rho; otherwise the LP
+is moved to Delta* and solved for the exact eta, which the snapshot
+records alone.  A U2 retry moves the LP to its halved radius.  The LP
+keeps its basis through every move and every new model, so the simplex
+restarts from the basis of the solve before, except after a Delta*
+solve: the LP is then given back the step's basis and reduced costs,
+and the next solve at a step radius restarts from those.
 
 Evaluation accounting is strict and kept in one ledger, the best-f
 list, which gains one entry per evaluation that returned a usable
@@ -55,7 +58,7 @@ from .oracle import EvalBudget, OracleFailure
 from .simplex import NumericalTrouble
 from .subproblem import ETA_SNAP, eta_bracket, solve_tr_subproblem
 
-TRACE_SCHEMA = "trfd-trace-v2"
+TRACE_SCHEMA = "trfd-trace-v3"
 
 # model decrease below 1e-15 * (1 + |f|) is treated as no decrease
 RHO_DEGENERATE_REL = 1e-15
@@ -170,9 +173,12 @@ class IterationSnapshot:
     entered_at: str  # "step1" | "step3"
     tau: float
     delta: float
-    # eta at Delta*, or the lower end of its bracket when eta_upper is set
+    # eta at Delta*, or the lower end of its bracket when eta_upper is
+    # set; eta_radius is then the radius rho whose decrease psi(rho) the
+    # lower end reads, eta = psi(rho)/Delta*, and None when eta is exact
     eta: float
     eta_upper: float | None
+    eta_radius: float | None
     rho: float | None
     rho_degenerate: bool
     f: float
@@ -283,14 +289,20 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                     tr.set_model(F_x, A, x)
                     tr.set_radius(delta)
                 sol = solve_tr_subproblem(tr)
-                eta, eta_upper = sol.eta, None
+                eta, eta_upper, eta_radius = sol.eta, None, None
                 if delta < params.delta_star:
                     bracket = eta_bracket(tr, sol, params.delta_star, eta_floor)
                     if bracket is None:
+                        # the model is the same, so the step's basis and
+                        # reduced costs stay exact; put them back, and the
+                        # next step-radius solve restarts from them
+                        lp = tr.lp
+                        kept = lp.basic, lp.at_upper, lp.reduced
                         tr.set_radius(params.delta_star)
                         eta = solve_tr_subproblem(tr).eta
+                        lp.basic, lp.at_upper, lp.reduced = kept
                     else:
-                        eta, eta_upper = bracket
+                        eta, eta_upper, eta_radius = bracket
                 if eta <= params.stop_eta:
                     return finish(Termination.ETA_FLOOR)
 
@@ -315,7 +327,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
 
             snapshots.append(IterationSnapshot(
                 k=len(snapshots), cls=cls, entered_at=entry,
-                tau=tau, delta=delta, eta=eta, eta_upper=eta_upper, rho=rho,
+                tau=tau, delta=delta, eta=eta, eta_upper=eta_upper, eta_radius=eta_radius, rho=rho,
                 rho_degenerate=cls is not IterationClass.U1 and rho is None,
                 f=f_x, x=x.copy(), evals_iter=len(best_f) - evals_done, evals_total=len(best_f),
             ))
@@ -372,6 +384,7 @@ def record_to_doc(record: RunRecord) -> dict:
                 "delta": s.delta,
                 "eta": s.eta,
                 "eta_upper": s.eta_upper,
+                "eta_radius": s.eta_radius,
                 "rho": s.rho,
                 "rho_degenerate": s.rho_degenerate,
                 "f": s.f,
@@ -424,6 +437,7 @@ def record_from_doc(doc: dict) -> RunRecord:
             delta=_field(it, "delta", "number"),
             eta=_field(it, "eta", "number"),
             eta_upper=_field(it, "eta_upper", "number", null=True),
+            eta_radius=_field(it, "eta_radius", "number", null=True),
             rho=_field(it, "rho", "number", null=True),
             rho_degenerate=_field(it, "rho_degenerate", "boolean"),
             f=_field(it, "f", "number"),

@@ -35,9 +35,10 @@ longer feasible.
 
 The model decrease psi(r) = r * eta(r) is concave and nondecreasing in
 r with psi(0) = 0, so one solve at a radius r brackets eta at any larger
-radius R:  psi(r)/R <= eta(R) <= psi(r)/r.  ``eta_bracket`` returns that
-bracket when its lower end alone decides the outer method's tests, and
-the LP at R need not be solved.
+radius R:  psi(rho)/R <= eta(R) <= psi(r)/r for every rho in [r, R].
+``eta_bracket`` reads psi(rho) at the step (rho = r) or further along
+its ray, and returns the bracket when its lower end alone decides the
+outer method's tests, so the LP at R need not be solved.
 """
 from __future__ import annotations
 
@@ -233,39 +234,84 @@ def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
 
 
 def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor: float):
-    """Bounds ``(lower, upper)`` on eta at a radius ``r_ref`` above
-    ``tr``'s, from ``sol``, the solve at ``tr``'s radius; None unless the
-    lower end, less rounding, exceeds ``2 * floor`` and the two ends
-    agree within BRACKET_RTOL.
+    """Bounds ``(lower, upper, rho)`` on eta at a radius ``r_ref`` above
+    ``tr``'s radius delta, from ``sol``, the solve at delta; None unless
+    the lower end, less rounding, exceeds ``2 * floor``.
 
     psi(r) = h(F) - min over the feasible r-ball of h(F + A d) is concave
     and nondecreasing with psi(0) = 0 (Yuan 1985, Math. Prog. 31;
     Cartis, Gould and Toint 2011, SIAM J. Optim. 21, Lemma 2.1), so
-    psi(r)/r_ref <= eta(r_ref) <= psi(r)/r.  The lower end reads psi(r)
-    at the step pulled into the ball: ``_check_solution`` lets the step
-    overshoot it slightly, and the region is convex and holds x, so the
-    pulled-in step is feasible and its decrease is one psi(r) attains.
+    psi(rho)/r_ref <= eta(r_ref) <= psi(delta)/delta for any rho in
+    [delta, r_ref].  The upper end reads psi(delta) from the LP.  The
+    lower end reads the decrease at a feasible point of a rho-ball,
+    which psi(rho) is at least.  It tries the step pulled into the ball
+    first (rho = delta): ``_check_solution`` lets the step overshoot it
+    slightly, and the region is convex and holds x, so the pulled-in
+    step is feasible.  Its decrease must agree with the LP's within
+    BRACKET_RTOL, as two readings of psi(delta).  Otherwise it reads
+    the model along the step's ray, at rho times the step's unit
+    direction for rho = 4^k delta and rho = r_ref, capped where the ray
+    leaves the region, and takes the largest decrease that clears the
+    threshold.  There the upper end adds the rounding allowance of its
+    reading.  A ray point whose lower end exceeds the upper end, or that
+    breaks psi(rho)/rho <= psi(delta)/delta, the concavity the audit
+    checks, is never taken.
     """
     r = tr.radius
+    F, A, base = tr.F_x, tr.A, tr.base_value
     d = sol.d_star
     size = norm(d, tr.p)
     if size > r:
         d = d * (r / size)
-    psi_lower = tr.base_value - eval_h(tr.h, tr.F_x + tr.A @ d)
+    psi_lower = base - eval_h(tr.h, F + A @ d)
+    psi_upper = max(psi_lower, base - sol.model_value)
     # h(F) and h(F + A d) are sums or maxima of m entries, each entry F_i
     # plus n products, so each is off by at most (m + n + 1) u times
     # sum(|F| + |A||d|), u the machine epsilon (Higham 2002, sec. 3.1);
     # twice that covers the difference, and twice again leaves slack.  The
-    # allowance grows with the residuals while the threshold stays
-    # absolute, so at residuals x1e8 a decrease that is rounding noise of
-    # that size never clears it.
-    m, n = tr.A.shape
-    spread = float(np.sum(np.abs(tr.F_x) + np.abs(tr.A) @ np.abs(d)))
-    allowance = 4 * (m + n + 1) * MACHINE_EPS * spread
-    psi_upper = max(psi_lower, tr.base_value - sol.model_value)
-    if (psi_lower - allowance) / r_ref <= 2.0 * floor or psi_lower < (1.0 - BRACKET_RTOL) * psi_upper:
+    # allowance grows with the residuals and with the step while the
+    # threshold stays absolute, so at residuals x1e8 a decrease that is
+    # rounding noise of that size never clears it.
+    m, n = A.shape
+    unit = 4 * (m + n + 1) * MACHINE_EPS
+    spread_F, col_A = float(np.sum(np.abs(F))), np.sum(np.abs(A), axis=0)
+    allowance = unit * (spread_F + float(col_A @ np.abs(d)))
+    if (psi_lower - allowance) / r_ref > 2.0 * floor and psi_lower >= (1.0 - BRACKET_RTOL) * psi_upper:
+        return psi_lower / r_ref, psi_upper / r, r
+    if size == 0.0:
         return None
-    return psi_lower / r_ref, psi_upper / r
+    # psi(delta) read this small may be rounding itself, down to 0 where
+    # the ray proves a decrease, so on the ray the upper end adds the
+    # reading's allowance
+    upper = (psi_upper + allowance) / r
+    u = sol.d_star / size
+    grid = r * 4.0 ** np.arange(1.0, np.ceil(np.log(r_ref / r) / np.log(4.0)))
+    rho = np.minimum(np.append(grid[grid < r_ref], r_ref), _ray_length(tr.region, tr.x, u))
+    rho = np.unique(rho[rho > r])
+    Z = F + np.outer(rho, A @ u)
+    psi = base - (np.sum(np.abs(Z), axis=1) if tr.h is OuterFunction.L1 else np.max(Z, axis=1))
+    lower = psi / r_ref
+    certified = (psi - unit * (spread_F + rho * float(col_A @ np.abs(u)))) / r_ref > 2.0 * floor
+    certified &= (lower <= upper) & (lower * r_ref <= upper * (1.0 + BRACKET_RTOL) * rho)
+    if not certified.any():
+        return None
+    k = int(np.where(certified, psi, -np.inf).argmax())
+    return float(lower[k]), upper, float(rho[k])
+
+
+def _ray_length(region: FeasibleRegion, x: np.ndarray, u: np.ndarray) -> float:
+    """The largest t with x + t u in ``region``, by a ratio test over the
+    finite box sides and the linear rows; inf when the ray stays in it."""
+    up, down = u > 0, u < 0
+    t = min(
+        np.min((region.upper[up] - x[up]) / u[up], initial=np.inf),
+        np.min((region.lower[down] - x[down]) / u[down], initial=np.inf),
+    )
+    for a, b in region.linear_ineq:
+        slope = float(a @ u)
+        if slope > 0:
+            t = min(t, (b - float(a @ x)) / slope)
+    return float(t)
 
 
 def _check_solution(tr, d, model_value, result: SimplexResult) -> None:

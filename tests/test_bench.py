@@ -343,6 +343,7 @@ def test_profile_delta_names_the_first_difference_outside_eta(tmp_path, capsys):
     def eta_only(d):
         d["iterations"][1]["eta"] *= 2.0
         d["iterations"][1]["eta_upper"] = 1.0
+        d["iterations"][1]["eta_radius"] = 1.0
 
     assert compare(eta_only)[0] == "0 of 1 runs changed"
 
@@ -358,9 +359,18 @@ def test_profile_delta_names_the_first_difference_outside_eta(tmp_path, capsys):
         # a trace of a tree from before eta_upper, with the same run
         d["schema"] = "trfd-trace-v1"
         for it in d["iterations"]:
-            del it["eta_upper"]
+            del it["eta_upper"], it["eta_radius"]
 
     assert compare(v1)[0] == "0 of 1 runs changed"
+
+    def v2(d):
+        # a trace of a tree from before eta_radius, whose brackets read
+        # psi at rho = delta
+        d["schema"] = "trfd-trace-v2"
+        for it in d["iterations"]:
+            del it["eta_radius"]
+
+    assert compare(v2)[0] == "0 of 1 runs changed"
 
 
 def test_robustness_sweep_script(capsys):

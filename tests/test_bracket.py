@@ -1,21 +1,24 @@
 """The eta bracket that lets a step solve stand in for the Delta* solve.
 
 psi(r) = h(F) - min over the feasible r-ball of h(F + A d) is concave
-and nondecreasing with psi(0) = 0, so psi(delta)/Delta* <= eta(Delta*)
-<= psi(delta)/delta for delta < Delta*.  These tests check that
-bracket against exact solves at both radii, and check that the solver
-takes a bracket only where the exact eta would not have stopped the run
-or taken a U1 step.
+and nondecreasing with psi(0) = 0, so psi(rho)/Delta* <= eta(Delta*)
+<= psi(delta)/delta for delta <= rho <= Delta*.  The lower end reads
+psi(rho) at the step or at a point further along its ray.  These tests
+check that bracket against exact solves at both radii, check the ray
+point's feasibility, and check that the solver takes a bracket only
+where the exact eta would not have stopped the run or taken a U1 step.
 """
 import numpy as np
 import pytest
 from conftest import random_tr_instance
 
-from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem, eval_h
+from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem, eval_h, norm
 from trfd.oracle import InProcessOracle
 from trfd.simplex import NumericalTrouble
 from trfd.solver import TrfdParams, solve
-from trfd.subproblem import ETA_SNAP, SubproblemSolution, eta_bracket, reformulate, solve_tr_subproblem
+from trfd.subproblem import (
+    BRACKET_RTOL, ETA_SNAP, SubproblemSolution, eta_bracket, reformulate, solve_tr_subproblem,
+)
 from trfd.testset import registry_by_name
 
 pytest.importorskip("hypothesis")
@@ -31,12 +34,20 @@ def model_tol(tr) -> float:
     return 1e-7 * (1.0 + abs(tr.base_value))
 
 
+def ray_point(tr, step, rho) -> np.ndarray:
+    """The point of the region whose decrease the bracket's lower end reads."""
+    size = norm(step.d_star, tr.p)
+    if rho == tr.radius:
+        return tr.x + step.d_star * min(1.0, rho / size)
+    return tr.x + rho * (step.d_star / size)
+
+
 @seed(20261018)
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=400, deadline=None, database=None)
 @given(
     h=st.sampled_from(["l1", "minimax"]),
     p=st.sampled_from(["1", "inf"]),
-    region=st.sampled_from(["none", "box", "box+rows"]),
+    region=st.sampled_from(["none", "box", "box+rows", "rows"]),
     n=st.integers(1, 4),
     m=st.integers(1, 5),
     instance_seed=st.integers(0, 2**32 - 1),
@@ -45,13 +56,19 @@ def model_tol(tr) -> float:
     stop_eta=st.sampled_from([0.0, 1e-13, 1e-6, 1e-3]),
 )
 def test_bracket_holds_against_exact_solves(h, p, region, n, m, instance_seed, log_delta, scale, stop_eta):
-    # small scales put psi(delta)/Delta* near ETA_SNAP
+    # small scales put psi(delta)/Delta* near ETA_SNAP, where the ray
+    # decides whether the bracket is taken
     rng = np.random.default_rng(instance_seed)
     h, F_x, A, box_region, x, p, _ = random_tr_instance(rng, h, p, n=n, m=m, constrained=region != "none")
     F_x, A = scale * F_x, scale * A
     floor = max(ETA_SNAP, stop_eta)
     if region == "box":
         box_region = FeasibleRegion(box_region.lower, box_region.upper, ())
+    elif region == "rows":
+        # rows alone, their boundaries through x, so the ray may end at x
+        free = FeasibleRegion.unconstrained(n)
+        rows = tuple((a, float(a @ x)) for a in rng.uniform(-2.0, 2.0, (int(rng.integers(1, 3)), n)))
+        box_region = FeasibleRegion(free.lower, free.upper, rows)
     delta = 10.0**log_delta
 
     tr = reformulate(h, F_x, A, box_region, x, p, delta)
@@ -64,12 +81,48 @@ def test_bracket_holds_against_exact_solves(h, p, region, n, m, instance_seed, l
 
     bracket = eta_bracket(tr, step, DELTA_STAR, floor)
     if bracket is not None:
-        lower, upper = bracket
+        lower, upper, rho = bracket
         assert 2.0 * floor < lower <= upper
         assert lower <= exact + tol / DELTA_STAR
         assert exact <= upper + tol / delta
         # what the solver skips would neither have snapped nor stopped
         assert exact > floor
+        # the lower end is the decrease at a feasible point of the rho-ball
+        assert delta <= rho <= DELTA_STAR
+        point = ray_point(tr, step, rho)
+        assert norm(point - x, p) <= rho * (1.0 + 1e-12)
+        assert box_region.contains(point, tol=1e-12 * (1.0 + rho))
+        assert lower * DELTA_STAR == pytest.approx(tr.base_value - eval_h(h, F_x + A @ (point - x)), rel=1e-9)
+        # psi's concavity, which the audit checks
+        assert lower * DELTA_STAR <= upper * (1.0 + BRACKET_RTOL) * rho
+
+
+@pytest.mark.parametrize("region, rho", [
+    ("none", DELTA_STAR), ("box", 0.5), ("rows", 0.25), ("row through x", None),
+])
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_the_ray_reads_psi_up_to_where_it_leaves_the_region(region, rho, p):
+    # h(F + A d) = d, so psi(r) = r until the region stops the ray, and
+    # psi(delta)/Delta* = 1e-16 alone clears no floor
+    free = FeasibleRegion.unconstrained(1)
+    regions = {
+        "none": free,
+        "box": FeasibleRegion(np.array([-np.inf]), np.array([0.5]), ()),
+        "rows": FeasibleRegion(free.lower, free.upper, ((np.array([4.0]), 1.0),)),
+        "row through x": FeasibleRegion(free.lower, free.upper, ((np.array([4.0]), 0.0),)),
+    }
+    delta = 1e-13
+    tr = reformulate(OuterFunction.MINIMAX, np.zeros(1), np.array([[-1.0]]), regions[region],
+                     np.zeros(1), PNorm.from_value(p), delta)
+    step = solve_tr_subproblem(tr)
+    bracket = eta_bracket(tr, step, DELTA_STAR, ETA_SNAP)
+    if rho is None:
+        # the step is 0, so there is no ray to read
+        assert bracket is None
+    else:
+        # at this radius the p = 1 step overshoots the ball by rounding
+        # of the LP's absolute tolerance, which the upper end keeps
+        assert bracket == (rho / DELTA_STAR, pytest.approx(1.0, rel=1e-4), rho)
 
 
 def scaled(bp, scale) -> Problem:
@@ -103,12 +156,14 @@ def test_solver_skips_the_delta_star_solve_only_above_the_floor(name, scale, mon
                 return bracket
             assert exact.eta > floor
             assert bracket[0] <= exact.eta + model_tol(tr) / r_ref
-            checked_brackets.append(bracket)
+            checked_brackets.append(bracket[2] > tr.radius)
         return bracket
 
     monkeypatch.setattr(trfd.solver, "eta_bracket", checked)
     solve(problem, params)
     assert len(checked_brackets) >= 10
+    # unscaled, some lower ends are read on the step's ray
+    assert scale != 1.0 or any(checked_brackets)
 
 
 def test_a_decrease_of_rounding_size_never_clears_the_threshold():

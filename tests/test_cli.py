@@ -326,6 +326,7 @@ BAD_CONFIGS = {
     "alpha_above_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpha": 2}]}, "alpha"),
     "budget_zero": ({"problems": ["rosenbrock"], "budget_simplex_gradients": 0}, '"budget_simplex_gradients"'),
     "budget_string": ({"problems": ["rosenbrock"], "budget_simplex_gradients": "abc"}, '"budget_simplex_gradients"'),
+    "budget_fractional": ({"problems": ["rosenbrock"], "budget_simplex_gradients": 2.9}, '"budget_simplex_gradients"'),
     "budget_infinite": (
         {"problems": ["rosenbrock"], "budget_simplex_gradients": float("inf")}, '"budget_simplex_gradients"'
     ),
@@ -344,7 +345,7 @@ BAD_CONFIGS = {
     [
         "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "epsilon_nan",
-        "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_infinite",
+        "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_fractional", "budget_infinite",
         "tolerance_negative", "tolerance_nan", "tolerance_above_one",
         "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
     ],

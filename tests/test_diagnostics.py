@@ -246,9 +246,10 @@ def _edited_trace(rec, edit):
 
 
 def _bracketed_step(doc) -> dict:
-    # a bracketed step-1 snapshot no U2 re-entry inherits from
+    # a step-1 snapshot bracketed at rho = delta that no U2 re-entry
+    # inherits from
     return next(it for it in doc["iterations"]
-                if it["eta_upper"] is not None and it["entered_at"] == "step1" and it["class"] != "u2")
+                if it["eta_radius"] == it["delta"] and it["entered_at"] == "step1" and it["class"] != "u2")
 
 
 def test_audit_accepts_brackets_and_rejects_one_on_a_u1_iteration():
@@ -258,7 +259,7 @@ def test_audit_accepts_brackets_and_rejects_one_on_a_u1_iteration():
 
     def bracket_a_u1(doc):
         it = next(it for it in doc["iterations"] if it["class"] == "u1")
-        it["eta_upper"] = 2.0 * it["eta"] + 1.0
+        it["eta_upper"], it["eta_radius"] = 2.0 * it["eta"] + 1.0, it["delta"]
 
     with pytest.raises(AuditFailure, match=r"^iteration \d+: a U1 iteration took eta from a bracket$"):
         audit_trace(_edited_trace(rec, bracket_a_u1))
@@ -282,6 +283,44 @@ def test_audit_rejects_a_bracket_under_the_threshold_or_with_ends_that_disagree(
             it["eta"] = 1.5 * floor
         else:
             it["eta_upper"] *= 2.0
+
+    with pytest.raises(AuditFailure, match=rf"^iteration \d+: {message}") as info:
+        audit_trace(_edited_trace(rec, edit))
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("rho_above", r"eta_radius .* outside \[delta, Delta\*\]"),
+    ("rho_below", r"eta_radius .* outside \[delta, Delta\*\]"),
+    ("concavity", r"bracket breaks concavity: eta\*Delta\* = .* > eta_upper\*\(1 \+ rtol\)\*rho = "),
+    ("radius_alone", r"eta_upper None and eta_radius .* must be set together"),
+])
+def test_audit_rejects_a_ray_bracket_outside_its_radii_or_against_concavity(fault, message):
+    # cb2's brackets read on the step's ray all sit on U2 iterations, so
+    # each edit is copied to the retries that inherit the bracket
+    prob = registry_by_name("cb2").make_problem()
+    rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    assert audit_trace(rec).ok
+    delta_star = rec.params.delta_star
+
+    def edit(doc):
+        its = doc["iterations"]
+        i, it = next((i, it) for i, it in enumerate(its)
+                     if it["eta_radius"] not in (None, it["delta"]) and it["entered_at"] == "step1")
+        if fault == "rho_above":
+            it["eta_radius"] = 2.0 * delta_star
+        elif fault == "rho_below":
+            it["eta_radius"] = it["delta"] / 2.0
+        elif fault == "concavity":
+            # inside [delta, Delta*], with eta*Delta*/rho twice eta_upper
+            it["eta_radius"] = it["eta"] * delta_star / (2.0 * it["eta_upper"])
+            assert it["delta"] <= it["eta_radius"] <= delta_star
+        else:
+            it["eta_upper"] = None
+        for retry in its[i + 1:]:
+            if retry["entered_at"] != "step3":
+                break
+            retry["eta_upper"], retry["eta_radius"] = it["eta_upper"], it["eta_radius"]
 
     with pytest.raises(AuditFailure, match=rf"^iteration \d+: {message}") as info:
         audit_trace(_edited_trace(rec, edit))

@@ -20,6 +20,7 @@ from trfd.solver import (
     save_trace,
     solve,
 )
+from trfd.subproblem import eta_bracket
 from trfd.testset import BenchmarkProblem
 
 # integer-valued affine maps keep forward differences exact in floating
@@ -187,13 +188,14 @@ def test_u2_economy_and_eta_inheritance():
             assert cur.evals_iter == 1
             assert cur.eta == prev.eta
             assert cur.eta_upper == prev.eta_upper
+            assert cur.eta_radius == prev.eta_radius
         else:
             assert cur.entered_at == "step1"
 
 
 @pytest.mark.parametrize(
     "name, p, lps",
-    [("rosenbrock", "1", 27), ("powell_singular", "inf", 18), ("cb2", "1", 152), ("cb2", "inf", 150)],
+    [("rosenbrock", "1", 27), ("powell_singular", "inf", 18), ("cb2", "1", 139), ("cb2", "inf", 140)],
 )
 def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
     # one LP serves every model of a run: reformulate assembles it with
@@ -206,6 +208,30 @@ def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
     from trfd.testset import registry_by_name
 
     calls = Counter()
+    # after each Delta* solve, the next solve must find the step's basis
+    # back in the LP: [basic, at_upper, whether the Delta* solve ran]
+    pending = []
+    restored = 0
+
+    def bracket_or_none(tr, sol, r_ref, floor):
+        bracket = eta_bracket(tr, sol, r_ref, floor)
+        if bracket is None:
+            pending.append([tr.lp.basic.copy(), tr.lp.at_upper.copy(), False])
+        return bracket
+
+    def checked_solve_lp(lp, start):
+        nonlocal restored
+        if pending and pending[0][2]:
+            basic, at_upper, _ = pending.pop()
+            assert np.array_equal(lp.basic, basic) and np.array_equal(lp.at_upper, at_upper)
+            restored += 1
+        elif pending:
+            pending[0][2] = True
+        return real_solve_lp(lp, start)
+
+    real_solve_lp = trfd.subproblem.solve_lp
+    monkeypatch.setattr(trfd.subproblem, "solve_lp", checked_solve_lp)
+    monkeypatch.setattr(trfd.solver, "eta_bracket", bracket_or_none)
 
     def counting(owner, attr):
         real = getattr(owner, attr)
@@ -226,6 +252,9 @@ def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
     # reformulate writes the first model through set_model too
     assert calls["set_model"] - calls["reformulate"] == calls["build_jacobian"] - 1
     assert calls["solve_lp"] == lps
+    # each Delta* solve left the step's basis to the solve after it; only
+    # one that ends the run has no solve after it
+    assert restored == {"cb2": 20 if p == "1" else 23}.get(name, 0) and len(pending) <= 1
 
 
 def test_per_class_costs():
@@ -308,6 +337,12 @@ def test_trace_roundtrip_bitexact(tmp_path):
     path2 = tmp_path / "trace2.json"
     save_trace(rec2, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a v2 trace, from before eta_radius, is refused with one line
+    doc = json.loads(path.read_text())
+    doc["schema"] = "trfd-trace-v2"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^unknown trace schema: 'trfd-trace-v2'$"):
+        load_trace(path)
 
 
 def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):
