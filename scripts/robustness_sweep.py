@@ -11,14 +11,14 @@ under a change of units is a defect of the solver, not of the problem.
 
 Usage:  PYTHONPATH=src python scripts/robustness_sweep.py [problem ...]
 """
+import dataclasses
 import sys
 from collections import Counter
 
 import numpy as np
 
 from trfd.bench import TRFD_L1, TRFD_M
-from trfd.core import FeasibleRegion, Problem
-from trfd.oracle import InProcessOracle
+from trfd.core import Problem
 from trfd.solver import solve
 from trfd.testset import registry, registry_by_name
 
@@ -35,15 +35,8 @@ def changed_problem(bp, scale, shift) -> Problem:
     def residuals(x):
         return scale * bp.residuals(x - shift)
 
-    return Problem(
-        n=bp.n,
-        m=bp.m,
-        oracle=InProcessOracle(residuals, bp.m),
-        h=bp.family,
-        region=FeasibleRegion.unconstrained(bp.n),
-        x0=np.asarray(bp.x0, dtype=float) + shift,
-        name=bp.name,
-    )
+    changed = dataclasses.replace(bp, residuals=residuals, x0=np.asarray(bp.x0, dtype=float) + shift)
+    return changed.make_problem()
 
 
 def sweep(problems) -> dict:

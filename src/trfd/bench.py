@@ -190,15 +190,10 @@ def data_profile(records: dict, tolerance: float, budget: int | None = None) -> 
                             t_solved = t
                             break
             solved_at.append((prob, t_solved, rec.n))
-        curve = []
-        for kappa in range(budget + 1):
-            count = sum(
-                1
-                for prob, t, n in solved_at
-                if t is not None and t <= kappa * (n + 1)
-            )
-            curve.append(count / len(problems))
-        curves[solver] = curve
+        curves[solver] = [
+            sum(1 for _, t, n in solved_at if t is not None and t <= kappa * (n + 1)) / len(problems)
+            for kappa in range(budget + 1)
+        ]
     return DataProfile(
         tolerance=tolerance,
         budget=budget,

@@ -10,9 +10,10 @@ Subcommands:
 Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
 and when every audited trace is clean (audit).  A campaign config that
-cannot be read or built, a key outside its schema, or an option out of
-range (a tolerance outside (0, 1), a budget or job count below 1), makes
-``run`` or ``profile`` print one error line and exit 2.  A trace that
+cannot be read or built, a key outside its schema, an option out of
+range (a tolerance outside (0, 1), a budget or job count below 1), or a
+problem or solver named twice or not at all, makes ``run`` or
+``profile`` print one error line and exit 2.  A trace that
 cannot be read or is not a trace (a field missing or of the wrong JSON
 type included), and a directory that holds no trace, fail the audit
 with one line, and ``audit`` goes on to the next path.
@@ -44,7 +45,7 @@ from .bench import (
 from .config import campaign_from_config, load_json
 from .diagnostics import AuditFailure, audit_trace
 from .solver import Termination, load_trace
-from .testset import registry, registry_by_name, registry_family
+from .testset import registry, registry_by_name
 
 
 def main(argv=None) -> int:
@@ -109,10 +110,7 @@ def _cmd_run(args) -> int:
             print(f"trfd run: error: {message}", file=sys.stderr)
             return 2
     else:
-        campaign = Campaign(
-            problems=registry_family("l1") + registry_family("minimax"),
-            solver_configs=[TRFD_L1, TRFD_M],
-        )
+        campaign = Campaign(problems=registry(), solver_configs=[TRFD_L1, TRFD_M])
     if args.budget is not None:
         campaign.simplex_gradients = args.budget
     if args.tolerance:

@@ -25,7 +25,7 @@ Campaign document:
 Solver entries accept optional overrides (epsilon, alpha, theta,
 delta_star, stop_delta, stop_eta) passed straight to the parameter
 factory.  In both documents any other key is refused: a misspelt one
-must not go unread.
+must not go unread, and a campaign names each problem and solver once.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig, check_tolerance
 from .core import FeasibleRegion, OuterFunction, Problem
-from .oracle import EvalBudget, ExternalOracle, InProcessOracle
+from .oracle import ExternalOracle, InProcessOracle
 from .testset import registry, registry_by_name, registry_family
 
 PROBLEM_KEYS = ("name", "n", "m", "h", "x0", "start", "lower", "upper", "linear_ineq", "oracle")
@@ -53,8 +53,7 @@ def load_json(path) -> dict:
 def problem_from_config(doc: dict) -> Problem:
     """Build a Problem from one problem document."""
     _known_keys(doc, PROBLEM_KEYS, "the problem config")
-    n = int(doc["n"])
-    m = int(doc["m"])
+    n, m = (_count(doc[key], f'"{key}"') for key in ("n", "m"))
     h = OuterFunction.from_value(doc["h"])
     name = doc.get("name", "")
 
@@ -84,7 +83,10 @@ def problem_from_config(doc: dict) -> Problem:
             raise ValueError(f"registry oracle {bp.name!r} has m={bp.m}, config says {m}")
         oracle = InProcessOracle(bp.residuals, m)
     elif "command" in binding:
-        oracle = ExternalOracle(binding["command"], n=n, m=m, timeout=binding.get("timeout"))
+        timeout = binding.get("timeout")
+        if "timeout" in binding and not _number(timeout, '"timeout"') > 0:
+            raise ValueError(f'"timeout" must be a positive number of seconds, not {timeout!r}')
+        oracle = ExternalOracle(binding["command"], n=n, m=m, timeout=timeout)
     else:
         raise ValueError("oracle binding needs 'registry' or 'command'")
 
@@ -104,6 +106,7 @@ def campaign_from_config(doc: dict) -> Campaign:
         problems = [registry_by_name(name) for name in selection]
     else:
         raise ValueError('"problems" must be a list of names or a {"family": ...} object')
+    _distinct([bp.name for bp in problems], "problem")
 
     entries = doc.get("solvers", [{"name": "TRFD-L1", "p": "1"}])
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
@@ -121,17 +124,11 @@ def campaign_from_config(doc: dict) -> Campaign:
                 overrides=tuple(sorted(overrides.items())),
             )
         )
+    _distinct([config.name for config in solvers], "solver")
 
-    simplex_gradients = _number(doc.get("budget_simplex_gradients", 100), '"budget_simplex_gradients"')
-    if simplex_gradients != int(simplex_gradients):
-        raise ValueError(f'"budget_simplex_gradients" must be a whole number, not {simplex_gradients!r}')
-    simplex_gradients = int(simplex_gradients)
-    # build the budget and each solver's parameters once, on every problem,
-    # so that a value out of range fails here, before any run starts
-    try:
-        EvalBudget(simplex_gradients=simplex_gradients)
-    except ValueError as exc:
-        raise ValueError(f'"budget_simplex_gradients": {exc}') from None
+    simplex_gradients = _count(doc.get("budget_simplex_gradients", 100), '"budget_simplex_gradients"')
+    # build each solver's parameters once, on every problem, so that a
+    # value out of range fails here, before any run starts
     for config in solvers:
         for bp in problems:
             try:
@@ -159,6 +156,26 @@ def _known_keys(doc, known, where):
     for key in doc:
         if key not in known:
             raise ValueError(f'unknown key "{key}" in {where}; expected one of {", ".join(known)}')
+
+
+def _distinct(names, what):
+    """A ValueError unless ``names`` is nonempty and each can name, once,
+    the trace files of a (problem, solver) pair."""
+    if not names:
+        raise ValueError(f"the campaign config names no {what}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f'{what} "{name}" appears twice in the campaign config')
+        if "/" in name or "\0" in name:
+            raise ValueError(f'{what} name {name!r} may not hold "/" or NUL: it names trace files')
+
+
+def _count(value, what):
+    """value, when it is a JSON integer of at least 1; a ValueError
+    naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a whole number of at least 1, not {value!r}")
+    return value
 
 
 def _number(value, what):

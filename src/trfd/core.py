@@ -159,14 +159,6 @@ class FeasibleRegion:
     def n(self) -> int:
         return self.lower.size
 
-    @property
-    def is_unconstrained(self) -> bool:
-        return (
-            not self.linear_ineq
-            and bool(np.all(np.isinf(self.lower)))
-            and bool(np.all(np.isinf(self.upper)))
-        )
-
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
         if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):

@@ -1,10 +1,9 @@
-"""Reference computations for tests and trace audits.
+"""Trace audits: what ``trfd audit`` runs.
 
-Nothing here is used by the solve loop itself.  The point of this
-module is independence: the stationarity measure is recomputed from an
-analytic Jacobian, model minima are recovered by brute-force grids, and
-recorded traces are replayed against the update rules, so that a bug in
-the fast path cannot hide behind itself.
+The solve loop uses nothing here.  The point is independence: traces
+are replayed against the update rules, and on problems with an analytic
+Jacobian the radius floor is checked against the true stationarity
+measure, so that a bug in the fast path cannot hide behind itself.
 """
 from __future__ import annotations
 
@@ -13,16 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm_constants
-from .jacobian import build_jacobian
+from .core import PNorm
 from .solver import IterationClass, RunRecord, TrfdParams
-from .subproblem import BRACKET_RTOL, ETA_SNAP, UnsupportedNorm, reformulate, solve_tr_subproblem
-
-GRID_POINT_CAP = 50_000_000
-
-
-class DimensionTooLarge(Exception):
-    """Grid oracles are restricted to n <= 3."""
+from .subproblem import BRACKET_RTOL, ETA_SNAP, reformulate, solve_tr_subproblem
 
 
 class AuditFailure(Exception):
@@ -51,151 +43,13 @@ class AnalyticProblem:
 
 
 def psi(ap: AnalyticProblem, x, p: PNorm, r: float) -> float:
-    """Stationarity measure using the analytic Jacobian.
-
-    For p in {1, inf} this is the exact constrained model minimum via
-    the LP machinery.  For p = 2 only the single-residual minimax case
-    over an unconstrained region is supported; there the model minimum
-    over the Euclidean ball has the closed form F(x) - r * ||grad||_2,
-    and the measure is evaluated from it without algebraic
-    simplification so rounding behaves like any other route.
-    """
+    """Stationarity measure from the analytic Jacobian, p in {1, inf}:
+    the exact constrained model minimum via the LP machinery."""
     prob = ap.problem
     x = np.asarray(x, dtype=float)
     J = np.asarray(ap.jacobian(x), dtype=float)
     F_x = prob.oracle.eval_F(x)
-    if p is PNorm.TWO:
-        if prob.m != 1 or prob.h is not OuterFunction.MINIMAX or not prob.region.is_unconstrained:
-            raise UnsupportedNorm("p=2 stationarity needs m=1, minimax h, unconstrained region")
-        base = eval_h(prob.h, F_x)
-        model_min = base - r * float(np.linalg.norm(J[0]))
-        return (base - model_min) / r
     return solve_tr_subproblem(reformulate(prob.h, F_x, J, prob.region, x, p, r)).eta
-
-
-def eta_bruteforce(
-    h: OuterFunction,
-    F_x,
-    A,
-    region: FeasibleRegion,
-    x,
-    p: PNorm,
-    r: float,
-    resolution: float = 1e-3,
-) -> float:
-    """Grid minimum of the model over the feasible p-ball, in eta form.
-
-    The lattice is uniform with the stated resolution and always
-    includes the p-ball's boundary vertices, so the oracle cannot miss
-    a vertex optimum by discretization alone.
-    """
-    F_x = np.asarray(F_x, dtype=float)
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    m, n = A.shape
-    if n > 3:
-        raise DimensionTooLarge(f"grid oracle supports n <= 3, got n={n}")
-    if p not in (PNorm.ONE, PNorm.INF):
-        raise UnsupportedNorm("grid oracle supports p in {1, inf}")
-
-    steps = int(round(2 * r / resolution))
-    if (steps + 1) ** n > GRID_POINT_CAP:
-        raise DimensionTooLarge("resolution too fine for this radius")
-    axis = np.linspace(-r, r, steps + 1)
-
-    if n == 2:
-        # the hot path: sweep the first coordinate and vectorize over the
-        # second instead of materializing the full mesh
-        best = np.inf
-        feasible_cols = _feasible_axis_mask(axis, region, x, 1)
-        mask0 = _feasible_axis_mask(axis, region, x, 0)
-        extra = [row for row in region.linear_ineq]
-        for i, d0 in enumerate(axis):
-            if not mask0[i]:
-                continue
-            if p is PNorm.ONE:
-                half = r * (1 + 1e-12) - abs(d0)
-                if half < 0:
-                    continue
-                sel = np.abs(axis) <= half
-                sel &= feasible_cols
-            else:
-                sel = feasible_cols.copy()
-            for a, b in extra:
-                sel &= a[0] * (x[0] + d0) + a[1] * (x[1] + axis) <= b + 1e-12
-            if not sel.any():
-                continue
-            d1 = axis[sel]
-            z = np.multiply.outer(A[:, 1], d1)
-            z += (F_x + A[:, 0] * d0)[:, None]
-            if h is OuterFunction.L1:
-                np.abs(z, out=z)
-                cand = z.sum(axis=0).min()
-            else:
-                cand = z.max(axis=0).min()
-            best = min(best, float(cand))
-        if not np.isfinite(best):
-            raise ValueError("no feasible grid points")
-    else:
-        mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        D = np.stack([g.ravel() for g in mesh], axis=1)
-        if p is PNorm.ONE:
-            inside = np.abs(D).sum(axis=1) <= r * (1 + 1e-12)
-        else:
-            inside = np.abs(D).max(axis=1) <= r * (1 + 1e-12)
-        D = D[inside]
-        lo = region.lower - x
-        hi = region.upper - x
-        keep = np.all((D >= lo - 1e-12) & (D <= hi + 1e-12), axis=1)
-        for a, b in region.linear_ineq:
-            keep &= D @ a <= (b - float(a @ x)) + 1e-12
-        D = D[keep]
-        if D.shape[0] == 0:
-            raise ValueError("no feasible grid points")
-        Z = F_x[None, :] + D @ A.T
-        vals = np.abs(Z).sum(axis=1) if h is OuterFunction.L1 else Z.max(axis=1)
-        best = float(vals.min())
-
-    # boundary vertices of the p-ball, so a vertex optimum cannot be
-    # missed by discretization
-    if p is PNorm.ONE:
-        verts = np.vstack([r * np.eye(n), -r * np.eye(n)])
-    else:
-        verts = np.stack(np.meshgrid(*([[-r, r]] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    for v in verts:
-        if not region.contains(x + v, tol=1e-12):
-            continue
-        best = min(best, eval_h(h, F_x + A @ v))
-
-    return (eval_h(h, F_x) - best) / r
-
-
-def _feasible_axis_mask(axis, region, x, coord) -> np.ndarray:
-    lo = region.lower[coord] - x[coord]
-    hi = region.upper[coord] - x[coord]
-    return (axis >= lo - 1e-12) & (axis <= hi + 1e-12)
-
-
-def check_psi_eta_gap(ap: AnalyticProblem, x, p: PNorm, r: float, tau: float) -> bool:
-    """Gap between the true and finite-difference measures against its bound.
-
-    Builds the model at stepsize tau on a throwaway evaluation path (the
-    analytic problem's oracle counter is test scratch space) and checks
-
-        |psi - eta| <= (L_h * L_J * c_p2 * c_2p * sqrt(n) / 2) * tau
-
-    with a 1 + 1e-6 rounding allowance.
-    """
-    prob = ap.problem
-    x = np.asarray(x, dtype=float)
-    F_x = prob.oracle.eval_F(x)
-    A = build_jacobian(prob.oracle.eval_F, x, F_x, tau)
-    eta = solve_tr_subproblem(reformulate(prob.h, F_x, A, prob.region, x, p, r)).eta
-    psi_val = psi(ap, x, p, r)
-    consts = norm_constants(p, prob.n, prob.m)
-    lip = prob.h.lipschitz(p, prob.m)
-    bound = lip * ap.lipschitz_jacobian * consts.cp2_m * consts.c2p_n * math.sqrt(prob.n) / 2 * tau
-    return abs(psi_val - eta) <= bound * (1 + 1e-6)
 
 
 def delta_min(params: TrfdParams, consts, L_J: float) -> float:

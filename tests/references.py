@@ -1,0 +1,125 @@
+"""References that only tests use: the model minimum by a brute-force
+grid, the Euclidean stationarity measure by its closed form, and the gap
+between the true and finite-difference measures against its bound."""
+import itertools
+import math
+
+import numpy as np
+
+from trfd.core import OuterFunction, PNorm, eval_h, norm_constants
+from trfd.diagnostics import AnalyticProblem, psi
+from trfd.jacobian import build_jacobian
+from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
+
+
+def eta_bruteforce(h, F_x, A, region, x, p, r, resolution=1e-3) -> float:
+    """Grid minimum of the model over the feasible p-ball, in eta form.
+
+    The lattice is uniform with the stated resolution and always
+    includes the p-ball's boundary vertices, so the oracle cannot miss
+    a vertex optimum by discretization alone.  It sweeps every
+    coordinate but the last and vectorizes over the last, so n <= 3.
+    """
+    F_x = np.asarray(F_x, dtype=float)
+    A = np.asarray(A, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = A.shape[1]
+    if n > 3:
+        raise ValueError(f"grid oracle supports n <= 3, got n={n}")
+    if p not in (PNorm.ONE, PNorm.INF):
+        raise UnsupportedNorm("grid oracle supports p in {1, inf}")
+
+    steps = int(round(2 * r / resolution))
+    axis = np.linspace(-r, r, steps + 1)
+    abs_axis = np.abs(axis)
+    lo = region.lower - x
+    hi = region.upper - x
+    inside_box = (axis[:, None] >= lo - 1e-12) & (axis[:, None] <= hi + 1e-12)
+    feasible_last = inside_box[:, -1]
+    # the swept points, each with the p-ball's half-width left for the
+    # last coordinate and the model's value with the last coordinate at 0
+    heads = list(itertools.product(*(axis[inside_box[:, j]] for j in range(n - 1))))
+    heads = np.array(heads, dtype=float).reshape(len(heads), n - 1)
+    halves = r * (1 + 1e-12) - np.abs(heads).sum(axis=1)
+    bases = F_x + heads @ A[:, :-1].T
+    # each row's value at the swept points and its terms in the last coordinate
+    rows = [((x[:-1] + heads) @ a[:-1], a[-1] * (x[-1] + axis), b) for a, b in region.linear_ineq]
+
+    best = np.inf
+    for i, (half, base) in enumerate(zip(halves, bases)):
+        if p is PNorm.ONE:
+            if half < 0:
+                continue
+            sel = abs_axis <= half
+            sel &= feasible_last
+        else:
+            sel = feasible_last.copy()
+        for head_terms, last, b in rows:
+            sel &= head_terms[i] + last <= b + 1e-12
+        if not sel.any():
+            continue
+        z = np.multiply.outer(A[:, -1], axis[sel])
+        z += base[:, None]
+        if h is OuterFunction.L1:
+            np.abs(z, out=z)
+            cand = z.sum(axis=0).min()
+        else:
+            cand = z.max(axis=0).min()
+        best = min(best, float(cand))
+    if not np.isfinite(best):
+        raise ValueError("no feasible grid points")
+
+    # boundary vertices of the p-ball, so a vertex optimum cannot be
+    # missed by discretization
+    if p is PNorm.ONE:
+        verts = np.vstack([r * np.eye(n), -r * np.eye(n)])
+    else:
+        verts = np.stack(np.meshgrid(*([[-r, r]] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    for v in verts:
+        if not region.contains(x + v, tol=1e-12):
+            continue
+        best = min(best, eval_h(h, F_x + A @ v))
+
+    return (eval_h(h, F_x) - best) / r
+
+
+def psi_euclidean(ap: AnalyticProblem, x, r: float) -> float:
+    """The stationarity measure at p = 2 for one smooth minimax component
+    over an unconstrained region.
+
+    There the model minimum over the Euclidean ball has the closed form
+    F(x) - r * ||grad||_2, and the measure is evaluated from it without
+    algebraic simplification so rounding behaves like any other route.
+    """
+    prob = ap.problem
+    region = prob.region
+    unconstrained = not region.linear_ineq and np.all(np.isinf(region.lower)) and np.all(np.isinf(region.upper))
+    if prob.m != 1 or prob.h is not OuterFunction.MINIMAX or not unconstrained:
+        raise UnsupportedNorm("p=2 stationarity needs m=1, minimax h, unconstrained region")
+    x = np.asarray(x, dtype=float)
+    J = np.asarray(ap.jacobian(x), dtype=float)
+    base = eval_h(prob.h, prob.oracle.eval_F(x))
+    model_min = base - r * float(np.linalg.norm(J[0]))
+    return (base - model_min) / r
+
+
+def check_psi_eta_gap(ap: AnalyticProblem, x, p: PNorm, r: float, tau: float) -> bool:
+    """Gap between the true and finite-difference measures against its bound.
+
+    Builds the model at stepsize tau on a throwaway evaluation path (the
+    analytic problem's oracle counter is test scratch space) and checks
+
+        |psi - eta| <= (L_h * L_J * c_p2 * c_2p * sqrt(n) / 2) * tau
+
+    with a 1 + 1e-6 rounding allowance.
+    """
+    prob = ap.problem
+    x = np.asarray(x, dtype=float)
+    F_x = prob.oracle.eval_F(x)
+    A = build_jacobian(prob.oracle.eval_F, x, F_x, tau)
+    eta = solve_tr_subproblem(reformulate(prob.h, F_x, A, prob.region, x, p, r)).eta
+    psi_val = psi(ap, x, p, r)
+    consts = norm_constants(p, prob.n, prob.m)
+    lip = prob.h.lipschitz(p, prob.m)
+    bound = lip * ap.lipschitz_jacobian * consts.cp2_m * consts.c2p_n * math.sqrt(prob.n) / 2 * tau
+    return abs(psi_val - eta) <= bound * (1 + 1e-6)

@@ -13,16 +13,11 @@ import time
 import numpy as np
 import pytest
 from conftest import enumerate_lp_minimum, make_problem, random_box_lp, random_tr_instance
+from references import check_psi_eta_gap, eta_bruteforce, psi_euclidean
 
 from trfd.bench import Campaign, TRFD_L1, TRFD_M, data_profile, emit_profile_csv, run_campaign
 from trfd.core import PNorm, eval_h
-from trfd.diagnostics import (
-    AnalyticProblem,
-    audit_trace,
-    check_psi_eta_gap,
-    eta_bruteforce,
-    psi,
-)
+from trfd.diagnostics import AnalyticProblem, audit_trace
 from trfd.jacobian import build_jacobian
 from trfd.simplex import solve_lp
 from trfd.solver import IterationClass, Termination, TrfdParams, solve
@@ -233,7 +228,7 @@ def test_criterion_4_euclidean_closed_form():
             x = rng.uniform(-2, 2, n)
             want = float(np.linalg.norm(ap.jacobian(x)[0]))
             for r in (0.5, 1.0, 2.0):
-                got = psi(ap, x, PNorm.TWO, r)
+                got = psi_euclidean(ap, x, r)
                 rel = abs(got - want) / want
                 worst = max(worst, rel)
                 assert rel <= 1e-10

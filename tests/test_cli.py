@@ -337,6 +337,15 @@ BAD_CONFIGS = {
     "top_key_budget": ({"problems": ["rosenbrock"], "budget": 2}, '"budget"'),
     "top_key_tolerance": ({"problems": ["rosenbrock"], "tolerance": [0.5]}, '"tolerance"'),
     "family_key_misspelt": ({"problems": {"famliy": "l1"}}, '"famliy"'),
+    # every (problem, solver) pair has its own trace file
+    "problems_empty": ({"problems": []}, "names no problem"),
+    "solvers_empty": ({"problems": ["rosenbrock"], "solvers": []}, "names no solver"),
+    "solver_name_twice": (
+        {"problems": ["rosenbrock"], "solvers": [{"name": "A", "p": "1"}, {"name": "A", "p": "inf"}]},
+        'solver "A" appears twice',
+    ),
+    "problem_twice": ({"problems": ["rosenbrock", "cb2", "rosenbrock"]}, 'problem "rosenbrock" appears twice'),
+    "solver_name_slash": ({"problems": ["rosenbrock"], "solvers": [{"name": "A/B"}]}, "'A/B'"),
 }
 
 
@@ -348,6 +357,7 @@ BAD_CONFIGS = {
         "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_fractional", "budget_infinite",
         "tolerance_negative", "tolerance_nan", "tolerance_above_one",
         "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
+        "problems_empty", "solvers_empty", "solver_name_twice", "problem_twice", "solver_name_slash",
     ],
 )
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):

@@ -117,7 +117,8 @@ def test_region_validation():
     region = FeasibleRegion([0.0, 0.0], [1.0, 2.0])
     assert region.contains([0.5, 1.0])
     assert not region.contains([1.5, 1.0])
-    assert FeasibleRegion.unconstrained(3).is_unconstrained
+    free = FeasibleRegion.unconstrained(3)
+    assert np.all(np.isinf(free.lower)) and np.all(np.isinf(free.upper)) and not free.linear_ineq
     with pytest.raises(ValueError):
         FeasibleRegion([1.0], [0.0])
     tri = FeasibleRegion(

@@ -4,18 +4,10 @@ import math
 import numpy as np
 import pytest
 from conftest import make_problem
+from references import check_psi_eta_gap, eta_bruteforce, psi_euclidean
 
 from trfd.core import FeasibleRegion, NormConstants, OuterFunction, PNorm
-from trfd.diagnostics import (
-    AnalyticProblem,
-    AuditFailure,
-    DimensionTooLarge,
-    audit_trace,
-    check_psi_eta_gap,
-    delta_min,
-    eta_bruteforce,
-    psi,
-)
+from trfd.diagnostics import AnalyticProblem, AuditFailure, audit_trace, delta_min, psi
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
 from trfd.solver import TrfdParams, solve
@@ -41,6 +33,15 @@ def quadratic_scalar_ap(b):
     )
 
 
+def affine_l1_ap(B, c=0.0, lipschitz_jacobian=0.0):
+    # F(x) = B x + c under h = l1, certified on [-10, 10]^2
+    prob = make_problem(lambda x: B @ x + c, 2, 2, "l1", (0.0, 0.0), name="affine")
+    return AnalyticProblem(
+        problem=prob, jacobian=lambda x: B, lipschitz_jacobian=lipschitz_jacobian,
+        box=(np.full(2, -10.0), np.full(2, 10.0)),
+    )
+
+
 def test_psi_p2_closed_form_matches_gradient_norm():
     rng = np.random.default_rng(0)
     ap = quadratic_scalar_ap([0.3, -1.1, 0.7])
@@ -48,24 +49,15 @@ def test_psi_p2_closed_form_matches_gradient_norm():
         x = rng.uniform(-2, 2, 3)
         for r in (0.5, 1.0, 2.0):
             want = float(np.linalg.norm(x + np.array([0.3, -1.1, 0.7])))
-            assert psi(ap, x, PNorm.TWO, r) == pytest.approx(want, rel=1e-10)
+            assert psi_euclidean(ap, x, r) == pytest.approx(want, rel=1e-10)
 
 
 def test_psi_zero_at_stationary_point():
     ap = quadratic_scalar_ap([0.0, 0.0])
-    assert psi(ap, np.zeros(2), PNorm.TWO, 1.0) == 0.0
+    assert psi_euclidean(ap, np.zeros(2), 1.0) == 0.0
     # L1 composite with an exact residual root: the model minimum over
     # any ball is 0 at d = 0
-    B = np.array([[2.0, 1.0], [0.0, 1.0]])
-
-    def fn(x):
-        return B @ x
-
-    prob = make_problem(fn, 2, 2, "l1", (0.0, 0.0), name="affine_root")
-    ap2 = AnalyticProblem(
-        problem=prob, jacobian=lambda x: B, lipschitz_jacobian=0.0,
-        box=(np.full(2, -10.0), np.full(2, 10.0)),
-    )
+    ap2 = affine_l1_ap(np.array([[2.0, 1.0], [0.0, 1.0]]))
     assert psi(ap2, np.zeros(2), PNorm.ONE, 1.0) == 0.0
 
 
@@ -73,29 +65,24 @@ def test_psi_p2_requires_scalar_minimax():
     bp = registry_by_name("rosenbrock")
     ap = bp.analytic()
     with pytest.raises(UnsupportedNorm):
+        psi_euclidean(ap, np.zeros(2), 1.0)
+    # the LP path has no p = 2 branch
+    with pytest.raises(UnsupportedNorm):
         psi(ap, np.zeros(2), PNorm.TWO, 1.0)
 
 
 def test_psi_affine_l1_matches_grid():
     B = np.array([[1.2, -0.4], [0.3, 0.9]])
     c = np.array([0.5, -0.7])
-
-    def fn(x):
-        return B @ x + c
-
-    prob = make_problem(fn, 2, 2, "l1", (0.0, 0.0), name="affine")
-    ap = AnalyticProblem(
-        problem=prob, jacobian=lambda x: B, lipschitz_jacobian=0.0,
-        box=(np.full(2, -10.0), np.full(2, 10.0)),
-    )
+    ap = affine_l1_ap(B, c)
     x = np.array([0.3, -0.2])
     got = psi(ap, x, PNorm.ONE, 1.0)
-    eta_grid = eta_bruteforce(OuterFunction.L1, fn(x), B, prob.region, x, PNorm.ONE, 1.0)
+    eta_grid = eta_bruteforce(OuterFunction.L1, B @ x + c, B, ap.problem.region, x, PNorm.ONE, 1.0)
     assert abs(got - eta_grid) <= 2e-3 * (1 + np.linalg.norm(B, 2))
 
 
 def test_eta_bruteforce_guards():
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(ValueError, match="n <= 3"):
         eta_bruteforce(
             OuterFunction.L1, np.zeros(2), np.zeros((2, 4)),
             FeasibleRegion.unconstrained(4), np.zeros(4), PNorm.ONE, 1.0,
@@ -129,16 +116,7 @@ def test_check_psi_eta_gap_rosenbrock():
 
 
 def test_check_psi_eta_gap_affine_is_tight():
-    B = np.array([[1.0, 2.0], [3.0, -1.0]])
-
-    def fn(x):
-        return B @ x
-
-    prob = make_problem(fn, 2, 2, "l1", (0.0, 0.0))
-    ap = AnalyticProblem(
-        problem=prob, jacobian=lambda x: B, lipschitz_jacobian=1e-9,
-        box=(np.full(2, -10.0), np.full(2, 10.0)),
-    )
+    ap = affine_l1_ap(np.array([[1.0, 2.0], [3.0, -1.0]]), lipschitz_jacobian=1e-9)
     # the gap is rounding-level for affine maps, so even a near-zero
     # Lipschitz certificate passes
     assert check_psi_eta_gap(ap, np.array([0.5, 0.5]), PNorm.ONE, 1.0, 0.25)

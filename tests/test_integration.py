@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 from conftest import make_problem, rosenbrock_residuals
+from references import eta_bruteforce
 
 from trfd.bench import Campaign, SolverConfig, run_campaign
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h
-from trfd.diagnostics import audit_trace, eta_bruteforce
+from trfd.diagnostics import audit_trace
 from trfd.solver import TrfdParams, Termination, record_to_doc, solve
 from trfd.testset import registry, registry_by_name
 
@@ -143,7 +144,7 @@ def test_grid_oracle_fast_path_matches_plain_mesh():
 
 
 def test_grid_oracle_generic_dimensions():
-    # n = 1 and n = 3 take the generic mesh path
+    # n = 1 and n = 3 take the same swept path as n = 2
     g = np.array([[2.0]])
     val = eta_bruteforce(
         OuterFunction.MINIMAX, np.array([1.0]), g,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from conftest import random_tr_instance
+from references import eta_bruteforce
 
 from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from trfd.diagnostics import eta_bruteforce
 from trfd.simplex import _residual, solve_lp
 from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
 

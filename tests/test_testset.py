@@ -142,6 +142,29 @@ def test_problem_config_refuses_unknown_keys(where, key):
         problem_from_config(doc)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.9), ("n", True), ("n", "2"), ("n", 0), ("m", 2.0), ("m", None),
+])
+def test_problem_config_refuses_a_dimension_that_is_not_a_positive_integer(key, value):
+    from trfd.config import problem_from_config
+
+    doc = problem_to_config(registry_by_name("cb2"))
+    doc[key] = value
+    with pytest.raises(ValueError, match=f'^"{key}" must be a whole number of at least 1, not '):
+        problem_from_config(doc)
+
+
+@pytest.mark.parametrize("timeout", ["abc", 0, -1.0, float("inf"), float("nan"), None, True])
+def test_problem_config_refuses_a_timeout_that_is_not_a_positive_number(timeout):
+    from trfd.config import problem_from_config
+
+    doc = problem_to_config(registry_by_name("cb2"))
+    # the check comes before the oracle starts: this command is never run
+    doc["oracle"] = {"command": "definitely-not-a-real-command-xyz", "timeout": timeout}
+    with pytest.raises(ValueError, match='^"timeout" must be a '):
+        problem_from_config(doc)
+
+
 def test_auto_norm_rule_covers_both_branches():
     # sqrt(m) < n picks the 1-norm, otherwise the inf-norm
     mm = registry_family("minimax")
