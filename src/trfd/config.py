@@ -166,8 +166,8 @@ def _distinct(names, what):
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f'{what} "{name}" appears twice in the campaign config')
-        if "/" in name or "\0" in name:
-            raise ValueError(f'{what} name {name!r} may not hold "/" or NUL: it names trace files')
+        if not name or "/" in name or "\0" in name:
+            raise ValueError(f'{what} name {name!r} may not be empty or hold "/" or NUL: it names trace files')
 
 
 def _count(value, what):

@@ -55,10 +55,10 @@ def norm(v, p: PNorm) -> float:
     """The p-norm of a vector, p in {1, 2, inf}."""
     v = np.asarray(v, dtype=float)
     if p is PNorm.ONE:
-        return float(np.sum(np.abs(v)))
+        return float(np.abs(v).sum())
     if p is PNorm.TWO:
         return float(np.linalg.norm(v))
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ class OuterFunction(enum.Enum):
 def eval_h(h: OuterFunction, z) -> float:
     z = np.asarray(z, dtype=float)
     if h is OuterFunction.L1:
-        return float(np.sum(np.abs(z)))
-    return float(np.max(z))
+        return float(np.abs(z).sum())
+    return float(z.max())
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class FeasibleRegion:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-d arrays of equal length")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         rows = []
         for a, b in self.linear_ineq:
@@ -161,7 +161,7 @@ class FeasibleRegion:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
+        if (x < self.lower - tol).any() or (x > self.upper + tol).any():
             return False
         return all(float(a @ x) <= b + tol for a, b in self.linear_ineq)
 

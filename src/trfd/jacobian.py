@@ -27,9 +27,9 @@ def build_jacobian(eval_F, x, F_x, tau: float) -> np.ndarray:
 
     # validate every coordinate before spending any evaluation, so a
     # degenerate stepsize costs nothing
-    for j in range(n):
-        if x[j] + tau == x[j]:
-            raise DegenerateStep(f"x[{j}] + tau is not representable (tau={tau:g})")
+    stuck = x + tau == x
+    if stuck.any():
+        raise DegenerateStep(f"x[{stuck.argmax()}] + tau is not representable (tau={tau:g})")
 
     A = np.empty((m, n))
     for j in range(n):

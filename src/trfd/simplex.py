@@ -173,7 +173,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
         value = np.concatenate([x0, np.zeros(nr)])
         basic = nv + np.arange(nr)
         open_rows = resid == 0.0
-        crash = np.flatnonzero((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper))
+        crash = ((x0 != 0.0) & (lp.lower < x0) & (x0 < lp.upper)).nonzero()[0]
         cols = lp.rows[:, crash].T
         for j, usable, zero in zip(crash, np.abs(cols) > PIVOT_TOL, cols == 0.0):
             tight = open_rows & usable

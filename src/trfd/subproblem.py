@@ -113,7 +113,7 @@ class TrustRegionLP:
             self.start[nz:] = np.abs(F_x)
             k = 2 * m
         else:
-            self.start[nz:] = np.max(F_x)
+            self.start[nz:] = F_x.max()
             k = m
         # then, for p = 1, the radius row and each finite box side, and
         # the region's linear rows
@@ -274,7 +274,7 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     # rounding noise of that size never clears it.
     m, n = A.shape
     unit = 4 * (m + n + 1) * MACHINE_EPS
-    spread_F, col_A = float(np.sum(np.abs(F))), np.sum(np.abs(A), axis=0)
+    spread_F, col_A = float(np.abs(F).sum()), np.abs(A).sum(axis=0)
     allowance = unit * (spread_F + float(col_A @ np.abs(d)))
     if (psi_lower - allowance) / r_ref > 2.0 * floor and psi_lower >= (1.0 - BRACKET_RTOL) * psi_upper:
         return psi_lower / r_ref, psi_upper / r, r
@@ -286,10 +286,10 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     upper = (psi_upper + allowance) / r
     u = sol.d_star / size
     grid = r * 4.0 ** np.arange(1.0, np.ceil(np.log(r_ref / r) / np.log(4.0)))
-    rho = np.minimum(np.append(grid[grid < r_ref], r_ref), _ray_length(tr.region, tr.x, u))
+    rho = np.minimum(np.concatenate([grid[grid < r_ref], [r_ref]]), _ray_length(tr.region, tr.x, u))
     rho = np.unique(rho[rho > r])
-    Z = F + np.outer(rho, A @ u)
-    psi = base - (np.sum(np.abs(Z), axis=1) if tr.h is OuterFunction.L1 else np.max(Z, axis=1))
+    Z = F + rho[:, None] * (A @ u)
+    psi = base - (np.abs(Z).sum(axis=1) if tr.h is OuterFunction.L1 else Z.max(axis=1))
     lower = psi / r_ref
     certified = (psi - unit * (spread_F + rho * float(col_A @ np.abs(u)))) / r_ref > 2.0 * floor
     certified &= (lower <= upper) & (lower * r_ref <= upper * (1.0 + BRACKET_RTOL) * rho)
@@ -304,8 +304,8 @@ def _ray_length(region: FeasibleRegion, x: np.ndarray, u: np.ndarray) -> float:
     finite box sides and the linear rows; inf when the ray stays in it."""
     up, down = u > 0, u < 0
     t = min(
-        np.min((region.upper[up] - x[up]) / u[up], initial=np.inf),
-        np.min((region.lower[down] - x[down]) / u[down], initial=np.inf),
+        ((region.upper[up] - x[up]) / u[up]).min(initial=np.inf),
+        ((region.lower[down] - x[down]) / u[down]).min(initial=np.inf),
     )
     for a, b in region.linear_ineq:
         slope = float(a @ u)
@@ -323,7 +323,7 @@ def _check_solution(tr, d, model_value, result: SimplexResult) -> None:
     if norm(d, tr.p) - r > abort:
         raise NumericalTrouble("step left the trust region")
     xt = tr.x + d
-    if np.any(xt < tr.region.lower - abort) or np.any(xt > tr.region.upper + abort):
+    if (xt < tr.region.lower - abort).any() or (xt > tr.region.upper + abort).any():
         raise NumericalTrouble("step left the feasible box")
     for a, b in tr.region.linear_ineq:
         if float(a @ xt) > b + abort:

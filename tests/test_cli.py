@@ -346,6 +346,7 @@ BAD_CONFIGS = {
     ),
     "problem_twice": ({"problems": ["rosenbrock", "cb2", "rosenbrock"]}, 'problem "rosenbrock" appears twice'),
     "solver_name_slash": ({"problems": ["rosenbrock"], "solvers": [{"name": "A/B"}]}, "'A/B'"),
+    "solver_name_empty": ({"problems": ["rosenbrock"], "solvers": [{"name": ""}]}, "name '' may not be empty"),
 }
 
 
@@ -358,6 +359,7 @@ BAD_CONFIGS = {
         "tolerance_negative", "tolerance_nan", "tolerance_above_one",
         "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
         "problems_empty", "solvers_empty", "solver_name_twice", "problem_twice", "solver_name_slash",
+        "solver_name_empty",
     ],
 )
 def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):

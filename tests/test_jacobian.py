@@ -77,9 +77,11 @@ def test_first_order_error_slope():
 
 
 def test_degenerate_tau_costs_nothing():
-    oracle = InProcessOracle(lambda v: v, 2)
-    x = np.array([1.0, 1e9])
-    with pytest.raises(DegenerateStep):
+    # x[1] is the first coordinate with x_j + tau == x_j (x[2] is another)
+    oracle = InProcessOracle(lambda v: v, 3)
+    x = np.array([1.0, 1e9, 1e10])
+    assert x[0] + 1e-12 != x[0] and x[1] + 1e-12 == x[1]
+    with pytest.raises(DegenerateStep, match=r"^x\[1\] \+ tau is not representable \(tau=1e-12\)$"):
         build_jacobian(oracle.eval_F, x, x.copy(), 1e-12)
     assert oracle.eval_count == 0
 

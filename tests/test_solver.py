@@ -1,14 +1,17 @@
 import json
 import math
+import os
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import make_problem, rosenbrock_residuals
 
+import trfd
 from trfd import bench
 from trfd.bench import TRFD_L1, Campaign, run_campaign
-from trfd.core import MACHINE_EPS, OuterFunction, PNorm
+from trfd.core import MACHINE_EPS, FeasibleRegion, OuterFunction, PNorm
 from trfd.diagnostics import audit_trace
 from trfd.solver import (
     IterationClass,
@@ -21,7 +24,7 @@ from trfd.solver import (
     solve,
 )
 from trfd.subproblem import eta_bracket
-from trfd.testset import BenchmarkProblem
+from trfd.testset import BenchmarkProblem, registry_by_name
 
 # integer-valued affine maps keep forward differences exact in floating
 # point, so the model coincides with the function bit for bit
@@ -404,3 +407,66 @@ def test_sequential_solves_share_one_oracle():
     assert rec1.total_evals == count_after_first
     assert rec2.total_evals == prob.oracle.eval_count - count_after_first
     assert rec1.best_f == rec2.best_f
+
+
+def _trace_numpy_wrappers(run):
+    """Run ``run()`` under ``sys.setprofile``.  Return the calls into
+    numpy's ``fromnumeric`` wrappers (``np.sum``, ``np.max``, ``np.any``,
+    ...) whose caller is a trfd module, as (module, line, function), and
+    the names of the trfd functions that ran.  ``testset`` is exempt: its
+    residual functions are oracle code, not the solver."""
+    package = os.path.dirname(trfd.__file__) + os.sep
+    exempt = os.path.join(package, "testset.py")
+    wrapper_calls, functions = [], set()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code, caller = frame.f_code, frame.f_back
+        if code.co_filename.startswith(package):
+            functions.add(code.co_name)
+        elif (
+            os.path.basename(code.co_filename) == "fromnumeric.py"
+            and caller is not None
+            and caller.f_code.co_filename.startswith(package)
+            and caller.f_code.co_filename != exempt
+        ):
+            where = (os.path.basename(caller.f_code.co_filename), caller.f_lineno, caller.f_code.co_name)
+            wrapper_calls.append(where)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return wrapper_calls, functions
+
+
+def boxed_rosenbrock():
+    # the box and the row cut (1, 1) off, so steps run into both
+    region = FeasibleRegion([-2.0, -1.0], [0.9, 2.0], ((np.array([1.0, 1.0]), 1.7),))
+    return make_problem(rosenbrock_residuals, 2, 2, "l1", (-1.2, 1.0), region=region, name="boxed")
+
+
+def test_solve_path_calls_ndarray_methods_not_fromnumeric_wrappers():
+    # np.sum(x) and friends reach the same ufunc reduction as x.sum()
+    # after a Python dispatch layer of their own; on thousands of tiny
+    # arrays per campaign that layer is measurable, so the solve path
+    # calls the ndarray methods
+    runs = [
+        (registry_by_name(name).make_problem(), p)
+        for name in ("rosenbrock", "cb2")
+        for p in (PNorm.ONE, PNorm.INF)
+    ]
+    runs += [(boxed_rosenbrock(), PNorm.ONE), (boxed_rosenbrock(), PNorm.INF)]
+    assert {prob.h for prob, _ in runs} == set(OuterFunction)
+
+    def run():
+        for prob, p in runs:
+            solve(prob, TrfdParams.defaults(prob, p, 20))
+
+    wrapper_calls, functions = _trace_numpy_wrappers(run)
+    assert wrapper_calls == [], sorted(set(wrapper_calls))
+    # the profile saw the solver, including the ray walk and the checks
+    # of each step against the box and the rows
+    assert {"solve", "eval_h", "norm", "set_model", "eta_bracket", "_ray_length", "_check_solution"} <= functions
