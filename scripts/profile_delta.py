@@ -5,8 +5,10 @@ For every run whose trace differs in any field but ``eta``,
 ``eta_upper`` and ``eta_radius`` it prints the old and new termination,
 evaluation count and final f, and the first iteration and field that
 differ (or the first top-level field, when every iteration agrees).
-Then it prints how many trace files are byte-identical in the two
-directories.  Then, for each default tolerance, it prints the smallest
+Then it prints how many traces hold the same JSON document, every field
+compared, the eta fields too, and how many trace files are
+byte-identical: a change of layout alone keeps every document and no
+file's bytes.  Then, for each default tolerance, it prints the smallest
 and largest change (new minus old) of each solver's data-profile curve
 over kappa.  Both versions are profiled as one group, so every
 problem's f_best is the lowest value either version found.
@@ -83,6 +85,8 @@ def main(argv=None) -> int:
               f"final f {a.final_f:.10g} -> {b.final_f:.10g} ({b.final_f - a.final_f:+.2g}), "
               f"first at {where}")
     print(f"{changed} of {len(old)} runs changed")
+    same_doc = sum(old_docs[key] == new_docs[key] for key in old)
+    print(f"{same_doc} of {len(old)} traces hold the same JSON document")
     same = sum(Path(old_paths[key]).read_bytes() == Path(new_paths[key]).read_bytes() for key in old)
     print(f"{same} of {len(old)} traces byte-identical")
 

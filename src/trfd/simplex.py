@@ -154,7 +154,8 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
         # that bound is infinite to the point of their bounds nearest 0
         value = np.where(lp.at_upper, lp.hi, lp.lo)
         infinite = ~np.isfinite(value)
-        value[infinite] = np.minimum(np.maximum(0.0, lp.lo), lp.hi)[infinite]
+        if np.logical_or.reduce(infinite):
+            value[infinite] = np.minimum(np.maximum(0.0, lp.lo), lp.hi)[infinite]
         basic = lp.basic.copy()
         found = _optimize(lp, basic, value, lp.reduced)
         if found is not None:
@@ -203,8 +204,8 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any row or bound at x (0 when feasible)."""
-    gap = lp.rows @ x - lp.rhs
-    return float(max(gap.max(initial=0.0), (lp.lower - x).max(initial=0.0), (x - lp.upper).max(initial=0.0)))
+    gaps = np.concatenate([lp.rows @ x - lp.rhs, lp.lower - x, x - lp.upper])
+    return float(np.maximum.reduce(gaps, initial=0.0))
 
 
 def _optimize(lp: LinearProgram, basis, value, reduced):
@@ -250,7 +251,7 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
             z = cost - np.linalg.solve(B.T, cost_b) @ A
     except np.linalg.LinAlgError:
         return None
-    if not improving(z).any():
+    if not np.logical_or.reduce(improving(z)):
         value[basis] = xb
         return 0, z
     B_inv = _inverse(B)
@@ -260,6 +261,8 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
     updates = 0
     bland_after = 5 * (nr + ncol)
     max_iters = 2000 + 200 * (nr + ncol)
+    # the ratio test's buffer: a row whose pivot entry is too small keeps inf
+    ratios = np.empty(nr)
 
     for it in range(max_iters):
         if updates == REFACTOR_EVERY:
@@ -271,7 +274,7 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
 
         z = cost - y @ A
         entering = improving(z)
-        if not entering.any():
+        if not np.logical_or.reduce(entering):
             # confirm optimality with a fresh LAPACK solve of B; if a
             # reduced cost still improves, go on from a fresh inverse
             B = A[:, basis]
@@ -282,7 +285,7 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
                 raise NumericalTrouble("singular basis") from exc
             z = cost - y @ A
             entering = improving(z)
-            if not entering.any():
+            if not np.logical_or.reduce(entering):
                 value[basis] = xb
                 return it, z
             B_inv = _inverse(B)
@@ -302,9 +305,10 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         sigma_own = (hi[e] - value[e]) if direction > 0 else (value[e] - lo[e])
         size = np.abs(dw)
         gap = np.maximum(np.where(dw > 0, xb - lo_b, hi_b - xb), 0.0)
-        ratios = np.divide(gap, size, out=np.full(nr, np.inf), where=size > PIVOT_TOL)
+        ratios.fill(np.inf)
+        np.divide(gap, size, out=ratios, where=size > PIVOT_TOL)
 
-        sigma_rows = ratios.min() if nr else np.inf
+        sigma_rows = np.minimum.reduce(ratios) if nr else np.inf
         sigma = min(sigma_own, sigma_rows)
         if not math.isfinite(sigma):
             raise NumericalTrouble("unbounded direction")

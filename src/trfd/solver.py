@@ -388,7 +388,7 @@ def record_to_doc(record: RunRecord) -> dict:
                 "rho": s.rho,
                 "rho_degenerate": s.rho_degenerate,
                 "f": s.f,
-                "x": list(map(float, s.x)),
+                "x": s.x.tolist(),
                 "evals_iter": s.evals_iter,
                 "evals_total": s.evals_total,
             }
@@ -397,7 +397,7 @@ def record_to_doc(record: RunRecord) -> dict:
         "best_f": list(map(float, record.best_f)),
         "termination": record.termination.value,
         "termination_evals": record.termination_evals,
-        "final_x": list(map(float, record.final_x)),
+        "final_x": record.final_x.tolist(),
         # a run whose first evaluation failed has no objective value
         "final_f": record.final_f if math.isfinite(record.final_f) else None,
         "total_evals": record.total_evals,
@@ -501,8 +501,12 @@ def _point(doc, key, n) -> np.ndarray:
 
 
 def save_trace(record: RunRecord, path) -> None:
+    """Write ``record``'s trace, one iteration per line; a document the
+    encoder refuses (a non-finite ``best_f``) raises before ``path`` is
+    opened, so it leaves no file."""
+    text = jsontext.dumps_rows(record_to_doc(record), "iterations")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(jsontext.dumps(record_to_doc(record), indent=1))
+        fh.write(text)
 
 
 def load_trace(path) -> RunRecord:

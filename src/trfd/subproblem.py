@@ -261,10 +261,12 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     F, A, base = tr.F_x, tr.A, tr.base_value
     d = sol.d_star
     size = norm(d, tr.p)
+    # a step inside the ball reads psi(delta) as the LP read it
+    psi_upper = psi_lower = base - sol.model_value
     if size > r:
         d = d * (r / size)
-    psi_lower = base - eval_h(tr.h, F + A @ d)
-    psi_upper = max(psi_lower, base - sol.model_value)
+        psi_lower = base - eval_h(tr.h, F + A @ d)
+        psi_upper = max(psi_lower, psi_upper)
     # h(F) and h(F + A d) are sums or maxima of m entries, each entry F_i
     # plus n products, so each is off by at most (m + n + 1) u times
     # sum(|F| + |A||d|), u the machine epsilon (Higham 2002, sec. 3.1);

@@ -20,7 +20,8 @@ from trfd.bench import (
 )
 from trfd.core import OuterFunction, PNorm
 from trfd.oracle import EvalBudget
-from trfd.solver import RunRecord, Termination, TrfdParams, load_trace, save_trace, solve
+from trfd import jsontext
+from trfd.solver import RunRecord, Termination, TrfdParams, load_trace, record_to_doc, solve
 from trfd.testset import registry_by_name
 from trfd.core import NormConstants
 
@@ -236,12 +237,13 @@ def test_campaign_records_equal_their_traces(tmp_path, jobs):
 
 
 def test_traces_in_the_old_float_text_load_the_same(tmp_path):
-    # traces once wrote every float as %.16e text; load_trace reads any
-    # JSON number, so such a trace still gives the record bit for bit
+    # traces were once indented, one value a line, with every float as
+    # %.16e text; load_trace reads any JSON number, so such a trace still
+    # gives the record bit for bit
     problem = registry_by_name("rosenbrock").make_problem()
     record = solve(problem, TRFD_L1.build_params(problem, 20))
     path = tmp_path / "trace.json"
-    save_trace(record, path)
+    path.write_text(jsontext.dumps(record_to_doc(record), indent=1))
     number = re.compile(r'^(\s*(?:"\w+": )?)(-?\d[\d.eE+-]*)(,?)$')
 
     def old_text(line):
@@ -310,14 +312,16 @@ def test_profile_delta_script(tmp_path, capsys):
     assert script.main([old, old]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "0 of 2 runs changed"
-    assert lines[1] == "2 of 2 traces byte-identical"
-    assert len(lines) == 6
-    assert all(line.endswith("TRFD-L1 min +0.0000 max +0.0000") for line in lines[2:])
+    assert lines[1] == "2 of 2 traces hold the same JSON document"
+    assert lines[2] == "2 of 2 traces byte-identical"
+    assert len(lines) == 7
+    assert all(line.endswith("TRFD-L1 min +0.0000 max +0.0000") for line in lines[3:])
 
     assert script.main([old, new]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "2 of 2 runs changed"
-    assert lines[3] == "0 of 2 traces byte-identical"
+    assert lines[3] == "0 of 2 traces hold the same JSON document"
+    assert lines[4] == "0 of 2 traces byte-identical"
     assert all("-> budget_exhausted" in line for line in lines[:2])
     assert all(line.endswith("first at iteration 1 (in one trace only)") for line in lines[:2])
     assert lines[-1].startswith("profile delta at tol 1e-07: TRFD-L1 min -")
@@ -345,7 +349,10 @@ def test_profile_delta_names_the_first_difference_outside_eta(tmp_path, capsys):
         d["iterations"][1]["eta_upper"] = 1.0
         d["iterations"][1]["eta_radius"] = 1.0
 
-    assert compare(eta_only)[0] == "0 of 1 runs changed"
+    assert compare(eta_only)[:2] == ["0 of 1 runs changed", "0 of 1 traces hold the same JSON document"]
+    # another layout of the same document
+    assert compare(lambda d: None)[:3] == [
+        "0 of 1 runs changed", "1 of 1 traces hold the same JSON document", "0 of 1 traces byte-identical"]
 
     def rho_and_later(d):
         d["iterations"][3]["rho"] = 0.5

@@ -30,6 +30,8 @@ def test_nonfinite_raises():
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             jsontext.dumps({"v": [1.0, value]}, indent=1)
+        with pytest.raises(ValueError):
+            jsontext.dumps_rows({"rows": [{"v": value}]}, "rows")
 
 
 def test_key_order_preserved():
@@ -49,3 +51,12 @@ def test_python_and_numpy_floats_emit_equal_bytes():
     for value in (0.1, -0.0, 5e-324, math.pi):
         assert jsontext.dumps({"v": [value]}, indent=1) == jsontext.dumps({"v": [np.float64(value)]}, indent=1)
     assert jsontext.dumps([0.1, -0.0, 1e-05], indent=1) == "[\n 0.1,\n -0.0,\n 1e-05\n]\n"
+
+
+def test_rows_layout():
+    doc = {"a": {"x": 0.1}, "rows": [{"k": 0}, {"k": 1, "v": [1.0, None]}], "z": True}
+    text = jsontext.dumps_rows(doc, "rows")
+    assert text == '{"a": {"x": 0.1},\n "rows": [\n  {"k": 0},\n  {"k": 1, "v": [1.0, null]}\n ],\n "z": true}\n'
+    assert json.loads(text) == doc
+    # an empty row list stays on its field's line
+    assert jsontext.dumps_rows({"rows": [], "z": 1}, "rows") == '{"rows": [],\n "z": 1}\n'

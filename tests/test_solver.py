@@ -9,7 +9,7 @@ import pytest
 from conftest import make_problem, rosenbrock_residuals
 
 import trfd
-from trfd import bench
+from trfd import bench, jsontext
 from trfd.bench import TRFD_L1, Campaign, run_campaign
 from trfd.core import MACHINE_EPS, FeasibleRegion, OuterFunction, PNorm
 from trfd.diagnostics import audit_trace
@@ -19,6 +19,7 @@ from trfd.solver import (
     TrfdParams,
     compute_rho,
     load_trace,
+    record_from_doc,
     record_to_doc,
     save_trace,
     solve,
@@ -346,6 +347,60 @@ def test_trace_roundtrip_bitexact(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"^unknown trace schema: 'trfd-trace-v2'$"):
         load_trace(path)
+
+
+# a trace puts each field on a line and each iteration on one line
+SHORT_TRACE = """\
+{"schema": "trfd-trace-v3",
+ "problem": {"name": "short", "n": 1, "m": 1, "h": "l1"},
+ "params": {"epsilon": 0.25, "alpha": 0.15, "theta": 1.0, "sigma": 1.0, \
+"lipschitz_h": 1.0, "c2p_n": 1.0, "cp2_m": 1.0, "p": "1", "simplex_gradients": 2, "max_evals": 4, \
+"tau0": 0.25, "delta0": 1.0, "delta_star": 1000.0, "stop_delta": 1e-13, "stop_eta": 1e-13},
+ "iterations": [
+  {"k": 0, "class": "success", "entered_at": "step1", "tau": 0.25, "delta": 1.0, "eta": 0.0005, \
+"eta_upper": 0.75, "eta_radius": 1.0, "rho": 1.0, "rho_degenerate": false, "f": 2.0, "x": [-1.5], \
+"evals_iter": 2, "evals_total": 2},
+  {"k": 1, "class": "u3", "entered_at": "step1", "tau": 0.25, "delta": 2.0, "eta": 0.25, \
+"eta_upper": null, "eta_radius": null, "rho": null, "rho_degenerate": true, "f": 0.5, "x": [0.1], \
+"evals_iter": 2, "evals_total": 4}
+ ],
+ "best_f": [2.0, 2.0, 0.5, 0.5],
+ "termination": "budget_exhausted",
+ "termination_evals": 0,
+ "final_x": [0.1],
+ "final_f": 0.5,
+ "total_evals": 4}
+"""
+
+
+def test_trace_layout_is_one_field_and_one_iteration_a_line(tmp_path):
+    path = tmp_path / "short.json"
+    save_trace(record_from_doc(json.loads(SHORT_TRACE)), path)
+    assert path.read_text() == SHORT_TRACE
+
+
+def test_a_trace_in_the_indented_layout_loads_and_audits(tmp_path):
+    # traces were once written indented; the layout is whitespace only
+    prob = make_problem(rosenbrock_residuals, 2, 2, "l1", (-1.2, 1.0), name="rosenbrock")
+    rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    path = tmp_path / "indented.json"
+    path.write_text(jsontext.dumps(record_to_doc(rec), indent=1))
+    back = load_trace(path)
+    assert record_to_doc(back) == record_to_doc(rec)
+    assert audit_trace(back).ok
+
+
+def test_a_refused_trace_raises_and_leaves_no_file(tmp_path):
+    # finite residuals whose L1 sum overflows put inf into best_f, which
+    # JSON cannot say; the save must not leave an empty trace behind
+    prob = make_problem(lambda x: np.array([1e308, 1e308]), 2, 2, "l1", (0.0, 0.0))
+    with np.errstate(over="ignore"):
+        rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    assert math.inf in rec.best_f
+    path = tmp_path / "refused.json"
+    with pytest.raises(ValueError):
+        save_trace(rec, path)
+    assert not path.exists()
 
 
 def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):
