@@ -74,14 +74,14 @@ class BlackBoxOracle:
 
     def eval_F(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise OracleFailure("query point has non-finite components")
         fvec = self._evaluate(x)
         self.eval_count += 1
         fvec = np.asarray(fvec, dtype=float).reshape(-1)
         if fvec.size != self.m:
             raise OracleFailure(f"oracle returned {fvec.size} values, expected {self.m}")
-        if not np.isfinite(fvec).all():
+        if not np.logical_and.reduce(np.isfinite(fvec)):
             raise OracleFailure("oracle returned non-finite values")
         return fvec
 

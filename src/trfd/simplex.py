@@ -49,7 +49,11 @@ change, inverting afresh every REFACTOR_EVERY changes within a solve.
 When the updated inverse shows no improving reduced cost, the basic
 values and duals are recomputed by LAPACK solves with the basis matrix
 itself and the reduced costs checked again; if one still improves, the
-loop goes on from a fresh inverse.  Everything is deterministic:
+loop goes on from a fresh inverse.  The pricing reads two masks of the
+nonbasics, those that may rise and those that may fall from their
+value; each solve builds them once and keeps them current at each bound
+flip and basis change, and a fixed column, at its bound, is in neither.
+Everything is deterministic:
 Dantzig pricing with first-index tie-breaking, switching to Bland's
 rule once the degenerate-pivot count passes 5 * (rows + columns).
 """
@@ -145,7 +149,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     nv, nr = lp.n_variables, lp.n_rows
     x0 = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
     resid = lp.rhs - lp.rows @ x0
-    if not (resid >= -OPT_TOL).all():  # a NaN start fails too
+    if not np.logical_and.reduce(resid >= -OPT_TOL):  # a NaN start fails too
         raise NumericalTrouble("start violates a row")
 
     found = None
@@ -178,8 +182,9 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
         cols = lp.rows[:, crash].T
         for j, usable, zero in zip(crash, np.abs(cols) > PIVOT_TOL, cols == 0.0):
             tight = open_rows & usable
-            if tight.any():
-                basic[tight.argmax()] = j
+            i = tight.argmax()
+            if tight[i]:
+                basic[i] = j
                 open_rows &= zero
         found = _optimize(lp, basic, value, None)
         if found is None:
@@ -225,9 +230,6 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
     """
     A, b, lo, hi, cost = lp.augmented, lp.rhs, lp.lo, lp.hi, lp.cost
     nr, ncol = A.shape
-    fixed = lo == hi
-    movable = ~fixed
-    movable[basis] = False
     # the basics' entries of ``value`` stay 0 until the end, so A @ value
     # holds the nonbasics' part of the rows alone
     value[basis] = 0.0
@@ -235,16 +237,21 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
     cost_b = cost[basis]
     lo_b = lo[basis]
     hi_b = hi[basis]
+    # the nonbasics that may rise or fall from their value, kept current
+    # at each bound flip and basis change; a fixed column sits at its
+    # bound, so neither holds for it
+    can_up = value < hi
+    can_dn = value > lo
+    can_up[basis] = False
+    can_dn[basis] = False
 
     def improving(z):
-        can_up = movable & (value < hi)
-        can_dn = movable & (value > lo)
-        return (can_up & (z < -OPT_TOL)) | (can_dn & (z > OPT_TOL))
+        return (z < -OPT_TOL) & can_up | (z > OPT_TOL) & can_dn
 
     B = A[:, basis]
     try:
         xb = np.linalg.solve(B, b - A @ value)
-        if not ((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)).all():
+        if not np.logical_and.reduce((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)):
             return None
         z = reduced
         if z is None:
@@ -298,13 +305,14 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         direction = 1.0 if z[e] < 0 else -1.0
 
         w = B_inv @ A[:, e]
-        dw = direction * w
+        # the basics that fall as the entering variable moves
+        falling = w > 0 if direction > 0 else w < 0
 
         # ratio test over the basics, plus the entering variable's own
         # opposite bound
         sigma_own = (hi[e] - value[e]) if direction > 0 else (value[e] - lo[e])
-        size = np.abs(dw)
-        gap = np.maximum(np.where(dw > 0, xb - lo_b, hi_b - xb), 0.0)
+        size = np.abs(w)
+        gap = np.maximum(np.where(falling, xb - lo_b, hi_b - xb), 0.0)
         ratios.fill(np.inf)
         np.divide(gap, size, out=ratios, where=size > PIVOT_TOL)
 
@@ -316,6 +324,8 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         if sigma_own <= sigma_rows:
             # bound flip, no basis change
             value[e] = hi[e] if direction > 0 else lo[e]
+            can_up[e] = value[e] < hi[e]
+            can_dn[e] = value[e] > lo[e]
             continue
 
         tied = ratios <= sigma + 1e-12 * max(1.0, sigma)
@@ -327,11 +337,12 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
             raise NumericalTrouble("pivot element too small")
 
         leave_col = int(basis[leave])
-        value[leave_col] = lo_b[leave] if dw[leave] > 0 else hi_b[leave]
-        movable[leave_col] = not fixed[leave_col]
+        value[leave_col] = lo_b[leave] if falling[leave] else hi_b[leave]
+        can_up[leave_col] = value[leave_col] < hi[leave_col]
+        can_dn[leave_col] = value[leave_col] > lo[leave_col]
         basis[leave] = e
         value[e] = 0.0
-        movable[e] = False
+        can_up[e] = can_dn[e] = False
         cost_b[leave] = cost[e]
         lo_b[leave] = lo[e]
         hi_b[leave] = hi[e]
@@ -339,7 +350,7 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         # identity but for column ``leave``, which is -w / w[leave] off the
         # diagonal and 1 / w[leave] on it
         pivot_row = B_inv[leave] / w[leave]
-        B_inv = B_inv - w[:, None] * pivot_row
+        B_inv -= np.multiply.outer(w, pivot_row)
         B_inv[leave] = pivot_row
         updates += 1
 

@@ -241,12 +241,18 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
     snapshots: list = []
 
     # the data-profile convention scores every evaluation, probe points
-    # included, so the Jacobian builder evaluates through this too
+    # included, so the Jacobian builder evaluates through this too (via
+    # evaluate_F); an h(F) that overflows fails like a non-finite F
     def evaluate(point):
         fvec = oracle.eval_F(point)
         fv = eval_h(h, fvec)
+        if not math.isfinite(fv):
+            raise OracleFailure("h of the oracle's values is not finite")
         best_f.append(fv if not best_f else min(best_f[-1], fv))
-        return fvec
+        return fvec, fv
+
+    def evaluate_F(point):
+        return evaluate(point)[0]
 
     def finish(term: Termination) -> RunRecord:
         return RunRecord(
@@ -273,15 +279,14 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
 
     try:
         # max_evals >= n + 1 >= 2, so the start point always fits
-        F_x = evaluate(x)
-        f_x = eval_h(h, F_x)
+        F_x, f_x = evaluate(x)
         evals_done = len(best_f)
 
         while True:
             if entry == "step1":
                 if len(best_f) + n > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
-                A = build_jacobian(evaluate, x, F_x, tau)
+                A = build_jacobian(evaluate_F, x, F_x, tau)
                 if tr is None:
                     # looked up on its module, where perfbench's tracer wraps it
                     tr = subproblem.reformulate(h, F_x, A, region, x, params.p, delta)
@@ -315,8 +320,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 if len(best_f) + 1 > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 trial_x = x + sol.d_star
-                F_trial = evaluate(trial_x)
-                f_trial = eval_h(h, F_trial)
+                F_trial, f_trial = evaluate(trial_x)
                 rho = compute_rho(f_x, f_trial, sol.model_value)
                 if rho is not None and rho >= params.alpha:
                     cls = IterationClass.SUCCESS

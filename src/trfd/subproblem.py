@@ -31,7 +31,11 @@ into it in place, and ``set_radius`` moves it to another radius.  The
 LP keeps the basis of its last solve through both, so each solve
 restarts the simplex from the basis the solve before left, even the
 previous model's, falling back to the d = 0 crash when that basis is no
-longer feasible.
+longer feasible.  The LP also keeps, from its assembly, which sides of
+the region's box are finite, which no model or radius changes.  The
+per-LP code reads that instead of recomputing it: ``set_model``'s p = 1
+side rows, ``set_radius``'s p = inf bounds, the step's box check and the
+ray walk all skip the box when it has no finite side.
 
 The model decrease psi(r) = r * eta(r) is concave and nondecreasing in
 r with psi(0) = 0, so one solve at a radius r brackets eta at any larger
@@ -42,6 +46,7 @@ outer method's tests, so the LP at R need not be solved.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -87,6 +92,14 @@ class TrustRegionLP:
     # the LP point of d = 0, feasible by construction
     start: np.ndarray
     radius: float = field(init=False)
+    # which sides of the region's box are finite, upper then lower per
+    # coordinate (the order of the p = 1 side rows), and whether any is
+    sides: np.ndarray = field(init=False)
+    bounded: bool = field(init=False)
+
+    def __post_init__(self):
+        self.sides = _finite_sides(self.region)
+        self.bounded = bool(np.logical_or.reduce(self.sides))
 
     def set_model(self, F_x, A, x) -> None:
         """Write the model h(F_x + A d) at x into the LP in place, then
@@ -119,8 +132,9 @@ class TrustRegionLP:
         # the region's linear rows
         g = [b - float(a @ x) for a, b in self.region.linear_ineq]
         if self.p is PNorm.ONE:
-            box = np.array([self.region.upper - x, x - self.region.lower]).T.ravel()
-            g = np.concatenate([box[np.isfinite(box)], g])
+            if self.bounded:
+                box = np.array([self.region.upper - x, x - self.region.lower]).T.ravel()
+                g = np.concatenate([box[self.sides], g])
             k += 1
         rhs[k:] = g
         self.F_x, self.A, self.x = F_x, A, x
@@ -134,8 +148,12 @@ class TrustRegionLP:
         self.radius = float(r)
         if self.p is PNorm.INF:
             # the trust region and the box are the d columns' bounds
-            self.lp.lower[: self.x.size] = np.maximum(-r, self.region.lower - self.x)
-            self.lp.upper[: self.x.size] = np.minimum(r, self.region.upper - self.x)
+            lower, upper = -r, r
+            if self.bounded:
+                lower = np.maximum(lower, self.region.lower - self.x)
+                upper = np.minimum(upper, self.region.upper - self.x)
+            self.lp.lower[: self.x.size] = lower
+            self.lp.upper[: self.x.size] = upper
         else:
             # sum(u + v) <= r is the first row after the model rows
             self.lp.rhs[self.F_x.size * (2 if self.h is OuterFunction.L1 else 1)] = r
@@ -184,8 +202,7 @@ def reformulate(
         z_rows = G
     else:
         z_lo, z_hi = np.zeros(2 * n), np.full(2 * n, np.inf)
-        finite = np.isfinite(np.array([region.upper - x, x - region.lower]).T.ravel())
-        sides = (np.eye(n)[:, None, :] * [[1.0], [-1.0]]).reshape(2 * n, n)[finite]
+        sides = (np.eye(n)[:, None, :] * [[1.0], [-1.0]]).reshape(2 * n, n)[_finite_sides(region)]
         GE = np.concatenate([sides, G])
         z_rows = np.concatenate([np.ones((1, 2 * n)), np.concatenate([GE, -GE], axis=1)])
     nz = z_lo.size
@@ -288,8 +305,11 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     upper = (psi_upper + allowance) / r
     u = sol.d_star / size
     grid = r * 4.0 ** np.arange(1.0, np.ceil(np.log(r_ref / r) / np.log(4.0)))
-    rho = np.minimum(np.concatenate([grid[grid < r_ref], [r_ref]]), _ray_length(tr.region, tr.x, u))
-    rho = np.unique(rho[rho > r])
+    rho = np.minimum(np.concatenate([grid[grid < r_ref], [r_ref]]), _ray_length(tr, u))
+    # rho is nondecreasing: keep the first of each run of equal radii past r
+    keep = rho > r
+    keep[1:] &= rho[1:] != rho[:-1]
+    rho = rho[keep]
     Z = F + rho[:, None] * (A @ u)
     psi = base - (np.abs(Z).sum(axis=1) if tr.h is OuterFunction.L1 else Z.max(axis=1))
     lower = psi / r_ref
@@ -301,14 +321,22 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     return float(lower[k]), upper, float(rho[k])
 
 
-def _ray_length(region: FeasibleRegion, x: np.ndarray, u: np.ndarray) -> float:
-    """The largest t with x + t u in ``region``, by a ratio test over the
-    finite box sides and the linear rows; inf when the ray stays in it."""
-    up, down = u > 0, u < 0
-    t = min(
-        ((region.upper[up] - x[up]) / u[up]).min(initial=np.inf),
-        ((region.lower[down] - x[down]) / u[down]).min(initial=np.inf),
-    )
+def _finite_sides(region: FeasibleRegion) -> np.ndarray:
+    return np.isfinite(np.array([region.upper, region.lower]).T.ravel())
+
+
+def _ray_length(tr: TrustRegionLP, u: np.ndarray) -> float:
+    """The largest t with x + t u in ``tr``'s region, by a ratio test over
+    the finite box sides and the linear rows; inf when the ray stays in
+    it, as it does in a region with no finite side and no row."""
+    region, x = tr.region, tr.x
+    t = math.inf
+    if tr.bounded:
+        up, down = u > 0, u < 0
+        t = min(
+            ((region.upper[up] - x[up]) / u[up]).min(initial=np.inf),
+            ((region.lower[down] - x[down]) / u[down]).min(initial=np.inf),
+        )
     for a, b in region.linear_ineq:
         slope = float(a @ u)
         if slope > 0:
@@ -325,7 +353,7 @@ def _check_solution(tr, d, model_value, result: SimplexResult) -> None:
     if norm(d, tr.p) - r > abort:
         raise NumericalTrouble("step left the trust region")
     xt = tr.x + d
-    if (xt < tr.region.lower - abort).any() or (xt > tr.region.upper + abort).any():
+    if tr.bounded and ((xt < tr.region.lower - abort).any() or (xt > tr.region.upper + abort).any()):
         raise NumericalTrouble("step left the feasible box")
     for a, b in tr.region.linear_ineq:
         if float(a @ xt) > b + abort:

@@ -389,3 +389,38 @@ def test_robustness_sweep_script(capsys):
     assert [line[:18].strip() for line in lines] == [name for name, _, _ in script.CASES]
     assert all(" 4 runs: " in line for line in lines)
     assert lines[0].startswith("scale 1 ") and "numerical_trouble" not in lines[0]
+
+
+def fake_checkout(root, digest, wall_s):
+    """A checkout whose perfbench/run.py prints fixed identity lines and
+    metrics, and that declares two end-to-end metrics."""
+    (root / "perfbench").mkdir(parents=True)
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "solved_frac_1e-3": {"value": 0.5, "unit": "ratio"}}
+    (root / "perfbench" / "run.py").write_text(
+        f"print('counters: runs=2 evals=9')\nprint('trace digest sha256={digest} (traces)')\n"
+        f"print({json.dumps(json.dumps({'attempted': 4, 'failed': 0, 'metrics': metrics}))})\n"
+    )
+    declared = [{"name": "wall_s", "better": "lower"}, {"name": "solved_frac_1e-3", "better": "higher"}]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
+    return str(root)
+
+
+def test_ab_pairs_script(tmp_path, capsys):
+    script = load_script("ab_pairs")
+    parent = fake_checkout(tmp_path / "parent", "aa", 0.6)
+    faster = fake_checkout(tmp_path / "faster", "aa", 0.5)
+    other = fake_checkout(tmp_path / "other", "bb", 0.5)
+
+    assert script.main([parent, faster, "--pairs", "2", "--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pair 1/2: parent wall_s 0.6000, change wall_s 0.5000"
+    assert lines[3].split() == ["wall_s", "0.6", "[0.6,", "0.6]", "0.5", "[0.5,", "0.5]", "-16.67%", "2/2"]
+    assert lines[4].split()[-2:] == ["+0.00%", "0/2"]
+    assert lines[5] == "failed: parent 0 of 8, change 0 of 8"
+    assert lines[6] == "identical: counters: runs=2 evals=9 | trace digest sha256=aa (traces)"
+
+    # a change of digest fails, though the change is faster
+    assert script.main([parent, other, "--pairs", "1", "--seconds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "identity lines differ from the parent's first run:"
+    assert lines[-1] == "  pair 1 change: counters: runs=2 evals=9 | trace digest sha256=bb (traces)"

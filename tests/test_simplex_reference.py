@@ -11,7 +11,7 @@ its optima are checked against cold solves and HiGHS instead.
 """
 import numpy as np
 import pytest
-from conftest import random_box_lp, random_mixed_lp, random_tr_instance
+from conftest import enumerate_lp_minimum, random_box_lp, random_mixed_lp, random_tr_instance
 
 from trfd import simplex
 from trfd.simplex import (
@@ -219,6 +219,37 @@ def test_random_lps_and_restarts_match_reference(generator, seed):
                 at_start = target.rows @ xbar
                 target.rhs[:] = at_start + f_rhs * (target.rhs - at_start)
             _assert_bit_equal(lp, ref_lp, xbar)
+
+
+def test_fixed_columns_match_reference_and_enumeration():
+    # a column with lower == upper sits at its bound and never prices;
+    # the reference masks such columns out, the solver has no mask for
+    # them.  Each LP pins a few columns at xbar, then is re-solved twice
+    # with the other bounds moved as above and one more column pinned,
+    # so a kept basis may hold a column that is now fixed
+    rng = np.random.default_rng(54)
+    for _ in range(100):
+        lp, xbar = random_box_lp(rng)
+        nv = lp.n_variables
+        pinned = rng.random(nv) < 0.3
+        pinned[rng.integers(nv)] = True
+        ref_lp = _twin(lp)
+        for target in (lp, ref_lp):
+            target.lower[pinned] = target.upper[pinned] = xbar[pinned]
+        got = _assert_bit_equal(lp, ref_lp, xbar)
+        assert got.objective == pytest.approx(enumerate_lp_minimum(lp), rel=1e-9, abs=1e-9)
+        for _ in range(2):
+            f_lo, f_hi = rng.uniform(0.0, 1.0, (2, nv))
+            f_rhs = rng.uniform(0.0, 1.0, lp.n_rows)
+            j = rng.integers(nv)
+            for target in (lp, ref_lp):
+                target.lower[:] = xbar + f_lo * (target.lower - xbar)
+                target.upper[:] = xbar + f_hi * (target.upper - xbar)
+                target.lower[j] = target.upper[j] = xbar[j]
+                at_start = target.rows @ xbar
+                target.rhs[:] = at_start + f_rhs * (target.rhs - at_start)
+            got = _assert_bit_equal(lp, ref_lp, xbar)
+            assert got.objective == pytest.approx(enumerate_lp_minimum(lp), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("h", ["l1", "minimax"])

@@ -391,16 +391,48 @@ def test_a_trace_in_the_indented_layout_loads_and_audits(tmp_path):
 
 
 def test_a_refused_trace_raises_and_leaves_no_file(tmp_path):
-    # finite residuals whose L1 sum overflows put inf into best_f, which
-    # JSON cannot say; the save must not leave an empty trace behind
-    prob = make_problem(lambda x: np.array([1e308, 1e308]), 2, 2, "l1", (0.0, 0.0))
-    with np.errstate(over="ignore"):
-        rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
-    assert math.inf in rec.best_f
+    # an inf in best_f is a value JSON cannot say; the save must not
+    # leave an empty trace behind
+    prob = make_problem(rosenbrock_residuals, 2, 2, "l1", (-1.2, 1.0))
+    rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, 2))
+    rec.best_f[-1] = math.inf
     path = tmp_path / "refused.json"
     with pytest.raises(ValueError):
         save_trace(rec, path)
     assert not path.exists()
+
+
+def test_an_overflowing_h_is_a_failed_evaluation(tmp_path):
+    # finite residuals whose L1 sum overflows give no usable value: the
+    # run ends oracle_error, as for a non-finite F, keeping every earlier
+    # evaluation, and its trace saves and audits
+    calls = []
+
+    def residuals(x):
+        calls.append(x.copy())
+        return np.array([1e308, 1e308]) if len(calls) == 4 else x - 1.0
+
+    prob = make_problem(residuals, 2, 2, "l1", (0.0, 0.0))
+    with np.errstate(over="ignore"):
+        rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    # the start, its two probes, then the first trial, which overflows
+    assert len(calls) == 4 and rec.iterations == []
+    assert rec.termination is Termination.ORACLE_ERROR
+    assert rec.best_f == np.minimum.accumulate([np.abs(c - 1.0).sum() for c in calls[:3]]).tolist()
+    assert rec.termination_evals == 2 and rec.final_f == 2.0
+    path = tmp_path / "overflow.json"
+    save_trace(rec, path)
+    back = load_trace(path)
+    assert record_to_doc(back) == record_to_doc(rec)
+    assert audit_trace(back).ok
+
+    # overflowing from the start, the run has no evaluation at all
+    prob = make_problem(lambda x: np.array([1e308, 1e308]), 2, 2, "l1", (0.0, 0.0))
+    with np.errstate(over="ignore"):
+        rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    assert rec.termination is Termination.ORACLE_ERROR and rec.best_f == []
+    save_trace(rec, path)
+    assert audit_trace(load_trace(path)).ok
 
 
 def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):

@@ -5,8 +5,8 @@ from references import eta_bruteforce
 
 from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from trfd.simplex import _residual, solve_lp
-from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
+from trfd.simplex import NumericalTrouble, SimplexResult, _residual, solve_lp
+from trfd.subproblem import UnsupportedNorm, _check_solution, _ray_length, reformulate, solve_tr_subproblem
 
 try:  # independent reference solver; optional, not a runtime dependency
     from scipy.optimize import linprog
@@ -238,3 +238,45 @@ def test_theta_condition_exactness():
         decrease = base - sol.model_value
         assert decrease >= 1.0 * decrease - 1e-9 * (1 + abs(base))
         assert sol.model_value <= base + 1e-9 * (1 + abs(base))
+
+
+# a box with finite lower sides on its first and last coordinates alone
+ONE_SIDED = FeasibleRegion(np.array([-1.0, -np.inf, 0.0]), np.full(3, np.inf))
+
+
+@pytest.mark.parametrize("p", [PNorm.ONE, PNorm.INF])
+def test_a_step_past_a_one_sided_box_is_refused(p):
+    F, A, x = np.array([1.0]), np.array([[0.0, 0.0, 1.0]]), np.array([0.0, 0.0, 0.5])
+    tr = reformulate(OuterFunction.L1, F, A, ONE_SIDED, x, p, 1.0)
+    assert tr.bounded and tr.sides.tolist() == [False, True, False, False, False, True]
+
+    def check(d):
+        model_value = eval_h(tr.h, F + A @ d)
+        result = SimplexResult(x=np.zeros(tr.lp.n_variables), objective=model_value, iterations=0,
+                               max_residual=0.0)
+        _check_solution(tr, d, model_value, result)
+
+    # along an infinite side, and onto the finite one within the tolerance
+    check(np.array([0.0, 0.9, 0.0]))
+    check(np.array([0.0, 0.0, -0.5 - 5e-7]))
+    with pytest.raises(NumericalTrouble, match="step left the feasible box"):
+        check(np.array([0.0, 0.0, -0.6]))
+
+
+def test_ray_length_is_the_ratio_test_over_finite_sides_and_rows():
+    F, A = np.zeros(1), np.zeros((1, 3))
+
+    def ray(region, x, u):
+        return _ray_length(reformulate(OuterFunction.L1, F, A, region, x, PNorm.INF, 1.0), u)
+
+    x, u = np.array([0.0, 0.0, 0.5]), np.array([-0.5, -2.0, -1.0])
+    # lower sides only: (-1 - 0) / -0.5 = 2 and (0 - 0.5) / -1 = 0.5
+    assert ray(ONE_SIDED, x, u) == 0.5
+    # rising, the ray meets no finite side
+    assert ray(ONE_SIDED, x, -u) == np.inf
+    rows = FeasibleRegion(np.full(3, -np.inf), np.full(3, np.inf),
+                          ((np.array([1.0, 1.0, 0.0]), 2.0), (np.array([-1.0, 0.0, 0.0]), 5.0)))
+    u = np.array([1.0, 0.5, 3.0])
+    # the first row's slope is 1.5 and its slack 2; the second falls
+    assert ray(rows, np.zeros(3), u) == 2.0 / 1.5
+    assert ray(FeasibleRegion.unconstrained(3), np.zeros(3), u) == np.inf
