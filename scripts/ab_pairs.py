@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Time two checkouts against each other in alternating benchmark pairs.
 
-Each pair runs ``perfbench/run.py --trace 0`` once in PARENT_DIR and
-once in CHANGE_DIR, each from its own checkout; the parent runs first in
-odd pairs and second in even ones, so neither side always runs on a
-machine the other has just warmed.  For every end-to-end metric
-CHANGE_DIR's BENCHMARK.json declares, the script then prints both
+The script compares each workload that CHANGE_DIR's BENCHMARK.json
+declares, or only the one ``--workload`` names, in a block of its own.
+Each pair runs ``perfbench/run.py --trace 0`` on the workload once in
+PARENT_DIR and once in CHANGE_DIR, each from its own checkout; the
+parent runs first in odd pairs and second in even ones, so neither side
+always runs on a machine the other has just warmed.  For every
+end-to-end metric BENCHMARK.json declares, the block then prints both
 sides' median and quartiles over the pairs, the change of the median,
 and in how many pairs the change did better, and then how many
 operations failed on each side.
 
 A change that claims unchanged arithmetic must print the parent's
 ``trace digest`` and ``counters`` lines.  The script exits 1 when any
-run prints other such lines than the parent's first run, and stops
-with exit status 1 when a run fails.
+run of a workload prints other such lines than the parent's first run
+of that workload, and stops with exit status 1 when a run fails.
 
 Usage:  python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR
-            [--workload registry] [--pairs 10] [--seconds 60] [--seed 1]
+            [--workload NAME] [--pairs 10] [--seconds 60] [--seed 1]
 """
 import argparse
 import json
@@ -28,9 +30,9 @@ import sys
 IDENTITY_LINES = ("trace digest", "counters")
 
 
-def bench(checkout, args):
+def bench(checkout, workload, args):
     """The identity lines and result document of one run in ``checkout``."""
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -49,7 +51,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="scripts/ab_pairs.py")
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
-    parser.add_argument("--workload", default="registry")
+    parser.add_argument("--workload", help="default: every workload BENCHMARK.json declares")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--seed", type=int, default=1)
@@ -57,14 +59,24 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
-        declared = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    workloads = [args.workload] if args.workload else [w["name"] for w in benchmark["workloads"]]
+    status = 0
+    for workload in workloads:
+        print(f"workload {workload}:")
+        status = max(status, compare(workload, benchmark["end_to_end"], args))
+    return status
 
+
+def compare(workload, declared, args) -> int:
+    """Run ``workload``'s pairs and print its block; 1 when an identity
+    line differs from the parent's first run, 0 otherwise."""
     runs = {"parent": [], "change": []}
     expected, differ = None, []
     for k in range(args.pairs):
         order = (("parent", args.parent_dir), ("change", args.change_dir))
         for side, checkout in order if k % 2 == 0 else order[::-1]:
-            identity, result = bench(checkout, args)
+            identity, result = bench(checkout, workload, args)
             # the first pair runs the parent first
             expected = identity if expected is None else expected
             if identity != expected:

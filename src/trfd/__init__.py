@@ -33,8 +33,7 @@ _EXPORTS = {
         "solver",
     ),
     **dict.fromkeys(
-        ("SubproblemSolution", "TrustRegionLP", "UnsupportedNorm", "reformulate",
-         "solve_tr_subproblem"),
+        ("SubproblemSolution", "TrustRegionLP", "reformulate", "solve_tr_subproblem"),
         "subproblem",
     ),
 }

@@ -49,10 +49,9 @@ class SolverConfig:
     overrides: tuple = ()
 
     def __post_init__(self):
-        # aliases such as "one" pass; p = 2 and unknown values fail here,
-        # before any run of a campaign starts
-        if self.p != "auto" and PNorm.from_value(self.p) is PNorm.TWO:
-            raise ValueError("p = 2 subproblems are not linear programs; use p = 1, inf or auto")
+        # any other p fails here, before any run of a campaign starts
+        if self.p != "auto":
+            PNorm.from_value(self.p)
 
     def build_params(self, problem, simplex_gradients: int = 100) -> TrfdParams:
         if self.p == "auto":

@@ -22,10 +22,13 @@ Campaign document:
       "tolerances": [1e-1, 1e-3, 1e-5, 1e-7]
     }
 
-Solver entries accept optional overrides (epsilon, alpha, theta,
-delta_star, stop_delta, stop_eta) passed straight to the parameter
-factory.  In both documents any other key is refused: a misspelt one
-must not go unread, and a campaign names each problem and solver once.
+Solver entries accept optional overrides (epsilon, alpha, delta_star,
+stop_delta, stop_eta) passed straight to the parameter factory.  In
+both documents, and in each row, any other key is refused: a misspelt
+one must not go unread, and a campaign names each problem and solver
+once.  "h", "p" and "family" take the exact spellings shown and no
+other.  Bounds may be infinite but not NaN; rows and the start point
+must be finite.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from .testset import registry, registry_by_name, registry_family
 PROBLEM_KEYS = ("name", "n", "m", "h", "x0", "start", "lower", "upper", "linear_ineq", "oracle")
 ORACLE_KEYS = ("registry", "command", "timeout")
 CAMPAIGN_KEYS = ("problems", "solvers", "budget_simplex_gradients", "tolerances")
-OVERRIDE_KEYS = ("epsilon", "alpha", "theta", "delta_star", "stop_delta", "stop_eta")
+OVERRIDE_KEYS = ("epsilon", "alpha", "delta_star", "stop_delta", "stop_eta")
 
 
 def load_json(path) -> dict:
@@ -63,10 +66,10 @@ def problem_from_config(doc: dict) -> Problem:
             return np.full(n, fill)
         return np.array([fill if v is None else float(v) for v in raw])
 
-    rows = tuple(
-        (np.asarray(row["a"], dtype=float), float(row["b"]))
-        for row in doc.get("linear_ineq", [])
-    )
+    rows = []
+    for row in doc.get("linear_ineq", []):
+        _known_keys(row, ("a", "b"), 'a "linear_ineq" row')
+        rows.append((np.asarray(row["a"], dtype=float), float(row["b"])))
     region = FeasibleRegion(bound("lower", -np.inf), bound("upper", np.inf), rows)
 
     start = doc.get("x0", "registry" if "start" in doc else None)

@@ -13,6 +13,10 @@ and radius rules depend on:
 
     ||x||_2 <= c_{2,p}(n) ||x||_p   on R^n
     ||z||_p <= c_{p,2}(m) ||z||_2   on R^m
+
+p is 1 or inf, the two norms whose subproblems are linear programs.  The
+``from_value`` methods take the members and the exact strings "1",
+"inf", "l1" and "minimax", and refuse any other value with a ValueError.
 """
 from __future__ import annotations
 
@@ -27,37 +31,24 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
 class PNorm(enum.Enum):
-    """Which p-norm defines the trust region: p in {1, 2, inf}."""
+    """Which p-norm defines the trust region: p in {1, inf}."""
 
     ONE = "1"
-    TWO = "2"
     INF = "inf"
 
     @classmethod
     def from_value(cls, value) -> "PNorm":
-        if isinstance(value, PNorm):
-            return value
-        key = str(value).strip().lower()
-        aliases = {
-            "1": cls.ONE,
-            "one": cls.ONE,
-            "2": cls.TWO,
-            "two": cls.TWO,
-            "inf": cls.INF,
-            "infinity": cls.INF,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown p-norm: {value!r}")
-        return aliases[key]
+        try:
+            return cls(value)
+        except ValueError:
+            raise ValueError(f'p = {value} is not "1" or "inf", the norms with a linear subproblem') from None
 
 
 def norm(v, p: PNorm) -> float:
-    """The p-norm of a vector, p in {1, 2, inf}."""
+    """The p-norm of a vector, p in {1, inf}."""
     v = np.asarray(v, dtype=float)
     if p is PNorm.ONE:
         return float(np.abs(v).sum())
-    if p is PNorm.TWO:
-        return float(np.linalg.norm(v))
     return float(np.abs(v).max()) if v.size else 0.0
 
 
@@ -78,8 +69,6 @@ def norm_constants(p: PNorm, n: int, m: int) -> NormConstants:
         raise ValueError("dimensions must be at least 1")
     if p is PNorm.ONE:
         return NormConstants(c2p_n=1.0, cp2_m=math.sqrt(m))
-    if p is PNorm.TWO:
-        return NormConstants(c2p_n=1.0, cp2_m=1.0)
     return NormConstants(c2p_n=math.sqrt(n), cp2_m=1.0)
 
 
@@ -96,23 +85,14 @@ class OuterFunction(enum.Enum):
 
     def lipschitz(self, p: PNorm, m: int) -> float:
         """Lipschitz constant of h with respect to the p-norm on R^m."""
-        if self is OuterFunction.MINIMAX:
-            return 1.0
-        if p is PNorm.ONE:
-            return 1.0
-        if p is PNorm.TWO:
-            return math.sqrt(m)
-        return float(m)
+        return 1.0 if self is OuterFunction.MINIMAX or p is PNorm.ONE else float(m)
 
     @classmethod
     def from_value(cls, value) -> "OuterFunction":
-        if isinstance(value, OuterFunction):
-            return value
-        key = str(value).strip().lower()
-        aliases = {"l1": cls.L1, "minimax": cls.MINIMAX, "max": cls.MINIMAX}
-        if key not in aliases:
-            raise ValueError(f"unknown outer function: {value!r}")
-        return aliases[key]
+        try:
+            return cls(value)
+        except ValueError:
+            raise ValueError(f'h = {value} is not "l1" or "minimax"') from None
 
 
 def eval_h(h: OuterFunction, z) -> float:
@@ -126,8 +106,9 @@ def eval_h(h: OuterFunction, z) -> float:
 class FeasibleRegion:
     """Polyhedron {x : lower <= x <= upper, a_i . x <= b_i}.
 
-    Bounds may be infinite; an empty constraint list with infinite
-    bounds represents the unconstrained region.
+    Bounds may be infinite but not NaN, and every row entry must be
+    finite; an empty constraint list with infinite bounds represents the
+    unconstrained region.
     """
 
     lower: np.ndarray
@@ -139,6 +120,8 @@ class FeasibleRegion:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-d arrays of equal length")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("a bound is NaN")
         if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         rows = []
@@ -146,7 +129,10 @@ class FeasibleRegion:
             a = np.asarray(a, dtype=float)
             if a.shape != lower.shape:
                 raise ValueError("inequality row has wrong length")
-            rows.append((a, float(b)))
+            b = float(b)
+            if not (np.isfinite(a).all() and math.isfinite(b)):
+                raise ValueError("inequality row has a non-finite entry")
+            rows.append((a, b))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "linear_ineq", tuple(rows))
@@ -182,6 +168,8 @@ class Problem:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.n,):
             raise ValueError("start point has wrong length")
+        if not np.isfinite(x0).all():
+            raise ValueError("start point is not finite")
         if self.region.n != self.n:
             raise ValueError("region dimension mismatch")
         if not self.region.contains(x0):

@@ -59,8 +59,10 @@ def delta_min(params: TrfdParams, consts, L_J: float) -> float:
         (1 - alpha) * theta * epsilon
         -----------------------------------------------
         4 * L_h * max(sigma, L_J) * c_p2 * c_2p^2
+
+    with theta = 1, as every subproblem LP is solved exactly.
     """
-    return ((1 - params.alpha) * params.theta * params.epsilon) / (
+    return ((1 - params.alpha) * params.epsilon) / (
         4.0 * params.lipschitz_h * max(params.sigma, L_J) * consts.cp2_m * consts.c2p_n**2
     )
 

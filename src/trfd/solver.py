@@ -86,13 +86,13 @@ class TrfdParams:
     The standard tuning sets sigma so that the initial finite-difference
     stepsize tau0 = epsilon / (L_h * sigma * c_p2 * c_2p * sqrt(n))
     equals sqrt(machine eps), takes Delta0 = max(1, tau0 * sqrt(n)),
-    Delta* = 1000, alpha = 0.15, theta = 1, and stops when the radius or
-    the criticality measure falls to 1e-13.
+    Delta* = 1000, alpha = 0.15, and stops when the radius or the
+    criticality measure falls to 1e-13.  The paper's theta is 1, no
+    parameter, as every subproblem LP is solved exactly.
     """
 
     epsilon: float
     alpha: float
-    theta: float
     sigma: float
     lipschitz_h: float
     consts: NormConstants
@@ -110,12 +110,8 @@ class TrfdParams:
                 raise ValueError(f"{f.name} must be finite, not {value!r}")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
-        if not (0 < self.theta <= 1):
-            raise ValueError("theta must lie in (0, 1]")
         if self.epsilon <= 0 or self.sigma <= 0:
             raise ValueError("epsilon and sigma must be positive")
-        if self.p is PNorm.TWO:
-            raise ValueError("p = 2 subproblems are not linear programs; use p = 1 or inf")
         n = self.budget.n
         if self.tau0 * math.sqrt(n) > self.delta0:
             raise ValueError("delta0 must be at least tau0 * sqrt(n)")
@@ -138,7 +134,6 @@ class TrfdParams:
         *,
         epsilon: float = 1e-15,
         alpha: float = 0.15,
-        theta: float = 1.0,
         delta_star: float = 1000.0,
         stop_delta: float = 1e-13,
         stop_eta: float = 1e-13,
@@ -153,7 +148,6 @@ class TrfdParams:
         return cls(
             epsilon=epsilon,
             alpha=alpha,
-            theta=theta,
             sigma=sigma,
             lipschitz_h=lip,
             consts=consts,
@@ -365,7 +359,8 @@ def record_to_doc(record: RunRecord) -> dict:
         "params": {
             "epsilon": p.epsilon,
             "alpha": p.alpha,
-            "theta": p.theta,
+            # schema v3 keeps the field; exact LP solves make it 1
+            "theta": 1.0,
             "sigma": p.sigma,
             "lipschitz_h": p.lipschitz_h,
             "c2p_n": p.consts.c2p_n,
@@ -421,7 +416,6 @@ def record_from_doc(doc: dict) -> RunRecord:
     params = TrfdParams(
         epsilon=_field(pd, "epsilon", "number"),
         alpha=_field(pd, "alpha", "number"),
-        theta=_field(pd, "theta", "number"),
         sigma=_field(pd, "sigma", "number"),
         lipschitz_h=_positive(pd, "lipschitz_h"),
         consts=NormConstants(c2p_n=_positive(pd, "c2p_n"), cp2_m=_positive(pd, "cp2_m")),

@@ -71,10 +71,6 @@ DUMP_ENV = "TRFD_LP_DUMP"
 _dump_counter = 0
 
 
-class UnsupportedNorm(Exception):
-    """p = 2 subproblems have no linear reformulation and are rejected."""
-
-
 @dataclass
 class TrustRegionLP:
     """The subproblem LP plus the layout needed to read it back;
@@ -181,8 +177,6 @@ def reformulate(
     p: PNorm,
     r: float,
 ) -> TrustRegionLP:
-    if p is PNorm.TWO:
-        raise UnsupportedNorm("p=2 subproblems are not linear programs")
     F_x = np.asarray(F_x, dtype=float)
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -9,7 +9,7 @@ import numpy as np
 from trfd.core import OuterFunction, PNorm, eval_h, norm_constants
 from trfd.diagnostics import AnalyticProblem, psi
 from trfd.jacobian import build_jacobian
-from trfd.subproblem import UnsupportedNorm, reformulate, solve_tr_subproblem
+from trfd.subproblem import reformulate, solve_tr_subproblem
 
 
 def eta_bruteforce(h, F_x, A, region, x, p, r, resolution=1e-3) -> float:
@@ -26,8 +26,6 @@ def eta_bruteforce(h, F_x, A, region, x, p, r, resolution=1e-3) -> float:
     n = A.shape[1]
     if n > 3:
         raise ValueError(f"grid oracle supports n <= 3, got n={n}")
-    if p not in (PNorm.ONE, PNorm.INF):
-        raise UnsupportedNorm("grid oracle supports p in {1, inf}")
 
     steps = int(round(2 * r / resolution))
     axis = np.linspace(-r, r, steps + 1)
@@ -95,7 +93,7 @@ def psi_euclidean(ap: AnalyticProblem, x, r: float) -> float:
     region = prob.region
     unconstrained = not region.linear_ineq and np.all(np.isinf(region.lower)) and np.all(np.isinf(region.upper))
     if prob.m != 1 or prob.h is not OuterFunction.MINIMAX or not unconstrained:
-        raise UnsupportedNorm("p=2 stationarity needs m=1, minimax h, unconstrained region")
+        raise ValueError("p=2 stationarity needs m=1, minimax h, unconstrained region")
     x = np.asarray(x, dtype=float)
     J = np.asarray(ap.jacobian(x), dtype=float)
     base = eval_h(prob.h, prob.oracle.eval_F(x))

@@ -28,7 +28,7 @@ from trfd.core import NormConstants
 
 def fake_record(name, n, best_f, budget=100):
     params = TrfdParams(
-        epsilon=1e-15, alpha=0.15, theta=1.0, sigma=1e9, lipschitz_h=1.0,
+        epsilon=1e-15, alpha=0.15, sigma=1e9, lipschitz_h=1.0,
         consts=NormConstants(1.0, 1.0), p=PNorm.ONE,
         budget=EvalBudget(simplex_gradients=budget, n=n),
         delta0=1.0, delta_star=1000.0, stop_delta=1e-13, stop_eta=1e-13,
@@ -392,16 +392,20 @@ def test_robustness_sweep_script(capsys):
 
 
 def fake_checkout(root, digest, wall_s):
-    """A checkout whose perfbench/run.py prints fixed identity lines and
-    metrics, and that declares two end-to-end metrics."""
+    """A checkout whose perfbench/run.py prints fixed identity lines,
+    naming the workload, and metrics, and that declares two workloads and
+    two end-to-end metrics."""
     (root / "perfbench").mkdir(parents=True)
     metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "solved_frac_1e-3": {"value": 0.5, "unit": "ratio"}}
     (root / "perfbench" / "run.py").write_text(
-        f"print('counters: runs=2 evals=9')\nprint('trace digest sha256={digest} (traces)')\n"
+        "import sys\n"
+        "print('counters: ' + sys.argv[sys.argv.index('--workload') + 1] + ' evals=9')\n"
+        f"print('trace digest sha256={digest} (traces)')\n"
         f"print({json.dumps(json.dumps({'attempted': 4, 'failed': 0, 'metrics': metrics}))})\n"
     )
     declared = [{"name": "wall_s", "better": "lower"}, {"name": "solved_frac_1e-3", "better": "higher"}]
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
+    workloads = [{"name": "registry"}, {"name": "external"}]
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": workloads, "end_to_end": declared}))
     return str(root)
 
 
@@ -411,16 +415,25 @@ def test_ab_pairs_script(tmp_path, capsys):
     faster = fake_checkout(tmp_path / "faster", "aa", 0.5)
     other = fake_checkout(tmp_path / "other", "bb", 0.5)
 
+    # every declared workload, each in its own block with its own identity
     assert script.main([parent, faster, "--pairs", "2", "--seconds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "pair 1/2: parent wall_s 0.6000, change wall_s 0.5000"
-    assert lines[3].split() == ["wall_s", "0.6", "[0.6,", "0.6]", "0.5", "[0.5,", "0.5]", "-16.67%", "2/2"]
-    assert lines[4].split()[-2:] == ["+0.00%", "0/2"]
-    assert lines[5] == "failed: parent 0 of 8, change 0 of 8"
-    assert lines[6] == "identical: counters: runs=2 evals=9 | trace digest sha256=aa (traces)"
+    assert len(lines) == 16
+    for block, workload in zip((lines[:8], lines[8:]), ("registry", "external")):
+        assert block[0] == f"workload {workload}:"
+        assert block[1] == "pair 1/2: parent wall_s 0.6000, change wall_s 0.5000"
+        assert block[4].split() == ["wall_s", "0.6", "[0.6,", "0.6]", "0.5", "[0.5,", "0.5]", "-16.67%", "2/2"]
+        assert block[5].split()[-2:] == ["+0.00%", "0/2"]
+        assert block[6] == "failed: parent 0 of 8, change 0 of 8"
+        assert block[7] == f"identical: counters: {workload} evals=9 | trace digest sha256=aa (traces)"
+
+    # --workload runs the one it names
+    assert script.main([parent, faster, "--workload", "external", "--pairs", "1", "--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "workload external:" and len(lines) == 7
 
     # a change of digest fails, though the change is faster
-    assert script.main([parent, other, "--pairs", "1", "--seconds", "1"]) == 1
+    assert script.main([parent, other, "--workload", "registry", "--pairs", "1", "--seconds", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == "identity lines differ from the parent's first run:"
-    assert lines[-1] == "  pair 1 change: counters: runs=2 evals=9 | trace digest sha256=bb (traces)"
+    assert lines[-1] == "  pair 1 change: counters: registry evals=9 | trace digest sha256=bb (traces)"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trfd import solver
-from trfd.bench import SolverConfig
 from trfd.cli import main
 
 
@@ -309,6 +308,11 @@ def test_external_oracle_config_end_to_end(tmp_path, demo_oracle_cmd):
 # case: (campaign document, text its error line must contain)
 BAD_CONFIGS = {
     "p2": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "2"}]}, "p = 2"),
+    # only the exact spellings name a norm, a family or an override
+    "p_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "one"}]}, "p = one"),
+    "p_infinity": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "Infinity"}]}, "p = Infinity"),
+    "theta_override": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "theta": 0.5}]}, 'unknown key "theta"'),
+    "family_max": ({"problems": {"family": "max"}}, "h = max"),
     "problems_string": ({"problems": "rosenbrock"}, '"problems"'),
     "solvers_string": ({"problems": ["rosenbrock"], "solvers": "TRFD-L1"}, '"solvers"'),
     "solver_without_name": ({"problems": ["rosenbrock"], "solvers": [{"p": "1"}]}, '"name"'),
@@ -353,7 +357,7 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize(
     "case",
     [
-        "p2", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
+        "p2", "p_one", "p_infinity", "theta_override", "family_max", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "epsilon_nan",
         "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_fractional", "budget_infinite",
         "tolerance_negative", "tolerance_nan", "tolerance_above_one",
@@ -377,6 +381,4 @@ def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):
     if case in BAD_CONFIGS:
         assert BAD_CONFIGS[case][1] in lines[0]
     assert not out.exists()
-    # aliases still pass the check
-    SolverConfig(name="X", p="Infinity")
 

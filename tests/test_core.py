@@ -14,7 +14,6 @@ from trfd.core import (
 
 def test_norm_examples():
     v = [3.0, -4.0]
-    assert norm(v, PNorm.TWO) == 5.0
     assert norm(v, PNorm.ONE) == 7.0
     assert norm(v, PNorm.INF) == 4.0
 
@@ -27,7 +26,6 @@ def test_machine_eps():
     "p, n, m, c2p, cp2",
     [
         (PNorm.ONE, 5, 9, 1.0, 3.0),
-        (PNorm.TWO, 7, 4, 1.0, 1.0),
         (PNorm.INF, 4, 6, 2.0, 1.0),
     ],
 )
@@ -47,21 +45,31 @@ def test_norm_equivalence_random_and_tight():
             c = norm_constants(p, n, m)
             x = rng.normal(size=n)
             z = rng.normal(size=m)
-            assert norm(x, PNorm.TWO) <= c.c2p_n * norm(x, p) * (1 + 1e-12)
-            assert norm(z, p) <= c.cp2_m * norm(z, PNorm.TWO) * (1 + 1e-12)
+            assert np.linalg.norm(x) <= c.c2p_n * norm(x, p) * (1 + 1e-12)
+            assert norm(z, p) <= c.cp2_m * np.linalg.norm(z) * (1 + 1e-12)
     # tightness: a canonical vector attains each bound
     n, m = 4, 6
     ones_n, e_n = np.ones(n), np.eye(n)[0]
     ones_m, e_m = np.ones(m), np.eye(m)[0]
     cases = {
         PNorm.ONE: (e_n, ones_m),
-        PNorm.TWO: (e_n, e_m),
         PNorm.INF: (ones_n, e_m),
     }
     for p, (x, z) in cases.items():
         c = norm_constants(p, n, m)
-        assert norm(x, PNorm.TWO) == pytest.approx(c.c2p_n * norm(x, p), rel=1e-14)
-        assert norm(z, p) == pytest.approx(c.cp2_m * norm(z, PNorm.TWO), rel=1e-14)
+        assert np.linalg.norm(x) == pytest.approx(c.c2p_n * norm(x, p), rel=1e-14)
+        assert norm(z, p) == pytest.approx(c.cp2_m * np.linalg.norm(z), rel=1e-14)
+
+
+def test_from_value_takes_the_exact_spellings_alone():
+    assert [PNorm.from_value(v) for v in ("1", "inf", PNorm.INF)] == [PNorm.ONE, PNorm.INF, PNorm.INF]
+    assert [OuterFunction.from_value(v) for v in ("l1", "minimax")] == list(OuterFunction)
+    for spelling in ("2", "one", "two", "infinity", "Inf", " 1", 1):
+        with pytest.raises(ValueError, match=f"^p = {spelling} is not"):
+            PNorm.from_value(spelling)
+    for spelling in ("max", "L1", "minimax "):
+        with pytest.raises(ValueError, match=f"^h = {spelling} is not"):
+            OuterFunction.from_value(spelling)
 
 
 def test_eval_h_examples():
@@ -73,7 +81,6 @@ def test_eval_h_examples():
 def test_outer_function_lipschitz_table():
     m = 9
     assert OuterFunction.L1.lipschitz(PNorm.ONE, m) == 1.0
-    assert OuterFunction.L1.lipschitz(PNorm.TWO, m) == 3.0
     assert OuterFunction.L1.lipschitz(PNorm.INF, m) == 9.0
     for p in PNorm:
         assert OuterFunction.MINIMAX.lipschitz(p, m) == 1.0

@@ -11,7 +11,7 @@ from trfd.diagnostics import AnalyticProblem, AuditFailure, audit_trace, delta_m
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
 from trfd.solver import TrfdParams, solve
-from trfd.subproblem import ETA_SNAP, UnsupportedNorm, reformulate, solve_tr_subproblem
+from trfd.subproblem import ETA_SNAP, reformulate, solve_tr_subproblem
 from trfd.testset import registry_by_name
 
 
@@ -64,11 +64,8 @@ def test_psi_zero_at_stationary_point():
 def test_psi_p2_requires_scalar_minimax():
     bp = registry_by_name("rosenbrock")
     ap = bp.analytic()
-    with pytest.raises(UnsupportedNorm):
+    with pytest.raises(ValueError, match="p=2 stationarity needs"):
         psi_euclidean(ap, np.zeros(2), 1.0)
-    # the LP path has no p = 2 branch
-    with pytest.raises(UnsupportedNorm):
-        psi(ap, np.zeros(2), PNorm.TWO, 1.0)
 
 
 def test_psi_affine_l1_matches_grid():
@@ -122,11 +119,11 @@ def test_check_psi_eta_gap_affine_is_tight():
     assert check_psi_eta_gap(ap, np.array([0.5, 0.5]), PNorm.ONE, 1.0, 0.25)
 
 
-def _params_for_delta_min(epsilon, alpha, theta, sigma, lip, consts, n=1):
+def _params_for_delta_min(epsilon, alpha, sigma, lip, consts, n=1):
     tau0 = epsilon / (lip * sigma * consts.cp2_m * consts.c2p_n * math.sqrt(n))
     d0 = max(1.0, tau0 * math.sqrt(n))
     return TrfdParams(
-        epsilon=epsilon, alpha=alpha, theta=theta, sigma=sigma, lipschitz_h=lip,
+        epsilon=epsilon, alpha=alpha, sigma=sigma, lipschitz_h=lip,
         consts=consts, p=PNorm.ONE, budget=EvalBudget(simplex_gradients=1, n=n),
         delta0=d0, delta_star=max(d0, 1.0), stop_delta=0.0, stop_eta=0.0,
     )
@@ -134,11 +131,11 @@ def _params_for_delta_min(epsilon, alpha, theta, sigma, lip, consts, n=1):
 
 def test_delta_min_values():
     ones = NormConstants(c2p_n=1.0, cp2_m=1.0)
-    p = _params_for_delta_min(1.0, 0.5, 1.0, 1.0, 1.0, ones)
+    p = _params_for_delta_min(1.0, 0.5, 1.0, 1.0, ones)
     assert delta_min(p, ones, 1.0) == pytest.approx(0.125, rel=1e-15)
 
     sigma = 1e9
-    p2 = _params_for_delta_min(1e-15, 0.15, 1.0, sigma, 1.0, ones)
+    p2 = _params_for_delta_min(1e-15, 0.15, sigma, 1.0, ones)
     want = 0.85 * 1e-15 / (4.0 * sigma)
     assert delta_min(p2, ones, 1.0) == pytest.approx(want, rel=1e-12)
 

@@ -63,7 +63,6 @@ def test_defaults_tau0_is_sqrt_eps():
     assert params.delta_star == 1000.0
     assert params.alpha == 0.15
     assert params.epsilon == 1e-15
-    assert params.theta == 1.0
     assert params.stop_delta == 1e-13
     assert params.stop_eta == 1e-13
     assert params.tau0 * math.sqrt(2) <= params.delta0
@@ -73,11 +72,11 @@ def test_params_validation():
     prob = affine_l1_problem()
     good = TrfdParams.defaults(prob, PNorm.ONE)
     # a non-finite field fails too, NaN included: NaN <= 0 is false
-    for field, bad in (("alpha", 1.5), ("theta", 0.0), ("epsilon", -1.0), ("epsilon", math.nan),
+    for field, bad in (("alpha", 1.5), ("epsilon", -1.0), ("epsilon", math.nan),
                        ("alpha", math.nan), ("delta_star", math.inf), ("stop_eta", math.inf),
                        ("stop_delta", -math.inf), ("lipschitz_h", math.nan)):
         kwargs = dict(
-            epsilon=good.epsilon, alpha=good.alpha, theta=good.theta, sigma=good.sigma,
+            epsilon=good.epsilon, alpha=good.alpha, sigma=good.sigma,
             lipschitz_h=good.lipschitz_h, consts=good.consts, p=good.p, budget=good.budget,
             delta0=good.delta0, delta_star=good.delta_star,
             stop_delta=good.stop_delta, stop_eta=good.stop_eta,
@@ -86,8 +85,8 @@ def test_params_validation():
         with pytest.raises(ValueError, match=field):
             TrfdParams(**kwargs)
     # p = 2 has no LP subproblem: rejected before any evaluation is spent
-    with pytest.raises(ValueError):
-        TrfdParams.defaults(prob, PNorm.TWO)
+    with pytest.raises(ValueError, match="p = 2"):
+        TrfdParams.defaults(prob, "2")
     assert prob.oracle.eval_count == 0
 
 
@@ -476,7 +475,7 @@ def test_tau0_formula_with_custom_sigma():
     lip = base.lipschitz_h
     c = base.consts
     params = TrfdParams(
-        epsilon=eps, alpha=0.15, theta=1.0, sigma=sigma, lipschitz_h=lip,
+        epsilon=eps, alpha=0.15, sigma=sigma, lipschitz_h=lip,
         consts=c, p=PNorm.ONE, budget=base.budget,
         delta0=1.0, delta_star=1000.0, stop_delta=1e-13, stop_eta=1e-13,
     )

@@ -6,7 +6,7 @@ from references import eta_bruteforce
 from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
 from trfd.simplex import NumericalTrouble, SimplexResult, _residual, solve_lp
-from trfd.subproblem import UnsupportedNorm, _check_solution, _ray_length, reformulate, solve_tr_subproblem
+from trfd.subproblem import _check_solution, _ray_length, reformulate, solve_tr_subproblem
 
 try:  # independent reference solver; optional, not a runtime dependency
     from scipy.optimize import linprog
@@ -44,10 +44,8 @@ def test_reformulate_extra_inequality_row():
 
 
 def test_p2_rejected():
-    with pytest.raises(UnsupportedNorm):
-        reformulate(
-            OuterFunction.L1, np.zeros(2), np.zeros((2, 2)), UNC2, np.zeros(2), PNorm.TWO, 1.0
-        )
+    with pytest.raises(ValueError, match="p = 2"):
+        PNorm.from_value("2")
 
 
 def test_zero_matrix_gives_zero_eta():
@@ -228,16 +226,21 @@ def test_lp_dump_env_flag(tmp_path, monkeypatch):
         assert sorted(saved.files) == ["c", "lower", "rhs", "rows", "start", "upper"]
 
 
-def test_theta_condition_exactness():
-    # exact LP solves satisfy the model-decrease condition with theta = 1
+@pytest.mark.skipif(linprog is None, reason="needs scipy's HiGHS as the reference solver")
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("p", ["1", "inf"])
+@pytest.mark.parametrize("h", ["l1", "minimax"])
+def test_subproblem_solves_reach_the_highs_optimum(h, p, constrained):
+    # theta = 1 holds only if every solve reaches the optimal model
+    # decrease, which an independent solver's optimum checks
     rng = np.random.default_rng(21)
     for _ in range(40):
-        h, F_x, A, region, x, p, r = random_tr_instance(rng, "l1", "1")
-        sol = solve_tr_subproblem(reformulate(h, F_x, A, region, x, p, r))
-        base = eval_h(h, F_x)
-        decrease = base - sol.model_value
-        assert decrease >= 1.0 * decrease - 1e-9 * (1 + abs(base))
-        assert sol.model_value <= base + 1e-9 * (1 + abs(base))
+        inst = random_tr_instance(rng, h, p, constrained=constrained)
+        tr = reformulate(*inst)
+        best = _highs_objective(tr.lp)
+        sol = solve_tr_subproblem(tr)
+        tol = 1e-9 * (1 + abs(tr.base_value))
+        assert best - tol <= sol.model_value <= best + tol
 
 
 # a box with finite lower sides on its first and last coordinates alone

@@ -142,6 +142,36 @@ def test_problem_config_refuses_unknown_keys(where, key):
         problem_from_config(doc)
 
 
+# cb2 starts at (1, -0.1); each value is what json.load can hand over
+@pytest.mark.parametrize("key, value, message", [
+    ("h", "max", "h = max"),
+    ("lower", [float("nan"), -5.0], "a bound is NaN"),
+    ("upper", [None, float("nan")], "a bound is NaN"),
+    ("linear_ineq", [{"a": [1.0, 0.0], "b": float("inf")}], "non-finite entry"),
+    ("linear_ineq", [{"a": [float("nan"), 0.0], "b": 9.0}], "non-finite entry"),
+    ("linear_ineq", [{"a": [1.0, 0.0], "b": 9.0, "c": 9}], 'unknown key "c" in a "linear_ineq" row'),
+    ("x0", [float("nan"), 1.0], "start point is not finite"),
+])
+def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
+    from trfd.config import problem_from_config
+
+    doc = problem_to_config(registry_by_name("cb2"))
+    doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        problem_from_config(doc)
+
+
+def test_problem_config_keeps_infinite_bounds_and_finite_rows():
+    from trfd.config import problem_from_config
+
+    doc = problem_to_config(registry_by_name("cb2"))
+    doc.update(lower=[float("-inf"), None], upper=[2.0, float("inf")],
+               linear_ineq=[{"a": [1.0, 1.0], "b": 9.0}])
+    region = problem_from_config(doc).region
+    assert region.lower.tolist() == [-math.inf, -math.inf] and region.upper.tolist() == [2.0, math.inf]
+    assert len(region.linear_ineq) == 1
+
+
 @pytest.mark.parametrize("key, value", [
     ("n", 2.9), ("n", True), ("n", "2"), ("n", 0), ("m", 2.0), ("m", None),
 ])
