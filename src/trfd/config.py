@@ -68,6 +68,8 @@ def problem_from_config(doc: dict) -> Problem:
 
     rows = []
     for row in doc.get("linear_ineq", []):
+        if not isinstance(row, dict):
+            raise ValueError(f'a "linear_ineq" row must be an object with keys a and b, not {row!r}')
         _known_keys(row, ("a", "b"), 'a "linear_ineq" row')
         rows.append((np.asarray(row["a"], dtype=float), float(row["b"])))
     region = FeasibleRegion(bound("lower", -np.inf), bound("upper", np.inf), rows)

@@ -150,6 +150,8 @@ def test_problem_config_refuses_unknown_keys(where, key):
     ("linear_ineq", [{"a": [1.0, 0.0], "b": float("inf")}], "non-finite entry"),
     ("linear_ineq", [{"a": [float("nan"), 0.0], "b": 9.0}], "non-finite entry"),
     ("linear_ineq", [{"a": [1.0, 0.0], "b": 9.0, "c": 9}], 'unknown key "c" in a "linear_ineq" row'),
+    ("linear_ineq", [[1.0, 0.0]], 'a "linear_ineq" row must be an object'),
+    ("linear_ineq", "ab", 'a "linear_ineq" row must be an object'),
     ("x0", [float("nan"), 1.0], "start point is not finite"),
 ])
 def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
