@@ -134,7 +134,7 @@ def _cmd_profile(args) -> int:
     for key, path in trace_files(args.out):
         try:
             records[key] = load_trace(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             return _profile_error(f"cannot read {path}: {type(exc).__name__}: {exc}")
     if not records:
         return _profile_error(f"no trace files under {args.out}")
@@ -178,7 +178,7 @@ def _cmd_audit(args) -> int:
     for path in paths:
         try:
             record = load_trace(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             failures += 1
             print(f"{path}: FAILED: {type(exc).__name__}: {exc}")
             continue

@@ -69,18 +69,10 @@ def delta_min(params: TrfdParams, consts, L_J: float) -> float:
 
 @dataclass
 class AuditReport:
-    ok: bool
-    iterations: int
-    checks: list
-    delta_min_applicable: bool = False
-    delta_min_value: float | None = None
+    """What a clean audit checked: ``audit_trace`` raises on a failure."""
 
-    def summary(self) -> str:
-        lines = [f"audit: {'ok' if self.ok else 'FAILED'} ({self.iterations} iterations)"]
-        lines += [f"  [x] {name}" for name in self.checks]
-        if self.delta_min_applicable:
-            lines.append(f"  [x] radius floor {self.delta_min_value:.6e} respected")
-        return "\n".join(lines)
+    iterations: int
+    delta_min_applicable: bool = False
 
 
 def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> AuditReport:
@@ -97,7 +89,6 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
     sqrt_n = math.sqrt(n)
     eps_half = p.epsilon / 2.0
     snaps = record.iterations
-    checks = []
 
     def fail(k, message):
         raise AuditFailure(f"iteration {k}: {message}")
@@ -105,13 +96,11 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
     for s in snaps:
         if s.tau * sqrt_n > s.delta:
             fail(s.k, f"tau*sqrt(n) = {s.tau * sqrt_n:.6e} exceeds delta = {s.delta:.6e}")
-    checks.append("stepsize/radius coupling tau*sqrt(n) <= delta")
 
     for s in snaps:
         cls = _classify(s, eps_half, p.alpha, sqrt_n)
         if cls is not s.cls:
             fail(s.k, f"recorded class {s.cls.value}, derived {cls.value}")
-    checks.append("iteration classes re-derived from (eta, rho, tau, delta)")
 
     for prev, cur in zip(snaps, snaps[1:]):
         if cur.k != prev.k + 1:
@@ -129,7 +118,6 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             (cur.eta, cur.eta_upper, cur.eta_radius) != (prev.eta, prev.eta_upper, prev.eta_radius)
         ):
             fail(cur.k, "inherited eta, eta_upper or eta_radius changed across a U2 re-entry")
-    checks.append("tau/delta update rules replay bitwise")
 
     # a bracket [eta, eta_upper] on eta(Delta*) stands in for the Delta*
     # LP only when its lower end rules out U1 and eta_floor with margin.
@@ -159,7 +147,6 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
         psi_rho, bound = s.eta * p.delta_star, s.eta_upper * (1.0 + BRACKET_RTOL) * rho
         if psi_rho > bound:
             fail(s.k, f"bracket breaks concavity: eta*Delta* = {psi_rho!r} > eta_upper*(1 + rtol)*rho = {bound!r}")
-    checks.append("eta brackets clear the U1/eta_floor threshold and obey psi's concavity")
 
     for prev, cur in zip(snaps, snaps[1:]):
         if cur.f > prev.f:
@@ -168,14 +155,12 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             cur.f != prev.f or np.any(cur.x != prev.x)
         ):
             fail(cur.k, "iterate moved on a non-success iteration")
-    checks.append("objective monotone; iterate moves only on success")
 
     bf = record.best_f
     if len(bf) != record.total_evals:
         raise AuditFailure("best-f trajectory length != total evaluations")
     if any(b > a for a, b in zip(bf, bf[1:])):
         raise AuditFailure("best-f trajectory increases")
-    checks.append("best-f trajectory complete and nonincreasing")
 
     for s in snaps:
         want = _expected_cost(s, n)
@@ -193,9 +178,8 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
     partial = 1 if record.termination_evals else 0
     if record.total_evals > (n + 1) * (len(snaps) + partial) + 1:
         raise AuditFailure("per-iteration evaluation bound violated")
-    checks.append("per-class evaluation costs and budget")
 
-    report = AuditReport(ok=True, iterations=len(snaps), checks=checks)
+    report = AuditReport(iterations=len(snaps))
 
     if analytic is not None and snaps and all(analytic.in_box(s.x) for s in snaps):
         psis = [psi(analytic, s.x, p.p, p.delta_star) for s in snaps]
@@ -205,7 +189,6 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
                 if s.delta < floor:
                     fail(s.k, f"delta {s.delta:.6e} fell under the floor {floor:.6e}")
             report.delta_min_applicable = True
-            report.delta_min_value = floor
     return report
 
 

@@ -16,12 +16,15 @@ Wire protocol (one JSON document per line):
 
 Both ends write each float as its shortest round-trip decimal (Python's
 ``repr``), so the text parses back to the same float64 bit for bit; any
-JSON number is accepted on reading.  Failures are fatal: the exact-oracle
-model has no retry semantics.
+JSON number is accepted on reading.  A reply of any other form than
+above, or not JSON at all, raises OracleFailure (HandshakeTimeout, once
+the child is closed, during the handshake).  Failures are fatal: the
+exact-oracle model has no retry semantics.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import shlex
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TIMEOUT_ENV = "TRFD_ORACLE_TIMEOUT_SECS"
+from . import jsontext
+
 DEFAULT_TIMEOUT = 60.0
 # seconds a closed child gets to exit after SIGTERM before it is killed
 TERMINATE_WAIT = 5.0
@@ -107,11 +111,13 @@ class ExternalOracle(BlackBoxOracle):
     The instance is single-owner: one solver run drives one process.
     """
 
-    def __init__(self, command: str, n: int, m: int, timeout: float | None = None):
+    def __init__(self, command: str, n: int, m: int, timeout: float = DEFAULT_TIMEOUT):
         super().__init__(m)
         self.n = int(n)
-        if timeout is None:
-            timeout = float(os.environ.get(TIMEOUT_ENV, DEFAULT_TIMEOUT))
+        # checked before the child starts: select() refuses a negative or
+        # NaN wait, and a zero one times out every handshake
+        if not 0 < jsontext.check(timeout, '"timeout"', "number") < math.inf:
+            raise ValueError(f'"timeout" must be a positive number of seconds, not {timeout!r}')
         self.timeout = timeout
         self._next_id = 0
         argv = shlex.split(command)
@@ -130,20 +136,13 @@ class ExternalOracle(BlackBoxOracle):
         self._handshake()
 
     def _handshake(self) -> None:
-        self._send('{"hello": {"n": %d, "m": %d}}' % (self.n, self.m))
         try:
-            reply = self._read_line()
-        except OracleFailure as exc:
+            self._send('{"hello": {"n": %d, "m": %d}}' % (self.n, self.m))
+            if not jsontext.field(self._reply(), "ready", "boolean"):
+                raise OracleFailure("oracle not ready")
+        except (OracleFailure, ValueError) as exc:
             self.close()
             raise HandshakeTimeout(str(exc)) from exc
-        try:
-            doc = json.loads(reply)
-        except json.JSONDecodeError as exc:
-            self.close()
-            raise HandshakeTimeout(f"bad handshake reply: {reply!r}") from exc
-        if doc.get("ready") is not True:
-            self.close()
-            raise HandshakeTimeout(f"oracle not ready: {reply!r}")
 
     def _send(self, line: str) -> None:
         if self._proc.poll() is not None:
@@ -154,7 +153,8 @@ class ExternalOracle(BlackBoxOracle):
         except (BrokenPipeError, OSError) as exc:
             raise OracleFailure("oracle process closed its input") from exc
 
-    def _read_line(self) -> str:
+    def _reply(self) -> dict:
+        """The child's next line, which must hold a JSON object."""
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
             ready, _, _ = select.select([fd], [], [], self.timeout)
@@ -165,25 +165,26 @@ class ExternalOracle(BlackBoxOracle):
                 raise OracleFailure("oracle process closed its output")
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode("utf-8", errors="replace")
+        try:
+            return jsontext.check(json.loads(line.decode()), "an oracle reply", "object")
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise OracleFailure(f"malformed oracle reply {line!r:.60}: {exc}") from None
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         qid = self._next_id
         self._next_id += 1
         payload = ", ".join(map(repr, x.tolist()))
         self._send('{"id": %d, "x": [%s]}' % (qid, payload))
-        reply = self._read_line()
+        doc = self._reply()
         try:
-            doc = json.loads(reply)
-        except json.JSONDecodeError as exc:
-            raise OracleFailure(f"malformed oracle reply: {reply!r}") from exc
-        if doc.get("id") != qid:
-            raise OracleFailure(f"oracle answered id {doc.get('id')} to query {qid}")
-        if "error" in doc:
-            raise OracleFailure(f"oracle error: {doc['error']}")
-        if "fvec" not in doc:
-            raise OracleFailure(f"oracle reply carries no fvec: {reply!r}")
-        return np.asarray(doc["fvec"], dtype=float)
+            if jsontext.field(doc, "id", "integer") != qid:
+                raise OracleFailure(f"oracle answered id {doc['id']} to query {qid}")
+            if "error" in doc:
+                raise OracleFailure(f"oracle error: {jsontext.field(doc, 'error', 'string')}")
+            # a JSON integer beyond float range overflows here
+            return np.array(jsontext.field(doc, "fvec", "array", of="number", size=self.m), dtype=float)
+        except (ValueError, OverflowError) as exc:
+            raise OracleFailure(f"malformed oracle reply: {exc}") from None
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)

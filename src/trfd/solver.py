@@ -404,97 +404,74 @@ def record_to_doc(record: RunRecord) -> dict:
 
 
 def record_from_doc(doc: dict) -> RunRecord:
-    """The record a trace document holds.  A missing field raises
-    KeyError; a field of the wrong JSON type, or a value outside its
+    """The record a trace document holds.  A field missing or of the
+    wrong JSON type (see ``jsontext.field``), or a value outside its
     schema, raises ValueError."""
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != TRACE_SCHEMA:
-        raise ValueError(f"unknown trace schema: {schema!r}")
-    problem = _field(doc, "problem", "object")
-    pd = _field(doc, "params", "object")
-    n = _field(problem, "n", "integer")
+    if jsontext.check(doc, "a trace", "object").get("schema") != TRACE_SCHEMA:
+        raise ValueError(f"unknown trace schema: {doc.get('schema')!r}")
+    field = jsontext.field
+    problem = field(doc, "problem", "object")
+    pd = field(doc, "params", "object")
+    n = field(problem, "n", "integer")
     params = TrfdParams(
-        epsilon=_field(pd, "epsilon", "number"),
-        alpha=_field(pd, "alpha", "number"),
-        sigma=_field(pd, "sigma", "number"),
+        epsilon=field(pd, "epsilon", "number"),
+        alpha=field(pd, "alpha", "number"),
+        sigma=field(pd, "sigma", "number"),
         lipschitz_h=_positive(pd, "lipschitz_h"),
         consts=NormConstants(c2p_n=_positive(pd, "c2p_n"), cp2_m=_positive(pd, "cp2_m")),
-        p=PNorm.from_value(_field(pd, "p", "string")),
-        budget=EvalBudget(simplex_gradients=_field(pd, "simplex_gradients", "integer"), n=n),
-        delta0=_field(pd, "delta0", "number"),
-        delta_star=_field(pd, "delta_star", "number"),
-        stop_delta=_field(pd, "stop_delta", "number"),
-        stop_eta=_field(pd, "stop_eta", "number"),
+        p=PNorm.from_value(field(pd, "p", "string")),
+        budget=EvalBudget(simplex_gradients=field(pd, "simplex_gradients", "integer"), n=n),
+        delta0=field(pd, "delta0", "number"),
+        delta_star=field(pd, "delta_star", "number"),
+        stop_delta=field(pd, "stop_delta", "number"),
+        stop_eta=field(pd, "stop_eta", "number"),
     )
     snapshots = [
         IterationSnapshot(
-            k=_field(it, "k", "integer"),
-            cls=IterationClass(_field(it, "class", "string")),
-            entered_at=_field(it, "entered_at", "string"),
-            tau=_field(it, "tau", "number"),
-            delta=_field(it, "delta", "number"),
-            eta=_field(it, "eta", "number"),
-            eta_upper=_field(it, "eta_upper", "number", null=True),
-            eta_radius=_field(it, "eta_radius", "number", null=True),
-            rho=_field(it, "rho", "number", null=True),
-            rho_degenerate=_field(it, "rho_degenerate", "boolean"),
-            f=_field(it, "f", "number"),
+            k=field(it, "k", "integer"),
+            cls=IterationClass(field(it, "class", "string")),
+            entered_at=field(it, "entered_at", "string"),
+            tau=field(it, "tau", "number"),
+            delta=field(it, "delta", "number"),
+            eta=field(it, "eta", "number"),
+            eta_upper=field(it, "eta_upper", "number or null"),
+            eta_radius=field(it, "eta_radius", "number or null"),
+            rho=field(it, "rho", "number or null"),
+            rho_degenerate=field(it, "rho_degenerate", "boolean"),
+            f=field(it, "f", "number"),
             x=_point(it, "x", n),
-            evals_iter=_field(it, "evals_iter", "integer"),
-            evals_total=_field(it, "evals_total", "integer"),
+            evals_iter=field(it, "evals_iter", "integer"),
+            evals_total=field(it, "evals_total", "integer"),
         )
-        for it in _field(doc, "iterations", "array", of="object")
+        for it in field(doc, "iterations", "array", of="object")
     ]
-    final_f = _field(doc, "final_f", "number", null=True)
+    final_f = field(doc, "final_f", "number or null")
     return RunRecord(
-        problem_name=_field(problem, "name", "string"),
+        problem_name=field(problem, "name", "string"),
         n=n,
-        m=_field(problem, "m", "integer"),
-        h=OuterFunction.from_value(_field(problem, "h", "string")),
+        m=field(problem, "m", "integer"),
+        h=OuterFunction.from_value(field(problem, "h", "string")),
         params=params,
         iterations=snapshots,
-        best_f=_field(doc, "best_f", "array", of="number"),
-        termination=Termination(_field(doc, "termination", "string")),
-        termination_evals=_field(doc, "termination_evals", "integer"),
+        best_f=field(doc, "best_f", "array", of="number"),
+        termination=Termination(field(doc, "termination", "string")),
+        termination_evals=field(doc, "termination_evals", "integer"),
         final_x=_point(doc, "final_x", n),
         final_f=math.inf if final_f is None else final_f,
     )
 
 
-# JSON type -> the Python types json.load gives it; a number may be
-# written without a fraction, and a boolean is no number
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
-               "array": list, "object": dict}
-
-
-def _is(value, kind) -> bool:
-    return isinstance(value, _JSON_TYPES[kind]) and (kind == "boolean" or not isinstance(value, bool))
-
-
-def _field(doc, key, kind, null=False, of=None):
-    """``doc[key]`` when it has the JSON type ``kind`` (or is null, when
-    ``null``) and, for an array, each element the type ``of``; a
-    ValueError naming the field otherwise."""
-    value = doc[key]
-    if value is None and null:
-        return value
-    if not _is(value, kind) or (of is not None and not all(_is(v, of) for v in value)):
-        what = kind if of is None else f"{kind} of {of}s"
-        raise ValueError(f'trace field "{key}" must be JSON {what}, not {value!r:.40}')
-    return value
-
-
 def _positive(doc, key) -> float:
-    value = _field(doc, key, "number")
+    value = jsontext.field(doc, key, "number")
     if not value > 0:
-        raise ValueError(f'trace field "{key}" must be positive, not {value!r}')
+        raise ValueError(f'"{key}" must be positive, not {value!r}')
     return value
 
 
 def _point(doc, key, n) -> np.ndarray:
-    value = _field(doc, key, "array", of="number")
+    value = jsontext.field(doc, key, "array", of="number")
     if len(value) != n:
-        raise ValueError(f'trace field "{key}" must hold n = {n} numbers, not {len(value)}')
+        raise ValueError(f'"{key}" must hold n = {n} numbers, not {len(value)}')
     return np.asarray(value, dtype=float)
 
 

@@ -382,13 +382,17 @@ def test_profile_delta_names_the_first_difference_outside_eta(tmp_path, capsys):
 
 def test_robustness_sweep_script(capsys):
     # two problems stand in for the registry; zero numerical_trouble is
-    # asserted only unscaled until the runs are invariant to units
+    # asserted unscaled and in each constrained region, and under a change
+    # of units only once the runs are invariant to units
     script = load_script("robustness_sweep")
     assert script.main(["rosenbrock", "cb2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line[:18].strip() for line in lines] == [name for name, _, _ in script.CASES]
+    assert [line[:18].strip() for line in lines] == [name for name, *_ in script.CASES]
     assert all(" 4 runs: " in line for line in lines)
-    assert lines[0].startswith("scale 1 ") and "numerical_trouble" not in lines[0]
+    assert lines[0].startswith("scale 1 ")
+    for line, (name, _, _, region) in zip(lines, script.CASES):
+        if name == "scale 1" or region is not None:
+            assert "numerical_trouble" not in line, line
 
 
 def fake_checkout(root, digest, wall_s):

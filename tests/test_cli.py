@@ -97,9 +97,9 @@ def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, ca
         assert main(["audit", str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == f'{bad}: FAILED: ValueError: trace field "{field}" must be JSON ' + (
-            "integer, not True\n" if field == "termination_evals"
-            else f"array of numbers, not {value!r}\n"
+        assert captured.out == f'{bad}: FAILED: ValueError: "{field}" must be ' + (
+            "an integer, not True\n" if field == "termination_evals"
+            else f"an array of numbers, not {value!r}\n"
         )
 
 
@@ -124,7 +124,7 @@ def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys
     assert main(["audit", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out == f'{bad}: FAILED: ValueError: trace field "{field}" {message}\n'
+    assert captured.out == f'{bad}: FAILED: ValueError: "{field}" {message}\n'
 
 
 def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, capsys):
@@ -233,12 +233,12 @@ def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
         named = "missing record for 'dem' under 'TRFD-L1'"
     elif case == "unreadable":
         (out / "dem__TRFD-L1.json").write_text(json.dumps({"schema": solver.TRACE_SCHEMA}))
-        named = f"{out / 'dem__TRFD-L1.json'}: KeyError"
+        named = f'{out / "dem__TRFD-L1.json"}: ValueError: "problem" is missing'
     elif case == "wrong_type":
         doc = json.loads((out / "dem__TRFD-L1.json").read_text())
         doc["best_f"] = None
         (out / "dem__TRFD-L1.json").write_text(json.dumps(doc))
-        named = f'{out / "dem__TRFD-L1.json"}: ValueError: trace field "best_f" must be JSON array of numbers'
+        named = f'{out / "dem__TRFD-L1.json"}: ValueError: "best_f" must be an array of numbers'
     else:
         named = f"no trace files under {out}"
     capsys.readouterr()
@@ -311,21 +311,24 @@ BAD_CONFIGS = {
     # only the exact spellings name a norm, a family or an override
     "p_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "one"}]}, "p = one"),
     "p_infinity": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": "Infinity"}]}, "p = Infinity"),
+    "p_number": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": 1}]}, '"p" must be a string, not 1'),
     "theta_override": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "theta": 0.5}]}, 'unknown key "theta"'),
     "family_max": ({"problems": {"family": "max"}}, "h = max"),
     "problems_string": ({"problems": "rosenbrock"}, '"problems"'),
     "solvers_string": ({"problems": ["rosenbrock"], "solvers": "TRFD-L1"}, '"solvers"'),
     "solver_without_name": ({"problems": ["rosenbrock"], "solvers": [{"p": "1"}]}, '"name"'),
-    "not_object": (["rosenbrock"], "JSON object"),
+    "not_object": (["rosenbrock"], "a campaign config must be an object"),
     "tolerances_number": ({"problems": ["rosenbrock"], "tolerances": 0.1}, '"tolerances"'),
     "override_string": (
         {"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": "abc"}]}, '"epsilon"'
     ),
     "epsilon_negative": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": -1}]}, "epsilon"),
     # json.load reads NaN and Infinity; no parameter may take them
-    "epsilon_nan": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": float("nan")}]}, '"epsilon"'),
+    "epsilon_nan": (
+        {"problems": ["rosenbrock"], "solvers": [{"name": "X", "epsilon": float("nan")}]}, "epsilon must be finite, not nan"
+    ),
     "stop_eta_infinite": (
-        {"problems": ["rosenbrock"], "solvers": [{"name": "X", "stop_eta": float("inf")}]}, '"stop_eta"'
+        {"problems": ["rosenbrock"], "solvers": [{"name": "X", "stop_eta": float("inf")}]}, "stop_eta must be finite, not inf"
     ),
     "alpha_above_one": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpha": 2}]}, "alpha"),
     "budget_zero": ({"problems": ["rosenbrock"], "budget_simplex_gradients": 0}, '"budget_simplex_gradients"'),
@@ -357,7 +360,7 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize(
     "case",
     [
-        "p2", "p_one", "p_infinity", "theta_override", "family_max", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
+        "p2", "p_one", "p_infinity", "p_number", "theta_override", "family_max", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "epsilon_nan",
         "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_fractional", "budget_infinite",
         "tolerance_negative", "tolerance_nan", "tolerance_above_one",

@@ -60,3 +60,17 @@ def test_rows_layout():
     assert json.loads(text) == doc
     # an empty row list stays on its field's line
     assert jsontext.dumps_rows({"rows": [], "z": 1}, "rows") == '{"rows": [],\n "z": 1}\n'
+
+
+def test_the_reader_checks_exact_json_types():
+    assert jsontext.field({"v": [1, 2.5, None]}, "v", "array", of="number or null", size=3) == [1, 2.5, None]
+    assert jsontext.field({}, "v", "integer", default=7) == 7
+    # a boolean is no number, a float no integer, a string no array
+    for value, kind in [(True, "number"), (1.0, "integer"), ("12", "array"), (None, "string"), ([], "object")]:
+        with pytest.raises(ValueError, match='^"v" must be '):
+            jsontext.field({"v": value}, "v", kind)
+    for value in ([1.0, True], [1.0], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match=r'^"v" must be an array of 2 numbers, not \['):
+            jsontext.field({"v": value}, "v", "array", of="number", size=2)
+    with pytest.raises(ValueError, match='^"v" is missing$'):
+        jsontext.field({}, "v", "integer")

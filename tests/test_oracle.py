@@ -8,6 +8,7 @@ import pytest
 from conftest import rosenbrock_residuals
 
 import trfd.oracle
+from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem
 from trfd.oracle import (
     EvalBudget,
     ExternalOracle,
@@ -16,6 +17,7 @@ from trfd.oracle import (
     OracleFailure,
     SpawnFailure,
 )
+from trfd.solver import Termination, TrfdParams, solve
 
 
 def test_inprocess_rosenbrock_values():
@@ -188,10 +190,64 @@ def test_close_kills_a_child_that_ignores_sigterm(tmp_path, monkeypatch):
     assert 0.2 <= time.perf_counter() - start < 5.0
 
 
-def test_timeout_env_override(demo_oracle_cmd, monkeypatch):
-    monkeypatch.setenv("TRFD_ORACLE_TIMEOUT_SECS", "7.5")
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
+
+READY = '{"ready": true}'
+
+
+def scripted_oracle(tmp_path, replies, m=2):
+    """An ExternalOracle with n = 2 on a child that writes ``replies``,
+    one a line: the first to the handshake, each next to the next query."""
+    child = tmp_path / "scripted.py"
+    child.write_text(
+        "import sys\n"
+        f"for reply, _ in zip({replies!r}, sys.stdin):\n"
+        "    print(reply, flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+    return ExternalOracle(f"{sys.executable} {child}", n=2, m=m)
+
+
+# each reply is malformed; the queries before the last are answered well
+@pytest.mark.parametrize("m, replies", [
+    (2, ["[1, 2]"]),
+    (2, ['{"id": 0, "fvec": ["1e3", true]}']),
+    (1, ['{"id": 0, "fvec": "12"}']),
+    (2, ['{"id": 0, "fvec": [[1.0], [2.0]]}']),
+    (2, ['{"id": 0, "fvec": [1' + "0" * 400 + ", 1.0]}"]),
+    (2, ['{"id": 0, "error": 5}']),
+    (2, ["[" * 100000 + "]" * 100000]),
+    (2, ['{"fvec": [1.0, 2.0]}']),
+    (2, ['{"id": 0, "fvec": [1.0, 2.0]}', '{"id": true, "fvec": [1.0, 2.0]}']),
+])
+def test_a_malformed_reply_is_an_oracle_failure(tmp_path, m, replies):
+    oracle = scripted_oracle(tmp_path, [READY, *replies], m=m)
     try:
-        assert oracle.timeout == 7.5
+        for _ in replies[:-1]:
+            oracle.eval_F([1.0, 2.0])
+        with pytest.raises(OracleFailure, match="^malformed oracle reply"):
+            oracle.eval_F([1.0, 2.0])
     finally:
         oracle.close()
+
+
+@pytest.mark.parametrize("reply", ["[1]", '{"ready": false}'])
+def test_a_bad_handshake_reply_closes_the_child(tmp_path, monkeypatch, reply):
+    closed = []
+    close = ExternalOracle.close
+    monkeypatch.setattr(ExternalOracle, "close", lambda self: closed.append(self._proc) or close(self))
+    with pytest.raises(HandshakeTimeout):
+        scripted_oracle(tmp_path, [reply])
+    assert closed and closed[0].returncode is not None
+
+
+def test_a_malformed_reply_ends_the_run_with_oracle_error(tmp_path):
+    # the start is evaluated; the first Jacobian probe gets no usable reply
+    oracle = scripted_oracle(tmp_path, [READY, '{"id": 0, "fvec": [1.0, 2.0]}', "[1, 2]"])
+    prob = Problem(n=2, m=2, oracle=oracle, h=OuterFunction.L1, region=FeasibleRegion.unconstrained(2),
+                   x0=np.zeros(2))
+    try:
+        rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    finally:
+        oracle.close()
+    assert rec.termination is Termination.ORACLE_ERROR
+    assert rec.best_f == [3.0] and rec.total_evals == 1 and rec.iterations == []

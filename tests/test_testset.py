@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,7 +143,8 @@ def test_problem_config_refuses_unknown_keys(where, key):
         problem_from_config(doc)
 
 
-# cb2 starts at (1, -0.1); each value is what json.load can hand over
+# cb2 starts at (1, -0.1); each value is what json.load can hand over,
+# and ... removes the key
 @pytest.mark.parametrize("key, value, message", [
     ("h", "max", "h = max"),
     ("lower", [float("nan"), -5.0], "a bound is NaN"),
@@ -151,15 +153,34 @@ def test_problem_config_refuses_unknown_keys(where, key):
     ("linear_ineq", [{"a": [float("nan"), 0.0], "b": 9.0}], "non-finite entry"),
     ("linear_ineq", [{"a": [1.0, 0.0], "b": 9.0, "c": 9}], 'unknown key "c" in a "linear_ineq" row'),
     ("linear_ineq", [[1.0, 0.0]], 'a "linear_ineq" row must be an object'),
-    ("linear_ineq", "ab", 'a "linear_ineq" row must be an object'),
+    ("linear_ineq", "ab", '"linear_ineq" must be an array'),
     ("x0", [float("nan"), 1.0], "start point is not finite"),
+    # a boolean is no number, a string no array, and nothing stands in
+    # for the start point
+    ("lower", [True, None], '"lower" must be an array of 2 numbers or nulls, not [True, None]'),
+    ("lower", "00", '"lower" must be an array of 2 numbers or nulls, not \'00\''),
+    ("lower", 5, '"lower" must be an array of 2 numbers or nulls, not 5'),
+    ("x0", [True, 1], '"x0" must be an array of 2 numbers, not [True, 1]'),
+    ("x0", "foo", '"x0" must be an array of 2 numbers, not \'foo\''),
+    ("x0", ..., '"x0" is missing'),
+    ("start", "registry", 'unknown key "start"'),
+    ("start", 5, 'unknown key "start"'),
+    ("linear_ineq", [{"a": [True, 0], "b": 9.0}], '"a" must be an array of 2 numbers, not [True, 0]'),
+    ("linear_ineq", [{"a": [1.0, 0.0], "b": True}], '"b" must be a number, not True'),
+    ("linear_ineq", [{"a": [1.0, 0.0], "b": "9"}], '"b" must be a number, not \'9\''),
+    ("linear_ineq", [{"a": [1.0, 0.0]}], '"b" is missing'),
+    ("oracle", {"command": 5}, '"command" must be a string, not 5'),
+    ("oracle", "cb2", '"oracle" must be an object, not \'cb2\''),
 ])
 def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
     from trfd.config import problem_from_config
 
     doc = problem_to_config(registry_by_name("cb2"))
-    doc[key] = value
-    with pytest.raises(ValueError, match=message):
+    if value is ...:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         problem_from_config(doc)
 
 
@@ -172,6 +193,10 @@ def test_problem_config_keeps_infinite_bounds_and_finite_rows():
     region = problem_from_config(doc).region
     assert region.lower.tolist() == [-math.inf, -math.inf] and region.upper.tolist() == [2.0, math.inf]
     assert len(region.linear_ineq) == 1
+    # null, like an absent key, leaves every coordinate unbounded
+    doc.update(lower=None, upper=None)
+    region = problem_from_config(doc).region
+    assert region.lower.tolist() == [-math.inf] * 2 and region.upper.tolist() == [math.inf] * 2
 
 
 @pytest.mark.parametrize("key, value", [
@@ -182,7 +207,7 @@ def test_problem_config_refuses_a_dimension_that_is_not_a_positive_integer(key, 
 
     doc = problem_to_config(registry_by_name("cb2"))
     doc[key] = value
-    with pytest.raises(ValueError, match=f'^"{key}" must be a whole number of at least 1, not '):
+    with pytest.raises(ValueError, match=f'^"{key}" must be an integer( of at least 1)?, not '):
         problem_from_config(doc)
 
 
