@@ -21,10 +21,10 @@ at rho = delta.
 
 Usage:  PYTHONPATH=src python scripts/profile_delta.py OLD_DIR NEW_DIR
 """
-import json
 import sys
 from pathlib import Path
 
+from trfd import jsontext
 from trfd.bench import DEFAULT_TOLERANCES, data_profile, trace_files
 from trfd.solver import TRACE_SCHEMA, record_from_doc
 
@@ -33,7 +33,7 @@ ETA_FIELDS = ("eta", "eta_upper", "eta_radius")
 
 
 def load_doc(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = jsontext.load(path)
     if doc.get("schema") in ("trfd-trace-v1", "trfd-trace-v2"):
         for it in doc["iterations"]:
             it.setdefault("eta_upper", None)

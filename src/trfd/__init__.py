@@ -22,8 +22,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("DegenerateStep", "build_jacobian"), "jacobian"),
     **dict.fromkeys(
-        ("BlackBoxOracle", "EvalBudget", "ExternalOracle", "HandshakeTimeout",
-         "InProcessOracle", "OracleFailure", "SpawnFailure"),
+        ("BlackBoxOracle", "EvalBudget", "ExternalOracle", "InProcessOracle", "OracleFailure"),
         "oracle",
     ),
     **dict.fromkeys(("LinearProgram", "NumericalTrouble", "SimplexResult", "solve_lp"), "simplex"),

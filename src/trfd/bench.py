@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import jsontext
 from .core import PNorm
 from .solver import TrfdParams, save_trace, solve
-from .testset import BenchmarkProblem, registry_by_name
+from .testset import registry_by_name
 
 DEFAULT_TOLERANCES = (1e-1, 1e-3, 1e-5, 1e-7)
 
@@ -74,7 +74,7 @@ def check_tolerance(tol):
 
 @dataclass
 class Campaign:
-    problems: list
+    problems: list  # registry BenchmarkProblems
     solver_configs: list
     simplex_gradients: int = 100
     tolerances: tuple = DEFAULT_TOLERANCES
@@ -94,7 +94,7 @@ def _worker(task):
 def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignResult:
     """Execute every (problem, config) pair once; write traces and a summary."""
     tasks = [
-        (bp.name if isinstance(bp, BenchmarkProblem) else str(bp), config, campaign.simplex_gradients)
+        (bp.name, config, campaign.simplex_gradients)
         for bp in campaign.problems
         for config in campaign.solver_configs
     ]

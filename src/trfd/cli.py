@@ -42,10 +42,11 @@ from .bench import (
     run_campaign,
     trace_files,
 )
-from .config import campaign_from_config, load_json
+from .config import campaign_from_config
 from .diagnostics import AuditFailure, audit_trace
 from .solver import Termination, load_trace
-from .testset import registry, registry_by_name
+from .jsontext import load
+from .testset import registry, registry_by_name, registry_family
 
 
 def main(argv=None) -> int:
@@ -91,9 +92,7 @@ def _tolerance(text: str) -> float:
 
 
 def _cmd_list(args) -> int:
-    for bp in registry():
-        if args.family != "all" and bp.family.value != args.family:
-            continue
+    for bp in registry_family(args.family):
         cert = " [analytic]" if bp.jacobian is not None else ""
         print(f"{bp.name:24s} {bp.family.value:8s} n={bp.n:<3d} m={bp.m:<4d} f_ref={bp.f_ref:.10g}{cert}")
     return 0
@@ -103,11 +102,9 @@ def _cmd_run(args) -> int:
     if args.config:
         # a bad config fails here, before any run starts or any file is written
         try:
-            campaign = campaign_from_config(load_json(args.config))
-        except (OSError, ValueError, KeyError) as exc:
-            # KeyError's str() quotes its message
-            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            print(f"trfd run: error: {message}", file=sys.stderr)
+            campaign = campaign_from_config(load(args.config))
+        except (OSError, ValueError) as exc:
+            print(f"trfd run: error: {exc}", file=sys.stderr)
             return 2
     else:
         campaign = Campaign(problems=registry(), solver_configs=[TRFD_L1, TRFD_M])
@@ -182,12 +179,10 @@ def _cmd_audit(args) -> int:
             failures += 1
             print(f"{path}: FAILED: {type(exc).__name__}: {exc}")
             continue
-        analytic = None
         try:
-            bp = registry_by_name(record.problem_name)
-            analytic = bp.analytic()
-        except KeyError:
-            pass
+            analytic = registry_by_name(record.problem_name).analytic()
+        except ValueError:  # not a registry problem
+            analytic = None
         try:
             report = audit_trace(record, analytic=analytic)
             extra = " +radius-floor" if report.delta_min_applicable else ""

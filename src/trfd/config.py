@@ -34,24 +34,18 @@ NaN; rows and the start point must be finite.
 """
 from __future__ import annotations
 
-import json
 import math
 
 from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig, check_tolerance
 from .core import FeasibleRegion, OuterFunction, Problem
 from .jsontext import check, field, is_a
 from .oracle import DEFAULT_TIMEOUT, ExternalOracle, InProcessOracle
-from .testset import registry, registry_by_name, registry_family
+from .testset import registry_by_name, registry_family
 
 PROBLEM_KEYS = ("name", "n", "m", "h", "x0", "lower", "upper", "linear_ineq", "oracle")
 ORACLE_KEYS = ("registry", "command", "timeout")
 CAMPAIGN_KEYS = ("problems", "solvers", "budget_simplex_gradients", "tolerances")
 OVERRIDE_KEYS = ("epsilon", "alpha", "delta_star", "stop_delta", "stop_eta")
-
-
-def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def problem_from_config(doc: dict) -> Problem:
@@ -94,8 +88,7 @@ def campaign_from_config(doc: dict) -> Campaign:
     selection = doc.get("problems", {"family": "all"})
     if is_a(selection, "object"):
         _known_keys(selection, ("family",), '"problems"')
-        family = field(selection, "family", "string", default="all")
-        problems = registry() if family == "all" else registry_family(family)
+        problems = registry_family(field(selection, "family", "string", default="all"))
     else:
         problems = [registry_by_name(name) for name in check(selection, '"problems"', "array", of="string")]
     _distinct([bp.name for bp in problems], "problem")

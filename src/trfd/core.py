@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,12 +108,17 @@ class FeasibleRegion:
 
     Bounds may be infinite but not NaN, and every row entry must be
     finite; an empty constraint list with infinite bounds represents the
-    unconstrained region.
+    unconstrained region.  ``sides`` says which sides of the box are
+    finite, upper then lower per coordinate (the order of the p = 1
+    subproblem's side rows), and ``bounded`` whether any
+    is; every check of a point against the box skips it when none is.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     linear_ineq: tuple = ()
+    sides: np.ndarray = field(init=False, repr=False)
+    bounded: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -136,6 +141,8 @@ class FeasibleRegion:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "linear_ineq", tuple(rows))
+        object.__setattr__(self, "sides", np.isfinite(np.array([upper, lower]).T.ravel()))
+        object.__setattr__(self, "bounded", bool(self.sides.any()))
 
     @classmethod
     def unconstrained(cls, n: int) -> "FeasibleRegion":
@@ -147,7 +154,7 @@ class FeasibleRegion:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if (x < self.lower - tol).any() or (x > self.upper + tol).any():
+        if self.bounded and ((x < self.lower - tol).any() or (x > self.upper + tol).any()):
             return False
         return all(float(a @ x) <= b + tol for a, b in self.linear_ineq)
 

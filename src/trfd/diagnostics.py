@@ -52,7 +52,7 @@ def psi(ap: AnalyticProblem, x, p: PNorm, r: float) -> float:
     return solve_tr_subproblem(reformulate(prob.h, F_x, J, prob.region, x, p, r)).eta
 
 
-def delta_min(params: TrfdParams, consts, L_J: float) -> float:
+def delta_min(params: TrfdParams, L_J: float) -> float:
     """Theoretical floor on the trust-region radius while the iterate is
     epsilon-nonstationary:
 
@@ -62,6 +62,7 @@ def delta_min(params: TrfdParams, consts, L_J: float) -> float:
 
     with theta = 1, as every subproblem LP is solved exactly.
     """
+    consts = params.consts
     return ((1 - params.alpha) * params.epsilon) / (
         4.0 * params.lipschitz_h * max(params.sigma, L_J) * consts.cp2_m * consts.c2p_n**2
     )
@@ -93,9 +94,18 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
     def fail(k, message):
         raise AuditFailure(f"iteration {k}: {message}")
 
-    for s in snaps:
+    # the run starts at k = 0 with (tau0, delta0), and counts each
+    # iteration once
+    if snaps and (snaps[0].tau, snaps[0].delta) != (p.tau0, p.delta0):
+        fail(snaps[0].k, f"starts at (tau, delta) = ({snaps[0].tau!r}, {snaps[0].delta!r}), "
+                         f"not (tau0, delta0) = ({p.tau0!r}, {p.delta0!r})")
+    for k, s in enumerate(snaps):
+        if s.k != k:
+            fail(s.k, f"iteration index {s.k}, expected {k}")
         if s.tau * sqrt_n > s.delta:
             fail(s.k, f"tau*sqrt(n) = {s.tau * sqrt_n:.6e} exceeds delta = {s.delta:.6e}")
+        if s.rho_degenerate != (s.cls is not IterationClass.U1 and s.rho is None):
+            fail(s.k, f"rho_degenerate {s.rho_degenerate} with class {s.cls.value} and rho {s.rho!r}")
 
     for s in snaps:
         cls = _classify(s, eps_half, p.alpha, sqrt_n)
@@ -103,8 +113,6 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             fail(s.k, f"recorded class {s.cls.value}, derived {cls.value}")
 
     for prev, cur in zip(snaps, snaps[1:]):
-        if cur.k != prev.k + 1:
-            fail(cur.k, "iteration index gap")
         tau_want, delta_want = _updated(prev, p.delta_star)
         if cur.tau != tau_want:
             fail(cur.k, f"tau {cur.tau!r} != replayed {tau_want!r}")
@@ -157,22 +165,21 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             fail(cur.k, "iterate moved on a non-success iteration")
 
     bf = record.best_f
-    if len(bf) != record.total_evals:
-        raise AuditFailure("best-f trajectory length != total evaluations")
     if any(b > a for a, b in zip(bf, bf[1:])):
         raise AuditFailure("best-f trajectory increases")
 
+    # the start evaluation is in the ledger unless it failed
+    total = min(1, record.total_evals)
     for s in snaps:
         want = _expected_cost(s, n)
         if s.evals_iter != want:
             fail(s.k, f"evaluation cost {s.evals_iter}, expected {want}")
-    # the start evaluation is in the ledger unless it failed
-    start = min(1, record.total_evals)
-    total = start + sum(s.evals_iter for s in snaps) + record.termination_evals
+        total += s.evals_iter
+        if s.evals_total != total:
+            fail(s.k, f"evals_total {s.evals_total}, the ledger gives {total}")
+    total += record.termination_evals
     if total != record.total_evals:
-        raise AuditFailure(
-            f"evaluation ledger off: start {start} + iters + trailing = {total}, trace has {record.total_evals}"
-        )
+        raise AuditFailure(f"evaluation ledger off: start + iters + trailing = {total}, trace has {record.total_evals}")
     if record.total_evals > p.budget.max_evals:
         raise AuditFailure("budget exceeded")
     partial = 1 if record.termination_evals else 0
@@ -184,7 +191,7 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
     if analytic is not None and snaps and all(analytic.in_box(s.x) for s in snaps):
         psis = [psi(analytic, s.x, p.p, p.delta_star) for s in snaps]
         if min(psis) > p.epsilon:
-            floor = delta_min(p, p.consts, analytic.lipschitz_jacobian)
+            floor = delta_min(p, analytic.lipschitz_jacobian)
             for s in snaps:
                 if s.delta < floor:
                     fail(s.k, f"delta {s.delta:.6e} fell under the floor {floor:.6e}")

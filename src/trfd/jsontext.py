@@ -1,5 +1,5 @@
-"""The one JSON writer for every document trfd saves, and the one typed
-reader for every document it reads.
+"""The one JSON writer for every document trfd saves, and the one parser
+and typed reader for every document it reads.
 
 Traces and ``summary.json`` are written by the stdlib encoder: key order
 is insertion order, so equal documents give equal bytes, and each float
@@ -15,10 +15,13 @@ only without an indent): each top-level field on a line of its own and
 each element of one array field on one line, so ``grep`` finds a row
 and ``diff`` lines two documents up by row.
 
-``field`` and ``check`` are the one typed reader, for traces, configs and
-oracle replies alike.  A value has a JSON type by its exact Python type
-as ``json.load`` gives it, so a boolean is no number and a float no
-integer; an array is checked for its length and each element's type.
+``loads`` and ``load`` are the one parser, and ``field`` and ``check``
+the one typed reader, for traces, configs and oracle replies alike.
+Text that is not JSON, or that nests deeper than the interpreter's
+recursion limit, raises ValueError.  A value has a JSON type by its
+exact Python type as ``loads`` gives it, so a boolean is no number and
+a float no integer; an array is checked for its length and each
+element's type.
 A missing key or a wrong type raises a ValueError naming the key; range
 checks, finiteness among them, are the caller's.
 """
@@ -26,7 +29,7 @@ import json
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 
-# kind -> (the types json.load gives it, its name, its plural)
+# kind -> (the types loads gives it, its name, its plural)
 _KINDS = {
     "integer": ({int}, "an integer", "integers"),
     "number": ({int, float}, "a number", "numbers"),
@@ -53,6 +56,20 @@ def dumps_rows(doc: dict, rows: str) -> str:
             text = _encode(value)
         fields.append(f"{_encode(key)}: {text}")
     return "{" + ",\n ".join(fields) + "}\n"
+
+
+def loads(text):
+    """The JSON document ``text`` holds; a ValueError if there is none."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the document nests too deeply") from None
+
+
+def load(path):
+    """The JSON document in the UTF-8 file ``path``, as by ``loads``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads(fh.read())
 
 
 def is_a(value, kind: str, of: str | None = None, size: int | None = None) -> bool:

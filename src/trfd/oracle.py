@@ -16,14 +16,13 @@ Wire protocol (one JSON document per line):
 
 Both ends write each float as its shortest round-trip decimal (Python's
 ``repr``), so the text parses back to the same float64 bit for bit; any
-JSON number is accepted on reading.  A reply of any other form than
-above, or not JSON at all, raises OracleFailure (HandshakeTimeout, once
-the child is closed, during the handshake).  Failures are fatal: the
-exact-oracle model has no retry semantics.
+JSON number is accepted on reading.  A command that cannot be started,
+a failed handshake (after which the child is closed), and a reply of any
+other form than above or not JSON at all, all raise OracleFailure.
+Failures are fatal: the exact-oracle model has no retry semantics.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import select
@@ -41,16 +40,9 @@ TERMINATE_WAIT = 5.0
 
 
 class OracleFailure(Exception):
-    """The backend returned an unusable answer (wrong shape, non-finite,
-    malformed output, or a dead process)."""
-
-
-class SpawnFailure(Exception):
-    """The external oracle command could not be started."""
-
-
-class HandshakeTimeout(Exception):
-    """The external oracle did not complete the hello/ready exchange."""
+    """The backend cannot be used: a command that does not start, a
+    failed handshake, an unusable answer (wrong shape, non-finite,
+    malformed output) or a dead process."""
 
 
 @dataclass
@@ -122,7 +114,7 @@ class ExternalOracle(BlackBoxOracle):
         self._next_id = 0
         argv = shlex.split(command)
         if not argv:
-            raise SpawnFailure("empty oracle command")
+            raise OracleFailure("empty oracle command")
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -131,7 +123,7 @@ class ExternalOracle(BlackBoxOracle):
                 stderr=subprocess.DEVNULL,
             )
         except OSError as exc:
-            raise SpawnFailure(f"could not start {argv[0]!r}: {exc}") from exc
+            raise OracleFailure(f"could not start {argv[0]!r}: {exc}") from exc
         self._buffer = b""
         self._handshake()
 
@@ -142,7 +134,7 @@ class ExternalOracle(BlackBoxOracle):
                 raise OracleFailure("oracle not ready")
         except (OracleFailure, ValueError) as exc:
             self.close()
-            raise HandshakeTimeout(str(exc)) from exc
+            raise OracleFailure(f"oracle handshake failed: {exc}") from exc
 
     def _send(self, line: str) -> None:
         if self._proc.poll() is not None:
@@ -166,8 +158,8 @@ class ExternalOracle(BlackBoxOracle):
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         try:
-            return jsontext.check(json.loads(line.decode()), "an oracle reply", "object")
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            return jsontext.check(jsontext.loads(line.decode()), "an oracle reply", "object")
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
             raise OracleFailure(f"malformed oracle reply {line!r:.60}: {exc}") from None
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:

@@ -23,18 +23,15 @@ step 1 otherwise.
 The run's LP is assembled once, with the first model, and each later
 model is written into it in place (``TrustRegionLP.set_model``).  Each
 model is solved first at the step radius delta.  Below the reference
-radius Delta*, that step brackets eta(Delta*) between psi(rho)/Delta*
-and psi(delta)/delta, with psi(rho) read at the step (rho = delta) or
-further along its ray (``subproblem.eta_bracket``).  When the lower end
-clears twice the floor under which eta would stop the run or take a U1
-step (``max(ETA_SNAP, stop_eta, epsilon/2)``), the bracket decides the
-iteration and the snapshot records both ends and rho; otherwise the LP
-is moved to Delta* and solved for the exact eta, which the snapshot
-records alone.  A U2 retry moves the LP to its halved radius.  The LP
-keeps its basis through every move and every new model, so the simplex
-restarts from the basis of the solve before, except after a Delta*
-solve: the LP is then given back the step's basis and reduced costs,
-and the next solve at a step radius restarts from those.
+radius Delta*, ``subproblem.eta_at`` turns that step into eta(Delta*):
+a bracket between psi(rho)/Delta* and psi(delta)/delta, with psi(rho)
+read at the step (rho = delta) or further along its ray, when its lower
+end clears twice the floor under which eta would stop the run or take
+a U1 step (``max(ETA_SNAP, stop_eta, epsilon/2)``), and the snapshot
+records both ends and rho; otherwise the exact eta of the LP at Delta*,
+which the snapshot records alone.  A U2 retry moves the LP to its
+halved radius.  The simplex restarts each solve from the basis the
+solve before left in the LP, through every move and every new model.
 
 Evaluation accounting is strict and kept in one ledger, the best-f
 list, which gains one entry per evaluation that returned a usable
@@ -45,7 +42,6 @@ partial Jacobian is ever bought.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -56,7 +52,7 @@ from .core import NormConstants, OuterFunction, PNorm, Problem, eval_h, norm_con
 from .jacobian import DegenerateStep, build_jacobian
 from .oracle import EvalBudget, OracleFailure
 from .simplex import NumericalTrouble
-from .subproblem import ETA_SNAP, eta_bracket, solve_tr_subproblem
+from .subproblem import ETA_SNAP, eta_at, solve_tr_subproblem
 
 TRACE_SCHEMA = "trfd-trace-v3"
 
@@ -104,14 +100,16 @@ class TrfdParams:
     stop_eta: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        values = {f.name: getattr(self, f.name) for f in fields(self)} | vars(self.consts)
+        for name, value in values.items():
             if isinstance(value, float) and not math.isfinite(value):  # NaN too
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.epsilon <= 0 or self.sigma <= 0:
-            raise ValueError("epsilon and sigma must be positive")
+        # tau0 = epsilon / (L_h sigma c_p2 c_2p sqrt(n)) must be positive
+        for name in ("epsilon", "sigma", "lipschitz_h", "c2p_n", "cp2_m"):
+            if not values[name] > 0:
+                raise ValueError(f"{name} must be positive, not {values[name]!r}")
         n = self.budget.n
         if self.tau0 * math.sqrt(n) > self.delta0:
             raise ValueError("delta0 must be at least tau0 * sqrt(n)")
@@ -290,18 +288,7 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                 sol = solve_tr_subproblem(tr)
                 eta, eta_upper, eta_radius = sol.eta, None, None
                 if delta < params.delta_star:
-                    bracket = eta_bracket(tr, sol, params.delta_star, eta_floor)
-                    if bracket is None:
-                        # the model is the same, so the step's basis and
-                        # reduced costs stay exact; put them back, and the
-                        # next step-radius solve restarts from them
-                        lp = tr.lp
-                        kept = lp.basic, lp.at_upper, lp.reduced
-                        tr.set_radius(params.delta_star)
-                        eta = solve_tr_subproblem(tr).eta
-                        lp.basic, lp.at_upper, lp.reduced = kept
-                    else:
-                        eta, eta_upper, eta_radius = bracket
+                    eta, eta_upper, eta_radius = eta_at(tr, sol, params.delta_star, eta_floor)
                 if eta <= params.stop_eta:
                     return finish(Termination.ETA_FLOOR)
 
@@ -417,8 +404,8 @@ def record_from_doc(doc: dict) -> RunRecord:
         epsilon=field(pd, "epsilon", "number"),
         alpha=field(pd, "alpha", "number"),
         sigma=field(pd, "sigma", "number"),
-        lipschitz_h=_positive(pd, "lipschitz_h"),
-        consts=NormConstants(c2p_n=_positive(pd, "c2p_n"), cp2_m=_positive(pd, "cp2_m")),
+        lipschitz_h=field(pd, "lipschitz_h", "number"),
+        consts=NormConstants(c2p_n=field(pd, "c2p_n", "number"), cp2_m=field(pd, "cp2_m", "number")),
         p=PNorm.from_value(field(pd, "p", "string")),
         budget=EvalBudget(simplex_gradients=field(pd, "simplex_gradients", "integer"), n=n),
         delta0=field(pd, "delta0", "number"),
@@ -446,7 +433,7 @@ def record_from_doc(doc: dict) -> RunRecord:
         for it in field(doc, "iterations", "array", of="object")
     ]
     final_f = field(doc, "final_f", "number or null")
-    return RunRecord(
+    record = RunRecord(
         problem_name=field(problem, "name", "string"),
         n=n,
         m=field(problem, "m", "integer"),
@@ -459,13 +446,17 @@ def record_from_doc(doc: dict) -> RunRecord:
         final_x=_point(doc, "final_x", n),
         final_f=math.inf if final_f is None else final_f,
     )
-
-
-def _positive(doc, key) -> float:
-    value = jsontext.field(doc, key, "number")
-    if not value > 0:
-        raise ValueError(f'"{key}" must be positive, not {value!r}')
-    return value
+    # what the trace states beside the values it is derived from
+    for where, key, kind, derived in (
+        (pd, "theta", "number", 1.0),
+        (pd, "max_evals", "integer", params.budget.max_evals),
+        (pd, "tau0", "number", params.tau0),
+        (doc, "total_evals", "integer", record.total_evals),
+    ):
+        value = field(where, key, kind)
+        if value != derived:
+            raise ValueError(f'"{key}" is {value!r}, but the trace gives {derived!r}')
+    return record
 
 
 def _point(doc, key, n) -> np.ndarray:
@@ -485,5 +476,4 @@ def save_trace(record: RunRecord, path) -> None:
 
 
 def load_trace(path) -> RunRecord:
-    with open(path, "r", encoding="ascii") as fh:
-        return record_from_doc(json.load(fh))
+    return record_from_doc(jsontext.load(path))

@@ -31,18 +31,19 @@ into it in place, and ``set_radius`` moves it to another radius.  The
 LP keeps the basis of its last solve through both, so each solve
 restarts the simplex from the basis the solve before left, even the
 previous model's, falling back to the d = 0 crash when that basis is no
-longer feasible.  The LP also keeps, from its assembly, which sides of
-the region's box are finite, which no model or radius changes.  The
-per-LP code reads that instead of recomputing it: ``set_model``'s p = 1
-side rows, ``set_radius``'s p = inf bounds, the step's box check and the
-ray walk all skip the box when it has no finite side.
+longer feasible.  Which sides of the region's box are finite is the
+region's own ``sides``, which no model or radius changes: ``set_model``'s
+p = 1 side rows, ``set_radius``'s p = inf bounds, the step's region check
+and the ray walk all skip the box when it has no finite side.
 
 The model decrease psi(r) = r * eta(r) is concave and nondecreasing in
 r with psi(0) = 0, so one solve at a radius r brackets eta at any larger
 radius R:  psi(rho)/R <= eta(R) <= psi(r)/r for every rho in [r, R].
 ``eta_bracket`` reads psi(rho) at the step (rho = r) or further along
 its ray, and returns the bracket when its lower end alone decides the
-outer method's tests, so the LP at R need not be solved.
+outer method's tests, so the LP at R need not be solved.  ``eta_at``
+returns that bracket, or else solves the LP at R and gives it back the
+step's simplex state.
 """
 from __future__ import annotations
 
@@ -88,14 +89,6 @@ class TrustRegionLP:
     # the LP point of d = 0, feasible by construction
     start: np.ndarray
     radius: float = field(init=False)
-    # which sides of the region's box are finite, upper then lower per
-    # coordinate (the order of the p = 1 side rows), and whether any is
-    sides: np.ndarray = field(init=False)
-    bounded: bool = field(init=False)
-
-    def __post_init__(self):
-        self.sides = _finite_sides(self.region)
-        self.bounded = bool(np.logical_or.reduce(self.sides))
 
     def set_model(self, F_x, A, x) -> None:
         """Write the model h(F_x + A d) at x into the LP in place, then
@@ -128,9 +121,9 @@ class TrustRegionLP:
         # the region's linear rows
         g = [b - float(a @ x) for a, b in self.region.linear_ineq]
         if self.p is PNorm.ONE:
-            if self.bounded:
+            if self.region.bounded:
                 box = np.array([self.region.upper - x, x - self.region.lower]).T.ravel()
-                g = np.concatenate([box[self.sides], g])
+                g = np.concatenate([box[self.region.sides], g])
             k += 1
         rhs[k:] = g
         self.F_x, self.A, self.x = F_x, A, x
@@ -145,7 +138,7 @@ class TrustRegionLP:
         if self.p is PNorm.INF:
             # the trust region and the box are the d columns' bounds
             lower, upper = -r, r
-            if self.bounded:
+            if self.region.bounded:
                 lower = np.maximum(lower, self.region.lower - self.x)
                 upper = np.minimum(upper, self.region.upper - self.x)
             self.lp.lower[: self.x.size] = lower
@@ -196,7 +189,7 @@ def reformulate(
         z_rows = G
     else:
         z_lo, z_hi = np.zeros(2 * n), np.full(2 * n, np.inf)
-        sides = (np.eye(n)[:, None, :] * [[1.0], [-1.0]]).reshape(2 * n, n)[_finite_sides(region)]
+        sides = (np.eye(n)[:, None, :] * [[1.0], [-1.0]]).reshape(2 * n, n)[region.sides]
         GE = np.concatenate([sides, G])
         z_rows = np.concatenate([np.ones((1, 2 * n)), np.concatenate([GE, -GE], axis=1)])
     nz = z_lo.size
@@ -315,8 +308,21 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     return float(lower[k]), upper, float(rho[k])
 
 
-def _finite_sides(region: FeasibleRegion) -> np.ndarray:
-    return np.isfinite(np.array([region.upper, region.lower]).T.ravel())
+def eta_at(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor: float):
+    """``(eta, eta_upper, eta_radius)`` at ``r_ref``: ``eta_bracket``'s
+    bracket from ``sol``, the solve at ``tr``'s radius, or else the exact
+    eta and two Nones.  The exact solve leaves ``tr`` at ``r_ref`` with
+    the step's basis and reduced costs, exact for the same model, so the
+    next solve at a step radius restarts from them."""
+    bracket = eta_bracket(tr, sol, r_ref, floor)
+    if bracket is not None:
+        return bracket
+    lp = tr.lp
+    kept = lp.basic, lp.at_upper, lp.reduced
+    tr.set_radius(r_ref)
+    eta = solve_tr_subproblem(tr).eta
+    lp.basic, lp.at_upper, lp.reduced = kept
+    return eta, None, None
 
 
 def _ray_length(tr: TrustRegionLP, u: np.ndarray) -> float:
@@ -325,7 +331,7 @@ def _ray_length(tr: TrustRegionLP, u: np.ndarray) -> float:
     it, as it does in a region with no finite side and no row."""
     region, x = tr.region, tr.x
     t = math.inf
-    if tr.bounded:
+    if region.bounded:
         up, down = u > 0, u < 0
         t = min(
             ((region.upper[up] - x[up]) / u[up]).min(initial=np.inf),
@@ -346,12 +352,8 @@ def _check_solution(tr, d, model_value, result: SimplexResult) -> None:
     r = tr.radius
     if norm(d, tr.p) - r > abort:
         raise NumericalTrouble("step left the trust region")
-    xt = tr.x + d
-    if tr.bounded and ((xt < tr.region.lower - abort).any() or (xt > tr.region.upper + abort).any()):
-        raise NumericalTrouble("step left the feasible box")
-    for a, b in tr.region.linear_ineq:
-        if float(a @ xt) > b + abort:
-            raise NumericalTrouble("step violated a linear constraint")
+    if not tr.region.contains(tr.x + d, abort):
+        raise NumericalTrouble("step left the feasible region")
     # the LP objective and the recomputed model must agree
     scale = 1.0 + abs(tr.base_value)
     if abs(result.objective - model_value) > 1e-7 * scale:

@@ -526,10 +526,13 @@ def registry_by_name(name: str) -> BenchmarkProblem:
     for bp in _REGISTRY:
         if bp.name == name:
             return bp
-    raise KeyError(f"no benchmark problem named {name!r}")
+    raise ValueError(f"no benchmark problem named {name!r}")
 
 
 def registry_family(family) -> list:
+    """The problems of one family, "l1" or "minimax", or every problem for "all"."""
+    if family == "all":
+        return registry()
     family = OuterFunction.from_value(family)
     return [bp for bp in _REGISTRY if bp.family is family]
 

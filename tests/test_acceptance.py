@@ -9,6 +9,7 @@ minimax family.
 """
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -314,6 +315,30 @@ def test_criterion_8_radius_floor_audit(campaigns):
         audited > 0 and engaged > 0,
         f"{audited} certified traces audited, radius floor applicable and respected on {engaged}",
     )
+
+
+# the acceptance campaigns' exact counters: runs, evaluations,
+# iterations, iterations per class and runs per termination.  A change
+# that means to move a run's path updates them and says so.
+PINNED_COUNTERS = {
+    "l1": (15, 1914, 519, {"success": 249, "u1": 0, "u2": 231, "u3": 39},
+           {"eta_floor": 12, "delta_floor": 2, "budget_exhausted": 1}),
+    "minimax": (13, 1715, 736, {"success": 282, "u1": 0, "u2": 426, "u3": 28},
+                {"eta_floor": 11, "delta_floor": 1, "budget_exhausted": 1}),
+}
+
+
+@pytest.mark.parametrize("family", list(PINNED_COUNTERS))
+def test_the_campaigns_keep_their_exact_counters(campaigns, family):
+    records = list(campaigns[family].records.values())
+    classes = Counter(s.cls.value for rec in records for s in rec.iterations)
+    assert (
+        len(records),
+        sum(rec.total_evals for rec in records),
+        sum(len(rec.iterations) for rec in records),
+        {cls.value: classes[cls.value] for cls in IterationClass},
+        dict(Counter(rec.termination.value for rec in records)),
+    ) == PINNED_COUNTERS[family]
 
 
 def test_criterion_9_determinism(campaigns, tmp_path):

@@ -138,7 +138,7 @@ def scaled(bp, scale) -> Problem:
 def test_solver_skips_the_delta_star_solve_only_above_the_floor(name, scale, monkeypatch):
     # every bracket the solver takes is checked against the exact Delta*
     # solve it skipped; x1e8 residuals test the rounding allowance
-    import trfd.solver
+    import trfd.subproblem
 
     problem = scaled(registry_by_name(name), scale)
     params = TrfdParams.defaults(problem, "1")
@@ -159,7 +159,7 @@ def test_solver_skips_the_delta_star_solve_only_above_the_floor(name, scale, mon
             checked_brackets.append(bracket[2] > tr.radius)
         return bracket
 
-    monkeypatch.setattr(trfd.solver, "eta_bracket", checked)
+    monkeypatch.setattr(trfd.subproblem, "eta_bracket", checked)
     solve(problem, params)
     assert len(checked_brackets) >= 10
     # unscaled, some lower ends are read on the step's ray

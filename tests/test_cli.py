@@ -109,6 +109,7 @@ def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, ca
     ("cp2_m", -1.0, "must be positive, not -1.0"),
     ("x", [1.0], "must hold n = 2 numbers, not 1"),
     ("final_x", [1.0, 2.0, 3.0], "must hold n = 2 numbers, not 3"),
+    ("lipschitz_h", -1, "must be positive, not -1"),
 ])
 def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys, field, value, message):
     cfg = tmp_path / "campaign.json"
@@ -124,7 +125,23 @@ def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys
     assert main(["audit", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out == f'{bad}: FAILED: ValueError: "{field}" {message}\n'
+    # TrfdParams names a parameter bare, the trace reader quotes a key
+    name = field if owner is doc["params"] else f'"{field}"'
+    assert captured.out == f"{bad}: FAILED: ValueError: {name} {message}\n"
+
+
+def test_a_file_nested_too_deeply_fails_with_one_line(tmp_path, capsys):
+    # the parser's RecursionError is the reader's ValueError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["audit", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"{deep}: FAILED: ValueError: the document nests too deeply\n", "")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(deep), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "trfd run: error: the document nests too deeply\n")
+    assert not out.exists()
 
 
 def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, capsys):
@@ -314,6 +331,7 @@ BAD_CONFIGS = {
     "p_number": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "p": 1}]}, '"p" must be a string, not 1'),
     "theta_override": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "theta": 0.5}]}, 'unknown key "theta"'),
     "family_max": ({"problems": {"family": "max"}}, "h = max"),
+    "unknown_problem": ({"problems": ["nope"]}, "no benchmark problem named 'nope'"),
     "problems_string": ({"problems": "rosenbrock"}, '"problems"'),
     "solvers_string": ({"problems": ["rosenbrock"], "solvers": "TRFD-L1"}, '"solvers"'),
     "solver_without_name": ({"problems": ["rosenbrock"], "solvers": [{"p": "1"}]}, '"name"'),
@@ -373,8 +391,6 @@ def test_run_rejects_bad_config_with_one_line(tmp_path, capsys, case):
     cfg = tmp_path / "campaign.json"
     if case in BAD_CONFIGS:
         cfg.write_text(json.dumps(BAD_CONFIGS[case][0]))
-    elif case == "unknown_problem":
-        write_campaign(cfg, ["no_such_problem"])
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()

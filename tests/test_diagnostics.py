@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from trfd.core import FeasibleRegion, NormConstants, OuterFunction, PNorm
 from trfd.diagnostics import AnalyticProblem, AuditFailure, audit_trace, delta_min, psi
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
-from trfd.solver import TrfdParams, solve
+from trfd.solver import TrfdParams, record_from_doc, record_to_doc, solve
 from trfd.subproblem import ETA_SNAP, reformulate, solve_tr_subproblem
 from trfd.testset import registry_by_name
 
@@ -132,16 +133,16 @@ def _params_for_delta_min(epsilon, alpha, sigma, lip, consts, n=1):
 def test_delta_min_values():
     ones = NormConstants(c2p_n=1.0, cp2_m=1.0)
     p = _params_for_delta_min(1.0, 0.5, 1.0, 1.0, ones)
-    assert delta_min(p, ones, 1.0) == pytest.approx(0.125, rel=1e-15)
+    assert delta_min(p, 1.0) == pytest.approx(0.125, rel=1e-15)
 
     sigma = 1e9
     p2 = _params_for_delta_min(1e-15, 0.15, sigma, 1.0, ones)
     want = 0.85 * 1e-15 / (4.0 * sigma)
-    assert delta_min(p2, ones, 1.0) == pytest.approx(want, rel=1e-12)
+    assert delta_min(p2, 1.0) == pytest.approx(want, rel=1e-12)
 
     # doubling max(sigma, L_J) halves the floor
-    a = delta_min(p, ones, 4.0)
-    b = delta_min(p, ones, 8.0)
+    a = delta_min(p, 4.0)
+    b = delta_min(p, 8.0)
     assert a == pytest.approx(2.0 * b, rel=1e-15)
 
 
@@ -177,6 +178,45 @@ def test_audit_catches_best_f_corruption():
     rec.best_f[7] = rec.best_f[6] + 1.0
     with pytest.raises(AuditFailure, match="best-f"):
         audit_trace(rec)
+
+
+def _every(doc, key, edit):
+    for it in doc["iterations"]:
+        it[key] = edit(it[key])
+
+
+# a hand edit of a trace document -> (what it raises, a text of its message)
+TRACE_EDITS = {
+    "k_shifted": (lambda doc: _every(doc, "k", lambda k: k + 5), AuditFailure, "iteration index 5, expected 0"),
+    "tau_halved": (lambda doc: _every(doc, "tau", lambda tau: tau / 2), AuditFailure, "not (tau0, delta0)"),
+    "delta_doubled": (lambda doc: _every(doc, "delta", lambda delta: delta * 2), AuditFailure, "not (tau0, delta0)"),
+    "total_evals": (lambda doc: doc.update(total_evals=1), ValueError, '"total_evals" is 1, but the trace gives '),
+    "tau0": (lambda doc: doc["params"].update(tau0=doc["params"]["tau0"] * 2), ValueError, '"tau0" is '),
+    "max_evals": (lambda doc: doc["params"].update(max_evals=doc["params"]["max_evals"] + 1), ValueError,
+                  '"max_evals" is 301, but the trace gives 300'),
+    "theta": (lambda doc: doc["params"].update(theta=0.5), ValueError, '"theta" is 0.5, but the trace gives 1.0'),
+    "evals_total_zero": (lambda doc: _every(doc, "evals_total", lambda _: 0), AuditFailure,
+                         "evals_total 0, the ledger gives "),
+    "rho_degenerate_true": (lambda doc: _every(doc, "rho_degenerate", lambda _: True), AuditFailure,
+                            "rho_degenerate True with class "),
+}
+
+
+@pytest.fixture(scope="module")
+def rosenbrock_trace():
+    prob = registry_by_name("rosenbrock").make_problem()
+    doc = json.dumps(record_to_doc(solve(prob, TrfdParams.defaults(prob, PNorm.ONE))))
+    audit_trace(record_from_doc(json.loads(doc)))
+    return doc
+
+
+@pytest.mark.parametrize("edit", list(TRACE_EDITS))
+def test_audit_refuses_a_trace_whose_start_or_ledger_was_edited(rosenbrock_trace, edit):
+    change, error, message = TRACE_EDITS[edit]
+    doc = json.loads(rosenbrock_trace)
+    change(doc)
+    with pytest.raises(error, match=re.escape(message)):
+        audit_trace(record_from_doc(doc))
 
 
 def test_audit_affine_trace_all_success():

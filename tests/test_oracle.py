@@ -1,3 +1,4 @@
+import re
 import signal
 import subprocess
 import sys
@@ -9,14 +10,7 @@ from conftest import rosenbrock_residuals
 
 import trfd.oracle
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem
-from trfd.oracle import (
-    EvalBudget,
-    ExternalOracle,
-    HandshakeTimeout,
-    InProcessOracle,
-    OracleFailure,
-    SpawnFailure,
-)
+from trfd.oracle import EvalBudget, ExternalOracle, InProcessOracle, OracleFailure
 from trfd.solver import Termination, TrfdParams, solve
 
 
@@ -111,9 +105,10 @@ def test_external_registry_problem(demo_oracle_cmd):
 
 
 def test_spawn_failure():
-    for command in ("definitely-not-a-real-command-xyz --echo", ""):
-        with pytest.raises(SpawnFailure):
-            ExternalOracle(command, n=2, m=2)
+    with pytest.raises(OracleFailure, match="^could not start 'definitely-not-a-real-command-xyz'"):
+        ExternalOracle("definitely-not-a-real-command-xyz --echo", n=2, m=2)
+    with pytest.raises(OracleFailure, match="^empty oracle command$"):
+        ExternalOracle("", n=2, m=2)
 
 
 def test_wrong_m_reply(demo_oracle_cmd):
@@ -145,7 +140,7 @@ def test_process_death(demo_oracle_cmd):
 
 
 def test_handshake_timeout(demo_oracle_cmd):
-    with pytest.raises(HandshakeTimeout):
+    with pytest.raises(OracleFailure, match="^oracle handshake failed: oracle timed out after 0.5s$"):
         ExternalOracle(f"{demo_oracle_cmd} --echo --no-ready", n=2, m=2, timeout=0.5)
 
 
@@ -230,12 +225,19 @@ def test_a_malformed_reply_is_an_oracle_failure(tmp_path, m, replies):
         oracle.close()
 
 
-@pytest.mark.parametrize("reply", ["[1]", '{"ready": false}'])
+# a handshake reply -> why the handshake fails
+BAD_HANDSHAKES = {
+    "[1]": "malformed oracle reply b'[1]': an oracle reply must be an object, not [1]",
+    '{"ready": false}': "oracle not ready",
+}
+
+
+@pytest.mark.parametrize("reply", list(BAD_HANDSHAKES))
 def test_a_bad_handshake_reply_closes_the_child(tmp_path, monkeypatch, reply):
     closed = []
     close = ExternalOracle.close
     monkeypatch.setattr(ExternalOracle, "close", lambda self: closed.append(self._proc) or close(self))
-    with pytest.raises(HandshakeTimeout):
+    with pytest.raises(OracleFailure, match=f"^{re.escape('oracle handshake failed: ' + BAD_HANDSHAKES[reply])}$"):
         scripted_oracle(tmp_path, [reply])
     assert closed and closed[0].returncode is not None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from conftest import make_problem, rosenbrock_residuals
 import trfd
 from trfd import bench, jsontext
 from trfd.bench import TRFD_L1, Campaign, run_campaign
-from trfd.core import MACHINE_EPS, FeasibleRegion, OuterFunction, PNorm
+from trfd.core import MACHINE_EPS, FeasibleRegion, NormConstants, OuterFunction, PNorm
 from trfd.diagnostics import audit_trace
 from trfd.solver import (
     IterationClass,
@@ -74,7 +75,9 @@ def test_params_validation():
     # a non-finite field fails too, NaN included: NaN <= 0 is false
     for field, bad in (("alpha", 1.5), ("epsilon", -1.0), ("epsilon", math.nan),
                        ("alpha", math.nan), ("delta_star", math.inf), ("stop_eta", math.inf),
-                       ("stop_delta", -math.inf), ("lipschitz_h", math.nan)):
+                       ("stop_delta", -math.inf), ("lipschitz_h", math.nan),
+                       # -1 once reached build_jacobian as a negative step, and 0 divided tau0 by zero
+                       ("lipschitz_h", -1), ("lipschitz_h", 0)):
         kwargs = dict(
             epsilon=good.epsilon, alpha=good.alpha, sigma=good.sigma,
             lipschitz_h=good.lipschitz_h, consts=good.consts, p=good.p, budget=good.budget,
@@ -84,6 +87,9 @@ def test_params_validation():
         kwargs[field] = bad
         with pytest.raises(ValueError, match=field):
             TrfdParams(**kwargs)
+    for consts, name in ((NormConstants(c2p_n=0.0, cp2_m=1.0), "c2p_n"), (NormConstants(c2p_n=1.0, cp2_m=-1.0), "cp2_m")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, not "):
+            dataclasses.replace(good, consts=consts)
     # p = 2 has no LP subproblem: rejected before any evaluation is spent
     with pytest.raises(ValueError, match="p = 2"):
         TrfdParams.defaults(prob, "2")
@@ -234,7 +240,7 @@ def test_one_lp_assembly_per_model(name, p, lps, monkeypatch):
 
     real_solve_lp = trfd.subproblem.solve_lp
     monkeypatch.setattr(trfd.subproblem, "solve_lp", checked_solve_lp)
-    monkeypatch.setattr(trfd.solver, "eta_bracket", bracket_or_none)
+    monkeypatch.setattr(trfd.subproblem, "eta_bracket", bracket_or_none)
 
     def counting(owner, attr):
         real = getattr(owner, attr)
@@ -453,7 +459,7 @@ def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):
                             x0=(0.0, 0.0), f_ref=0.0, f_ref_note="")
     monkeypatch.setattr(bench, "registry_by_name", lambda name: dead)
     out = tmp_path / "campaign"
-    run_campaign(Campaign(problems=["dead"], solver_configs=[TRFD_L1]), out_dir=str(out))
+    run_campaign(Campaign(problems=[dead], solver_configs=[TRFD_L1]), out_dir=str(out))
     (run,) = json.loads((out / "summary.json").read_text())["runs"]
     assert run["termination"] == "oracle_error"
     assert run["final_f"] is None and run["best_f"] is None

@@ -251,7 +251,7 @@ ONE_SIDED = FeasibleRegion(np.array([-1.0, -np.inf, 0.0]), np.full(3, np.inf))
 def test_a_step_past_a_one_sided_box_is_refused(p):
     F, A, x = np.array([1.0]), np.array([[0.0, 0.0, 1.0]]), np.array([0.0, 0.0, 0.5])
     tr = reformulate(OuterFunction.L1, F, A, ONE_SIDED, x, p, 1.0)
-    assert tr.bounded and tr.sides.tolist() == [False, True, False, False, False, True]
+    assert tr.region.bounded and tr.region.sides.tolist() == [False, True, False, False, False, True]
 
     def check(d):
         model_value = eval_h(tr.h, F + A @ d)
@@ -262,7 +262,7 @@ def test_a_step_past_a_one_sided_box_is_refused(p):
     # along an infinite side, and onto the finite one within the tolerance
     check(np.array([0.0, 0.9, 0.0]))
     check(np.array([0.0, 0.0, -0.5 - 5e-7]))
-    with pytest.raises(NumericalTrouble, match="step left the feasible box"):
+    with pytest.raises(NumericalTrouble, match="step left the feasible region"):
         check(np.array([0.0, 0.0, -0.6]))
 
 

@@ -44,7 +44,7 @@ def test_standard_entries():
     cb2 = registry_by_name("cb2")
     assert (cb2.n, cb2.m) == (2, 3)
     assert cb2.f_ref == pytest.approx(1.9522245, abs=1e-6)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^no benchmark problem named 'not_a_problem'$"):
         registry_by_name("not_a_problem")
 
 
