@@ -25,7 +25,6 @@ from __future__ import annotations
 import glob
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import jsontext
@@ -99,6 +98,9 @@ def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignRes
         for config in campaign.solver_configs
     ]
     if jobs > 1:
+        # imported here, so only a parallel campaign loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks))
     else:

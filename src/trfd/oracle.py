@@ -137,12 +137,10 @@ class ExternalOracle(BlackBoxOracle):
             raise OracleFailure(f"oracle handshake failed: {exc}") from exc
 
     def _send(self, line: str) -> None:
-        if self._proc.poll() is not None:
-            raise OracleFailure("oracle process is dead")
         try:
             self._proc.stdin.write(line.encode("ascii") + b"\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:  # BrokenPipeError once the child has exited
             raise OracleFailure("oracle process closed its input") from exc
 
     def _reply(self) -> dict:

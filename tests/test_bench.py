@@ -2,8 +2,12 @@ import copy
 import dataclasses
 import enum
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,21 @@ def test_campaign_parallel_matches_serial(tmp_path):
     run_campaign(camp, out_dir=str(out2), jobs=3)
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+def test_only_a_parallel_campaign_loads_the_process_pool(monkeypatch):
+    # a fresh interpreter: the command-line modules leave the pool, and
+    # the multiprocessing it pulls in, to run_campaign(jobs > 1)
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"), prepend=os.pathsep)
+    code = """
+import sys
+import trfd.bench, trfd.cli, trfd.config
+assert "concurrent.futures.process" not in sys.modules
+print("ok")
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def assert_same_fields(got, want, where="record"):

@@ -111,51 +111,6 @@ def test_spawn_failure():
         ExternalOracle("", n=2, m=2)
 
 
-def test_wrong_m_reply(demo_oracle_cmd):
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --wrong-m", n=2, m=2)
-    try:
-        with pytest.raises(OracleFailure):
-            oracle.eval_F([1.0, 2.0])
-    finally:
-        oracle.close()
-
-
-def test_garbage_reply(demo_oracle_cmd):
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --garbage", n=2, m=2)
-    try:
-        with pytest.raises(OracleFailure):
-            oracle.eval_F([1.0, 2.0])
-    finally:
-        oracle.close()
-
-
-def test_process_death(demo_oracle_cmd):
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --die-after 1", n=2, m=2)
-    try:
-        oracle.eval_F([1.0, 2.0])
-        with pytest.raises(OracleFailure):
-            oracle.eval_F([3.0, 4.0])
-    finally:
-        oracle.close()
-
-
-def test_handshake_timeout(demo_oracle_cmd):
-    with pytest.raises(OracleFailure, match="^oracle handshake failed: oracle timed out after 0.5s$"):
-        ExternalOracle(f"{demo_oracle_cmd} --echo --no-ready", n=2, m=2, timeout=0.5)
-
-
-def test_eval_timeout(demo_oracle_cmd):
-    # spawn under the default timeout so the child's interpreter start-up
-    # is not bounded by the short per-call limit under test
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo --sleep 5", n=2, m=2)
-    oracle.timeout = 0.5
-    try:
-        with pytest.raises(OracleFailure):
-            oracle.eval_F([1.0, 2.0])
-    finally:
-        oracle.close()
-
-
 def test_close_reaps_a_child_that_exits_on_sigterm(demo_oracle_cmd):
     oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
     proc = oracle._proc
@@ -189,17 +144,50 @@ def test_close_kills_a_child_that_ignores_sigterm(tmp_path, monkeypatch):
 READY = '{"ready": true}'
 
 
-def scripted_oracle(tmp_path, replies, m=2):
+def scripted_oracle(tmp_path, replies, m=2, then="sys.stdin.read()", **kwargs):
     """An ExternalOracle with n = 2 on a child that writes ``replies``,
-    one a line: the first to the handshake, each next to the next query."""
+    one a line: the first to the handshake, each next to the next query.
+    The child then runs ``then``: by default it reads to the end of its
+    input, answering nothing more; ``kwargs`` go to ExternalOracle."""
     child = tmp_path / "scripted.py"
     child.write_text(
         "import sys\n"
         f"for reply, _ in zip({replies!r}, sys.stdin):\n"
         "    print(reply, flush=True)\n"
-        "sys.stdin.read()\n"
+        f"{then}\n"
     )
-    return ExternalOracle(f"{sys.executable} {child}", n=2, m=m)
+    return ExternalOracle(f"{sys.executable} {child}", n=2, m=m, **kwargs)
+
+
+def test_handshake_timeout(tmp_path):
+    # the child answers nothing, not even the handshake
+    with pytest.raises(OracleFailure, match="^oracle handshake failed: oracle timed out after 0.5s$"):
+        scripted_oracle(tmp_path, [], timeout=0.5)
+
+
+def test_eval_timeout(tmp_path):
+    # the child answers the handshake only; it starts under the default
+    # timeout so that its start-up is not bounded by the limit under test
+    oracle = scripted_oracle(tmp_path, [READY])
+    oracle.timeout = 0.5
+    try:
+        with pytest.raises(OracleFailure, match="^oracle timed out after 0.5s$"):
+            oracle.eval_F([1.0, 2.0])
+    finally:
+        oracle.close()
+
+
+def test_process_death(tmp_path):
+    # the child exits after its first answer; the next query meets a
+    # broken pipe or the end of the child's output, never a wait
+    oracle = scripted_oracle(tmp_path, [READY, '{"id": 0, "fvec": [1.0, 2.0]}'], then="", timeout=5.0)
+    try:
+        assert np.array_equal(oracle.eval_F([1.0, 2.0]), [1.0, 2.0])
+        assert oracle._proc.wait(timeout=5.0) == 0
+        with pytest.raises(OracleFailure, match="^oracle process closed its (input|output)$"):
+            oracle.eval_F([3.0, 4.0])
+    finally:
+        oracle.close()
 
 
 # each reply is malformed; the queries before the last are answered well
@@ -213,6 +201,8 @@ def scripted_oracle(tmp_path, replies, m=2):
     (2, ["[" * 100000 + "]" * 100000]),
     (2, ['{"fvec": [1.0, 2.0]}']),
     (2, ['{"id": 0, "fvec": [1.0, 2.0]}', '{"id": true, "fvec": [1.0, 2.0]}']),
+    (2, ['{"id": 0, "fvec": [1.0, 2.0, 0.0]}']),
+    (2, ["this is not json"]),
 ])
 def test_a_malformed_reply_is_an_oracle_failure(tmp_path, m, replies):
     oracle = scripted_oracle(tmp_path, [READY, *replies], m=m)
