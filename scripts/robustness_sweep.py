@@ -23,7 +23,7 @@ import numpy as np
 
 from trfd.bench import TRFD_L1, TRFD_M
 from trfd.core import FeasibleRegion, Problem
-from trfd.solver import solve
+from trfd.solver import DEFAULT_SIMPLEX_GRADIENTS, solve
 from trfd.testset import registry, registry_by_name
 
 
@@ -66,7 +66,7 @@ def sweep(problems) -> dict:
         for bp in problems:
             for config in (TRFD_L1, TRFD_M):
                 problem = changed_problem(bp, scale, shift, region)
-                record = solve(problem, config.build_params(problem))
+                record = solve(problem, config.build_params(problem, DEFAULT_SIMPLEX_GRADIENTS))
                 counts[name][record.termination.value] += 1
     return counts
 

@@ -16,9 +16,9 @@ included), so the curves have evaluation-level resolution.
 All outputs are byte-deterministic: ordered documents, shortest
 round-trip floats (see ``jsontext``), no timestamps.  Parallelism
 (``jobs``) only distributes independent runs; each run is
-single-threaded and the collector writes every file.  A worker returns
-the ``RunRecord`` that ``solve`` made, and a process pool pickles it,
-exactly; records become documents only when ``save_trace`` writes them.
+single-threaded and the collector writes every file.  A worker gets a
+``BenchmarkProblem`` and returns the ``RunRecord`` that ``solve`` made;
+a pool pickles both, exactly, and only ``save_trace`` writes documents.
 """
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from . import jsontext
 from .core import PNorm
-from .solver import TrfdParams, save_trace, solve
-from .testset import registry_by_name
+from .solver import DEFAULT_SIMPLEX_GRADIENTS, TrfdParams, save_trace, solve
 
 DEFAULT_TOLERANCES = (1e-1, 1e-3, 1e-5, 1e-7)
 
@@ -52,7 +51,7 @@ class SolverConfig:
         if self.p != "auto":
             PNorm.from_value(self.p)
 
-    def build_params(self, problem, simplex_gradients: int = 100) -> TrfdParams:
+    def build_params(self, problem, simplex_gradients: int) -> TrfdParams:
         if self.p == "auto":
             p = PNorm.ONE if math.sqrt(problem.m) < problem.n else PNorm.INF
         else:
@@ -75,7 +74,7 @@ def check_tolerance(tol):
 class Campaign:
     problems: list  # registry BenchmarkProblems
     solver_configs: list
-    simplex_gradients: int = 100
+    simplex_gradients: int = DEFAULT_SIMPLEX_GRADIENTS
     tolerances: tuple = DEFAULT_TOLERANCES
 
 
@@ -85,15 +84,15 @@ class CampaignResult:
 
 
 def _worker(task):
-    problem_name, config, simplex_gradients = task
-    problem = registry_by_name(problem_name).make_problem()
-    return problem_name, config.name, solve(problem, config.build_params(problem, simplex_gradients))
+    bp, config, simplex_gradients = task
+    problem = bp.make_problem()
+    return bp.name, config.name, solve(problem, config.build_params(problem, simplex_gradients))
 
 
 def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignResult:
     """Execute every (problem, config) pair once; write traces and a summary."""
     tasks = [
-        (bp.name, config, campaign.simplex_gradients)
+        (bp, config, campaign.simplex_gradients)
         for bp in campaign.problems
         for config in campaign.solver_configs
     ]

@@ -2,21 +2,23 @@
 
 Subcommands:
 
-    trfd list                         show the benchmark registry
-    trfd run --config c.json --out d  run a campaign, write traces + CSVs
-    trfd profile --out d [...]        recompute data profiles from traces
-    trfd audit trace.json [...]       replay traces against the invariants
+    trfd list                           show the benchmark registry
+    trfd run [--config c.json] --out d  run a campaign, write traces + CSVs
+    trfd profile --out d [...]          recompute data profiles from traces
+    trfd audit trace.json [...]         replay traces against the invariants
 
 Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
 and when every audited trace is clean (audit).  A campaign config that
 cannot be read or built, a key outside its schema, an option out of
-range (a tolerance outside (0, 1), a budget or job count below 1), or a
-problem or solver named twice or not at all, makes ``run`` or
-``profile`` print one error line and exit 2.  A trace that
-cannot be read or is not a trace (a field missing or of the wrong JSON
+range (a tolerance outside (0, 1), a job count below 1), a problem or
+solver named twice or not at all, or an ``--out`` that cannot be made
+a directory, makes ``run`` or ``profile`` print one error line and exit
+2 before any run starts; ``run`` without a config runs the config ``{}``.
+A trace that cannot be read or is not a trace (a field missing or of the wrong JSON
 type included), and a directory that holds no trace, fail the audit
-with one line, and ``audit`` goes on to the next path.
+with one line, and ``audit`` goes on to the next path; it checks a
+registry problem's certificate only on a run of that problem.
 ``profile`` writes no profile, prints one error line and exits 1 when a
 trace cannot be read or is missing for a (problem, solver) pair, or when
 there is none.  It names each profile by the shortest scientific form
@@ -31,10 +33,7 @@ import sys
 import numpy as np
 
 from .bench import (
-    Campaign,
     DEFAULT_TOLERANCES,
-    TRFD_L1,
-    TRFD_M,
     EmptyGroup,
     check_tolerance,
     data_profile,
@@ -44,9 +43,10 @@ from .bench import (
 )
 from .config import campaign_from_config
 from .diagnostics import AuditFailure, audit_trace
+from .core import eval_h
 from .solver import Termination, load_trace
 from .jsontext import load
-from .testset import registry, registry_by_name, registry_family
+from .testset import registry_by_name, registry_family
 
 
 def main(argv=None) -> int:
@@ -57,10 +57,8 @@ def main(argv=None) -> int:
     p_list.add_argument("--family", choices=["l1", "minimax", "all"], default="all")
 
     p_run = sub.add_parser("run", help="run a campaign")
-    p_run.add_argument("--config", help="campaign config file (JSON)")
+    p_run.add_argument("--config", help="campaign config file (JSON); default: every problem, both configs")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--budget", type=_at_least_one, default=None, help="simplex gradients per run")
-    p_run.add_argument("--tolerance", type=_tolerance, action="append", default=None)
     p_run.add_argument("--jobs", type=_at_least_one, default=1, help="parallel runs")
 
     p_prof = sub.add_parser("profile", help="data profiles from stored traces")
@@ -77,7 +75,7 @@ def main(argv=None) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    """--budget and --jobs: a whole number, at least one."""
+    """--jobs: a whole number, at least one."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
@@ -99,22 +97,16 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        # a bad config fails here, before any run starts or any file is written
-        try:
-            campaign = campaign_from_config(load(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"trfd run: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        campaign = Campaign(problems=registry(), solver_configs=[TRFD_L1, TRFD_M])
-    if args.budget is not None:
-        campaign.simplex_gradients = args.budget
-    if args.tolerance:
-        campaign.tolerances = tuple(args.tolerance)
+    # refused before any run starts; a bad config makes no directory
+    try:
+        campaign = campaign_from_config(load(args.config) if args.config else {})
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        print(f"trfd run: error: {exc}", file=sys.stderr)
+        return 2
 
     result = run_campaign(campaign, out_dir=args.out, jobs=args.jobs)
-    _write_profiles(result.records, campaign.tolerances, campaign.simplex_gradients, args.out)
+    _write_profiles(result.records, campaign.tolerances, args.out)
 
     bad = 0
     for (pname, cname), rec in sorted(result.records.items()):
@@ -135,10 +127,8 @@ def _cmd_profile(args) -> int:
             return _profile_error(f"cannot read {path}: {type(exc).__name__}: {exc}")
     if not records:
         return _profile_error(f"no trace files under {args.out}")
-    tolerances = tuple(args.tolerance) if args.tolerance else DEFAULT_TOLERANCES
-    budget = max(rec.params.budget.simplex_gradients for rec in records.values())
     try:
-        _write_profiles(records, tolerances, budget, args.out)
+        _write_profiles(records, args.tolerance or DEFAULT_TOLERANCES, args.out)
     except EmptyGroup as exc:
         return _profile_error(exc)
     return 0
@@ -149,10 +139,10 @@ def _profile_error(message) -> int:
     return 1
 
 
-def _write_profiles(records, tolerances, budget, out_dir) -> None:
-    """Build every profile, then write them: a group that cannot be
-    profiled raises EmptyGroup before any file is written."""
-    for profile in [data_profile(records, tol, budget) for tol in tolerances]:
+def _write_profiles(records, tolerances, out_dir) -> None:
+    """Build every profile, to the records' budget, then write them: a
+    group that cannot be profiled raises EmptyGroup before any file is written."""
+    for profile in [data_profile(records, tol) for tol in tolerances]:
         name = np.format_float_scientific(profile.tolerance, trim="-", exp_digits=2)
         path = os.path.join(out_dir, f"profile_tol{name}.csv")
         emit_profile_csv(profile, path)
@@ -180,17 +170,27 @@ def _cmd_audit(args) -> int:
             print(f"{path}: FAILED: {type(exc).__name__}: {exc}")
             continue
         try:
-            analytic = registry_by_name(record.problem_name).analytic()
-        except ValueError:  # not a registry problem
-            analytic = None
-        try:
-            report = audit_trace(record, analytic=analytic)
+            report = audit_trace(record, analytic=_certificate(record))
             extra = " +radius-floor" if report.delta_min_applicable else ""
             print(f"{path}: ok ({report.iterations} iterations{extra})")
         except AuditFailure as exc:
             failures += 1
             print(f"{path}: FAILED: {exc}")
     return 1 if failures else 0
+
+
+def _certificate(record):
+    """The certificate of the registry problem ``record`` names, if ``record``
+    is a run of it (same n, m and h, same first f bit for bit), else None."""
+    try:
+        bp = registry_by_name(record.problem_name)
+    except ValueError:  # not a registry problem
+        return None
+    first = record.iterations[:1]
+    if (bp.n, bp.m, bp.family) == (record.n, record.m, record.h) and first:
+        if eval_h(bp.family, bp.residuals(first[0].x)) == first[0].f:
+            return bp.analytic()
+    return None
 
 
 if __name__ == "__main__":

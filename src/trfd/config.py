@@ -12,7 +12,8 @@ Problem document (JSON, one object per problem):
       "oracle": {"registry": "rosenbrock"}  # or {"command": "...", "timeout": 60}
     }
 
-Campaign document:
+Campaign document; every key is optional, the values shown are the
+defaults, and "problems" defaults to {"family": "all"}:
 
     {
       "problems": ["rosenbrock", ...] | {"family": "l1" | "minimax" | "all"},
@@ -22,11 +23,13 @@ Campaign document:
       "tolerances": [1e-1, 1e-3, 1e-5, 1e-7]
     }
 
-Solver entries accept optional number overrides (epsilon, alpha,
-delta_star, stop_delta, stop_eta) passed straight to the parameter
-factory.  In both documents, and in each row, any other key is refused:
-a misspelt one must not go unread, and a campaign names each problem
-and solver once.  Every value is read with ``jsontext.field`` and must
+``{}`` is the campaign ``trfd run`` runs without a config.  The default
+solvers are ``bench.TRFD_L1`` and ``bench.TRFD_M``, so a config without
+"solvers" runs both.  Solver entries accept optional number overrides
+(epsilon, alpha, delta_star, stop_delta, stop_eta) passed straight to
+the parameter factory.  In both documents, and in each row, any other
+key is refused: a misspelt one must not go unread, and a campaign names
+each problem and solver once.  Every value is read with ``jsontext.field`` and must
 have the JSON type shown, so a boolean is no number; names, "h", "p",
 "family" and "command" are strings, and "h", "p" and "family" take the
 exact spellings shown and no other.  Bounds may be infinite but not
@@ -36,10 +39,11 @@ from __future__ import annotations
 
 import math
 
-from .bench import DEFAULT_TOLERANCES, Campaign, SolverConfig, check_tolerance
+from .bench import DEFAULT_TOLERANCES, TRFD_L1, TRFD_M, Campaign, SolverConfig, check_tolerance
 from .core import FeasibleRegion, OuterFunction, Problem
 from .jsontext import check, field, is_a
 from .oracle import DEFAULT_TIMEOUT, ExternalOracle, InProcessOracle
+from .solver import DEFAULT_SIMPLEX_GRADIENTS
 from .testset import registry_by_name, registry_family
 
 PROBLEM_KEYS = ("name", "n", "m", "h", "x0", "lower", "upper", "linear_ineq", "oracle")
@@ -94,7 +98,8 @@ def campaign_from_config(doc: dict) -> Campaign:
     _distinct([bp.name for bp in problems], "problem")
 
     solvers = []
-    for entry in field(doc, "solvers", "array", of="object", default=[{"name": "TRFD-L1", "p": "1"}]):
+    pair = [{"name": config.name, "p": config.p} for config in (TRFD_L1, TRFD_M)]
+    for entry in field(doc, "solvers", "array", of="object", default=pair):
         name = field(entry, "name", "string")
         _known_keys(entry, ("name", "p", *OVERRIDE_KEYS), f'solver "{name}"')
         # TrfdParams refuses a NaN or infinite value when the parameters are built below
@@ -104,7 +109,7 @@ def campaign_from_config(doc: dict) -> Campaign:
     _distinct([config.name for config in solvers], "solver")
 
     key = "budget_simplex_gradients"
-    simplex_gradients = _at_least_one(field(doc, key, "integer", default=100), key)
+    simplex_gradients = _at_least_one(field(doc, key, "integer", default=DEFAULT_SIMPLEX_GRADIENTS), key)
     # build each solver's parameters once, on every problem, so that a
     # value out of range fails here, before any run starts
     for config in solvers:
@@ -119,12 +124,7 @@ def campaign_from_config(doc: dict) -> Campaign:
         tolerances = tuple(map(check_tolerance, tolerances))
     except ValueError as exc:
         raise ValueError(f'"tolerances": {exc}') from None
-    return Campaign(
-        problems=problems,
-        solver_configs=solvers,
-        simplex_gradients=simplex_gradients,
-        tolerances=tolerances,
-    )
+    return Campaign(problems, solvers, simplex_gradients, tolerances)
 
 
 def _known_keys(doc, known, where):

@@ -49,8 +49,8 @@ class OracleFailure(Exception):
 class EvalBudget:
     """Evaluation allowance in simplex gradients (n + 1 evaluations each)."""
 
-    simplex_gradients: int = 100
-    n: int = 0
+    simplex_gradients: int
+    n: int
 
     def __post_init__(self):
         if self.simplex_gradients < 1:

@@ -55,6 +55,7 @@ from .simplex import NumericalTrouble
 from .subproblem import ETA_SNAP, eta_at, solve_tr_subproblem
 
 TRACE_SCHEMA = "trfd-trace-v3"
+DEFAULT_SIMPLEX_GRADIENTS = 100  # the standard budget, in simplex gradients of n + 1 evaluations
 
 # model decrease below 1e-15 * (1 + |f|) is treated as no decrease
 RHO_DEGENERATE_REL = 1e-15
@@ -118,17 +119,14 @@ class TrfdParams:
 
     @property
     def tau0(self) -> float:
-        n = self.budget.n
-        return self.epsilon / (
-            self.lipschitz_h * self.sigma * self.consts.cp2_m * self.consts.c2p_n * math.sqrt(n)
-        )
+        return _tau0(self.epsilon, self.lipschitz_h, self.sigma, self.consts, self.budget.n)
 
     @classmethod
     def defaults(
         cls,
         problem: Problem,
         p: PNorm,
-        simplex_gradients: int = 100,
+        simplex_gradients: int = DEFAULT_SIMPLEX_GRADIENTS,
         *,
         epsilon: float = 1e-15,
         alpha: float = 0.15,
@@ -142,7 +140,6 @@ class TrfdParams:
         lip = problem.h.lipschitz(p, m)
         sqrt_n = math.sqrt(n)
         sigma = epsilon / (lip * consts.cp2_m * consts.c2p_n * sqrt_n * math.sqrt(MACHINE_EPS))
-        tau0 = epsilon / (lip * sigma * consts.cp2_m * consts.c2p_n * sqrt_n)
         return cls(
             epsilon=epsilon,
             alpha=alpha,
@@ -151,11 +148,15 @@ class TrfdParams:
             consts=consts,
             p=p,
             budget=EvalBudget(simplex_gradients=simplex_gradients, n=n),
-            delta0=max(1.0, tau0 * sqrt_n),
+            delta0=max(1.0, _tau0(epsilon, lip, sigma, consts, n) * sqrt_n),
             delta_star=delta_star,
             stop_delta=stop_delta,
             stop_eta=stop_eta,
         )
+
+
+def _tau0(epsilon, lipschitz_h, sigma, consts, n) -> float:
+    return epsilon / (lipschitz_h * sigma * consts.cp2_m * consts.c2p_n * math.sqrt(n))
 
 
 @dataclass
@@ -284,8 +285,9 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
                     tr = subproblem.reformulate(h, F_x, A, region, x, params.p, delta)
                 else:
                     tr.set_model(F_x, A, x)
-                    tr.set_radius(delta)
-                sol = solve_tr_subproblem(tr)
+            tr.set_radius(delta)  # a new model, or a U2 retry at the halved radius
+            sol = solve_tr_subproblem(tr)
+            if entry == "step1":
                 eta, eta_upper, eta_radius = sol.eta, None, None
                 if delta < params.delta_star:
                     eta, eta_upper, eta_radius = eta_at(tr, sol, params.delta_star, eta_floor)
@@ -295,9 +297,6 @@ def solve(problem: Problem, params: TrfdParams) -> RunRecord:
             if entry == "step1" and eta < eps_half:
                 cls, rho = IterationClass.U1, None
             else:
-                if entry == "step3":
-                    tr.set_radius(delta)
-                    sol = solve_tr_subproblem(tr)
                 if len(best_f) + 1 > max_evals:
                     return finish(Termination.BUDGET_EXHAUSTED)
                 trial_x = x + sol.d_star

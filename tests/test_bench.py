@@ -304,9 +304,9 @@ def test_affine_campaign_terminates_by_floor():
 def test_solver_config_auto_rule():
     maxl = registry_by_name("maxl_6").make_problem()   # sqrt(12) < 6
     cheb = registry_by_name("chebyshev_line_fit").make_problem()  # sqrt(10) >= 2
-    assert TRFD_M.build_params(maxl).p is PNorm.ONE
-    assert TRFD_M.build_params(cheb).p is PNorm.INF
-    assert SolverConfig(name="x", p="inf").build_params(maxl).p is PNorm.INF
+    assert TRFD_M.build_params(maxl, 1).p is PNorm.ONE
+    assert TRFD_M.build_params(cheb, 1).p is PNorm.INF
+    assert SolverConfig(name="x", p="inf").build_params(maxl, 1).p is PNorm.INF
 
 
 def load_script(name):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from trfd import solver
+from trfd.bench import DEFAULT_TOLERANCES, TRFD_L1, TRFD_M
 from trfd.cli import main
+from trfd.config import campaign_from_config
+from trfd.testset import registry
 
 
 def test_list_runs():
@@ -154,9 +157,10 @@ def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, caps
         "problems": ["rosenbrock", "dem"],
         "solvers": [{"name": "TRFD-L1", "p": "1"}, {"name": "TRFD-M", "p": "inf"}],
         "budget_simplex_gradients": 2,
+        "tolerances": [0.5],
     }))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--tolerance", "0.5"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     prob = make_problem(lambda x: np.array([np.nan, np.nan]), 2, 2, "l1", (-1.2, 1.0), name="rosenbrock")
     dead = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, simplex_gradients=2))
     assert dead.termination is Termination.ORACLE_ERROR and dead.best_f == []
@@ -169,33 +173,74 @@ def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, caps
     assert len(lines) == 1 and lines[0].endswith("(solved at full budget: TRFD-L1=0.000, TRFD-M=1.000)")
 
 
-def test_run_with_family_config_and_budget_flag(tmp_path):
+def test_run_with_family_config_and_budget_key(tmp_path):
     cfg = tmp_path / "campaign.json"
     cfg.write_text(json.dumps({
         "problems": {"family": "minimax"},
         "solvers": [{"name": "TRFD-M", "p": "auto"}],
+        "budget_simplex_gradients": 5,
     }))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--budget", "5"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     traces = [p for p in out.iterdir() if "__" in p.name]
     assert len(traces) == 13
     doc = json.loads((out / "cb2__TRFD-M.json").read_text())
     assert doc["params"]["simplex_gradients"] == 5
 
 
-def test_run_rejects_budget_flag_below_one(tmp_path, capsys):
+def test_the_empty_config_is_the_default_campaign():
+    campaign = campaign_from_config({})
+    assert [bp.name for bp in campaign.problems] == [bp.name for bp in registry()]
+    assert campaign.solver_configs == [TRFD_L1, TRFD_M]
+    assert campaign.simplex_gradients == 100
+    assert campaign.tolerances == DEFAULT_TOLERANCES
+    # a config without "solvers" runs the same pair
+    assert campaign_from_config({"problems": ["cb2"]}).solver_configs == [TRFD_L1, TRFD_M]
+
+
+def test_run_without_a_config_runs_the_default_campaign(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*__*.json")) == sorted(
+        f"{bp.name}__{name}.json" for bp in registry() for name in ("TRFD-L1", "TRFD-M")
+    )
+    assert json.loads((out / "cb2__TRFD-M.json").read_text())["params"]["simplex_gradients"] == 100
+    assert capsys.readouterr().out.splitlines()[-1] == f"56 runs, 0 failed; traces in {out}"
+
+
+@pytest.mark.parametrize("flag", ["--budget=5", "--tolerance=0.5"])
+def test_run_refuses_the_budget_and_tolerance_flags(tmp_path, capsys, flag):
+    # a config's "budget_simplex_gradients" and "tolerances" set both
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--out", str(out), "--budget", "0"])
+        main(["run", "--out", str(out), flag])
     assert exc.value.code == 2
-    assert "argument --budget: must be at least 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_refuses_an_output_path_it_cannot_create_before_any_run(tmp_path, capsys, monkeypatch):
+    import trfd.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_campaign", no_run)
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"], budget=2)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["run", "--config", str(cfg), "--out", str(afile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("trfd run: error: ") and str(afile) in lines[0]
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        ("run", "--tolerance", "-1"), ("run", "--tolerance", "nan"), ("run", "--tolerance", "2"),
         ("profile", "--tolerance", "-1"), ("profile", "--tolerance", "nan"), ("profile", "--tolerance", "2"),
         ("run", "--jobs", "0"), ("run", "--jobs", "-3"),
     ],
@@ -272,6 +317,41 @@ def test_audit_of_a_directory_without_traces_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"no trace files under {tmp_path}\n"
+
+
+@pytest.mark.parametrize("case", ["three_variables", "other_residuals"])
+def test_audit_applies_no_certificate_of_another_problem_under_a_registry_name(tmp_path, capsys, case):
+    from conftest import make_problem, rosenbrock_residuals
+    from trfd.cli import _certificate
+    from trfd.core import PNorm
+    from trfd.solver import TrfdParams, save_trace, solve
+
+    if case == "three_variables":
+        # the registry's rosenbrock has n = 2; its box would not broadcast
+        prob = make_problem(lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0], x[2]]),
+                            3, 3, "l1", (-1.2, 1.0, 0.5), name="rosenbrock")
+    else:
+        prob = make_problem(lambda x: 2.0 * rosenbrock_residuals(x), 2, 2, "l1", (-1.2, 1.0), name="rosenbrock")
+    record = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, simplex_gradients=20))
+    assert _certificate(record) is None
+    trace = tmp_path / "rosenbrock__mine.json"
+    save_trace(record, trace)
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 0
+    # the radius-floor check needs the certificate
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"{trace}: ok ({len(record.iterations)} iterations)\n", "")
+
+
+def test_audit_applies_the_certificate_to_a_registry_run(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, ["rosenbrock"], budget=20)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    trace = out / "rosenbrock__TRFD-L1.json"
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 0
+    assert capsys.readouterr().out.endswith(" iterations +radius-floor)\n")
 
 
 def test_run_parallel_jobs_flag(tmp_path):

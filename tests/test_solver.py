@@ -10,7 +10,7 @@ import pytest
 from conftest import make_problem, rosenbrock_residuals
 
 import trfd
-from trfd import bench, jsontext
+from trfd import jsontext
 from trfd.bench import TRFD_L1, Campaign, run_campaign
 from trfd.core import MACHINE_EPS, FeasibleRegion, NormConstants, OuterFunction, PNorm
 from trfd.diagnostics import audit_trace
@@ -440,7 +440,7 @@ def test_an_overflowing_h_is_a_failed_evaluation(tmp_path):
     audit_trace(load_trace(path))
 
 
-def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):
+def test_failure_on_first_evaluation_still_serializes(tmp_path):
     def nan_residuals(x):
         return np.array([np.nan, np.nan])
 
@@ -457,7 +457,6 @@ def test_failure_on_first_evaluation_still_serializes(tmp_path, monkeypatch):
     # through a campaign, the summary says "absent" with explicit nulls
     dead = BenchmarkProblem(name="dead", family=OuterFunction.L1, n=2, m=2, residuals=nan_residuals,
                             x0=(0.0, 0.0), f_ref=0.0, f_ref_note="")
-    monkeypatch.setattr(bench, "registry_by_name", lambda name: dead)
     out = tmp_path / "campaign"
     run_campaign(Campaign(problems=[dead], solver_configs=[TRFD_L1]), out_dir=str(out))
     (run,) = json.loads((out / "summary.json").read_text())["runs"]
