@@ -15,7 +15,8 @@ included), so the curves have evaluation-level resolution.
 
 All outputs are byte-deterministic: ordered documents, shortest
 round-trip floats (see ``jsontext``), no timestamps.  Parallelism
-(``jobs``) only distributes independent runs; each run is
+(``jobs``) only distributes independent runs, to at most one worker
+process per run, and none for a single run; each run is
 single-threaded and the collector writes every file.  A worker gets a
 ``BenchmarkProblem`` and returns the ``RunRecord`` that ``solve`` made;
 a pool pickles both, exactly, and only ``save_trace`` writes documents.
@@ -96,11 +97,14 @@ def run_campaign(campaign: Campaign, out_dir=None, jobs: int = 1) -> CampaignRes
         for bp in campaign.problems
         for config in campaign.solver_configs
     ]
-    if jobs > 1:
+    # a fork pool starts all its workers on the first submit, so it gets
+    # no more than there are tasks, and none for a single task
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here, so only a parallel campaign loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, tasks))
     else:
         results = [_worker(task) for task in tasks]

@@ -13,8 +13,9 @@ and when every audited trace is clean (audit).  A campaign config that
 cannot be read or built, a key outside its schema, an option out of
 range (a tolerance outside (0, 1), a job count below 1), a problem or
 solver named twice or not at all, or an ``--out`` that cannot be made
-a directory, makes ``run`` or ``profile`` print one error line and exit
-2 before any run starts; ``run`` without a config runs the config ``{}``.
+a directory or already holds a trace or ``summary.json``, makes ``run``
+or ``profile`` print one error line and exit 2 before any run starts;
+``run`` without a config runs the config ``{}``.
 A trace that cannot be read or is not a trace (a field missing or of the wrong JSON
 type included), and a directory that holds no trace, fail the audit
 with one line, and ``audit`` goes on to the next path; it checks a
@@ -100,6 +101,9 @@ def _cmd_run(args) -> int:
     # refused before any run starts; a bad config makes no directory
     try:
         campaign = campaign_from_config(load(args.config) if args.config else {})
+        # profile and audit would read another campaign's traces as this one's
+        if trace_files(args.out) or os.path.exists(os.path.join(args.out, "summary.json")):
+            raise ValueError(f"{args.out} already holds the traces of a campaign; give a new or empty --out")
         os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"trfd run: error: {exc}", file=sys.stderr)

@@ -2,30 +2,34 @@
 
 Run as ``python -m trfd.demo_oracle --problem rosenbrock`` to serve any
 registry problem over stdin/stdout, or ``--echo`` for the identity map
-(m = n).
+(m = n).  The child loads numpy, ``json`` and ``trfd.problems`` and no
+other trfd module, so it starts in little more than numpy's own time.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 import numpy as np
 
+from . import problems
+
+USAGE = "usage: trfd-demo-oracle (--problem NAME | --echo)"
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="trfd-demo-oracle")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--problem", help="serve a registry problem by name")
-    mode.add_argument("--echo", action="store_true", help="fvec = x")
-    args = parser.parse_args(argv)
-
-    if args.problem:
-        from .testset import registry_by_name
-
-        fn = registry_by_name(args.problem).residuals
-    else:
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args[:1] == ["--problem"] and len(args) == 2:
+        try:
+            fn = problems.residuals(args[1])
+        except ValueError as exc:
+            print(f"trfd-demo-oracle: error: {exc}", file=sys.stderr)
+            return 2
+    elif args == ["--echo"]:
         fn = lambda x: x
+    else:
+        print(USAGE, file=sys.stderr)
+        return 2
 
     stdin = sys.stdin
     stdout = sys.stdout

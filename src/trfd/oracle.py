@@ -177,17 +177,24 @@ class ExternalOracle(BlackBoxOracle):
             raise OracleFailure(f"malformed oracle reply: {exc}") from None
 
     def close(self) -> None:
+        """End the child: SIGTERM, then close both pipes, then wait up to
+        TERMINATE_WAIT for it to exit, and kill it if it has not.  The
+        signal goes first: a child that reads EOF first runs its
+        interpreter's shutdown while the parent still closes the pipe.
+        A child that has already exited is reaped with no signal."""
         proc = getattr(self, "_proc", None)
         if proc is None:
             return
+        running = proc.poll() is None
+        if running:
+            proc.terminate()
         for stream in (proc.stdin, proc.stdout):
             try:
                 if stream:
                     stream.close()
             except OSError:
                 pass
-        if proc.poll() is None:
-            proc.terminate()
+        if running:
             if not _exits_within(proc, TERMINATE_WAIT):
                 proc.kill()
             proc.wait()

@@ -218,6 +218,34 @@ print("ok")
     assert done.stdout == "ok\n"
 
 
+@pytest.mark.parametrize("jobs, problems, workers", [(3, ["rosenbrock"], None), (4, ["rosenbrock", "dem"], 2),
+                                                     (2, ["rosenbrock", "dem", "cb2"], 2)])
+def test_campaign_pool_gets_no_more_workers_than_tasks(monkeypatch, jobs, problems, workers):
+    # a fork pool starts every worker on the first submit: a recording
+    # stand-in shows how many a campaign asks for, and forks none
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    camp = Campaign([registry_by_name(name) for name in problems], [TRFD_L1], simplex_gradients=2)
+    result = run_campaign(camp, jobs=jobs)
+    assert sorted(result.records) == sorted((name, "TRFD-L1") for name in problems)
+    assert asked == ([] if workers is None else [workers])
+
+
 def assert_same_fields(got, want, where="record"):
     """Field by field: floats bit for bit, arrays equal, enums the same."""
     if dataclasses.is_dataclass(want):

@@ -238,6 +238,29 @@ def test_run_refuses_an_output_path_it_cannot_create_before_any_run(tmp_path, ca
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("keep", [None, "summary.json", "dem__TRFD-L1.json"])
+def test_run_refuses_an_out_that_holds_a_campaign(tmp_path, capsys, keep):
+    # profile and audit read every trace under --out: a second campaign
+    # there would mix its traces with the first one's; ``keep`` leaves
+    # only that one file of the first campaign in place
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_campaign(first, ["rosenbrock", "dem"], budget=2)
+    write_campaign(second, ["rosenbrock"], budget=3)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+    for p in out.iterdir():
+        if keep and p.name != keep:
+            p.unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["run", "--config", str(second), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("trfd run: error: ") and str(out) in lines[0]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

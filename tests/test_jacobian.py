@@ -6,7 +6,7 @@ from conftest import rosenbrock_residuals
 
 from trfd.jacobian import DegenerateStep, build_jacobian
 from trfd.oracle import InProcessOracle
-from trfd.testset import rosenbrock_jac
+from trfd.problems import rosenbrock_jac
 
 EPS = np.finfo(float).eps
 

@@ -1,4 +1,6 @@
+import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import trfd.oracle
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem
 from trfd.oracle import EvalBudget, ExternalOracle, InProcessOracle, OracleFailure
 from trfd.solver import Termination, TrfdParams, solve
+from trfd.testset import registry
 
 
 def test_inprocess_rosenbrock_values():
@@ -96,6 +99,56 @@ except AttributeError:
     assert done.stdout == "ok\n"
 
 
+def test_oracle_child_loads_only_numpy_json_and_the_problems(demo_oracle_cmd):
+    # a fresh interpreter runs the child's main on --problem cb2: of trfd it
+    # loads the package, the child and the problem table, and neither the
+    # argument parser nor dataclasses
+    code = """
+import io, sys
+import trfd.demo_oracle
+sys.stdin = io.StringIO('{"hello": {"n": 2, "m": 3}}\\n{"id": 0, "x": [1.0, -0.1]}\\n')
+assert trfd.demo_oracle.main(["--problem", "cb2"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "trfd"))
+print(sorted({"argparse", "dataclasses"} & set(sys.modules)))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == '{"ready": true}' and lines[1].startswith('{"id": 0, "fvec": [')
+    assert lines[2:] == ["['trfd', 'trfd.demo_oracle', 'trfd.problems']", "[]"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--problem", "nope"], "trfd-demo-oracle: error: no benchmark problem named 'nope'"),
+        ([], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
+        (["--problem"], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
+        (["--echo", "--problem", "cb2"], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
+        (["--verbose"], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
+    ],
+    ids=["unknown name", "no mode", "no name", "both modes", "unknown option"],
+)
+def test_oracle_child_refuses_its_arguments_before_the_handshake(demo_oracle_cmd, args, message):
+    done = subprocess.run([*shlex.split(demo_oracle_cmd), *args], input="", capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", message + "\n")
+
+
+def test_every_registry_problem_crosses_the_wire_bit_for_bit(demo_oracle_cmd):
+    # the child serves the very table the in-process registry is built from
+    rng = np.random.default_rng(24)
+    for bp in registry():
+        x0 = np.array(bp.x0)
+        oracle = ExternalOracle(f"{demo_oracle_cmd} --problem {bp.name}", n=bp.n, m=bp.m)
+        try:
+            for x in (x0, x0 + rng.normal(scale=0.1, size=bp.n)):
+                want = np.asarray(bp.residuals(x), dtype=float)
+                assert oracle.eval_F(x).tobytes() == want.tobytes(), bp.name
+        finally:
+            oracle.close()
+
+
 def test_external_registry_problem(demo_oracle_cmd):
     oracle = ExternalOracle(f"{demo_oracle_cmd} --problem rosenbrock", n=2, m=2)
     try:
@@ -116,8 +169,20 @@ def test_close_reaps_a_child_that_exits_on_sigterm(demo_oracle_cmd):
     proc = oracle._proc
     start = time.perf_counter()
     oracle.close()
-    assert proc.returncode in (0, -signal.SIGTERM)
+    # signalled before its input closes, the child never sees EOF
+    assert proc.returncode == -signal.SIGTERM
     assert time.perf_counter() - start < trfd.oracle.TERMINATE_WAIT
+
+
+def test_close_reaps_an_exited_child_without_a_signal(tmp_path, monkeypatch):
+    # the child exits on its own right after the handshake
+    oracle = scripted_oracle(tmp_path, [READY], then="sys.exit(3)")
+    proc = oracle._proc
+    os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+    signals = []
+    monkeypatch.setattr(proc, "send_signal", signals.append)
+    oracle.close()
+    assert proc.returncode == 3 and signals == []
 
 
 def test_close_kills_a_child_that_ignores_sigterm(tmp_path, monkeypatch):

@@ -504,10 +504,10 @@ def _trace_numpy_wrappers(run):
     """Run ``run()`` under ``sys.setprofile``.  Return the calls into
     numpy's ``fromnumeric`` wrappers (``np.sum``, ``np.max``, ``np.any``,
     ...) whose caller is a trfd module, as (module, line, function), and
-    the names of the trfd functions that ran.  ``testset`` is exempt: its
+    the names of the trfd functions that ran.  ``problems`` is exempt: its
     residual functions are oracle code, not the solver."""
     package = os.path.dirname(trfd.__file__) + os.sep
-    exempt = os.path.join(package, "testset.py")
+    exempt = os.path.join(package, "problems.py")
     wrapper_calls, functions = [], set()
 
     def profile(frame, event, arg):
