@@ -16,8 +16,8 @@ import importlib
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("MACHINE_EPS", "FeasibleRegion", "NormConstants", "OuterFunction", "PNorm",
-         "Problem", "eval_h", "norm", "norm_constants"),
+        ("MACHINE_EPS", "FeasibleRegion", "OuterFunction", "PNorm", "Problem", "eval_h",
+         "norm", "norm_constants"),
         "core",
     ),
     **dict.fromkeys(("DegenerateStep", "build_jacobian"), "jacobian"),

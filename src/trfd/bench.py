@@ -23,6 +23,7 @@ a pool pickles both, exactly, and only ``save_trace`` writes documents.
 """
 from __future__ import annotations
 
+import csv
 import glob
 import math
 import os
@@ -207,9 +208,10 @@ def data_profile(records: dict, tolerance: float, budget: int | None = None) -> 
 
 
 def emit_profile_csv(profile: DataProfile, path) -> None:
-    """kappa column plus one column per solver, full-precision floats."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("kappa," + ",".join(profile.solvers) + "\n")
+    """kappa column plus one column per solver, full-precision floats; a
+    solver name that holds a comma or a quote is quoted."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["kappa", *profile.solvers])
         for kappa in range(profile.budget + 1):
-            row = [str(kappa)] + [repr(profile.curves[s][kappa]) for s in profile.solvers]
-            fh.write(",".join(row) + "\n")
+            out.writerow([kappa] + [repr(profile.curves[s][kappa]) for s in profile.solvers])

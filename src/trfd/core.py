@@ -52,24 +52,13 @@ def norm(v, p: PNorm) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-@dataclass(frozen=True)
-class NormConstants:
-    """Tight norm-equivalence constants for a given p and dimensions.
-
-    c2p_n:  ||x||_2 <= c2p_n * ||x||_p for x in R^n
-    cp2_m:  ||z||_p <= cp2_m * ||z||_2 for z in R^m
-    """
-
-    c2p_n: float
-    cp2_m: float
-
-
-def norm_constants(p: PNorm, n: int, m: int) -> NormConstants:
+def norm_constants(p: PNorm, n: int, m: int) -> tuple[float, float]:
+    """``(c2p_n, cp2_m)``: the tight c_{2,p}(n) and c_{p,2}(m) above."""
     if n < 1 or m < 1:
         raise ValueError("dimensions must be at least 1")
     if p is PNorm.ONE:
-        return NormConstants(c2p_n=1.0, cp2_m=math.sqrt(m))
-    return NormConstants(c2p_n=math.sqrt(n), cp2_m=1.0)
+        return 1.0, math.sqrt(m)
+    return math.sqrt(n), 1.0
 
 
 class OuterFunction(enum.Enum):

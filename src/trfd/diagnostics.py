@@ -62,9 +62,8 @@ def delta_min(params: TrfdParams, L_J: float) -> float:
 
     with theta = 1, as every subproblem LP is solved exactly.
     """
-    consts = params.consts
     return ((1 - params.alpha) * params.epsilon) / (
-        4.0 * params.lipschitz_h * max(params.sigma, L_J) * consts.cp2_m * consts.c2p_n**2
+        4.0 * params.lipschitz_h * max(params.sigma, L_J) * params.cp2_m * params.c2p_n**2
     )
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import jsontext, subproblem
-from .core import NormConstants, OuterFunction, PNorm, Problem, eval_h, norm_constants, MACHINE_EPS
+from .core import OuterFunction, PNorm, Problem, eval_h, norm_constants, MACHINE_EPS
 from .jacobian import DegenerateStep, build_jacobian
 from .oracle import EvalBudget, OracleFailure
 from .simplex import NumericalTrouble
@@ -92,7 +92,8 @@ class TrfdParams:
     alpha: float
     sigma: float
     lipschitz_h: float
-    consts: NormConstants
+    c2p_n: float
+    cp2_m: float
     p: PNorm
     budget: EvalBudget
     delta0: float
@@ -101,7 +102,7 @@ class TrfdParams:
     stop_eta: float
 
     def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in fields(self)} | vars(self.consts)
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in values.items():
             if isinstance(value, float) and not math.isfinite(value):  # NaN too
                 raise ValueError(f"{name} must be finite, not {value!r}")
@@ -119,7 +120,7 @@ class TrfdParams:
 
     @property
     def tau0(self) -> float:
-        return _tau0(self.epsilon, self.lipschitz_h, self.sigma, self.consts, self.budget.n)
+        return _tau0(self.epsilon, self.lipschitz_h, self.sigma, self.cp2_m, self.c2p_n, self.budget.n)
 
     @classmethod
     def defaults(
@@ -136,27 +137,28 @@ class TrfdParams:
     ) -> "TrfdParams":
         p = PNorm.from_value(p)
         n, m = problem.n, problem.m
-        consts = norm_constants(p, n, m)
+        c2p_n, cp2_m = norm_constants(p, n, m)
         lip = problem.h.lipschitz(p, m)
         sqrt_n = math.sqrt(n)
-        sigma = epsilon / (lip * consts.cp2_m * consts.c2p_n * sqrt_n * math.sqrt(MACHINE_EPS))
+        sigma = epsilon / (lip * cp2_m * c2p_n * sqrt_n * math.sqrt(MACHINE_EPS))
         return cls(
             epsilon=epsilon,
             alpha=alpha,
             sigma=sigma,
             lipschitz_h=lip,
-            consts=consts,
+            c2p_n=c2p_n,
+            cp2_m=cp2_m,
             p=p,
             budget=EvalBudget(simplex_gradients=simplex_gradients, n=n),
-            delta0=max(1.0, _tau0(epsilon, lip, sigma, consts, n) * sqrt_n),
+            delta0=max(1.0, _tau0(epsilon, lip, sigma, cp2_m, c2p_n, n) * sqrt_n),
             delta_star=delta_star,
             stop_delta=stop_delta,
             stop_eta=stop_eta,
         )
 
 
-def _tau0(epsilon, lipschitz_h, sigma, consts, n) -> float:
-    return epsilon / (lipschitz_h * sigma * consts.cp2_m * consts.c2p_n * math.sqrt(n))
+def _tau0(epsilon, lipschitz_h, sigma, cp2_m, c2p_n, n) -> float:
+    return epsilon / (lipschitz_h * sigma * cp2_m * c2p_n * math.sqrt(n))
 
 
 @dataclass
@@ -178,6 +180,26 @@ class IterationSnapshot:
     x: np.ndarray
     evals_iter: int
     evals_total: int
+
+
+# one trace row per snapshot: (field, trace key, JSON kind), in field
+# order; "point" is an array of n numbers
+SNAPSHOT_ROW = (
+    ("k", "k", "integer"),
+    ("cls", "class", "string"),
+    ("entered_at", "entered_at", "string"),
+    ("tau", "tau", "number"),
+    ("delta", "delta", "number"),
+    ("eta", "eta", "number"),
+    ("eta_upper", "eta_upper", "number or null"),
+    ("eta_radius", "eta_radius", "number or null"),
+    ("rho", "rho", "number or null"),
+    ("rho_degenerate", "rho_degenerate", "boolean"),
+    ("f", "f", "number"),
+    ("x", "x", "point"),
+    ("evals_iter", "evals_iter", "integer"),
+    ("evals_total", "evals_total", "integer"),
+)
 
 
 @dataclass
@@ -349,8 +371,8 @@ def record_to_doc(record: RunRecord) -> dict:
             "theta": 1.0,
             "sigma": p.sigma,
             "lipschitz_h": p.lipschitz_h,
-            "c2p_n": p.consts.c2p_n,
-            "cp2_m": p.consts.cp2_m,
+            "c2p_n": p.c2p_n,
+            "cp2_m": p.cp2_m,
             "p": p.p.value,
             "simplex_gradients": p.budget.simplex_gradients,
             "max_evals": p.budget.max_evals,
@@ -361,22 +383,7 @@ def record_to_doc(record: RunRecord) -> dict:
             "stop_eta": p.stop_eta,
         },
         "iterations": [
-            {
-                "k": s.k,
-                "class": s.cls.value,
-                "entered_at": s.entered_at,
-                "tau": s.tau,
-                "delta": s.delta,
-                "eta": s.eta,
-                "eta_upper": s.eta_upper,
-                "eta_radius": s.eta_radius,
-                "rho": s.rho,
-                "rho_degenerate": s.rho_degenerate,
-                "f": s.f,
-                "x": s.x.tolist(),
-                "evals_iter": s.evals_iter,
-                "evals_total": s.evals_total,
-            }
+            {key: getattr(s, name) for name, key, _ in SNAPSHOT_ROW} | {"class": s.cls.value, "x": s.x.tolist()}
             for s in record.iterations
         ],
         "best_f": list(map(float, record.best_f)),
@@ -391,46 +398,27 @@ def record_to_doc(record: RunRecord) -> dict:
 
 def record_from_doc(doc: dict) -> RunRecord:
     """The record a trace document holds.  A field missing or of the
-    wrong JSON type (see ``jsontext.field``), or a value outside its
-    schema, raises ValueError."""
+    wrong JSON type (see ``jsontext.field``), a non-finite number, or a
+    value outside its schema, raises ValueError."""
     if jsontext.check(doc, "a trace", "object").get("schema") != TRACE_SCHEMA:
         raise ValueError(f"unknown trace schema: {doc.get('schema')!r}")
+    _check_finite(doc)
     field = jsontext.field
     problem = field(doc, "problem", "object")
     pd = field(doc, "params", "object")
     n = field(problem, "n", "integer")
+    numbers = ("epsilon", "alpha", "sigma", "lipschitz_h", "c2p_n", "cp2_m",
+               "delta0", "delta_star", "stop_delta", "stop_eta")
     params = TrfdParams(
-        epsilon=field(pd, "epsilon", "number"),
-        alpha=field(pd, "alpha", "number"),
-        sigma=field(pd, "sigma", "number"),
-        lipschitz_h=field(pd, "lipschitz_h", "number"),
-        consts=NormConstants(c2p_n=field(pd, "c2p_n", "number"), cp2_m=field(pd, "cp2_m", "number")),
+        **{name: field(pd, name, "number") for name in numbers},
         p=PNorm.from_value(field(pd, "p", "string")),
         budget=EvalBudget(simplex_gradients=field(pd, "simplex_gradients", "integer"), n=n),
-        delta0=field(pd, "delta0", "number"),
-        delta_star=field(pd, "delta_star", "number"),
-        stop_delta=field(pd, "stop_delta", "number"),
-        stop_eta=field(pd, "stop_eta", "number"),
     )
-    snapshots = [
-        IterationSnapshot(
-            k=field(it, "k", "integer"),
-            cls=IterationClass(field(it, "class", "string")),
-            entered_at=field(it, "entered_at", "string"),
-            tau=field(it, "tau", "number"),
-            delta=field(it, "delta", "number"),
-            eta=field(it, "eta", "number"),
-            eta_upper=field(it, "eta_upper", "number or null"),
-            eta_radius=field(it, "eta_radius", "number or null"),
-            rho=field(it, "rho", "number or null"),
-            rho_degenerate=field(it, "rho_degenerate", "boolean"),
-            f=field(it, "f", "number"),
-            x=_point(it, "x", n),
-            evals_iter=field(it, "evals_iter", "integer"),
-            evals_total=field(it, "evals_total", "integer"),
-        )
-        for it in field(doc, "iterations", "array", of="object")
-    ]
+    snapshots = []
+    for it in field(doc, "iterations", "array", of="object"):
+        row = {name: _point(it, key, n) if kind == "point" else field(it, key, kind)
+               for name, key, kind in SNAPSHOT_ROW}
+        snapshots.append(IterationSnapshot(**row | {"cls": IterationClass(row["cls"])}))
     final_f = field(doc, "final_f", "number or null")
     record = RunRecord(
         problem_name=field(problem, "name", "string"),
@@ -456,6 +444,19 @@ def record_from_doc(doc: dict) -> RunRecord:
         if value != derived:
             raise ValueError(f'"{key}" is {value!r}, but the trace gives {derived!r}')
     return record
+
+
+def _check_finite(value, key=None) -> None:
+    """Refuse a NaN or infinity anywhere in ``value``, naming its key: the
+    parser reads them, though ``save_trace`` never writes one."""
+    if type(value) is dict:
+        for k, v in value.items():
+            _check_finite(v, k)
+    elif type(value) is list:
+        for v in value:
+            _check_finite(v, key)
+    elif type(value) is float and not math.isfinite(value):
+        raise ValueError(f'"{key}" must be finite, not {value!r}')
 
 
 def _point(doc, key, n) -> np.ndarray:

@@ -117,7 +117,7 @@ def check_psi_eta_gap(ap: AnalyticProblem, x, p: PNorm, r: float, tau: float) ->
     A = build_jacobian(prob.oracle.eval_F, x, F_x, tau)
     eta = solve_tr_subproblem(reformulate(prob.h, F_x, A, prob.region, x, p, r)).eta
     psi_val = psi(ap, x, p, r)
-    consts = norm_constants(p, prob.n, prob.m)
+    c2p_n, cp2_m = norm_constants(p, prob.n, prob.m)
     lip = prob.h.lipschitz(p, prob.m)
-    bound = lip * ap.lipschitz_jacobian * consts.cp2_m * consts.c2p_n * math.sqrt(prob.n) / 2 * tau
+    bound = lip * ap.lipschitz_jacobian * cp2_m * c2p_n * math.sqrt(prob.n) / 2 * tau
     return abs(psi_val - eta) <= bound * (1 + 1e-6)

@@ -27,13 +27,12 @@ from trfd.oracle import EvalBudget
 from trfd import jsontext
 from trfd.solver import RunRecord, Termination, TrfdParams, load_trace, record_to_doc, solve
 from trfd.testset import registry_by_name
-from trfd.core import NormConstants
 
 
 def fake_record(name, n, best_f, budget=100):
     params = TrfdParams(
         epsilon=1e-15, alpha=0.15, sigma=1e9, lipschitz_h=1.0,
-        consts=NormConstants(1.0, 1.0), p=PNorm.ONE,
+        c2p_n=1.0, cp2_m=1.0, p=PNorm.ONE,
         budget=EvalBudget(simplex_gradients=budget, n=n),
         delta0=1.0, delta_star=1000.0, stop_delta=1e-13, stop_eta=1e-13,
     )

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,22 +17,29 @@ def test_list_runs():
     assert main(["list", "--family", "minimax"]) == 0
 
 
-def write_campaign(path, problems, budget=100):
+def write_campaign(path, problems, budget=100, **config):
     doc = {
         "problems": problems,
         "solvers": [{"name": "TRFD-L1", "p": "1"}],
         "budget_simplex_gradients": budget,
         "tolerances": [1e-1, 1e-3],
     }
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc | config))
+
+
+L1_AND_INF = [{"name": "TRFD-L1", "p": "1"}, {"name": "TRFD-M", "p": "inf"}]
+
+
+def run_into(tmp_path, problems, budget=100, **config):
+    """``tmp_path / "out"``, after ``trfd run`` of ``write_campaign``'s config into it exits 0."""
+    cfg = tmp_path / "campaign.json"
+    write_campaign(cfg, problems, budget, **config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out"
 
 
 def test_run_profile_audit_cycle(tmp_path, capsys):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock", "dem"])
-    out = tmp_path / "out"
-
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock", "dem"])
     names = sorted(p.name for p in out.iterdir())
     assert "rosenbrock__TRFD-L1.json" in names
     assert "profile_tol1e-01.csv" in names and "profile_tol1e-03.csv" in names
@@ -43,10 +52,7 @@ def test_run_profile_audit_cycle(tmp_path, capsys):
 
 
 def test_audit_rejects_corrupted_trace(tmp_path, capsys):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock"])
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock"])
 
     trace = out / "rosenbrock__TRFD-L1.json"
     doc = json.loads(trace.read_text())
@@ -57,10 +63,7 @@ def test_audit_rejects_corrupted_trace(tmp_path, capsys):
 
 
 def test_audit_reports_unreadable_traces_and_goes_on(tmp_path, capsys):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock"])
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock"])
     capsys.readouterr()
     good = out / "rosenbrock__TRFD-L1.json"
     doc = json.loads(good.read_text())
@@ -86,10 +89,7 @@ def test_audit_reports_unreadable_traces_and_goes_on(tmp_path, capsys):
 
 
 def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, capsys):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock"], budget=2)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock"], budget=2)
     trace = out / "rosenbrock__TRFD-L1.json"
     for field, value in [("best_f", None), ("final_x", ["a"]), ("termination_evals", True)]:
         doc = json.loads(trace.read_text())
@@ -115,10 +115,7 @@ def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, ca
     ("lipschitz_h", -1, "must be positive, not -1"),
 ])
 def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys, field, value, message):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock"], budget=2)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock"], budget=2)
     doc = json.loads((out / "rosenbrock__TRFD-L1.json").read_text())
     owner = {"x": doc["iterations"][0], "final_x": doc}.get(field, doc["params"])
     owner[field] = value
@@ -131,6 +128,28 @@ def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys
     # TrfdParams names a parameter bare, the trace reader quotes a key
     name = field if owner is doc["params"] else f'"{field}"'
     assert captured.out == f"{bad}: FAILED: ValueError: {name} {message}\n"
+
+
+@pytest.mark.parametrize("field, value", [("best_f", math.nan), ("eta", math.inf), ("final_x", -math.inf)])
+def test_a_trace_that_holds_a_non_finite_number_fails_with_one_line(tmp_path, capsys, field, value):
+    # the parser reads NaN and Infinity, which no trace is written with
+    out = run_into(tmp_path, ["rosenbrock"], budget=2)
+    trace = out / "rosenbrock__TRFD-L1.json"
+    doc = json.loads(trace.read_text())
+    if field == "eta":
+        doc["iterations"][0]["eta"] = value
+    else:
+        doc[field][-1] = value
+    trace.write_text(json.dumps(doc))
+    for csv_path in out.glob("profile_*.csv"):
+        csv_path.unlink()
+    capsys.readouterr()
+    message = f'ValueError: "{field}" must be finite, not {value!r}'
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr() == (f"{trace}: FAILED: {message}\n", "")
+    assert main(["profile", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"trfd profile: error: cannot read {trace}: {message}\n")
+    assert not list(out.glob("profile_*.csv"))
 
 
 def test_a_file_nested_too_deeply_fails_with_one_line(tmp_path, capsys):
@@ -152,15 +171,7 @@ def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, caps
     from trfd.core import PNorm
     from trfd.solver import Termination, TrfdParams, save_trace, solve
 
-    cfg = tmp_path / "campaign.json"
-    cfg.write_text(json.dumps({
-        "problems": ["rosenbrock", "dem"],
-        "solvers": [{"name": "TRFD-L1", "p": "1"}, {"name": "TRFD-M", "p": "inf"}],
-        "budget_simplex_gradients": 2,
-        "tolerances": [0.5],
-    }))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock", "dem"], 2, solvers=L1_AND_INF, tolerances=[0.5])
     prob = make_problem(lambda x: np.array([np.nan, np.nan]), 2, 2, "l1", (-1.2, 1.0), name="rosenbrock")
     dead = solve(prob, TrfdParams.defaults(prob, PNorm.ONE, simplex_gradients=2))
     assert dead.termination is Termination.ORACLE_ERROR and dead.best_f == []
@@ -174,14 +185,7 @@ def test_profile_counts_a_run_without_evaluations_as_never_solved(tmp_path, caps
 
 
 def test_run_with_family_config_and_budget_key(tmp_path):
-    cfg = tmp_path / "campaign.json"
-    cfg.write_text(json.dumps({
-        "problems": {"family": "minimax"},
-        "solvers": [{"name": "TRFD-M", "p": "auto"}],
-        "budget_simplex_gradients": 5,
-    }))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, {"family": "minimax"}, 5, solvers=[{"name": "TRFD-M", "p": "auto"}])
     traces = [p for p in out.iterdir() if "__" in p.name]
     assert len(traces) == 13
     doc = json.loads((out / "cb2__TRFD-M.json").read_text())
@@ -282,12 +286,9 @@ def test_option_out_of_range_fails_with_one_error_line(tmp_path, capsys, command
 
 
 def test_profile_tolerances_never_share_a_file(tmp_path, capsys):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock"], budget=2)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    for csv in out.glob("profile_*.csv"):
-        csv.unlink()
+    out = run_into(tmp_path, ["rosenbrock"], budget=2)
+    for old in out.glob("profile_*.csv"):
+        old.unlink()
     capsys.readouterr()
     tolerances = [1e-3, 1.4e-3, 0.10000000000000003, 1e-3]
     assert main(["profile", "--out", str(out), *(f"--tolerance={t!r}" for t in tolerances)]) == 0
@@ -302,14 +303,7 @@ def test_profile_tolerances_never_share_a_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["missing_pair", "unreadable", "wrong_type", "empty"])
 def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
-    cfg = tmp_path / "campaign.json"
-    cfg.write_text(json.dumps({
-        "problems": ["rosenbrock", "dem"],
-        "solvers": [{"name": "TRFD-L1", "p": "1"}, {"name": "TRFD-M", "p": "inf"}],
-        "budget_simplex_gradients": 2,
-    }))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock", "dem"], 2, solvers=L1_AND_INF)
     for path in out.iterdir():
         if path.name.startswith("profile_") or case == "empty":
             path.unlink()
@@ -333,6 +327,20 @@ def test_profile_fails_with_one_error_line(tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("trfd profile: error: ") and named in lines[0]
     assert not list(out.glob("profile_*.csv"))
+
+
+def test_profile_csv_quotes_a_solver_name_with_a_comma(tmp_path, capsys):
+    out = run_into(tmp_path, ["rosenbrock"], 2, solvers=[{"name": "A,B", "p": "1"}], tolerances=[0.1])
+    profile = out / "profile_tol1e-01.csv"
+    for command in (None, ["profile", "--out", str(out), "--tolerance", "0.1"]):
+        if command:
+            profile.unlink()
+            assert main(command) == 0
+        with open(profile, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["kappa", "A,B"]
+        assert len(rows) == 3 and all(len(row) == 2 for row in rows)  # kappa = 0, 1, 2
+    capsys.readouterr()
 
 
 def test_audit_of_a_directory_without_traces_fails(tmp_path, capsys):
@@ -367,10 +375,7 @@ def test_audit_applies_no_certificate_of_another_problem_under_a_registry_name(t
 
 
 def test_audit_applies_the_certificate_to_a_registry_run(tmp_path, capsys):
-    cfg = tmp_path / "campaign.json"
-    write_campaign(cfg, ["rosenbrock"], budget=20)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    out = run_into(tmp_path, ["rosenbrock"], budget=20)
     trace = out / "rosenbrock__TRFD-L1.json"
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 0

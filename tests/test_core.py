@@ -30,10 +30,8 @@ def test_machine_eps():
     ],
 )
 def test_norm_constants_values(p, n, m, c2p, cp2):
-    c = norm_constants(p, n, m)
-    assert c.c2p_n == c2p
-    assert c.cp2_m == cp2
-    assert c.c2p_n >= 1.0 and c.cp2_m >= 1.0
+    assert norm_constants(p, n, m) == (c2p, cp2)
+    assert c2p >= 1.0 and cp2 >= 1.0
 
 
 def test_norm_equivalence_random_and_tight():
@@ -42,11 +40,11 @@ def test_norm_equivalence_random_and_tight():
         for _ in range(200):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
-            c = norm_constants(p, n, m)
+            c2p_n, cp2_m = norm_constants(p, n, m)
             x = rng.normal(size=n)
             z = rng.normal(size=m)
-            assert np.linalg.norm(x) <= c.c2p_n * norm(x, p) * (1 + 1e-12)
-            assert norm(z, p) <= c.cp2_m * np.linalg.norm(z) * (1 + 1e-12)
+            assert np.linalg.norm(x) <= c2p_n * norm(x, p) * (1 + 1e-12)
+            assert norm(z, p) <= cp2_m * np.linalg.norm(z) * (1 + 1e-12)
     # tightness: a canonical vector attains each bound
     n, m = 4, 6
     ones_n, e_n = np.ones(n), np.eye(n)[0]
@@ -56,9 +54,9 @@ def test_norm_equivalence_random_and_tight():
         PNorm.INF: (ones_n, e_m),
     }
     for p, (x, z) in cases.items():
-        c = norm_constants(p, n, m)
-        assert np.linalg.norm(x) == pytest.approx(c.c2p_n * norm(x, p), rel=1e-14)
-        assert norm(z, p) == pytest.approx(c.cp2_m * np.linalg.norm(z), rel=1e-14)
+        c2p_n, cp2_m = norm_constants(p, n, m)
+        assert np.linalg.norm(x) == pytest.approx(c2p_n * norm(x, p), rel=1e-14)
+        assert norm(z, p) == pytest.approx(cp2_m * np.linalg.norm(z), rel=1e-14)
 
 
 def test_from_value_takes_the_exact_spellings_alone():

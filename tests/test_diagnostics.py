@@ -7,7 +7,7 @@ import pytest
 from conftest import make_problem
 from references import check_psi_eta_gap, eta_bruteforce, psi_euclidean
 
-from trfd.core import FeasibleRegion, NormConstants, OuterFunction, PNorm
+from trfd.core import FeasibleRegion, OuterFunction, PNorm
 from trfd.diagnostics import AnalyticProblem, AuditFailure, audit_trace, delta_min, psi
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
@@ -120,23 +120,22 @@ def test_check_psi_eta_gap_affine_is_tight():
     assert check_psi_eta_gap(ap, np.array([0.5, 0.5]), PNorm.ONE, 1.0, 0.25)
 
 
-def _params_for_delta_min(epsilon, alpha, sigma, lip, consts, n=1):
-    tau0 = epsilon / (lip * sigma * consts.cp2_m * consts.c2p_n * math.sqrt(n))
+def _params_for_delta_min(epsilon, alpha, sigma, lip, n=1):
+    tau0 = epsilon / (lip * sigma * math.sqrt(n))  # c2p_n = cp2_m = 1
     d0 = max(1.0, tau0 * math.sqrt(n))
     return TrfdParams(
         epsilon=epsilon, alpha=alpha, sigma=sigma, lipschitz_h=lip,
-        consts=consts, p=PNorm.ONE, budget=EvalBudget(simplex_gradients=1, n=n),
+        c2p_n=1.0, cp2_m=1.0, p=PNorm.ONE, budget=EvalBudget(simplex_gradients=1, n=n),
         delta0=d0, delta_star=max(d0, 1.0), stop_delta=0.0, stop_eta=0.0,
     )
 
 
 def test_delta_min_values():
-    ones = NormConstants(c2p_n=1.0, cp2_m=1.0)
-    p = _params_for_delta_min(1.0, 0.5, 1.0, 1.0, ones)
+    p = _params_for_delta_min(1.0, 0.5, 1.0, 1.0)
     assert delta_min(p, 1.0) == pytest.approx(0.125, rel=1e-15)
 
     sigma = 1e9
-    p2 = _params_for_delta_min(1e-15, 0.15, sigma, 1.0, ones)
+    p2 = _params_for_delta_min(1e-15, 0.15, sigma, 1.0)
     want = 0.85 * 1e-15 / (4.0 * sigma)
     assert delta_min(p2, 1.0) == pytest.approx(want, rel=1e-12)
 

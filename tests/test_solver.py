@@ -12,10 +12,12 @@ from conftest import make_problem, rosenbrock_residuals
 import trfd
 from trfd import jsontext
 from trfd.bench import TRFD_L1, Campaign, run_campaign
-from trfd.core import MACHINE_EPS, FeasibleRegion, NormConstants, OuterFunction, PNorm
+from trfd.core import MACHINE_EPS, FeasibleRegion, OuterFunction, PNorm
 from trfd.diagnostics import audit_trace
 from trfd.solver import (
+    SNAPSHOT_ROW,
     IterationClass,
+    IterationSnapshot,
     Termination,
     TrfdParams,
     compute_rho,
@@ -78,18 +80,11 @@ def test_params_validation():
                        ("stop_delta", -math.inf), ("lipschitz_h", math.nan),
                        # -1 once reached build_jacobian as a negative step, and 0 divided tau0 by zero
                        ("lipschitz_h", -1), ("lipschitz_h", 0)):
-        kwargs = dict(
-            epsilon=good.epsilon, alpha=good.alpha, sigma=good.sigma,
-            lipschitz_h=good.lipschitz_h, consts=good.consts, p=good.p, budget=good.budget,
-            delta0=good.delta0, delta_star=good.delta_star,
-            stop_delta=good.stop_delta, stop_eta=good.stop_eta,
-        )
-        kwargs[field] = bad
         with pytest.raises(ValueError, match=field):
-            TrfdParams(**kwargs)
-    for consts, name in ((NormConstants(c2p_n=0.0, cp2_m=1.0), "c2p_n"), (NormConstants(c2p_n=1.0, cp2_m=-1.0), "cp2_m")):
+            dataclasses.replace(good, **{field: bad})
+    for name, bad in (("c2p_n", 0.0), ("cp2_m", -1.0)):
         with pytest.raises(ValueError, match=f"^{name} must be positive, not "):
-            dataclasses.replace(good, consts=consts)
+            dataclasses.replace(good, **{name: bad})
     # p = 2 has no LP subproblem: rejected before any evaluation is spent
     with pytest.raises(ValueError, match="p = 2"):
         TrfdParams.defaults(prob, "2")
@@ -384,6 +379,24 @@ def test_trace_layout_is_one_field_and_one_iteration_a_line(tmp_path):
     assert path.read_text() == SHORT_TRACE
 
 
+def test_the_row_table_names_every_snapshot_field_in_order():
+    assert [name for name, _, _ in SNAPSHOT_ROW] == [f.name for f in dataclasses.fields(IterationSnapshot)]
+
+
+def test_a_row_round_trips_each_nullable_field_null_and_set():
+    # distinct values, so a table that swapped two keys would not read back
+    for null in ("eta_upper", "eta_radius", "rho", None):
+        doc = json.loads(SHORT_TRACE)
+        row = doc["iterations"][0]
+        row.update(eta_upper=0.75, eta_radius=0.5, rho=0.25)
+        if null:
+            row[null] = None
+        record = record_from_doc(doc)
+        snapshot = record.iterations[0]
+        assert [snapshot.eta_upper, snapshot.eta_radius, snapshot.rho] == [row["eta_upper"], row["eta_radius"], row["rho"]]
+        assert record_to_doc(record) == doc
+
+
 def test_a_trace_in_the_indented_layout_loads_and_audits(tmp_path):
     # traces were once written indented; the layout is whitespace only
     prob = make_problem(rosenbrock_residuals, 2, 2, "l1", (-1.2, 1.0), name="rosenbrock")
@@ -478,13 +491,8 @@ def test_tau0_formula_with_custom_sigma():
     sigma = 3.7
     eps = 1e-3
     lip = base.lipschitz_h
-    c = base.consts
-    params = TrfdParams(
-        epsilon=eps, alpha=0.15, sigma=sigma, lipschitz_h=lip,
-        consts=c, p=PNorm.ONE, budget=base.budget,
-        delta0=1.0, delta_star=1000.0, stop_delta=1e-13, stop_eta=1e-13,
-    )
-    want = eps / (lip * sigma * c.cp2_m * c.c2p_n * math.sqrt(2))
+    params = dataclasses.replace(base, epsilon=eps, sigma=sigma, delta0=1.0)
+    want = eps / (lip * sigma * base.cp2_m * base.c2p_n * math.sqrt(2))
     assert params.tau0 == want
 
 
