@@ -29,11 +29,13 @@ solvers are ``bench.TRFD_L1`` and ``bench.TRFD_M``, so a config without
 (epsilon, alpha, delta_star, stop_delta, stop_eta) passed straight to
 the parameter factory.  In both documents, and in each row, any other
 key is refused: a misspelt one must not go unread, and a campaign names
-each problem and solver once.  Every value is read with ``jsontext.field`` and must
-have the JSON type shown, so a boolean is no number; names, "h", "p",
-"family" and "command" are strings, and "h", "p" and "family" take the
-exact spellings shown and no other.  Bounds may be infinite but not
-NaN; rows and the start point must be finite.
+each problem and solver once, by a nonempty ASCII name without "/" or
+NUL, since it names trace files and profile columns.  Every value is
+read with ``jsontext.field`` and must have the JSON type shown, so a
+boolean is no number; names, "h", "p", "family" and "command" are
+strings, and "h", "p" and "family" take the exact spellings shown and
+no other.  Bounds may be infinite but not NaN; rows and the start point
+must be finite.
 """
 from __future__ import annotations
 
@@ -136,14 +138,18 @@ def _known_keys(doc, known, where):
 
 def _distinct(names, what):
     """A ValueError unless ``names`` is nonempty and each can name, once,
-    the trace files of a (problem, solver) pair."""
+    the trace files of a (problem, solver) pair and a column of the
+    ASCII profile CSVs."""
     if not names:
         raise ValueError(f"the campaign config names no {what}")
     for i, name in enumerate(names):
+        if not name or "/" in name or "\0" in name or not name.isascii():
+            raise ValueError(
+                f'{what} name {ascii(name)} may not be empty or hold "/", NUL or a non-ASCII character:'
+                " it names trace files and profile columns"
+            )
         if name in names[:i]:
             raise ValueError(f'{what} "{name}" appears twice in the campaign config')
-        if not name or "/" in name or "\0" in name:
-            raise ValueError(f'{what} name {name!r} may not be empty or hold "/" or NUL: it names trace files')
 
 
 def _at_least_one(value, key):

@@ -48,8 +48,8 @@ def norm(v, p: PNorm) -> float:
     """The p-norm of a vector, p in {1, inf}."""
     v = np.asarray(v, dtype=float)
     if p is PNorm.ONE:
-        return float(np.abs(v).sum())
-    return float(np.abs(v).max()) if v.size else 0.0
+        return float(np.add.reduce(np.abs(v)))
+    return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
 
 
 def norm_constants(p: PNorm, n: int, m: int) -> tuple[float, float]:
@@ -87,8 +87,8 @@ class OuterFunction(enum.Enum):
 def eval_h(h: OuterFunction, z) -> float:
     z = np.asarray(z, dtype=float)
     if h is OuterFunction.L1:
-        return float(np.abs(z).sum())
-    return float(z.max())
+        return float(np.add.reduce(np.abs(z)))
+    return float(np.maximum.reduce(z))
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,9 @@ class FeasibleRegion:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if self.bounded and ((x < self.lower - tol).any() or (x > self.upper + tol).any()):
+        if self.bounded and (
+            np.logical_or.reduce(x < self.lower - tol) or np.logical_or.reduce(x > self.upper + tol)
+        ):
             return False
         return all(float(a @ x) <= b + tol for a, b in self.linear_ineq)
 

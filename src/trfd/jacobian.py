@@ -28,7 +28,7 @@ def build_jacobian(eval_F, x, F_x, tau: float) -> np.ndarray:
     # validate every coordinate before spending any evaluation, so a
     # degenerate stepsize costs nothing
     stuck = x + tau == x
-    if stuck.any():
+    if np.logical_or.reduce(stuck):
         raise DegenerateStep(f"x[{stuck.argmax()}] + tau is not representable (tau={tau:g})")
 
     A = np.empty((m, n))

@@ -53,7 +53,14 @@ loop goes on from a fresh inverse.  The pricing reads two masks of the
 nonbasics, those that may rise and those that may fall from their
 value; each solve builds them once and keeps them current at each bound
 flip and basis change, and a fixed column, at its bound, is in neither.
-Everything is deterministic:
+LAPACK is called through numpy's own gufuncs, ``solve1`` and ``inv`` of
+``numpy.linalg._umath_linalg``: the loops numpy's ``linalg.solve`` and
+``linalg.inv`` run on float64, without those functions' Python
+wrappers.  A singular basis matrix shows as a result that is not finite
+(the gufuncs fill it with NaN), not as an exception: the first pass
+takes it as no feasible start, and the confirmation and every inversion
+raise NumericalTrouble.  One floating-point error scope covers each
+solve, so no LAPACK call or pivot warns.  Everything is deterministic:
 Dantzig pricing with first-index tie-breaking, switching to Bland's
 rule once the degenerate-pivot count passes 5 * (rows + columns).
 """
@@ -63,6 +70,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # reduced-cost / feasibility target
 OPT_TOL = 1e-9
@@ -138,6 +146,7 @@ class SimplexResult:
     max_residual: float
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     """Solve to proven optimality; raises NumericalTrouble on breakdown.
 
@@ -249,15 +258,16 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         return (z < -OPT_TOL) & can_up | (z > OPT_TOL) & can_dn
 
     B = A[:, basis]
-    try:
-        xb = np.linalg.solve(B, b - A @ value)
-        if not np.logical_and.reduce((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)):
-            return None
-        z = reduced
-        if z is None:
-            z = cost - np.linalg.solve(B.T, cost_b) @ A
-    except np.linalg.LinAlgError:
+    # a singular B gives NaN, which the bounds test rejects
+    xb = _umath_linalg.solve1(B, b - A @ value)
+    if not np.logical_and.reduce((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)):
         return None
+    z = reduced
+    if z is None:
+        y = _umath_linalg.solve1(B.T, cost_b)
+        if not _finite(y):
+            return None
+        z = cost - y @ A
     if not np.logical_or.reduce(improving(z)):
         value[basis] = xb
         return 0, z
@@ -285,11 +295,10 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
             # confirm optimality with a fresh LAPACK solve of B; if a
             # reduced cost still improves, go on from a fresh inverse
             B = A[:, basis]
-            try:
-                xb = np.linalg.solve(B, rhs)
-                y = np.linalg.solve(B.T, cost_b)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalTrouble("singular basis") from exc
+            xb = _umath_linalg.solve1(B, rhs)
+            y = _umath_linalg.solve1(B.T, cost_b)
+            if not (_finite(xb) and _finite(y)):
+                raise NumericalTrouble("singular basis")
             z = cost - y @ A
             entering = improving(z)
             if not np.logical_or.reduce(entering):
@@ -363,8 +372,14 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
 
 
 def _inverse(B: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalTrouble("singular basis") from exc
+    B_inv = _umath_linalg.inv(B)
+    if not _finite(B_inv):
+        raise NumericalTrouble("singular basis")
+    return B_inv
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a LAPACK result is finite; a singular
+    matrix gives NaN."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 

@@ -48,7 +48,6 @@ step's simplex state.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +63,6 @@ FEAS_TOL = 1e-9
 # pulled into the ball; a bracket whose ends disagree by more than this
 # is not returned
 BRACKET_RTOL = 1e-6
-
-# if set, every LP solved here is saved into the directory as an .npz of
-# the arrays c, rows, rhs, lower, upper and start, exact to the bit;
-# file names carry the process id, so pool workers never collide
-DUMP_ENV = "TRFD_LP_DUMP"
-_dump_counter = 0
 
 
 @dataclass
@@ -115,7 +108,7 @@ class TrustRegionLP:
             self.start[nz:] = np.abs(F_x)
             k = 2 * m
         else:
-            self.start[nz:] = F_x.max()
+            self.start[nz:] = np.maximum.reduce(F_x)
             k = m
         # then, for p = 1, the radius row and each finite box side, and
         # the region's linear rows
@@ -221,7 +214,6 @@ def reformulate(
 def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
     """Solve the subproblem at ``tr``'s radius.  A re-solve of the same
     ``tr`` restarts from the basis its LP kept from the last solve."""
-    _maybe_dump(tr)
     result = solve_lp(tr.lp, start=tr.start)
     d = tr.extract_d(result.x)
     model_value = eval_h(tr.h, tr.F_x + tr.A @ d)
@@ -280,7 +272,7 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     # rounding noise of that size never clears it.
     m, n = A.shape
     unit = 4 * (m + n + 1) * MACHINE_EPS
-    spread_F, col_A = float(np.abs(F).sum()), np.abs(A).sum(axis=0)
+    spread_F, col_A = float(np.add.reduce(np.abs(F))), np.add.reduce(np.abs(A), axis=0)
     allowance = unit * (spread_F + float(col_A @ np.abs(d)))
     if (psi_lower - allowance) / r_ref > 2.0 * floor and psi_lower >= (1.0 - BRACKET_RTOL) * psi_upper:
         return psi_lower / r_ref, psi_upper / r, r
@@ -298,11 +290,14 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     keep[1:] &= rho[1:] != rho[:-1]
     rho = rho[keep]
     Z = F + rho[:, None] * (A @ u)
-    psi = base - (np.abs(Z).sum(axis=1) if tr.h is OuterFunction.L1 else Z.max(axis=1))
+    if tr.h is OuterFunction.L1:
+        psi = base - np.add.reduce(np.abs(Z), axis=1)
+    else:
+        psi = base - np.maximum.reduce(Z, axis=1)
     lower = psi / r_ref
     certified = (psi - unit * (spread_F + rho * float(col_A @ np.abs(u)))) / r_ref > 2.0 * floor
     certified &= (lower <= upper) & (lower * r_ref <= upper * (1.0 + BRACKET_RTOL) * rho)
-    if not certified.any():
+    if not np.logical_or.reduce(certified):
         return None
     k = int(np.where(certified, psi, -np.inf).argmax())
     return float(lower[k]), upper, float(rho[k])
@@ -361,15 +356,3 @@ def _check_solution(tr, d, model_value, result: SimplexResult) -> None:
     # exact solve: the model never increases over d = 0
     if model_value > tr.base_value + FEAS_TOL * scale:
         raise NumericalTrouble("model value exceeds the base value")
-
-
-def _maybe_dump(tr: TrustRegionLP) -> None:
-    global _dump_counter
-    directory = os.environ.get(DUMP_ENV)
-    if not directory:
-        return
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"tr_lp_{os.getpid()}_{_dump_counter:06d}.npz")
-    _dump_counter += 1
-    lp = tr.lp
-    np.savez(path, c=lp.c, rows=lp.rows, rhs=lp.rhs, lower=lp.lower, upper=lp.upper, start=tr.start)

@@ -304,23 +304,6 @@ def test_traces_in_the_old_float_text_load_the_same(tmp_path):
     assert_same_fields(load_trace(path), record)
 
 
-def test_lp_dump_counts_match_serial_and_parallel(tmp_path, monkeypatch):
-    # pool workers must not overwrite each other's TRFD_LP_DUMP files
-    camp = Campaign(
-        problems=[registry_by_name(name) for name in ("rosenbrock", "dem", "lq", "bard")],
-        solver_configs=[TRFD_L1],
-        simplex_gradients=10,
-    )
-    counts = []
-    for jobs in (1, 2):
-        dump = tmp_path / f"jobs{jobs}"
-        monkeypatch.setenv("TRFD_LP_DUMP", str(dump))
-        run_campaign(camp, jobs=jobs)
-        counts.append(len(list(dump.glob("tr_lp_*.npz"))))
-    assert counts[0] > 0
-    assert counts[1] == counts[0]
-
-
 def test_affine_campaign_terminates_by_floor():
     camp = Campaign(problems=[registry_by_name("chebyshev_line_fit")], solver_configs=[TRFD_M])
     result = run_campaign(camp)

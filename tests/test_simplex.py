@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import enumerate_lp_minimum, random_box_lp, random_mixed_lp
+from conftest import enumerate_lp_minimum, random_box_lp, random_mixed_lp, random_tr_instance
 
+from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm
 from trfd.simplex import OPT_TOL, REFACTOR_EVERY, LinearProgram, NumericalTrouble, _residual, solve_lp
 from trfd.subproblem import reformulate
@@ -227,3 +230,53 @@ def test_large_lp_through_refactors_matches_highs():
             bounds=np.column_stack([tr.lp.lower, tr.lp.upper]), method="highs",
         )
         assert res.objective == pytest.approx(ref.fun, abs=1e-8 * (1.0 + abs(ref.fun)))
+
+
+@pytest.mark.parametrize("h", ["l1", "minimax"])
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_singular_kept_basis_falls_back_to_the_crash(h, p):
+    # a kept basis that names one slack column twice is exactly singular
+    # (B has a zero row); the restart must find no feasible start in it,
+    # warn of nothing, and crash from the start as a cold solve does
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        inst = random_tr_instance(rng, h, p, n=int(rng.integers(1, 5)), m=int(rng.integers(2, 6)),
+                                  constrained=True)
+        cold_tr, tr = reformulate(*inst), reformulate(*inst)
+        want = solve_lp(cold_tr.lp, cold_tr.start)
+        lp = tr.lp
+        nv, nr = lp.n_variables, lp.n_rows
+        lp.basic = nv + np.concatenate([[0, 0], np.arange(2, nr)])
+        lp.at_upper = np.zeros(nv + nr, dtype=bool)
+        for reduced in (None, np.zeros(nv + nr)):
+            lp.reduced = reduced
+            kept = lp.basic.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solve_lp(lp, tr.start)
+            assert np.array_equal(got.x, want.x)
+            assert (got.objective, got.iterations) == (want.objective, want.iterations)
+            lp.basic = kept
+
+
+def test_inverse_of_a_singular_basis_raises():
+    # inside the floating-point error scope every solve_lp call runs in
+    with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        warnings.simplefilter("error")
+        for B in (np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(4)[:, [0, 1, 1, 3]]):
+            with pytest.raises(NumericalTrouble, match="singular basis"):
+                simplex._inverse(B)
+
+
+def test_lapack_gufuncs_equal_numpy_linalg_bit_for_bit():
+    # the simplex calls the gufuncs behind np.linalg.solve and inv
+    # directly; a basis matrix is a column gather, its transpose a view
+    lapack = simplex._umath_linalg
+    rng = np.random.default_rng(72)
+    for n in range(1, 42):
+        A = rng.uniform(-2.0, 2.0, (n, 2 * n))
+        B = A[:, rng.permutation(2 * n)[:n]]
+        b = rng.uniform(-2.0, 2.0, n)
+        for M in (B, B.T):
+            assert np.array_equal(lapack.solve1(M, b), np.linalg.solve(M, b))
+            assert np.array_equal(lapack.inv(M), np.linalg.inv(M))

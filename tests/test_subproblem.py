@@ -215,17 +215,6 @@ def test_subproblem_start_satisfies_every_row():
                 solve_tr_subproblem(reformulate(*inst))
 
 
-def test_lp_dump_env_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRFD_LP_DUMP", str(tmp_path))
-    solve_tr_subproblem(reformulate(
-        OuterFunction.L1, np.array([1.0, -1.0]), np.eye(2), UNC2, np.zeros(2), PNorm.ONE, 0.5
-    ))
-    dumps = list(tmp_path.glob("tr_lp_*.npz"))
-    assert len(dumps) == 1
-    with np.load(dumps[0]) as saved:
-        assert sorted(saved.files) == ["c", "lower", "rhs", "rows", "start", "upper"]
-
-
 @pytest.mark.skipif(linprog is None, reason="needs scipy's HiGHS as the reference solver")
 @pytest.mark.parametrize("constrained", [False, True])
 @pytest.mark.parametrize("p", ["1", "inf"])

@@ -1,4 +1,4 @@
-"""The subproblem LP's block assembly, kept column arrays and exact dumps.
+"""The subproblem LP's block assembly, kept column arrays and captured LPs.
 
 ``reference_reformulate`` is the earlier assembly, kept verbatim apart
 from names: identity products, a loop over coordinates and row-by-row
@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from conftest import random_tr_instance
 
+from trfd import subproblem
 from trfd.bench import TRFD_L1, TRFD_M, Campaign, run_campaign
 from trfd.core import OuterFunction, PNorm, eval_h
 from trfd.simplex import LinearProgram, solve_lp
-from trfd.subproblem import DUMP_ENV, TrustRegionLP, reformulate, solve_tr_subproblem
+from trfd.subproblem import TrustRegionLP, reformulate, solve_tr_subproblem
 from trfd.testset import registry_by_name
 
 ARRAYS = ("c", "rows", "rhs", "lower", "upper")
@@ -132,53 +133,58 @@ def test_set_radius_moves_the_arrays_solve_lp_reads(h, p):
     assert (lp.cost[nv:] == 0.0).all() and (lp.lo[nv:] == 0.0).all() and np.isposinf(lp.hi[nv:]).all()
 
 
-def load_dump(path):
-    """A dumped LP and its start, as saved."""
-    with np.load(path) as saved:
-        arrays = dict(saved)
-    start = arrays.pop("start")
-    return LinearProgram(**arrays), start
+def capture_lps(monkeypatch):
+    """A list that gets ``(lp, start)`` for every LP ``trfd.subproblem``
+    solves from now on, copies of its arrays taken before the solve."""
+    captured = []
+    solve = subproblem.solve_lp
+
+    def capturing(lp, start):
+        copies = {name: getattr(lp, name).copy() for name in ARRAYS}
+        captured.append((LinearProgram(**copies), np.array(start, dtype=float)))
+        return solve(lp, start)
+
+    monkeypatch.setattr(subproblem, "solve_lp", capturing)
+    return captured
 
 
 @pytest.mark.parametrize("h", ["l1", "minimax"])
 @pytest.mark.parametrize("p", ["1", "inf"])
-def test_dumped_delta_star_lp_reloads_bit_exact(h, p, tmp_path, monkeypatch):
+def test_dumped_delta_star_lp_reloads_bit_exact(h, p, monkeypatch):
+    # a copy of the solved LP's arrays, solved afresh, gives the step
     rng = np.random.default_rng(63)
+    captured = capture_lps(monkeypatch)
     for k in range(12):
         inst = random_tr_instance(rng, h, p, n=int(rng.integers(1, 5)), m=int(rng.integers(1, 6)),
                                   constrained=k % 2 == 0)
-        directory = tmp_path / str(k)
-        monkeypatch.setenv(DUMP_ENV, str(directory))
         tr = reformulate(*inst[:-1], 1000.0)
         sol = solve_tr_subproblem(tr)
-        (path,) = directory.glob("tr_lp_*.npz")
-        lp, start = load_dump(path)
+        assert len(captured) == k + 1
+        lp, start = captured[-1]
         got = solve_lp(lp, start)
         want = solve_lp(reformulate(*inst[:-1], 1000.0).lp, tr.start)
         assert np.array_equal(got.x, want.x)
         assert np.array_equal(tr.extract_d(got.x), sol.d_star)
 
 
-def test_captured_campaign_lps_match_highs(tmp_path, monkeypatch):
+def test_captured_campaign_lps_match_highs(monkeypatch):
     # differential replay: every LP a small campaign solves, re-solved
-    # from its dump by the bundled simplex and by HiGHS
+    # from a copy by the bundled simplex and by HiGHS
     linprog = pytest.importorskip("scipy.optimize").linprog
-    monkeypatch.setenv(DUMP_ENV, str(tmp_path))
+    captured = capture_lps(monkeypatch)
     # both configs on these cover all four (h, p) layouts
     names = ("rosenbrock", "bard", "brown_dennis", "cb2", "chebyshev_line_fit", "maxl_6")
     camp = Campaign(problems=[registry_by_name(name) for name in names],
                     solver_configs=[TRFD_L1, TRFD_M], simplex_gradients=10)
     run_campaign(camp)
-    paths = sorted(tmp_path.glob("tr_lp_*.npz"))
-    assert len(paths) > 100
+    assert len(captured) > 100
     layouts = set()
-    for path in paths:
-        lp, start = load_dump(path)
+    for k, (lp, start) in enumerate(captured):
         # minimax's t is free below; p = 1's first column is unbounded above
         layouts.add((bool(np.isneginf(lp.lower).any()), bool(np.isposinf(lp.upper[0]))))
         got = solve_lp(lp, start)
         ref = linprog(lp.c, A_ub=lp.rows, b_ub=lp.rhs, bounds=np.column_stack([lp.lower, lp.upper]),
                       method="highs")
-        assert ref.status == 0, path.name
-        assert got.objective == pytest.approx(ref.fun, abs=1e-7 * (1.0 + abs(ref.fun))), path.name
+        assert ref.status == 0, k
+        assert got.objective == pytest.approx(ref.fun, abs=1e-7 * (1.0 + abs(ref.fun))), k
     assert len(layouts) == 4
