@@ -15,7 +15,9 @@ operations failed on each side.
 A change that claims unchanged arithmetic must print the parent's
 ``trace digest`` and ``counters`` lines.  The script exits 1 when any
 run of a workload prints other such lines than the parent's first run
-of that workload, and stops with exit status 1 when a run fails.
+of that workload, and then says in one line whether only the trace
+digest differs or the counters too; it stops with exit status 1 when a
+run fails.
 
 Usage:  python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR
             [--workload NAME] [--pairs 10] [--seconds 60] [--seed 1]
@@ -41,6 +43,10 @@ def bench(checkout, workload, args):
     lines = proc.stdout.splitlines()
     identity = [line for line in lines if line.startswith(IDENTITY_LINES)]
     return identity, json.loads(lines[-1])
+
+
+def lines_of(identity, kind):
+    return [line for line in identity if line.startswith(kind)]
 
 
 def quartiles(values):
@@ -106,6 +112,10 @@ def compare(workload, declared, args) -> int:
         print("identity lines differ from the parent's first run:")
         for where, identity in differ:
             print(f"  {where}: " + " | ".join(identity))
+        moved = [kind for kind in IDENTITY_LINES
+                 if any(lines_of(identity, kind) != lines_of(expected, kind) for _, identity in differ)]
+        print(f"{workload}: " + ("only the trace digest differs, the counters do not" if moved == ["trace digest"]
+                                 else " and ".join(moved) + " differ"))
         return 1
     print("identical: " + " | ".join(expected))
     return 0

@@ -10,6 +10,7 @@ Wire protocol (one JSON document per line):
 
     solver -> oracle   {"hello": {"n": <int>, "m": <int>}}
     oracle -> solver   {"ready": true}
+                       or {"ready": false, "error": "<message>"}
     solver -> oracle   {"id": <int>, "x": [<n floats>]}
     oracle -> solver   {"id": <int>, "fvec": [<m floats>]}
                        or {"id": <int>, "error": "<message>"}
@@ -130,8 +131,10 @@ class ExternalOracle(BlackBoxOracle):
     def _handshake(self) -> None:
         try:
             self._send('{"hello": {"n": %d, "m": %d}}' % (self.n, self.m))
-            if not jsontext.field(self._reply(), "ready", "boolean"):
-                raise OracleFailure("oracle not ready")
+            doc = self._reply()
+            if not jsontext.field(doc, "ready", "boolean"):
+                why = f": {jsontext.field(doc, 'error', 'string')}" if "error" in doc else ""
+                raise OracleFailure("oracle not ready" + why)
         except (OracleFailure, ValueError) as exc:
             self.close()
             raise OracleFailure(f"oracle handshake failed: {exc}") from exc

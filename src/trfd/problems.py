@@ -17,108 +17,105 @@ Lipschitz bound valid on a stated box; the bound is obtained by
 bounding second derivatives analytically (derivations in comments) and
 feeds the error-bound and radius-floor audits.
 
-This module imports numpy and nothing of trfd, so that an oracle child
-(``trfd.demo_oracle``) serves residuals without loading the solver;
-``trfd.testset`` builds its ``BenchmarkProblem`` records from REGISTRY.
+Each map takes a sequence of n floats and returns a list of m floats,
+and each Jacobian a list of m rows.  The module imports ``math`` and
+``functools`` alone, so that an oracle child (``trfd.demo_oracle``)
+serves residuals without loading numpy or the solver; ``trfd.testset``
+builds its ``BenchmarkProblem`` records, whose maps take and return
+arrays, from REGISTRY.
+
+Each rounding is chosen, since pinned traces depend on the bits: the
+maps were first written in numpy, where a vector squared is ``v * v``
+(numpy's ``square``) and a scalar squared a ``pow``, and each square
+below keeps its form; sums run left to right through ``_sum``, as
+numpy's do below 8 terms, because ``sum()`` is compensated from Python
+3.12 on.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
 
-import numpy as np
+
+def _sum(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
 
 # ---------------------------------------------------------------------------
 # residual vectors, least-absolute-deviation family
 
 
 def linear_full_rank(x, m):
-    x = np.asarray(x, dtype=float)
-    t = 2.0 * x.sum() / m + 1.0
-    out = np.full(m, -t)
-    out[: x.size] += x
-    return out
+    t = 2.0 * _sum(x) / m + 1.0
+    return [v - t for v in x] + [-t] * (m - len(x))
 
 
 def linear_rank_one(x, m):
-    x = np.asarray(x, dtype=float)
-    s = float(np.arange(1, x.size + 1) @ x)
-    return np.arange(1, m + 1) * s - 1.0
+    s = _sum(i * v for i, v in enumerate(x, 1))
+    return [i * s - 1.0 for i in range(1, m + 1)]
 
 
 def rosenbrock(x):
-    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return [10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]
 
 
 def rosenbrock_jac(x):
-    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return [[-20.0 * x[0], 10.0], [-1.0, 0.0]]
 
 
 def powell_singular(x):
-    return np.array(
-        [
-            x[0] + 10.0 * x[1],
-            math.sqrt(5.0) * (x[2] - x[3]),
-            (x[1] - 2.0 * x[2]) ** 2,
-            math.sqrt(10.0) * (x[0] - x[3]) ** 2,
-        ]
-    )
+    return [
+        x[0] + 10.0 * x[1],
+        math.sqrt(5.0) * (x[2] - x[3]),
+        (x[1] - 2.0 * x[2]) ** 2,
+        math.sqrt(10.0) * (x[0] - x[3]) ** 2,
+    ]
 
 
 def powell_singular_jac(x):
     s5, s10 = math.sqrt(5.0), math.sqrt(10.0)
-    return np.array(
-        [
-            [1.0, 10.0, 0.0, 0.0],
-            [0.0, 0.0, s5, -s5],
-            [0.0, 2.0 * (x[1] - 2.0 * x[2]), -4.0 * (x[1] - 2.0 * x[2]), 0.0],
-            [2.0 * s10 * (x[0] - x[3]), 0.0, 0.0, -2.0 * s10 * (x[0] - x[3])],
-        ]
-    )
+    return [
+        [1.0, 10.0, 0.0, 0.0],
+        [0.0, 0.0, s5, -s5],
+        [0.0, 2.0 * (x[1] - 2.0 * x[2]), -4.0 * (x[1] - 2.0 * x[2]), 0.0],
+        [2.0 * s10 * (x[0] - x[3]), 0.0, 0.0, -2.0 * s10 * (x[0] - x[3])],
+    ]
 
 
 def freudenstein_roth(x):
-    return np.array(
-        [
-            -13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
-            -29.0 + x[0] + ((1.0 + x[1]) * x[1] - 14.0) * x[1],
-        ]
-    )
+    return [
+        -13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
+        -29.0 + x[0] + ((1.0 + x[1]) * x[1] - 14.0) * x[1],
+    ]
 
 
 def freudenstein_roth_jac(x):
-    return np.array(
-        [
-            [1.0, 10.0 * x[1] - 3.0 * x[1] ** 2 - 2.0],
-            [1.0, 2.0 * x[1] + 3.0 * x[1] ** 2 - 14.0],
-        ]
-    )
+    return [
+        [1.0, 10.0 * x[1] - 3.0 * x[1] ** 2 - 2.0],
+        [1.0, 2.0 * x[1] + 3.0 * x[1] ** 2 - 14.0],
+    ]
 
 
-BARD_Y = np.array(
-    [0.14, 0.18, 0.22, 0.25, 0.29, 0.32, 0.35, 0.39, 0.37, 0.58, 0.73, 0.96, 1.34, 2.10, 4.39]
-)
+BARD_Y = (0.14, 0.18, 0.22, 0.25, 0.29, 0.32, 0.35, 0.39, 0.37, 0.58, 0.73, 0.96, 1.34, 2.10, 4.39)
 
 
 def bard(x):
-    i = np.arange(1, 16, dtype=float)
-    u = i
-    v = 16.0 - i
-    w = np.minimum(u, v)
-    return BARD_Y - (x[0] + u / (v * x[1] + w * x[2]))
+    return [y - (x[0] + u / ((16.0 - u) * x[1] + min(u, 16.0 - u) * x[2]))
+            for u, y in zip(map(float, range(1, 16)), BARD_Y)]
 
 
-BEALE_Y = np.array([1.5, 2.25, 2.625])
+BEALE_Y = (1.5, 2.25, 2.625)
 
 
 def beale(x):
-    i = np.arange(1, 4, dtype=float)
-    return BEALE_Y - x[0] * (1.0 - x[1] ** i)
+    return [y - x[0] * (1.0 - x[1] ** i) for i, y in zip((1.0, 2.0, 3.0), BEALE_Y)]
 
 
 def beale_jac(x):
-    i = np.arange(1, 4, dtype=float)
-    return np.column_stack([x[1] ** i - 1.0, x[0] * i * x[1] ** (i - 1.0)])
+    return [[x[1] ** i - 1.0, x[0] * i * x[1] ** (i - 1.0)] for i in (1.0, 2.0, 3.0)]
 
 
 def helical_valley(x):
@@ -130,87 +127,63 @@ def helical_valley(x):
         theta = math.atan(x[1] / x[0]) / (2.0 * math.pi) + 0.5
     else:
         theta = 0.25 if x[1] >= 0 else -0.25
-    return np.array(
-        [
-            10.0 * (x[2] - 10.0 * theta),
-            10.0 * (math.hypot(x[0], x[1]) - 1.0),
-            x[2],
-        ]
-    )
+    return [10.0 * (x[2] - 10.0 * theta), 10.0 * (math.hypot(x[0], x[1]) - 1.0), x[2]]
 
 
-GAUSSIAN_Y = np.array(
-    [0.0009, 0.0044, 0.0175, 0.0540, 0.1295, 0.2420, 0.3521, 0.3989,
-     0.3521, 0.2420, 0.1295, 0.0540, 0.0175, 0.0044, 0.0009]
-)
+GAUSSIAN_Y = (0.0009, 0.0044, 0.0175, 0.0540, 0.1295, 0.2420, 0.3521, 0.3989,
+              0.3521, 0.2420, 0.1295, 0.0540, 0.0175, 0.0044, 0.0009)
 
 
 def gaussian(x):
-    t = (8.0 - np.arange(1, 16, dtype=float)) / 2.0
-    return x[0] * np.exp(-x[1] * (t - x[2]) ** 2 / 2.0) - GAUSSIAN_Y
+    return [x[0] * math.exp(-x[1] * ((t - x[2]) * (t - x[2])) / 2.0) - y
+            for t, y in zip(((8.0 - i) / 2.0 for i in range(1, 16)), GAUSSIAN_Y)]
 
 
 def box_3d(x, m):
-    t = 0.1 * np.arange(1, m + 1, dtype=float)
-    return np.exp(-t * x[0]) - np.exp(-t * x[1]) - x[2] * (np.exp(-t) - np.exp(-10.0 * t))
+    return [math.exp(-t * x[0]) - math.exp(-t * x[1]) - x[2] * (math.exp(-t) - math.exp(-10.0 * t))
+            for t in (0.1 * i for i in range(1, m + 1))]
 
 
 def wood(x):
     s90, s10 = math.sqrt(90.0), math.sqrt(10.0)
-    return np.array(
-        [
-            10.0 * (x[1] - x[0] ** 2),
-            1.0 - x[0],
-            s90 * (x[3] - x[2] ** 2),
-            1.0 - x[2],
-            s10 * (x[1] + x[3] - 2.0),
-            (x[1] - x[3]) / s10,
-        ]
-    )
+    return [
+        10.0 * (x[1] - x[0] ** 2),
+        1.0 - x[0],
+        s90 * (x[3] - x[2] ** 2),
+        1.0 - x[2],
+        s10 * (x[1] + x[3] - 2.0),
+        (x[1] - x[3]) / s10,
+    ]
 
 
 def brown_dennis(x, m):
-    t = np.arange(1, m + 1, dtype=float) / 5.0
-    a = x[0] + t * x[1] - np.exp(t)
-    b = x[2] + x[3] * np.sin(t) - np.cos(t)
-    return a**2 + b**2
+    out = []
+    for t in (i / 5.0 for i in range(1, m + 1)):
+        a = x[0] + t * x[1] - math.exp(t)
+        b = x[2] + x[3] * math.sin(t) - math.cos(t)
+        out.append(a * a + b * b)
+    return out
 
 
-KOWALIK_V = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 0.167, 0.125, 0.1, 0.0833, 0.0714, 0.0625])
-KOWALIK_Y = np.array(
-    [0.1957, 0.1947, 0.1735, 0.16, 0.0844, 0.0627, 0.0456, 0.0342, 0.0323, 0.0235, 0.0246]
-)
+KOWALIK_V = (4.0, 2.0, 1.0, 0.5, 0.25, 0.167, 0.125, 0.1, 0.0833, 0.0714, 0.0625)
+KOWALIK_Y = (0.1957, 0.1947, 0.1735, 0.16, 0.0844, 0.0627, 0.0456, 0.0342, 0.0323, 0.0235, 0.0246)
 
 
 def kowalik_osborne(x):
-    num = KOWALIK_V * (KOWALIK_V + x[1])
-    den = KOWALIK_V * (KOWALIK_V + x[2]) + x[3]
-    return KOWALIK_Y - x[0] * num / den
+    return [y - x[0] * (v * (v + x[1])) / (v * (v + x[2]) + x[3]) for v, y in zip(KOWALIK_V, KOWALIK_Y)]
 
 
 def brown_almost_linear(x):
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    out = x + x.sum() - (n + 1.0)
-    out[-1] = float(np.prod(x)) - 1.0
-    return out
+    s, n = _sum(x), len(x)
+    return [v + s - (n + 1.0) for v in x[:-1]] + [math.prod(x) - 1.0]
 
 
 def bdqrtic(x):
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    k = n - 4
-    out = np.empty(2 * k)
-    for i in range(k):
-        out[i] = -4.0 * x[i] + 3.0
-        out[k + i] = (
-            x[i] ** 2
-            + 2.0 * x[i + 1] ** 2
-            + 3.0 * x[i + 2] ** 2
-            + 4.0 * x[i + 3] ** 2
-            + 5.0 * x[n - 1] ** 2
-        )
-    return out
+    n, k = len(x), len(x) - 4
+    return [-4.0 * v + 3.0 for v in x[:k]] + [
+        x[i] ** 2 + 2.0 * x[i + 1] ** 2 + 3.0 * x[i + 2] ** 2 + 4.0 * x[i + 3] ** 2 + 5.0 * x[n - 1] ** 2
+        for i in range(k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -218,97 +191,51 @@ def bdqrtic(x):
 
 
 def cb2(x):
-    return np.array(
-        [
-            x[0] ** 2 + x[1] ** 4,
-            (2.0 - x[0]) ** 2 + (2.0 - x[1]) ** 2,
-            2.0 * math.exp(x[1] - x[0]),
-        ]
-    )
+    return [x[0] ** 2 + x[1] ** 4, (2.0 - x[0]) ** 2 + (2.0 - x[1]) ** 2, 2.0 * math.exp(x[1] - x[0])]
 
 
 def cb2_jac(x):
     e = 2.0 * math.exp(x[1] - x[0])
-    return np.array(
-        [
-            [2.0 * x[0], 4.0 * x[1] ** 3],
-            [-2.0 * (2.0 - x[0]), -2.0 * (2.0 - x[1])],
-            [-e, e],
-        ]
-    )
+    return [[2.0 * x[0], 4.0 * x[1] ** 3], [-2.0 * (2.0 - x[0]), -2.0 * (2.0 - x[1])], [-e, e]]
 
 
 def cb3(x):
-    return np.array(
-        [
-            x[0] ** 4 + x[1] ** 2,
-            (2.0 - x[0]) ** 2 + (2.0 - x[1]) ** 2,
-            2.0 * math.exp(x[1] - x[0]),
-        ]
-    )
+    return [x[0] ** 4 + x[1] ** 2, (2.0 - x[0]) ** 2 + (2.0 - x[1]) ** 2, 2.0 * math.exp(x[1] - x[0])]
 
 
 def dem(x):
-    return np.array(
-        [
-            5.0 * x[0] + x[1],
-            -5.0 * x[0] + x[1],
-            x[0] ** 2 + x[1] ** 2 + 4.0 * x[1],
-        ]
-    )
+    return [5.0 * x[0] + x[1], -5.0 * x[0] + x[1], x[0] ** 2 + x[1] ** 2 + 4.0 * x[1]]
 
 
 def dem_jac(x):
-    return np.array([[5.0, 1.0], [-5.0, 1.0], [2.0 * x[0], 2.0 * x[1] + 4.0]])
+    return [[5.0, 1.0], [-5.0, 1.0], [2.0 * x[0], 2.0 * x[1] + 4.0]]
 
 
 def ql(x):
     q = x[0] ** 2 + x[1] ** 2
-    return np.array(
-        [
-            q,
-            q + 10.0 * (-4.0 * x[0] - x[1] + 4.0),
-            q + 10.0 * (-x[0] - 2.0 * x[1] + 6.0),
-        ]
-    )
+    return [q, q + 10.0 * (-4.0 * x[0] - x[1] + 4.0), q + 10.0 * (-x[0] - 2.0 * x[1] + 6.0)]
 
 
 def ql_jac(x):
-    return np.array(
-        [
-            [2.0 * x[0], 2.0 * x[1]],
-            [2.0 * x[0] - 40.0, 2.0 * x[1] - 10.0],
-            [2.0 * x[0] - 10.0, 2.0 * x[1] - 20.0],
-        ]
-    )
+    return [[2.0 * x[0], 2.0 * x[1]], [2.0 * x[0] - 40.0, 2.0 * x[1] - 10.0], [2.0 * x[0] - 10.0, 2.0 * x[1] - 20.0]]
 
 
 def lq(x):
-    return np.array(
-        [
-            -x[0] - x[1],
-            -x[0] - x[1] + x[0] ** 2 + x[1] ** 2 - 1.0,
-        ]
-    )
+    return [-x[0] - x[1], -x[0] - x[1] + x[0] ** 2 + x[1] ** 2 - 1.0]
 
 
 def lq_jac(x):
-    return np.array([[-1.0, -1.0], [2.0 * x[0] - 1.0, 2.0 * x[1] - 1.0]])
+    return [[-1.0, -1.0], [2.0 * x[0] - 1.0, 2.0 * x[1] - 1.0]]
 
 
 def mifflin1(x):
-    return np.array(
-        [
-            -x[0],
-            -x[0] + 20.0 * (x[0] ** 2 + x[1] ** 2 - 1.0),
-        ]
-    )
+    return [-x[0], -x[0] + 20.0 * (x[0] ** 2 + x[1] ** 2 - 1.0)]
 
 
 def wolfe(x):
     # polyhedral sharp minimum with the 9/16 gradient geometry of the
     # classical subgradient zigzag example; minimum 0 at the origin
-    return np.array([9.0 * x[0] + 16.0 * x[1], 9.0 * x[0] - 16.0 * x[1], -x[0]])
+    return [9.0 * x[0] + 16.0 * x[1], 9.0 * x[0] - 16.0 * x[1], -x[0]]
 
 
 def rosen_suzuki(x):
@@ -319,56 +246,49 @@ def rosen_suzuki(x):
     c1 = 8.0 - x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2 - x[0] + x[1] - x[2] + x[3]
     c2 = 10.0 - x[0] ** 2 - 2.0 * x[1] ** 2 - x[2] ** 2 - 2.0 * x[3] ** 2 + x[0] + x[3]
     c3 = 5.0 - 2.0 * x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - 2.0 * x[0] + x[1] + x[3]
-    return np.array([f0, f0 - 10.0 * c1, f0 - 10.0 * c2, f0 - 10.0 * c3])
+    return [f0, f0 - 10.0 * c1, f0 - 10.0 * c2, f0 - 10.0 * c3]
 
 
 def rosen_suzuki_jac(x):
-    g0 = np.array([2.0 * x[0] - 5.0, 2.0 * x[1] - 5.0, 4.0 * x[2] - 21.0, 2.0 * x[3] + 7.0])
-    gc1 = np.array([-2.0 * x[0] - 1.0, -2.0 * x[1] + 1.0, -2.0 * x[2] - 1.0, -2.0 * x[3] + 1.0])
-    gc2 = np.array([-2.0 * x[0] + 1.0, -4.0 * x[1], -2.0 * x[2], -4.0 * x[3] + 1.0])
-    gc3 = np.array([-4.0 * x[0] - 2.0, -2.0 * x[1] + 1.0, -2.0 * x[2], 1.0])
-    return np.vstack([g0, g0 - 10.0 * gc1, g0 - 10.0 * gc2, g0 - 10.0 * gc3])
+    g0 = [2.0 * x[0] - 5.0, 2.0 * x[1] - 5.0, 4.0 * x[2] - 21.0, 2.0 * x[3] + 7.0]
+    gc1 = [-2.0 * x[0] - 1.0, -2.0 * x[1] + 1.0, -2.0 * x[2] - 1.0, -2.0 * x[3] + 1.0]
+    gc2 = [-2.0 * x[0] + 1.0, -4.0 * x[1], -2.0 * x[2], -4.0 * x[3] + 1.0]
+    gc3 = [-4.0 * x[0] - 2.0, -2.0 * x[1] + 1.0, -2.0 * x[2], 1.0]
+    return [g0] + [[a - 10.0 * b for a, b in zip(g0, gc)] for gc in (gc1, gc2, gc3)]
 
 
 def maxq(x):
-    return np.asarray(x, dtype=float) ** 2
+    return [v * v for v in x]
 
 
 def maxq_jac(x):
-    return 2.0 * np.diag(np.asarray(x, dtype=float))
+    return [[2.0 * v if i == j else 0.0 for j in range(len(x))] for i, v in enumerate(x)]
 
 
 def maxl(x):
-    x = np.asarray(x, dtype=float)
-    return np.concatenate([x, -x])
+    return [*x, *(-v for v in x)]
 
 
 def madsen(x):
-    return np.array(
-        [
-            x[0] ** 2 + x[1] ** 2 + x[0] * x[1],
-            math.sin(x[0]),
-            math.cos(x[1]),
-        ]
-    )
+    return [x[0] ** 2 + x[1] ** 2 + x[0] * x[1], math.sin(x[0]), math.cos(x[1])]
 
 
-CHEB_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-CHEB_Y = 1.0 / (1.0 + CHEB_T)
+CHEB_T = (0.0, 0.25, 0.5, 0.75, 1.0)
+CHEB_Y = tuple(1.0 / (1.0 + t) for t in CHEB_T)
 
 
 def chebyshev_line_fit(x):
-    r = x[0] + x[1] * CHEB_T - CHEB_Y
-    return np.concatenate([r, -r])
+    r = [x[0] + x[1] * t - y for t, y in zip(CHEB_T, CHEB_Y)]
+    return r + [-v for v in r]
 
 
-EXPFIT_T = np.array([0.0, 0.5, 1.0])
-EXPFIT_Y = np.array([1.1, 1.6, 2.8])
+EXPFIT_T = (0.0, 0.5, 1.0)
+EXPFIT_Y = (1.1, 1.6, 2.8)
 
 
 def expfit_minimax(x):
-    r = x[0] * np.exp(x[1] * EXPFIT_T) - EXPFIT_Y
-    return np.concatenate([r, -r])
+    r = [x[0] * math.exp(x[1] * t) - y for t, y in zip(EXPFIT_T, EXPFIT_Y)]
+    return r + [-v for v in r]
 
 
 def _maxq_start(n):
@@ -477,7 +397,3 @@ def find(name) -> int:
             return i
     raise ValueError(f"no benchmark problem named {name!r}")
 
-
-def residuals(name):
-    """The residual map of problem ``name``: what an oracle child serves."""
-    return REGISTRY[find(name)][4]

@@ -4,12 +4,13 @@ closed-form Jacobians and certified reference optima."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import problems
 from .core import FeasibleRegion, OuterFunction, Problem
-from .oracle import InProcessOracle
+from .oracle import InProcessOracle, OracleFailure
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,26 @@ class BenchmarkProblem:
         )
 
 
-_REGISTRY = [BenchmarkProblem(name, OuterFunction.from_value(h), *rest) for name, h, *rest in problems.REGISTRY]
+def _on_floats(fn, x):
+    """``fn``, a map of ``trfd.problems`` over lists of floats, at the
+    array ``x``, as an array.  A float fault (an overflow in ``exp`` or
+    ``**``, a division by zero) is a non-finite value, as numpy's would
+    have been."""
+    try:
+        return np.array(fn(np.asarray(x, dtype=float).tolist()))
+    except ArithmeticError as exc:
+        raise OracleFailure(f"oracle returned non-finite values: {exc}") from None
+
+
+def _record(name, h, n, m, residuals, x0, f_ref, note, jacobian=None, lipschitz=None, box=None):
+    # partial, not a lambda: a process pool pickles the records
+    if jacobian is not None:
+        jacobian = partial(_on_floats, jacobian)
+    return BenchmarkProblem(name, OuterFunction.from_value(h), n, m, partial(_on_floats, residuals), x0,
+                            f_ref, note, jacobian, lipschitz, box)
+
+
+_REGISTRY = [_record(*row) for row in problems.REGISTRY]
 
 
 def registry() -> list:

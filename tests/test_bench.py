@@ -424,7 +424,7 @@ def test_robustness_sweep_script(capsys):
             assert "numerical_trouble" not in line, line
 
 
-def fake_checkout(root, digest, wall_s):
+def fake_checkout(root, digest, wall_s, evals=9):
     """A checkout whose perfbench/run.py prints fixed identity lines,
     naming the workload, and metrics, and that declares two workloads and
     two end-to-end metrics."""
@@ -432,7 +432,7 @@ def fake_checkout(root, digest, wall_s):
     metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "solved_frac_1e-3": {"value": 0.5, "unit": "ratio"}}
     (root / "perfbench" / "run.py").write_text(
         "import sys\n"
-        "print('counters: ' + sys.argv[sys.argv.index('--workload') + 1] + ' evals=9')\n"
+        f"print('counters: ' + sys.argv[sys.argv.index('--workload') + 1] + ' evals={evals}')\n"
         f"print('trace digest sha256={digest} (traces)')\n"
         f"print({json.dumps(json.dumps({'attempted': 4, 'failed': 0, 'metrics': metrics}))})\n"
     )
@@ -465,8 +465,17 @@ def test_ab_pairs_script(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload external:" and len(lines) == 7
 
-    # a change of digest fails, though the change is faster
+    # a change of digest fails, though the change is faster, and says the
+    # counters held
     assert script.main([parent, other, "--workload", "registry", "--pairs", "1", "--seconds", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == "identity lines differ from the parent's first run:"
-    assert lines[-1] == "  pair 1 change: counters: registry evals=9 | trace digest sha256=bb (traces)"
+    assert lines[-3] == "identity lines differ from the parent's first run:"
+    assert lines[-2] == "  pair 1 change: counters: registry evals=9 | trace digest sha256=bb (traces)"
+    assert lines[-1] == "registry: only the trace digest differs, the counters do not"
+
+    # so does a change of counters, in every workload's block
+    recount = fake_checkout(tmp_path / "recount", "bb", 0.5, evals=8)
+    assert script.main([parent, recount, "--pairs", "1", "--seconds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "differ" in line and not line.startswith("identity")] == [
+        "registry: trace digest and counters differ", "external: trace digest and counters differ"]

@@ -13,7 +13,7 @@ from trfd.bench import Campaign, SolverConfig, run_campaign
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h
 from trfd.diagnostics import audit_trace
 from trfd.solver import TrfdParams, Termination, record_to_doc, solve
-from trfd.testset import registry, registry_by_name
+from trfd.testset import problem_to_config, registry, registry_by_name
 
 
 def test_box_constrained_rosenbrock():
@@ -62,27 +62,24 @@ def test_constrained_minimax_inf_norm():
 
 
 def test_external_oracle_trace_matches_in_process(demo_oracle_cmd, tmp_path):
-    # the wire protocol round-trips floats bit-exactly, so a subprocess
-    # oracle must reproduce the in-process trace byte for byte
+    # the wire protocol round-trips floats bit-exactly and the child runs
+    # the very maps the registry does, so a subprocess oracle must
+    # reproduce the in-process trace byte for byte; expfit_minimax's exp
+    # is math's on both sides
     from trfd.config import problem_from_config
 
-    bp = registry_by_name("rosenbrock")
-    local = bp.make_problem()
-    rec_local = solve(local, TrfdParams.defaults(local, PNorm.ONE, simplex_gradients=30))
-
-    remote = problem_from_config(
-        {
-            "name": "rosenbrock",
-            "n": 2, "m": 2, "h": "l1",
-            "x0": [-1.2, 1.0],
-            "oracle": {"command": f"{demo_oracle_cmd} --problem rosenbrock"},
-        }
-    )
-    try:
-        rec_remote = solve(remote, TrfdParams.defaults(remote, PNorm.ONE, simplex_gradients=30))
-    finally:
-        remote.oracle.close()
-    assert record_to_doc(rec_remote) == record_to_doc(rec_local)
+    for name, p in (("rosenbrock", PNorm.ONE), ("expfit_minimax", PNorm.INF)):
+        bp = registry_by_name(name)
+        local = bp.make_problem()
+        rec_local = solve(local, TrfdParams.defaults(local, p, simplex_gradients=30))
+        config = problem_to_config(bp)
+        config["oracle"] = {"command": f"{demo_oracle_cmd} --problem {name}"}
+        remote = problem_from_config(config)
+        try:
+            rec_remote = solve(remote, TrfdParams.defaults(remote, p, simplex_gradients=30))
+        finally:
+            remote.oracle.close()
+        assert record_to_doc(rec_remote) == record_to_doc(rec_local), name
 
 
 def test_cross_config_audits_whole_registry():

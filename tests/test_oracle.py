@@ -14,7 +14,7 @@ import trfd.oracle
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem
 from trfd.oracle import EvalBudget, ExternalOracle, InProcessOracle, OracleFailure
 from trfd.solver import Termination, TrfdParams, solve
-from trfd.testset import registry
+from trfd.testset import registry, registry_by_name
 
 
 def test_inprocess_rosenbrock_values():
@@ -99,23 +99,58 @@ except AttributeError:
     assert done.stdout == "ok\n"
 
 
-def test_oracle_child_loads_only_numpy_json_and_the_problems(demo_oracle_cmd):
-    # a fresh interpreter runs the child's main on --problem cb2: of trfd it
-    # loads the package, the child and the problem table, and neither the
-    # argument parser nor dataclasses
+def test_oracle_child_loads_no_numpy(demo_oracle_cmd):
+    # a fresh interpreter runs the child's main on the problems whose maps
+    # call math: of trfd it loads the package, the child and the problem
+    # table, and neither numpy, nor the argument parser, nor dataclasses
     code = """
 import io, sys
 import trfd.demo_oracle
-sys.stdin = io.StringIO('{"hello": {"n": 2, "m": 3}}\\n{"id": 0, "x": [1.0, -0.1]}\\n')
-assert trfd.demo_oracle.main(["--problem", "cb2"]) == 0
+from trfd import problems
+for name in ("cb2", "expfit_minimax", "gaussian", "brown_dennis"):
+    _, _, n, m, _, x0, *_ = problems.REGISTRY[problems.find(name)]
+    sys.stdin = io.StringIO('{"hello": {"n": %d, "m": %d}}\\n{"id": 0, "x": %s}\\n' % (n, m, list(x0)))
+    assert trfd.demo_oracle.main(["--problem", name]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "trfd"))
-print(sorted({"argparse", "dataclasses"} & set(sys.modules)))
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "argparse", "dataclasses")))
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == '{"ready": true}' and lines[1].startswith('{"id": 0, "fvec": [')
-    assert lines[2:] == ["['trfd', 'trfd.demo_oracle', 'trfd.problems']", "[]"]
+    for ready, reply in zip(lines[0:8:2], lines[1:8:2]):
+        assert ready == '{"ready": true}' and reply.startswith('{"id": 0, "fvec": [')
+    assert lines[8:] == ["['trfd', 'trfd.demo_oracle', 'trfd.problems']", "[]"]
+
+
+# what the child is started with, what its hello asks for -> its refusal
+SHAPE_MISMATCHES = {
+    "cb2 as n = 3": ("--problem cb2", 3, 3, "cb2 serves n = 2, m = 3, not n = 3, m = 3"),
+    "maxq_8 as n = 2": ("--problem maxq_8", 2, 2, "maxq_8 serves n = 8, m = 8, not n = 2, m = 2"),
+    "echo with m != n": ("--echo", 2, 3, "--echo serves n = 2, m = 2, not n = 2, m = 3"),
+}
+
+
+@pytest.mark.parametrize("mode, n, m, error", list(SHAPE_MISMATCHES.values()), ids=list(SHAPE_MISMATCHES))
+def test_oracle_child_refuses_a_hello_of_another_size(demo_oracle_cmd, mode, n, m, error):
+    # before any query: a child serving another n or m would answer every
+    # query of its own size, and the run would go on with a wrong problem
+    with pytest.raises(OracleFailure, match=f"^{re.escape('oracle handshake failed: oracle not ready: ' + error)}$"):
+        ExternalOracle(f"{demo_oracle_cmd} {mode}", n=n, m=m)
+
+
+def test_an_overflow_in_a_map_fails_the_evaluation(demo_oracle_cmd):
+    # gaussian's exp overflows at x2 = -1000; numpy's gave inf, and so
+    # does either oracle fail, not the process that calls it
+    x = np.array([0.4, -1000.0, 0.0])
+    with pytest.raises(OracleFailure, match="^oracle returned non-finite values: math range error$"):
+        registry_by_name("gaussian").make_problem().oracle.eval_F(x)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --problem gaussian", n=3, m=15)
+    try:
+        with pytest.raises(OracleFailure, match="^oracle error: math range error$"):
+            oracle.eval_F(x)
+        assert oracle.eval_F(np.array([0.4, 1.0, 0.0])).shape == (15,)
+    finally:
+        oracle.close()
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,27 @@ def test_a_step_past_a_one_sided_box_is_refused(p):
         check(np.array([0.0, 0.0, -0.6]))
 
 
+def test_an_lp_objective_off_the_model_value_is_refused():
+    # the allowance is 1e-7 (1 + |h(F)|), here with h(F) = 3
+    F, A, x = np.array([1.0, -2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2)
+    tr = reformulate(OuterFunction.L1, F, A, UNC2, x, PNorm.INF, 1.0)
+    d = np.array([-0.5, 0.5])
+    model_value = eval_h(tr.h, F + A @ d)
+    scale = 1.0 + abs(tr.base_value)
+    assert (tr.base_value, model_value) == (3.0, 2.0)
+
+    def check(objective):
+        result = SimplexResult(x=np.zeros(tr.lp.n_variables), objective=objective, iterations=0,
+                               max_residual=0.0)
+        _check_solution(tr, d, model_value, result)
+
+    for off in (0.5e-7, -0.5e-7):
+        check(model_value + off * scale)
+    for off in (2e-7, -2e-7):
+        with pytest.raises(NumericalTrouble, match="^LP objective inconsistent with model value$"):
+            check(model_value + off * scale)
+
+
 def test_ray_length_is_the_ratio_test_over_finite_sides_and_rows():
     F, A = np.zeros(1), np.zeros((1, 3))
 

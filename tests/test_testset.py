@@ -58,6 +58,55 @@ def test_every_entry_evaluates_at_start():
         assert f0 > bp.f_ref + 1e-12
 
 
+# h(F(x0)) of every registry problem, as the numpy maps the pure-Python
+# ones replaced wrote it into the first best_f of each trace
+H_AT_START = {
+    "linear_full_rank": "0x1.e000000000000p+3",
+    "linear_rank_one": "0x1.9780000000000p+9",
+    "rosenbrock": "0x1.a666666666666p+2",
+    "powell_singular": "0x1.6e29b10e02c3ep+4",
+    "freudenstein_roth": "0x1.8000000000000p+4",
+    "bard": "0x1.5e202ecfb9c86p+4",
+    "beale": "0x1.9800000000000p+2",
+    "helical_valley": "0x1.9000000000000p+5",
+    "gaussian": "0x1.61d43714fc49ep-8",
+    "box_3d": "0x1.8c9ad0ab0eb60p+6",
+    "wood": "0x1.af08edf440084p+7",
+    "brown_dennis": "0x1.613e678aac90ap+13",
+    "kowalik_osborne": "0x1.8fac944b3266ep-3",
+    "brown_almost_linear": "0x1.9f00000000000p+3",
+    "bdqrtic_8": "0x1.0000000000000p+6",
+    "cb2": "0x1.5a3d70a3d70a4p+2",
+    "cb3": "0x1.4000000000000p+4",
+    "dem": "0x1.8000000000000p+2",
+    "ql": "0x1.c000000000000p+5",
+    "lq": "0x1.0000000000000p+0",
+    "mifflin1": "-0x1.999999999999ap-1",
+    "wolfe": "0x1.d800000000000p+5",
+    "rosen_suzuki": "0x0.0p+0",
+    "maxq_8": "0x1.0000000000000p+6",
+    "maxl_6": "0x1.8000000000000p+2",
+    "madsen": "0x1.a000000000000p+3",
+    "chebyshev_line_fit": "0x1.0000000000000p+0",
+    "expfit_minimax": "0x1.f9c3805bdc97ep+0",
+}
+# maps whose exp, pow with a float exponent or dot product numpy computed
+# in its own vector loops, in ulps of h allowed.  gaussian's residuals
+# cancel: h = 0.0054 sums 15 differences of terms x1 exp(...) that add up
+# to 2.0, and one ulp of each term is 346 ulps of h in all (it moved 136)
+MOVED_ULPS = {"linear_rank_one": 4, "beale": 4, "gaussian": 346, "box_3d": 4, "expfit_minimax": 4}
+
+
+def test_every_map_keeps_its_value_at_the_start():
+    # a slip in transcribing a map moves h(F(x0)), which a pinned count
+    # of a whole campaign need not show
+    assert set(H_AT_START) == {bp.name for bp in registry()}
+    for bp in registry():
+        got = eval_h(bp.family, bp.make_problem().oracle.eval_F(bp.x0))
+        want = float.fromhex(H_AT_START[bp.name])
+        assert abs(got - want) <= MOVED_ULPS.get(bp.name, 0) * math.ulp(want), (bp.name, got.hex())
+
+
 def test_f_ref_provenance_notes():
     for bp in registry():
         assert bp.f_ref_note
