@@ -44,12 +44,21 @@ class PNorm(enum.Enum):
             raise ValueError(f'p = {value} is not "1" or "inf", the norms with a linear subproblem') from None
 
 
+def every(mask: np.ndarray) -> bool:
+    """Whether every entry of the 1-d boolean ``mask`` holds, as
+    ``mask.all()``: argmin finds the first False in a fraction of the
+    time a ufunc reduction takes to set up on the few entries this
+    package's arrays hold."""
+    return not mask.size or bool(mask[mask.argmin()])
+
+
 def norm(v, p: PNorm) -> float:
     """The p-norm of a vector, p in {1, inf}."""
-    v = np.asarray(v, dtype=float)
+    a = np.abs(v)
     if p is PNorm.ONE:
-        return float(np.add.reduce(np.abs(v)))
-    return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
+        return float(np.add.reduce(a))
+    # argmax takes a NaN first, as the maximum would, and |v| has no -0.0
+    return float(a[a.argmax()]) if a.size else 0.0
 
 
 def norm_constants(p: PNorm, n: int, m: int) -> tuple[float, float]:
@@ -85,7 +94,6 @@ class OuterFunction(enum.Enum):
 
 
 def eval_h(h: OuterFunction, z) -> float:
-    z = np.asarray(z, dtype=float)
     if h is OuterFunction.L1:
         return float(np.add.reduce(np.abs(z)))
     return float(np.maximum.reduce(z))

@@ -6,11 +6,14 @@ registry problem over stdin/stdout, or ``--echo`` for the identity map
 ``math`` and ``functools`` alone, and no numpy and no other trfd module,
 so it starts in little more than the interpreter's own time.  A hello
 that asks for another n or m than the child serves is answered
-``{"ready": false, "error": ...}``, and the child exits.
+``{"ready": false, "error": ...}``, and the child exits.  A query whose
+``x`` is not an array of n finite numbers is answered ``{"id": ..., "error":
+...}``, as is a float fault in the map, and the child serves on.
 """
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 from . import problems
@@ -48,20 +51,33 @@ def main(argv=None) -> int:
     stdout.write('{"ready": true}\n')
     stdout.flush()
 
+    n = served[0]
     for line in stdin:
         line = line.strip()
         if not line:
             continue
         req = json.loads(line)
         try:
-            fvec = fn([float(v) for v in req["x"]])
-        except ArithmeticError as exc:  # an overflow or a division by zero
+            fvec = fn(_point(req.get("x"), n))
+        except (ValueError, ArithmeticError) as exc:  # a bad x, an overflow or a division by zero
             stdout.write(json.dumps({"id": req["id"], "error": str(exc)}) + "\n")
         else:
             body = ", ".join([repr(float(v)) for v in fvec])
             stdout.write('{"id": %d, "fvec": [%s]}\n' % (req["id"], body))
         stdout.flush()
     return 0
+
+
+def _point(x, n: int) -> list:
+    """``x``, a query's JSON value, as n floats; a ValueError unless it is
+    an array of n finite numbers (a boolean is none, and ``json`` reads
+    1e400 as inf), and an OverflowError for an integer beyond float
+    range."""
+    if type(x) is list and len(x) == n and {int, float}.issuperset(map(type, x)):
+        point = [float(v) for v in x]
+        if all(map(math.isfinite, point)):
+            return point
+    raise ValueError(f'"x" must be an array of {n} finite numbers, not {json.dumps(x):.40}')
 
 
 if __name__ == "__main__":

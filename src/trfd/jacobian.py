@@ -28,8 +28,9 @@ def build_jacobian(eval_F, x, F_x, tau: float) -> np.ndarray:
     # validate every coordinate before spending any evaluation, so a
     # degenerate stepsize costs nothing
     stuck = x + tau == x
-    if np.logical_or.reduce(stuck):
-        raise DegenerateStep(f"x[{stuck.argmax()}] + tau is not representable (tau={tau:g})")
+    j = stuck.argmax()
+    if stuck[j]:
+        raise DegenerateStep(f"x[{j}] + tau is not representable (tau={tau:g})")
 
     A = np.empty((m, n))
     for j in range(n):

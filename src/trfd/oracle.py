@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsontext
+from .core import every
 
 DEFAULT_TIMEOUT = 60.0
 # seconds a closed child gets to exit after SIGTERM before it is killed
@@ -71,14 +72,16 @@ class BlackBoxOracle:
 
     def eval_F(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not np.logical_and.reduce(np.isfinite(x)):
+        if not every(np.isfinite(x)):
             raise OracleFailure("query point has non-finite components")
         fvec = self._evaluate(x)
         self.eval_count += 1
-        fvec = np.asarray(fvec, dtype=float).reshape(-1)
+        fvec = np.asarray(fvec, dtype=float)
+        if fvec.ndim != 1:
+            fvec = fvec.reshape(-1)
         if fvec.size != self.m:
             raise OracleFailure(f"oracle returned {fvec.size} values, expected {self.m}")
-        if not np.logical_and.reduce(np.isfinite(fvec)):
+        if not every(np.isfinite(fvec)):
             raise OracleFailure("oracle returned non-finite values")
         return fvec
 

@@ -139,9 +139,13 @@ def gaussian(x):
             for t, y in zip(((8.0 - i) / 2.0 for i in range(1, 16)), GAUSSIAN_Y)]
 
 
-def box_3d(x, m):
-    return [math.exp(-t * x[0]) - math.exp(-t * x[1]) - x[2] * (math.exp(-t) - math.exp(-10.0 * t))
-            for t in (0.1 * i for i in range(1, m + 1))]
+# box_3d's 10 nodes t = i/10 with exp(-t) - exp(-10 t), which no x moves
+BOX_3D_NODES = tuple((t, math.exp(-t) - math.exp(-10.0 * t)) for t in (0.1 * i for i in range(1, 11)))
+
+
+def box_3d(x):
+    x0, x1, x2 = x
+    return [math.exp(-t * x0) - math.exp(-t * x1) - x2 * g for t, g in BOX_3D_NODES]
 
 
 def wood(x):
@@ -156,11 +160,16 @@ def wood(x):
     ]
 
 
-def brown_dennis(x, m):
+# brown_dennis's 20 nodes t = i/5 with exp(t), sin(t) and cos(t)
+BROWN_DENNIS_NODES = tuple((t, math.exp(t), math.sin(t), math.cos(t)) for t in (i / 5.0 for i in range(1, 21)))
+
+
+def brown_dennis(x):
+    x0, x1, x2, x3 = x
     out = []
-    for t in (i / 5.0 for i in range(1, m + 1)):
-        a = x[0] + t * x[1] - math.exp(t)
-        b = x[2] + x[3] * math.sin(t) - math.cos(t)
+    for t, exp_t, sin_t, cos_t in BROWN_DENNIS_NODES:
+        a = x0 + t * x1 - exp_t
+        b = x2 + x3 * sin_t - cos_t
         out.append(a * a + b * b)
     return out
 
@@ -335,11 +344,11 @@ REGISTRY = (
         0.0, "residuals vanish at (1, 0, 0); certify_f_ref.py: 0.0000000000000"),
     ("gaussian", "l1", 3, 15, gaussian, (0.4, 1.0, 0.0),
         0.0003381651607, "certify_f_ref.py: 0.0003381651607 at (0.39898, 0.99996, 0)"),
-    ("box_3d", "l1", 3, 10, partial(box_3d, m=10), (0.0, 10.0, 20.0),
+    ("box_3d", "l1", 3, 10, box_3d, (0.0, 10.0, 20.0),
         0.0, "residuals vanish at (1, 10, 1); certify_f_ref.py: 0.0000000000000"),
     ("wood", "l1", 4, 6, wood, (-3.0, -1.0, -3.0, -1.0),
         0.0, "residuals vanish at (1, 1, 1, 1); certify_f_ref.py: 0.0000000000000"),
-    ("brown_dennis", "l1", 4, 20, partial(brown_dennis, m=20), (25.0, 5.0, -5.0, -1.0),
+    ("brown_dennis", "l1", 4, 20, brown_dennis, (25.0, 5.0, -5.0, -1.0),
         903.2343317964182, "certify_f_ref.py: 903.2343317964182 at (-10.224, 11.908, -0.458, 0.580)"),
     ("kowalik_osborne", "l1", 4, 11, kowalik_osborne, (0.25, 0.39, 0.415, 0.39),
         0.0387679733591, "certify_f_ref.py: 0.0387679733591 at (0.1934, 0.1938, 0.1089, 0.1397)"),

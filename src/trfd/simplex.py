@@ -49,10 +49,21 @@ change, inverting afresh every REFACTOR_EVERY changes within a solve.
 When the updated inverse shows no improving reduced cost, the basic
 values and duals are recomputed by LAPACK solves with the basis matrix
 itself and the reduced costs checked again; if one still improves, the
-loop goes on from a fresh inverse.  The pricing reads two masks of the
-nonbasics, those that may rise and those that may fall from their
-value; each solve builds them once and keeps them current at each bound
-flip and basis change, and a fixed column, at its bound, is in neither.
+loop goes on from a fresh inverse.
+
+The pricing reads two signed direction arrays over all columns: ``rise``
+is -1 where a nonbasic may rise from its value and 0 elsewhere, ``fall``
+is 1 where it may fall and 0 elsewhere, so a basic column, and a fixed
+one at its bound, is 0 in both.  Each solve builds them once and keeps
+them current at each bound flip and basis change.  The gain of column j,
+max(z_j rise_j, z_j fall_j), is |z_j| where z_j improves and at most
+OPT_TOL elsewhere, so one argmax over it gives Dantzig's column, the
+first index on a tie.  A reduced cost that is not finite gives a NaN
+gain (unless its column may move both ways), which argmax takes first:
+the first pass then finds no feasible start, the updated inverse goes to
+the LAPACK confirmation, and a confirmation that still prices one raises
+NumericalTrouble.
+
 LAPACK is called through numpy's own gufuncs, ``solve1`` and ``inv`` of
 ``numpy.linalg._umath_linalg``: the loops numpy's ``linalg.solve`` and
 ``linalg.inv`` run on float64, without those functions' Python
@@ -62,7 +73,9 @@ takes it as no feasible start, and the confirmation and every inversion
 raise NumericalTrouble.  One floating-point error scope covers each
 solve, so no LAPACK call or pivot warns.  Everything is deterministic:
 Dantzig pricing with first-index tie-breaking, switching to Bland's
-rule once the degenerate-pivot count passes 5 * (rows + columns).
+rule (the first column whose gain exceeds OPT_TOL enters, and the
+lowest-numbered basic among the tied ratios leaves) once a pivot loop's
+degenerate basis changes exceed BLAND_AFTER * (rows + columns).
 """
 from __future__ import annotations
 
@@ -72,6 +85,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .core import every
+
 # reduced-cost / feasibility target
 OPT_TOL = 1e-9
 # a basis-changing pivot with step below this counts as degenerate
@@ -80,6 +95,9 @@ DEGEN_TOL = 1e-12
 PIVOT_TOL = 1e-11
 # basis changes between fresh inversions of B
 REFACTOR_EVERY = 32
+# Bland's rule takes over once the degenerate pivots of one pivot loop
+# exceed this many per row and column
+BLAND_AFTER = 5
 
 
 class NumericalTrouble(Exception):
@@ -156,24 +174,26 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     above the start's objective.
     """
     nv, nr = lp.n_variables, lp.n_rows
-    x0 = np.minimum(np.maximum(np.asarray(start, dtype=float), lp.lower), lp.upper)
+    x0 = np.minimum(np.maximum(start, lp.lower), lp.upper)
     resid = lp.rhs - lp.rows @ x0
-    if not np.logical_and.reduce(resid >= -OPT_TOL):  # a NaN start fails too
+    # argmin takes a NaN first, so a NaN start fails too
+    if nr and not resid[resid.argmin()] >= -OPT_TOL:
         raise NumericalTrouble("start violates a row")
 
-    found = None
+    found = objective = None
     if lp.basic is not None:
         # restart: nonbasics go to the bound ``at_upper`` names, or where
         # that bound is infinite to the point of their bounds nearest 0
         value = np.where(lp.at_upper, lp.hi, lp.lo)
-        infinite = ~np.isfinite(value)
-        if np.logical_or.reduce(infinite):
-            value[infinite] = np.minimum(np.maximum(0.0, lp.lo), lp.hi)[infinite]
+        finite = np.isfinite(value)
+        if not every(finite):
+            value = np.where(finite, value, np.minimum(np.maximum(0.0, lp.lo), lp.hi))
         basic = lp.basic.copy()
         found = _optimize(lp, basic, value, lp.reduced)
         if found is not None:
             at_start = float(lp.c @ x0)
-            if float(lp.c @ value[:nv]) > at_start + OPT_TOL * (1.0 + abs(at_start)):
+            objective = float(lp.c @ value[:nv])
+            if objective > at_start + OPT_TOL * (1.0 + abs(at_start)):
                 found = None
     if found is None:
         # crash: nonbasics start at the clamped start and slacks at zero;
@@ -195,12 +215,15 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
             if tight[i]:
                 basic[i] = j
                 open_rows &= zero
+        objective = None
         found = _optimize(lp, basic, value, None)
         if found is None:
             raise NumericalTrouble("crashed basis infeasible")
     iters, reduced = found
 
     x = value[:nv].copy()
+    if objective is None:
+        objective = float(lp.c @ x)
     max_residual = _residual(lp, x)
     if not max_residual <= 1e-6:  # NaN fails too
         raise NumericalTrouble(f"solution residual {max_residual:.3e}")
@@ -210,7 +233,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     lp.reduced = reduced
     return SimplexResult(
         x=x,
-        objective=float(lp.c @ x),
+        objective=objective,
         iterations=iters,
         max_residual=max_residual,
     )
@@ -219,15 +242,17 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any row or bound at x (0 when feasible)."""
     gaps = np.concatenate([lp.rows @ x - lp.rhs, lp.lower - x, x - lp.upper])
-    return float(np.maximum.reduce(gaps, initial=0.0))
+    # max keeps a NaN first argument
+    return max(float(gaps[gaps.argmax()]), 0.0)
 
 
 def _optimize(lp: LinearProgram, basis, value, reduced):
     """Run the pivot loop on ``lp`` in place from ``basis``; returns the
     pivot count and the reduced costs the final LAPACK confirmation
-    proved, or None when the first pass finds the basis matrix singular
-    or puts a basic more than OPT_TOL outside its bounds (NaN too): that
-    basis is no feasible start.
+    proved, or None when the first pass finds the basis matrix singular,
+    puts a basic more than OPT_TOL outside its bounds (NaN too), or
+    prices a reduced cost that is not finite: that basis is no feasible
+    start.
 
     The first pass solves the basis matrix with LAPACK for the basics and
     takes ``reduced`` as the basis's reduced costs (a restart passes the
@@ -246,21 +271,30 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
     cost_b = cost[basis]
     lo_b = lo[basis]
     hi_b = hi[basis]
-    # the nonbasics that may rise or fall from their value, kept current
-    # at each bound flip and basis change; a fixed column sits at its
-    # bound, so neither holds for it
-    can_up = value < hi
-    can_dn = value > lo
-    can_up[basis] = False
-    can_dn[basis] = False
+    # the pricing's signed directions (see the module docstring), kept
+    # current at each bound flip and basis change
+    rise = np.where(value < hi, -1.0, 0.0)
+    fall = np.where(value > lo, 1.0, 0.0)
+    rise[basis] = 0.0
+    fall[basis] = 0.0
+    bland = False
 
-    def improving(z):
-        return (z < -OPT_TOL) & can_up | (z > OPT_TOL) & can_dn
+    def price(z):
+        """The entering column by Dantzig's rule, or Bland's once
+        ``bland`` is set; -1 when no gain exceeds OPT_TOL, and None when
+        a gain is NaN."""
+        gain = np.maximum(z * rise, z * fall)
+        e = int(gain.argmax())
+        best = gain[e]
+        if best > OPT_TOL:
+            return int((gain > OPT_TOL).argmax()) if bland else e
+        return -1 if best == best else None
 
     B = A[:, basis]
+    rhs = b - A @ value
     # a singular B gives NaN, which the bounds test rejects
-    xb = _umath_linalg.solve1(B, b - A @ value)
-    if not np.logical_and.reduce((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)):
+    xb = _umath_linalg.solve1(B, rhs)
+    if not every((lo_b - OPT_TOL <= xb) & (xb <= hi_b + OPT_TOL)):
         return None
     z = reduced
     if z is None:
@@ -268,15 +302,17 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         if not _finite(y):
             return None
         z = cost - y @ A
-    if not np.logical_or.reduce(improving(z)):
+    e = price(z)
+    if e is None:
+        return None
+    if e < 0:
         value[basis] = xb
         return 0, z
     B_inv = _inverse(B)
 
-    bland = False
     degenerate = 0
     updates = 0
-    bland_after = 5 * (nr + ncol)
+    bland_after = BLAND_AFTER * (nr + ncol)
     max_iters = 2000 + 200 * (nr + ncol)
     # the ratio test's buffer: a row whose pivot entry is too small keeps inf
     ratios = np.empty(nr)
@@ -285,13 +321,14 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         if updates == REFACTOR_EVERY:
             B_inv = _inverse(A[:, basis])
             updates = 0
-        rhs = b - A @ value
+        if it:  # the first pass's right-hand side serves the first
+            rhs = b - A @ value
         xb = B_inv @ rhs
         y = cost_b @ B_inv
 
         z = cost - y @ A
-        entering = improving(z)
-        if not np.logical_or.reduce(entering):
+        e = price(z)
+        if e is None or e < 0:
             # confirm optimality with a fresh LAPACK solve of B; if a
             # reduced cost still improves, go on from a fresh inverse
             B = A[:, basis]
@@ -300,17 +337,15 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
             if not (_finite(xb) and _finite(y)):
                 raise NumericalTrouble("singular basis")
             z = cost - y @ A
-            entering = improving(z)
-            if not np.logical_or.reduce(entering):
+            e = price(z)
+            if e is None:
+                raise NumericalTrouble("reduced cost not finite")
+            if e < 0:
                 value[basis] = xb
                 return it, z
             B_inv = _inverse(B)
             updates = 0
 
-        if bland:
-            e = int(entering.argmax())
-        else:
-            e = int(np.where(entering, np.abs(z), -1.0).argmax())
         direction = 1.0 if z[e] < 0 else -1.0
 
         w = B_inv @ A[:, e]
@@ -325,16 +360,17 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
         ratios.fill(np.inf)
         np.divide(gap, size, out=ratios, where=size > PIVOT_TOL)
 
-        sigma_rows = np.minimum.reduce(ratios) if nr else np.inf
+        # argmin takes a NaN first, as the minimum would
+        sigma_rows = ratios[ratios.argmin()] if nr else np.inf
         sigma = min(sigma_own, sigma_rows)
         if not math.isfinite(sigma):
             raise NumericalTrouble("unbounded direction")
 
         if sigma_own <= sigma_rows:
             # bound flip, no basis change
-            value[e] = hi[e] if direction > 0 else lo[e]
-            can_up[e] = value[e] < hi[e]
-            can_dn[e] = value[e] > lo[e]
+            value[e] = bound = hi[e] if direction > 0 else lo[e]
+            rise[e] = -1.0 if bound < hi[e] else 0.0
+            fall[e] = 1.0 if bound > lo[e] else 0.0
             continue
 
         tied = ratios <= sigma + 1e-12 * max(1.0, sigma)
@@ -346,12 +382,11 @@ def _optimize(lp: LinearProgram, basis, value, reduced):
             raise NumericalTrouble("pivot element too small")
 
         leave_col = int(basis[leave])
-        value[leave_col] = lo_b[leave] if falling[leave] else hi_b[leave]
-        can_up[leave_col] = value[leave_col] < hi[leave_col]
-        can_dn[leave_col] = value[leave_col] > lo[leave_col]
+        value[leave_col] = bound = lo_b[leave] if falling[leave] else hi_b[leave]
+        rise[leave_col] = -1.0 if bound < hi[leave_col] else 0.0
+        fall[leave_col] = 1.0 if bound > lo[leave_col] else 0.0
         basis[leave] = e
-        value[e] = 0.0
-        can_up[e] = can_dn[e] = False
+        value[e] = rise[e] = fall[e] = 0.0
         cost_b[leave] = cost[e]
         lo_b[leave] = lo[e]
         hi_b[leave] = hi[e]
@@ -381,5 +416,5 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of a LAPACK result is finite; a singular
     matrix gives NaN."""
-    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+    return every(np.isfinite(a).ravel())
 

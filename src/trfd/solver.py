@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -200,6 +201,8 @@ SNAPSHOT_ROW = (
     ("evals_iter", "evals_iter", "integer"),
     ("evals_total", "evals_total", "integer"),
 )
+_ROW_KEYS = tuple(key for _, key, _ in SNAPSHOT_ROW)
+_row_values = operator.attrgetter(*(name for name, _, _ in SNAPSHOT_ROW))
 
 
 @dataclass
@@ -382,10 +385,7 @@ def record_to_doc(record: RunRecord) -> dict:
             "stop_delta": p.stop_delta,
             "stop_eta": p.stop_eta,
         },
-        "iterations": [
-            {key: getattr(s, name) for name, key, _ in SNAPSHOT_ROW} | {"class": s.cls.value, "x": s.x.tolist()}
-            for s in record.iterations
-        ],
+        "iterations": list(map(_trace_row, record.iterations)),
         "best_f": list(map(float, record.best_f)),
         "termination": record.termination.value,
         "termination_evals": record.termination_evals,
@@ -394,6 +394,13 @@ def record_to_doc(record: RunRecord) -> dict:
         "final_f": record.final_f if math.isfinite(record.final_f) else None,
         "total_evals": record.total_evals,
     }
+
+
+def _trace_row(s: IterationSnapshot) -> dict:
+    """The trace row of one snapshot, its fields in SNAPSHOT_ROW's order."""
+    row = dict(zip(_ROW_KEYS, _row_values(s)))
+    row["class"], row["x"] = s.cls.value, s.x.tolist()
+    return row
 
 
 def record_from_doc(doc: dict) -> RunRecord:

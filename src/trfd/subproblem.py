@@ -152,6 +152,8 @@ class SubproblemSolution:
     d_star: np.ndarray
     model_value: float
     eta: float
+    # the p-norm of d_star
+    step_norm: float
 
 
 def reformulate(
@@ -217,8 +219,9 @@ def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
     result = solve_lp(tr.lp, start=tr.start)
     d = tr.extract_d(result.x)
     model_value = eval_h(tr.h, tr.F_x + tr.A @ d)
+    step_norm = norm(d, tr.p)
 
-    _check_solution(tr, d, model_value, result)
+    _check_solution(tr, d, step_norm, model_value, result)
 
     # the true optimum never exceeds the value at d = 0, so any negative
     # eta that survives the model-vs-base guard is rounding; snapping it
@@ -226,7 +229,7 @@ def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
     eta = (tr.base_value - model_value) / tr.radius
     if eta <= ETA_SNAP:
         eta = 0.0
-    return SubproblemSolution(d_star=d, model_value=model_value, eta=eta)
+    return SubproblemSolution(d_star=d, model_value=model_value, eta=eta, step_norm=step_norm)
 
 
 def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor: float):
@@ -256,7 +259,7 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     r = tr.radius
     F, A, base = tr.F_x, tr.A, tr.base_value
     d = sol.d_star
-    size = norm(d, tr.p)
+    size = sol.step_norm
     # a step inside the ball reads psi(delta) as the LP read it
     psi_upper = psi_lower = base - sol.model_value
     if size > r:
@@ -272,7 +275,9 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     # rounding noise of that size never clears it.
     m, n = A.shape
     unit = 4 * (m + n + 1) * MACHINE_EPS
-    spread_F, col_A = float(np.add.reduce(np.abs(F))), np.add.reduce(np.abs(A), axis=0)
+    # for L1, sum(|F|) is h(F), computed alike
+    spread_F = base if tr.h is OuterFunction.L1 else float(np.add.reduce(np.abs(F)))
+    col_A = np.add.reduce(np.abs(A), axis=0)
     allowance = unit * (spread_F + float(col_A @ np.abs(d)))
     if (psi_lower - allowance) / r_ref > 2.0 * floor and psi_lower >= (1.0 - BRACKET_RTOL) * psi_upper:
         return psi_lower / r_ref, psi_upper / r, r
@@ -297,9 +302,12 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     lower = psi / r_ref
     certified = (psi - unit * (spread_F + rho * float(col_A @ np.abs(u)))) / r_ref > 2.0 * floor
     certified &= (lower <= upper) & (lower * r_ref <= upper * (1.0 + BRACKET_RTOL) * rho)
-    if not np.logical_or.reduce(certified):
+    if not certified.size:
         return None
+    # a certified decrease is positive, so the largest is certified when any is
     k = int(np.where(certified, psi, -np.inf).argmax())
+    if not certified[k]:
+        return None
     return float(lower[k]), upper, float(rho[k])
 
 
@@ -339,15 +347,17 @@ def _ray_length(tr: TrustRegionLP, u: np.ndarray) -> float:
     return float(t)
 
 
-def _check_solution(tr, d, model_value, result: SimplexResult) -> None:
+def _check_solution(tr, d, step_norm, model_value, result: SimplexResult) -> None:
     # abort threshold is 1e-6 absolute on constraint residuals; the LP
     # works in absolute arithmetic, so at tiny radii the step may
     # overshoot the ball by rounding-level amounts without being wrong
     abort = FEAS_TOL * 1e3
     r = tr.radius
-    if norm(d, tr.p) - r > abort:
+    if step_norm - r > abort:
         raise NumericalTrouble("step left the trust region")
-    if not tr.region.contains(tr.x + d, abort):
+    # every step lies in a region with no finite side and no row
+    region = tr.region
+    if (region.bounded or region.linear_ineq) and not region.contains(tr.x + d, abort):
         raise NumericalTrouble("step left the feasible region")
     # the LP objective and the recomputed model must agree
     scale = 1.0 + abs(tr.base_value)

@@ -55,11 +55,11 @@ class BenchmarkProblem:
 
 def _on_floats(fn, x):
     """``fn``, a map of ``trfd.problems`` over lists of floats, at the
-    array ``x``, as an array.  A float fault (an overflow in ``exp`` or
-    ``**``, a division by zero) is a non-finite value, as numpy's would
+    float array ``x``, as an array.  A float fault (an overflow in ``exp``
+    or ``**``, a division by zero) is a non-finite value, as numpy's would
     have been."""
     try:
-        return np.array(fn(np.asarray(x, dtype=float).tolist()))
+        return np.array(fn(x.tolist()))
     except ArithmeticError as exc:
         raise OracleFailure(f"oracle returned non-finite values: {exc}") from None
 

@@ -177,6 +177,30 @@ def test_a_decrease_of_rounding_size_never_clears_the_threshold():
     tr = reformulate(h, F, A, region, x, PNorm.INF, 1.0)
     model_value = eval_h(h, F + A @ d)
     assert tr.base_value - model_value > 1e-7
-    step = SubproblemSolution(d_star=d, model_value=model_value, eta=tr.base_value - model_value)
+    step = SubproblemSolution(d_star=d, model_value=model_value, eta=tr.base_value - model_value,
+                              step_norm=norm(d, PNorm.INF))
     assert eta_bracket(tr, step, DELTA_STAR, ETA_SNAP) is None
     assert solve_tr_subproblem(reformulate(h, F, A, region, x, PNorm.INF, DELTA_STAR)).eta == 0.0
+
+
+def test_a_ray_point_against_concavity_is_never_taken():
+    # F = 10, A = -1: psi(rho) = rho up to rho = 10, then 20 - rho.  The LP
+    # at delta = 1 decreases the model by 1, but this solution states a
+    # model value of 9.9, a decrease of 0.1.  That alone is under twice
+    # the floor at Delta* (0.1/1000 < 2e-4), so the bracket reads the ray:
+    # rho = 4 and rho = 16 clear the floor (4/1000 > 2e-4) and lie under
+    # the upper end (4/1000 < 0.1), but psi(rho)/rho = 1 or 0.25 exceeds
+    # psi(delta)/delta = 0.1, which no concave psi allows; rho = 64 and
+    # Delta* itself read no decrease
+    h, region, x = OuterFunction.L1, FeasibleRegion.unconstrained(1), np.zeros(1)
+    F, A = np.array([10.0]), np.array([[-1.0]])
+    tr = reformulate(h, F, A, region, x, PNorm.INF, 1.0)
+    step = solve_tr_subproblem(tr)
+    assert (step.d_star.tolist(), step.model_value) == ([1.0], 9.0)
+    floor = 1e-4
+    assert eta_bracket(tr, step, DELTA_STAR, floor) == (1.0 / DELTA_STAR, 1.0, 1.0)
+    understated = SubproblemSolution(d_star=step.d_star, model_value=9.9, eta=0.1, step_norm=1.0)
+    for rho in (4.0, 16.0):
+        psi = tr.base_value - eval_h(h, F + A @ (rho * step.d_star))
+        assert psi / DELTA_STAR > 2.0 * floor and psi / DELTA_STAR < 0.1 < psi / rho
+    assert eta_bracket(tr, understated, DELTA_STAR, floor) is None

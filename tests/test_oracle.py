@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shlex
@@ -136,6 +137,26 @@ def test_oracle_child_refuses_a_hello_of_another_size(demo_oracle_cmd, mode, n, 
     # query of its own size, and the run would go on with a wrong problem
     with pytest.raises(OracleFailure, match=f"^{re.escape('oracle handshake failed: oracle not ready: ' + error)}$"):
         ExternalOracle(f"{demo_oracle_cmd} {mode}", n=n, m=m)
+
+
+@pytest.mark.parametrize("mode, m", [("--problem cb2", 3), ("--echo", 2)])
+def test_oracle_child_answers_a_query_without_n_numbers_and_serves_on(demo_oracle_cmd, mode, m):
+    # a raw child after a hello of n = 2: a query of 3 values, one holding
+    # a string, one without "x", one holding an inf (as json reads 1e400),
+    # then a good one, which it still answers
+    queries = ['{"id": 0, "x": [1.0, 2.0, 3.0]}', '{"id": 1, "x": ["a", 2.0]}', '{"id": 2}',
+               '{"id": 3, "x": [1e400, 2.0]}', '{"id": 4, "x": [1.0, 2.0]}']
+    hello = '{"hello": {"n": 2, "m": %d}}' % m
+    done = subprocess.run([*shlex.split(demo_oracle_cmd), *mode.split()], input="\n".join([hello, *queries]) + "\n",
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    ready, *replies = done.stdout.splitlines()
+    assert ready == '{"ready": true}' and len(replies) == 5
+    for qid, shown in enumerate(['[1.0, 2.0, 3.0]', '["a", 2.0]', 'null', '[Infinity, 2.0]']):
+        error = f'"x" must be an array of 2 finite numbers, not {shown}'
+        assert json.loads(replies[qid]) == {"id": qid, "error": error}
+    last = json.loads(replies[4])
+    assert last["id"] == 4 and len(last["fvec"]) == m
 
 
 def test_an_overflow_in_a_map_fails_the_evaluation(demo_oracle_cmd):

@@ -259,6 +259,37 @@ def test_singular_kept_basis_falls_back_to_the_crash(h, p):
             lp.basic = kept
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_kept_reduced_cost_that_is_not_finite_falls_back_to_the_crash(bad, monkeypatch):
+    # a non-finite reduced cost gives a NaN gain in any column that cannot
+    # both rise and fall, a basic one too, and pricing takes it as the
+    # largest: the restart finds no feasible start in its basis and crashes
+    # from the start as a cold solve does
+    runs = []
+    real_optimize = simplex._optimize
+
+    def recording_optimize(lp, basis, value, reduced):
+        out = real_optimize(lp, basis, value, reduced)
+        runs.append(out is not None)
+        return out
+
+    monkeypatch.setattr(simplex, "_optimize", recording_optimize)
+    rng = np.random.default_rng(73)
+    for h, p in (("l1", "1"), ("minimax", "inf")):
+        inst = random_tr_instance(rng, h, p, n=3, m=4, constrained=True)
+        cold_tr, tr = reformulate(*inst), reformulate(*inst)
+        want = solve_lp(cold_tr.lp, cold_tr.start)
+        solve_lp(tr.lp, tr.start)
+        lp = tr.lp
+        lp.reduced = lp.reduced.copy()
+        lp.reduced[lp.basic[0]] = bad
+        runs.clear()
+        got = solve_lp(lp, tr.start)
+        assert runs == [False, True]
+        assert np.array_equal(got.x, want.x)
+        assert (got.objective, got.iterations) == (want.objective, want.iterations)
+
+
 def test_inverse_of_a_singular_basis_raises():
     # inside the floating-point error scope every solve_lp call runs in
     with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore", divide="ignore"):

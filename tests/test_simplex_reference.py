@@ -6,7 +6,10 @@ names: every restart checks its basis with a LAPACK solve and inverts it
 afresh, and the pivot loop masks, indexes and clips element by element.
 The arithmetic of a pivot is the same in both, so on the same LP the two
 must agree bit for bit: the vertex, the objective, the pivot count and
-the final basis.  A basis carried to a new model has no such reference;
+the final basis.  Both read the degenerate-pivot allowance before Bland's
+rule, ``simplex.BLAND_AFTER``, at each solve, so a test that lowers it
+runs both on Bland's rule; ``bland_entries`` counts the reference's
+switches to it.  A basis carried to a new model has no such reference;
 its optima are checked against cold solves and HiGHS instead.
 """
 import numpy as np
@@ -30,6 +33,9 @@ try:  # independent reference solver; optional, not a runtime dependency
     from scipy.optimize import linprog
 except ImportError:
     linprog = None
+
+
+bland_entries = []
 
 
 def reference_solve_lp(lp, start):
@@ -98,7 +104,7 @@ def _reference_optimize(A, b, lo, hi, cost, basis, value):
 
     bland = False
     degenerate = 0
-    bland_after = 5 * (nr + ncol)
+    bland_after = simplex.BLAND_AFTER * (nr + ncol)
     max_iters = 2000 + 200 * (nr + ncol)
     B_inv = np.linalg.inv(A[:, basis])
     updates = 0
@@ -178,8 +184,9 @@ def _reference_optimize(A, b, lo, hi, cost, basis, value):
 
         if sigma <= DEGEN_TOL:
             degenerate += 1
-            if degenerate > bland_after:
+            if degenerate > bland_after and not bland:
                 bland = True
+                bland_entries.append(it)
 
     raise NumericalTrouble("pivot limit exceeded (cycling safeguard)")
 
@@ -252,9 +259,7 @@ def test_fixed_columns_match_reference_and_enumeration():
             assert got.objective == pytest.approx(enumerate_lp_minimum(lp), rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("h", ["l1", "minimax"])
-@pytest.mark.parametrize("p", ["1", "inf"])
-def test_subproblem_radius_chain_matches_reference(h, p):
+def _radius_chains_match_reference(h, p):
     # as in the solver: the LP at r, a U2 retry at r / 2, then the Delta*
     # LP and its step LPs at r and r / 2
     rng = np.random.default_rng(53)
@@ -268,6 +273,30 @@ def test_subproblem_radius_chain_matches_reference(h, p):
                 tr.set_radius(radius)
                 ref.set_radius(radius)
                 _assert_bit_equal(tr.lp, ref.lp, tr.start)
+
+
+@pytest.mark.parametrize("h", ["l1", "minimax"])
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_subproblem_radius_chain_matches_reference(h, p):
+    _radius_chains_match_reference(h, p)
+
+
+def test_blands_rule_matches_reference(monkeypatch):
+    # no LP above pivots degenerately long enough to reach Bland's rule at
+    # the solvers' allowance; at 0, the first degenerate basis change of a
+    # pivot loop switches both solvers to it
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+    for h in ("l1", "minimax"):
+        for p in ("1", "inf"):
+            bland_entries.clear()
+            _radius_chains_match_reference(h, p)
+            assert bland_entries, (h, p)
+    bland_entries.clear()
+    rng = np.random.default_rng(52)
+    for _ in range(100):
+        lp, xbar = random_mixed_lp(rng)
+        _assert_bit_equal(lp, _twin(lp), xbar)
+    assert bland_entries
 
 
 def test_zero_pivot_restart_inverts_nothing(monkeypatch):

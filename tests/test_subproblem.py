@@ -246,7 +246,7 @@ def test_a_step_past_a_one_sided_box_is_refused(p):
         model_value = eval_h(tr.h, F + A @ d)
         result = SimplexResult(x=np.zeros(tr.lp.n_variables), objective=model_value, iterations=0,
                                max_residual=0.0)
-        _check_solution(tr, d, model_value, result)
+        _check_solution(tr, d, norm(d, tr.p), model_value, result)
 
     # along an infinite side, and onto the finite one within the tolerance
     check(np.array([0.0, 0.9, 0.0]))
@@ -267,7 +267,7 @@ def test_an_lp_objective_off_the_model_value_is_refused():
     def check(objective):
         result = SimplexResult(x=np.zeros(tr.lp.n_variables), objective=objective, iterations=0,
                                max_residual=0.0)
-        _check_solution(tr, d, model_value, result)
+        _check_solution(tr, d, norm(d, tr.p), model_value, result)
 
     for off in (0.5e-7, -0.5e-7):
         check(model_value + off * scale)

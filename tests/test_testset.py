@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from trfd import problems
 from trfd.core import OuterFunction, eval_h
 from trfd.jacobian import build_jacobian
 from trfd.testset import (
@@ -105,6 +106,29 @@ def test_every_map_keeps_its_value_at_the_start():
         got = eval_h(bp.family, bp.make_problem().oracle.eval_F(bp.x0))
         want = float.fromhex(H_AT_START[bp.name])
         assert abs(got - want) <= MOVED_ULPS.get(bp.name, 0) * math.ulp(want), (bp.name, got.hex())
+
+
+def test_hoisted_nodes_keep_the_inline_formulas_bit_for_bit():
+    # brown_dennis and box_3d read exp, sin and cos at their fixed nodes
+    # from tables built at import; the same formulas, computed at each call:
+    def brown_dennis_inline(x):
+        out = []
+        for t in (i / 5.0 for i in range(1, 21)):
+            a = x[0] + t * x[1] - math.exp(t)
+            b = x[2] + x[3] * math.sin(t) - math.cos(t)
+            out.append(a * a + b * b)
+        return out
+
+    def box_3d_inline(x):
+        return [math.exp(-t * x[0]) - math.exp(-t * x[1]) - x[2] * (math.exp(-t) - math.exp(-10.0 * t))
+                for t in (0.1 * i for i in range(1, 11))]
+
+    rng = np.random.default_rng(29)
+    for scale in (1e-3, 1.0, 30.0):
+        for x in (rng.standard_normal((500, 4)) * scale).tolist():
+            for fn, inline, n in ((problems.brown_dennis, brown_dennis_inline, 4),
+                                  (problems.box_3d, box_3d_inline, 3)):
+                assert list(map(float.hex, fn(x[:n]))) == list(map(float.hex, inline(x[:n])))
 
 
 def test_f_ref_provenance_notes():
