@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     group.update({(p, f"new:{c}"): rec for (p, c), rec in new.items()})
     solvers = sorted({c for _, c in old})
     for tol in DEFAULT_TOLERANCES:
-        curves = data_profile(group, tol).curves
+        curves = data_profile(group, tol)
         parts = []
         for s in solvers:
             delta = [b - a for a, b in zip(curves[f"old:{s}"], curves[f"new:{s}"])]

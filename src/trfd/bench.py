@@ -148,16 +148,9 @@ class EmptyGroup(Exception):
     """No records to profile."""
 
 
-@dataclass
-class DataProfile:
-    tolerance: float
-    budget: int
-    solvers: tuple
-    curves: dict  # solver name -> list of fractions, index = kappa 0..budget
-
-
-def data_profile(records: dict, tolerance: float, budget: int | None = None) -> DataProfile:
-    """Profile a group of records keyed (problem, solver) -> RunRecord."""
+def data_profile(records: dict, tolerance: float, budget: int | None = None) -> dict:
+    """Profile a group of records keyed (problem, solver) -> RunRecord:
+    solver name -> list of fractions solved, index = kappa 0..budget."""
     if not records:
         raise EmptyGroup("no records")
     solvers = sorted({conf for _, conf in records})
@@ -199,19 +192,16 @@ def data_profile(records: dict, tolerance: float, budget: int | None = None) -> 
             sum(1 for _, t, n in solved_at if t is not None and t <= kappa * (n + 1)) / len(problems)
             for kappa in range(budget + 1)
         ]
-    return DataProfile(
-        tolerance=tolerance,
-        budget=budget,
-        solvers=tuple(solvers),
-        curves=curves,
-    )
+    return curves
 
 
-def emit_profile_csv(profile: DataProfile, path) -> None:
-    """kappa column plus one column per solver, full-precision floats; a
-    solver name that holds a comma or a quote is quoted."""
+def emit_profile_csv(curves: dict, path) -> None:
+    """kappa column plus one column per solver, in name order, with
+    full-precision floats; a solver name that holds a comma or a quote
+    is quoted."""
+    solvers = sorted(curves)
     with open(path, "w", encoding="ascii", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["kappa", *profile.solvers])
-        for kappa in range(profile.budget + 1):
-            out.writerow([kappa] + [repr(profile.curves[s][kappa]) for s in profile.solvers])
+        out.writerow(["kappa", *solvers])
+        for kappa in range(len(curves[solvers[0]])):
+            out.writerow([kappa] + [repr(curves[s][kappa]) for s in solvers])

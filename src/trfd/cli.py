@@ -146,12 +146,12 @@ def _profile_error(message) -> int:
 def _write_profiles(records, tolerances, out_dir) -> None:
     """Build every profile, to the records' budget, then write them: a
     group that cannot be profiled raises EmptyGroup before any file is written."""
-    for profile in [data_profile(records, tol) for tol in tolerances]:
-        name = np.format_float_scientific(profile.tolerance, trim="-", exp_digits=2)
+    for tol, curves in [(tol, data_profile(records, tol)) for tol in tolerances]:
+        name = np.format_float_scientific(tol, trim="-", exp_digits=2)
         path = os.path.join(out_dir, f"profile_tol{name}.csv")
-        emit_profile_csv(profile, path)
+        emit_profile_csv(curves, path)
         print(f"wrote {path} (solved at full budget: "
-              + ", ".join(f"{s}={profile.curves[s][-1]:.3f}" for s in profile.solvers) + ")")
+              + ", ".join(f"{s}={curves[s][-1]:.3f}" for s in sorted(curves)) + ")")
 
 
 def _cmd_audit(args) -> int:
@@ -174,9 +174,8 @@ def _cmd_audit(args) -> int:
             print(f"{path}: FAILED: {type(exc).__name__}: {exc}")
             continue
         try:
-            report = audit_trace(record, analytic=_certificate(record))
-            extra = " +radius-floor" if report.delta_min_applicable else ""
-            print(f"{path}: ok ({report.iterations} iterations{extra})")
+            extra = " +radius-floor" if audit_trace(record, analytic=_certificate(record)) else ""
+            print(f"{path}: ok ({len(record.iterations)} iterations{extra})")
         except AuditFailure as exc:
             failures += 1
             print(f"{path}: FAILED: {exc}")

@@ -77,8 +77,10 @@ def problem_from_config(doc: dict) -> Problem:
     _known_keys(binding, ORACLE_KEYS, '"oracle"')
     if "registry" in binding:
         bp = registry_by_name(field(binding, "registry", "string"))
-        if bp.m != m:
-            raise ValueError(f"registry oracle {bp.name!r} has m={bp.m}, config says {m}")
+        # residuals of another n would ignore coordinates, or read past x
+        for key, want, got in (("n", bp.n, n), ("m", bp.m, m)):
+            if want != got:
+                raise ValueError(f"registry oracle {bp.name!r} has {key}={want}, config says {got}")
         oracle = InProcessOracle(bp.residuals, m)
     elif "command" in binding:
         oracle = ExternalOracle(field(binding, "command", "string"), n=n, m=m,

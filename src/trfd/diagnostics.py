@@ -67,22 +67,14 @@ def delta_min(params: TrfdParams, L_J: float) -> float:
     )
 
 
-@dataclass
-class AuditReport:
-    """What a clean audit checked: ``audit_trace`` raises on a failure."""
-
-    iterations: int
-    delta_min_applicable: bool = False
-
-
-def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> AuditReport:
+def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> bool:
     """Replay a trace against every recorded-state invariant.
 
     Raises AuditFailure naming the first violated invariant and the
     iteration index.  When an analytic certificate is supplied and the
     true stationarity measure stays above epsilon along the whole trace
     (with every iterate inside the certificate box), the radius floor is
-    enforced as well.
+    enforced as well.  Returns whether that radius-floor check ran.
     """
     p = record.params
     n = record.n
@@ -185,8 +177,6 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
     if record.total_evals > (n + 1) * (len(snaps) + partial) + 1:
         raise AuditFailure("per-iteration evaluation bound violated")
 
-    report = AuditReport(iterations=len(snaps))
-
     if analytic is not None and snaps and all(analytic.in_box(s.x) for s in snaps):
         psis = [psi(analytic, s.x, p.p, p.delta_star) for s in snaps]
         if min(psis) > p.epsilon:
@@ -194,8 +184,8 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> A
             for s in snaps:
                 if s.delta < floor:
                     fail(s.k, f"delta {s.delta:.6e} fell under the floor {floor:.6e}")
-            report.delta_min_applicable = True
-    return report
+            return True
+    return False
 
 
 def _classify(s, eps_half, alpha, sqrt_n) -> IterationClass:

@@ -165,12 +165,9 @@ def reformulate(
     p: PNorm,
     r: float,
 ) -> TrustRegionLP:
-    F_x = np.asarray(F_x, dtype=float)
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    m, n = A.shape
-    if F_x.shape != (m,) or x.shape != (n,):
-        raise ValueError("dimension mismatch")
+    # set_model converts F_x, A and x, and checks their shapes against
+    # the zero placeholders the LP is built with
+    m, n = np.asarray(A, dtype=float).shape
 
     # d = E z with E = I (p = inf) or [I, -I] (p = 1, z = (u, v)).  The
     # model block over [z | t] and the region's right-hand sides are left
@@ -206,7 +203,8 @@ def reformulate(
         upper=np.concatenate([z_hi, t_hi]),
     )
     tr = TrustRegionLP(
-        lp=lp, h=h, p=p, F_x=F_x, A=A, region=region, x=x, base_value=0.0, start=np.zeros(nz + nt),
+        lp=lp, h=h, p=p, F_x=np.zeros(m), A=np.zeros((m, n)), region=region, x=np.zeros(n),
+        base_value=0.0, start=np.zeros(nz + nt),
     )
     tr.set_model(F_x, A, x)
     tr.set_radius(r)

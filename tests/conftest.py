@@ -1,7 +1,18 @@
+import ctypes
+import glob
 import itertools
 import os
 import sys
 from pathlib import Path
+
+# The pinned counts and digests depend on the OpenBLAS kernel and, from
+# about 120 rows on, its thread count, and OpenBLAS reads both once, when
+# numpy loads it.  Nehalem needs only SSE4.2, which every x86-64 machine
+# has; the children the tests start inherit both settings.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin its OpenBLAS kernel")
+os.environ["OPENBLAS_CORETYPE"] = "Nehalem"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import pytest
@@ -9,6 +20,20 @@ import pytest
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem
 from trfd.oracle import InProcessOracle
 from trfd.simplex import LinearProgram
+
+
+def pytest_report_header(config):
+    """The kernel and thread count numpy's bundled OpenBLAS reports, read
+    with ctypes; "unknown" for a build without its C API."""
+    core = threads = "unknown"
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            core = lib.scipy_openblas_get_corename64_().decode()
+            threads = lib.scipy_openblas_get_num_threads64_()
+    return f"OpenBLAS core: {core}, threads: {threads}"
 
 
 def make_problem(fn, n, m, h, x0, region=None, name="test"):

@@ -1,6 +1,7 @@
 """References that only tests use: the model minimum by a brute-force
-grid, the Euclidean stationarity measure by its closed form, and the gap
-between the true and finite-difference measures against its bound."""
+grid and by HiGHS on an LP of its own, the Euclidean stationarity
+measure by its closed form, and the gap between the true and
+finite-difference measures against its bound."""
 import itertools
 import math
 
@@ -79,6 +80,49 @@ def eta_bruteforce(h, F_x, A, region, x, p, r, resolution=1e-3) -> float:
         best = min(best, eval_h(h, F_x + A @ v))
 
     return (eval_h(h, F_x) - best) / r
+
+
+def highs_subproblem(h, F, A, region, x, p, r) -> float:
+    """min h(F + A d) over ||d||_p <= r with x + d in ``region``, by
+    scipy's HiGHS dual simplex on an LP built apart from trfd's.
+
+    The variables are d (free), for p = 1 the bounds w with |d_j| <= w_j
+    and sum(w) <= r, and t: t_i >= +-(F + A d)_i for L1, t >= F + A d for
+    minimax.  The box bounds d, and each row reads a.(x + d) <= b.  At
+    scipy's default feasibility tolerance (1e-7) HiGHS misses the optimum
+    of some campaign models, so both tolerances are 1e-10, and the model
+    is evaluated at HiGHS's d rather than read from its objective.
+    """
+    from scipy.optimize import linprog
+
+    F, A, x = (np.asarray(v, dtype=float) for v in (F, A, x))
+    m, n = A.shape
+    lo, hi = region.lower - x, region.upper - x
+    if p is PNorm.INF:
+        lo, hi = np.maximum(lo, -r), np.minimum(hi, r)
+    nw = n if p is PNorm.ONE else 0
+    nt = m if h is OuterFunction.L1 else 1
+    minus_t = -np.eye(m) if h is OuterFunction.L1 else -np.ones((m, 1))
+    rows = [np.hstack([A, np.zeros((m, nw)), minus_t])]
+    rhs = [-F]
+    if h is OuterFunction.L1:
+        rows.append(np.hstack([-A, np.zeros((m, nw)), minus_t]))
+        rhs.append(F)
+    if p is PNorm.ONE:
+        eye = np.eye(n)
+        rows += [np.hstack([eye, -eye, np.zeros((n, nt))]), np.hstack([-eye, -eye, np.zeros((n, nt))]),
+                 np.hstack([np.zeros((1, n)), np.ones((1, n)), np.zeros((1, nt))])]
+        rhs += [np.zeros(2 * n), [r]]
+    for a, b in region.linear_ineq:
+        rows.append(np.hstack([a, np.zeros(nw + nt)])[None, :])
+        rhs.append([b - float(a @ x)])
+    bounds = [*zip(lo, hi), *[(0, None)] * nw, *[(None, None)] * nt]
+    res = linprog(np.r_[np.zeros(n + nw), np.ones(nt)], A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  bounds=bounds, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise ValueError(f"HiGHS failed: {res.message}")
+    return eval_h(h, F + A @ res.x[:n])
 
 
 def psi_euclidean(ap: AnalyticProblem, x, r: float) -> float:

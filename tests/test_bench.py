@@ -49,10 +49,10 @@ def test_profile_step_at_solving_evaluation():
     best = [10.0] * 5 + [0.0] + [0.0] * 14
     records = {("p", "S"): fake_record("p", 1, best, budget=10)}
     prof = data_profile(records, 1e-3, budget=10)
-    assert prof.curves["S"][0] == 0.0
-    assert prof.curves["S"][2] == 0.0
-    assert prof.curves["S"][3] == 1.0
-    assert prof.curves["S"][10] == 1.0
+    assert prof["S"][0] == 0.0
+    assert prof["S"][2] == 0.0
+    assert prof["S"][3] == 1.0
+    assert prof["S"][10] == 1.0
 
 
 def test_profile_never_solving_is_zero():
@@ -61,8 +61,8 @@ def test_profile_never_solving_is_zero():
         ("p", "stuck"): fake_record("p", 1, [10.0, 10.0, 10.0, 10.0]),
     }
     prof = data_profile(records, 1e-3, budget=2)
-    assert prof.curves["stuck"] == [0.0, 0.0, 0.0]
-    assert prof.curves["good"][1] == 1.0
+    assert prof["stuck"] == [0.0, 0.0, 0.0]
+    assert prof["good"][1] == 1.0
 
 
 def test_profile_identical_records_identical_curves():
@@ -72,7 +72,7 @@ def test_profile_identical_records_identical_curves():
         ("p", "b"): fake_record("p", 1, list(best)),
     }
     prof = data_profile(records, 1e-1, budget=2)
-    assert prof.curves["a"] == prof.curves["b"]
+    assert prof["a"] == prof["b"]
 
 
 def test_profile_tolerance_ordering_and_monotone():
@@ -82,8 +82,8 @@ def test_profile_tolerance_ordering_and_monotone():
         vals = np.minimum.accumulate(rng.uniform(0, 10, 40))
         vals[0] = 10.0
         records[(f"p{i}", "S")] = fake_record(f"p{i}", 1, list(vals), budget=20)
-    tight = data_profile(records, 1e-5, budget=20).curves["S"]
-    loose = data_profile(records, 1e-1, budget=20).curves["S"]
+    tight = data_profile(records, 1e-5, budget=20)["S"]
+    loose = data_profile(records, 1e-1, budget=20)["S"]
     for a, b in zip(tight, loose):
         assert b >= a
     for curve in (tight, loose):
@@ -99,8 +99,8 @@ def test_profile_final_value_is_solved_fraction():
         ("p0", "T"): fake_record("p0", 1, [10.0, 10.0, 10.0, 10.0]),
     }
     prof = data_profile(records, 1e-3, budget=2)
-    assert prof.curves["S"][-1] == 0.5
-    assert prof.curves["T"][-1] == 0.5
+    assert prof["S"][-1] == 0.5
+    assert prof["T"][-1] == 0.5
 
 
 def test_profile_missing_record_raises():
@@ -130,13 +130,13 @@ def test_profile_run_without_evaluations_never_solves():
         ("q", "b"): fake_record("q", 1, [3.0, 3.0, 3.0, 3.0], budget=2),
     }
     prof = data_profile(records, 1e-3, budget=2)
-    assert prof.curves["a"] == [0.0, 0.5, 0.5]
-    assert prof.curves["b"] == [0.0, 1.0, 1.0]
+    assert prof["a"] == [0.0, 0.5, 0.5]
+    assert prof["b"] == [0.0, 1.0, 1.0]
     # no run of a problem made an evaluation: nobody solved it
     records[("q", "b")] = records[("q", "a")] = dead
     prof = data_profile(records, 1e-3, budget=2)
-    assert prof.curves["a"] == [0.0, 0.0, 0.0]
-    assert prof.curves["b"] == [0.0, 0.5, 0.5]
+    assert prof["a"] == [0.0, 0.0, 0.0]
+    assert prof["b"] == [0.0, 0.5, 0.5]
 
 
 def test_csv_row_count_and_roundtrip(tmp_path):
@@ -147,14 +147,14 @@ def test_csv_row_count_and_roundtrip(tmp_path):
         for name, kappa in (("p", 1), ("q", 3), ("r", 50))
     }
     prof = data_profile(records, 1e-3, budget=100)
-    assert prof.curves["S"][1] == 1 / 3 and prof.curves["S"][3] == 2 / 3
+    assert prof["S"][1] == 1 / 3 and prof["S"][3] == 2 / 3
     path = tmp_path / "profile.csv"
     emit_profile_csv(prof, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 102  # header + kappa 0..100
     assert lines[0] == "kappa,S"
     back = [float(line.split(",")[1]) for line in lines[1:]]
-    assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in prof.curves["S"]]
+    assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in prof["S"]]
 
 
 def test_run_campaign_writes_traces_and_summary(tmp_path):

@@ -149,8 +149,7 @@ def test_audit_clean_run_and_injected_faults():
     bp = registry_by_name("rosenbrock")
     prob = bp.make_problem()
     rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
-    report = audit_trace(rec, analytic=bp.analytic())
-    assert report.delta_min_applicable
+    assert audit_trace(rec, analytic=bp.analytic()) is True
 
     rec.iterations[3].delta *= 1.0000001
     with pytest.raises(AuditFailure, match="iteration 3"):

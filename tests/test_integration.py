@@ -180,13 +180,13 @@ def test_mixed_family_campaign_profiles(tmp_path):
     for tol in (1e-1, 1e-3, 1e-5, 1e-7):
         prof = data_profile(result.records, tol, budget=60)
         emit_profile_csv(prof, tmp_path / f"profile_{tol:.0e}.csv")
-        for solver in prof.solvers:
-            curve = prof.curves[solver]
+        for solver in prof:
+            curve = prof[solver]
             assert len(curve) == 61
             assert all(b >= a for a, b in zip(curve, curve[1:]))
     # the stricter tolerance curve can never dominate the looser one
     loose = data_profile(result.records, 1e-1, budget=60)
     tight = data_profile(result.records, 1e-7, budget=60)
-    for solver in loose.solvers:
-        for a, b in zip(tight.curves[solver], loose.curves[solver]):
+    for solver in loose:
+        for a, b in zip(tight[solver], loose[solver]):
             assert b >= a

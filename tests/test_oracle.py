@@ -53,28 +53,30 @@ def test_budget_accounting():
 
 
 def test_external_echo(demo_oracle_cmd):
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
+    # maxl_6 answers x, then -x: its first six values echo the query
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --problem maxl_6", n=6, m=12)
     try:
         assert oracle.eval_count == 0
-        out = oracle.eval_F([2.0, 3.0])
-        assert np.array_equal(out, [2.0, 3.0])
+        x = np.array([2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        assert np.array_equal(oracle.eval_F(x), [*x, *-x])
         assert oracle.eval_count == 1
         # bit-exactness through the wire
-        x = np.array([np.pi, -1.0 / 3.0])
-        assert np.array_equal(oracle.eval_F(x), x)
+        x = np.array([np.pi, -1.0 / 3.0, 0.1, 1e-7, 2.0 / 3.0, -1e5])
+        assert np.array_equal(oracle.eval_F(x), [*x, *-x])
     finally:
         oracle.close()
 
 
 def test_wire_is_bit_exact(demo_oracle_cmd):
     # shortest round-trip decimals carry every float64 bit for bit:
-    # the smallest subnormal, a negative zero, the largest finite float
+    # the smallest subnormal, a negative zero, the largest finite float;
+    # maxl_6 answers the query, then its negation, both exact
     rng = np.random.default_rng(7)
-    x = np.array([5e-324, -0.0, 1.7976931348623157e308, 0.1 + 0.2, *rng.normal(size=12)])
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=x.size, m=x.size)
+    x = np.array([5e-324, -0.0, 1.7976931348623157e308, 0.1 + 0.2, *rng.normal(size=2)])
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --problem maxl_6", n=6, m=12)
     try:
-        for query in (x, -x, x * 1e-300):
-            assert oracle.eval_F(query).tobytes() == query.tobytes()
+        for query in (x, -x, x * 1e-300, *rng.normal(size=(2, 6))):
+            assert oracle.eval_F(query).tobytes() == np.concatenate([query, -query]).tobytes()
     finally:
         oracle.close()
 
@@ -127,7 +129,6 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "ar
 SHAPE_MISMATCHES = {
     "cb2 as n = 3": ("--problem cb2", 3, 3, "cb2 serves n = 2, m = 3, not n = 3, m = 3"),
     "maxq_8 as n = 2": ("--problem maxq_8", 2, 2, "maxq_8 serves n = 8, m = 8, not n = 2, m = 2"),
-    "echo with m != n": ("--echo", 2, 3, "--echo serves n = 2, m = 2, not n = 2, m = 3"),
 }
 
 
@@ -139,7 +140,7 @@ def test_oracle_child_refuses_a_hello_of_another_size(demo_oracle_cmd, mode, n, 
         ExternalOracle(f"{demo_oracle_cmd} {mode}", n=n, m=m)
 
 
-@pytest.mark.parametrize("mode, m", [("--problem cb2", 3), ("--echo", 2)])
+@pytest.mark.parametrize("mode, m", [("--problem cb2", 3)])
 def test_oracle_child_answers_a_query_without_n_numbers_and_serves_on(demo_oracle_cmd, mode, m):
     # a raw child after a hello of n = 2: a query of 3 values, one holding
     # a string, one without "x", one holding an inf (as json reads 1e400),
@@ -174,14 +175,29 @@ def test_an_overflow_in_a_map_fails_the_evaluation(demo_oracle_cmd):
         oracle.close()
 
 
+def test_a_map_value_that_is_not_finite_is_an_oracle_error(demo_oracle_cmd):
+    # maxq_8 squares 1e200 to inf without raising; JSON has no inf, so the
+    # child answers an error, as the in-process oracle refuses the value
+    x = np.array([1e200] + [0.0] * 7)
+    with pytest.raises(OracleFailure, match="^oracle returned non-finite values$"):
+        registry_by_name("maxq_8").make_problem().oracle.eval_F(x)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --problem maxq_8", n=8, m=8)
+    try:
+        with pytest.raises(OracleFailure, match="^oracle error: maxq_8 returned non-finite values$"):
+            oracle.eval_F(x)
+        assert np.array_equal(oracle.eval_F(np.ones(8)), np.ones(8))
+    finally:
+        oracle.close()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
         (["--problem", "nope"], "trfd-demo-oracle: error: no benchmark problem named 'nope'"),
-        ([], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
-        (["--problem"], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
-        (["--echo", "--problem", "cb2"], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
-        (["--verbose"], "usage: trfd-demo-oracle (--problem NAME | --echo)"),
+        ([], "usage: trfd-demo-oracle --problem NAME"),
+        (["--problem"], "usage: trfd-demo-oracle --problem NAME"),
+        (["--echo", "--problem", "cb2"], "usage: trfd-demo-oracle --problem NAME"),
+        (["--verbose"], "usage: trfd-demo-oracle --problem NAME"),
     ],
     ids=["unknown name", "no mode", "no name", "both modes", "unknown option"],
 )
@@ -215,13 +231,13 @@ def test_external_registry_problem(demo_oracle_cmd):
 
 def test_spawn_failure():
     with pytest.raises(OracleFailure, match="^could not start 'definitely-not-a-real-command-xyz'"):
-        ExternalOracle("definitely-not-a-real-command-xyz --echo", n=2, m=2)
+        ExternalOracle("definitely-not-a-real-command-xyz --problem rosenbrock", n=2, m=2)
     with pytest.raises(OracleFailure, match="^empty oracle command$"):
         ExternalOracle("", n=2, m=2)
 
 
 def test_close_reaps_a_child_that_exits_on_sigterm(demo_oracle_cmd):
-    oracle = ExternalOracle(f"{demo_oracle_cmd} --echo", n=2, m=2)
+    oracle = ExternalOracle(f"{demo_oracle_cmd} --problem rosenbrock", n=2, m=2)
     proc = oracle._proc
     start = time.perf_counter()
     oracle.close()

@@ -257,6 +257,21 @@ def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
         problem_from_config(doc)
 
 
+# rosenbrock's residuals read x[0] and x[1]: at n = 3 the third
+# coordinate goes unread, and at n = 1 a run dies on an IndexError
+@pytest.mark.parametrize("n, m, x0, message", [
+    (3, 2, [-1.2, 1.0, 7.0], "registry oracle 'rosenbrock' has n=2, config says 3"),
+    (1, 2, [-1.2], "registry oracle 'rosenbrock' has n=2, config says 1"),
+    (2, 3, [-1.2, 1.0], "registry oracle 'rosenbrock' has m=2, config says 3"),
+])
+def test_problem_config_refuses_a_registry_oracle_of_another_size(n, m, x0, message):
+    from trfd.config import problem_from_config
+
+    doc = {"n": n, "m": m, "h": "l1", "x0": x0, "oracle": {"registry": "rosenbrock"}}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        problem_from_config(doc)
+
+
 def test_problem_config_keeps_infinite_bounds_and_finite_rows():
     from trfd.config import problem_from_config
 
