@@ -65,11 +65,14 @@ TRFD_L1 = SolverConfig(name="TRFD-L1", p="1")
 TRFD_M = SolverConfig(name="TRFD-M", p="auto")
 
 
-def check_tolerance(tol):
-    """``tol``, when it lies in (0, 1); a ValueError otherwise (NaN too)."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"a tolerance must lie in (0, 1), not {tol!r}")
-    return tol
+def check_tolerances(tolerances) -> tuple:
+    """``tolerances`` as a tuple if each lies in (0, 1) and none repeats; a ValueError otherwise."""
+    for i, tol in enumerate(tolerances):
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"a tolerance must lie in (0, 1), not {tol!r}")
+        if tol in tolerances[:i]:
+            raise ValueError(f"the tolerance {tol!r} is given twice")
+    return tuple(tolerances)
 
 
 @dataclass

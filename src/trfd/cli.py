@@ -11,11 +11,11 @@ Exit status is 0 only when every run terminated without an oracle error
 or numerical breakdown (run), when every curve could be built (profile),
 and when every audited trace is clean (audit).  A campaign config that
 cannot be read or built, a key outside its schema, an option out of
-range (a tolerance outside (0, 1), a job count below 1), a problem or
-solver named twice or not at all, or an ``--out`` that cannot be made
-a directory or already holds a trace or ``summary.json``, makes ``run``
-or ``profile`` print one error line and exit 2 before any run starts;
-``run`` without a config runs the config ``{}``.
+range (a tolerance outside (0, 1), a job count below 1), a problem,
+solver or tolerance given twice, a problem or solver not at all, or an
+``--out`` that cannot be made a directory or already holds a trace or
+``summary.json``, makes ``run`` or ``profile`` print one error line and
+exit 2 before any run starts; ``run`` without a config runs ``{}``.
 A trace that cannot be read or is not a trace (a field missing or of the wrong JSON
 type included), and a directory that holds no trace, fail the audit
 with one line, and ``audit`` goes on to the next path; it checks a
@@ -36,7 +36,7 @@ import numpy as np
 from .bench import (
     DEFAULT_TOLERANCES,
     EmptyGroup,
-    check_tolerance,
+    check_tolerances,
     data_profile,
     emit_profile_csv,
     run_campaign,
@@ -85,7 +85,7 @@ def _at_least_one(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        return check_tolerance(float(text))
+        return check_tolerances([float(text)])[0]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -123,6 +123,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    try:
+        tolerances = check_tolerances(args.tolerance or DEFAULT_TOLERANCES)
+    except ValueError as exc:
+        return _profile_error(exc, status=2)
     records = {}
     for key, path in trace_files(args.out):
         try:
@@ -132,15 +136,15 @@ def _cmd_profile(args) -> int:
     if not records:
         return _profile_error(f"no trace files under {args.out}")
     try:
-        _write_profiles(records, args.tolerance or DEFAULT_TOLERANCES, args.out)
+        _write_profiles(records, tolerances, args.out)
     except EmptyGroup as exc:
         return _profile_error(exc)
     return 0
 
 
-def _profile_error(message) -> int:
+def _profile_error(message, status=1) -> int:
     print(f"trfd profile: error: {message}", file=sys.stderr)
-    return 1
+    return status
 
 
 def _write_profiles(records, tolerances, out_dir) -> None:

@@ -28,9 +28,10 @@ solvers are ``bench.TRFD_L1`` and ``bench.TRFD_M``, so a config without
 "solvers" runs both.  Solver entries accept optional number overrides
 (epsilon, alpha, delta_star, stop_delta, stop_eta) passed straight to
 the parameter factory.  In both documents, and in each row, any other
-key is refused: a misspelt one must not go unread, and a campaign names
-each problem and solver once, by a nonempty ASCII name without "/" or
-NUL, since it names trace files and profile columns.  Every value is
+key is refused: a misspelt one must not go unread.  A campaign names
+each problem, solver and tolerance once, and each problem and solver by
+a nonempty ASCII name without "/" or NUL: they name trace files and
+profile columns, and a tolerance a profile file.  Every value is
 read with ``jsontext.field`` and must have the JSON type shown, so a
 boolean is no number; names, "h", "p", "family" and "command" are
 strings, and "h", "p" and "family" take the exact spellings shown and
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 
-from .bench import DEFAULT_TOLERANCES, TRFD_L1, TRFD_M, Campaign, SolverConfig, check_tolerance
+from .bench import DEFAULT_TOLERANCES, TRFD_L1, TRFD_M, Campaign, SolverConfig, check_tolerances
 from .core import FeasibleRegion, OuterFunction, Problem
 from .jsontext import check, field, is_a
 from .oracle import DEFAULT_TIMEOUT, ExternalOracle, InProcessOracle
@@ -60,6 +61,7 @@ def problem_from_config(doc: dict) -> Problem:
     n, m = (_at_least_one(field(doc, key, "integer"), key) for key in ("n", "m"))
     h = OuterFunction.from_value(field(doc, "h", "string"))
     name = field(doc, "name", "string", default="")
+    x0 = field(doc, "x0", "array", of="number", size=n)
 
     def bound(key, fill):
         raw = doc.get(key)
@@ -71,7 +73,6 @@ def problem_from_config(doc: dict) -> Problem:
         _known_keys(check(row, 'a "linear_ineq" row', "object"), ("a", "b"), 'a "linear_ineq" row')
         rows.append((field(row, "a", "array", of="number", size=n), field(row, "b", "number")))
     region = FeasibleRegion(bound("lower", -math.inf), bound("upper", math.inf), rows)
-    x0 = field(doc, "x0", "array", of="number", size=n)
 
     binding = field(doc, "oracle", "object")
     _known_keys(binding, ORACLE_KEYS, '"oracle"')
@@ -125,7 +126,7 @@ def campaign_from_config(doc: dict) -> Campaign:
 
     tolerances = field(doc, "tolerances", "array", of="number", default=DEFAULT_TOLERANCES)
     try:
-        tolerances = tuple(map(check_tolerance, tolerances))
+        tolerances = check_tolerances(tolerances)
     except ValueError as exc:
         raise ValueError(f'"tolerances": {exc}') from None
     return Campaign(problems, solvers, simplex_gradients, tolerances)

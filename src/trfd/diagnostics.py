@@ -8,13 +8,13 @@ measure, so that a bug in the fast path cannot hide behind itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PNorm
+from .core import FeasibleRegion, PNorm
 from .solver import IterationClass, RunRecord, TrfdParams
 from .subproblem import BRACKET_RTOL, ETA_SNAP, reformulate, solve_tr_subproblem
+from .testset import BenchmarkProblem
 
 
 class AuditFailure(Exception):
@@ -22,34 +22,12 @@ class AuditFailure(Exception):
     first offending iteration."""
 
 
-@dataclass
-class AnalyticProblem:
-    """A benchmark instance with a closed-form Jacobian certificate.
-
-    ``lipschitz_jacobian`` bounds the Jacobian's Lipschitz constant on
-    ``box`` (per-coordinate low/high arrays); the bound is derived by
-    bounding second derivatives analytically and is only trusted inside
-    that box.
-    """
-
-    problem: object
-    jacobian: object  # callable x -> (m, n) array
-    lipschitz_jacobian: float
-    box: tuple
-
-    def in_box(self, x) -> bool:
-        lo, hi = self.box
-        return bool(np.all(x >= np.asarray(lo) - 1e-12) and np.all(x <= np.asarray(hi) + 1e-12))
-
-
-def psi(ap: AnalyticProblem, x, p: PNorm, r: float) -> float:
-    """Stationarity measure from the analytic Jacobian, p in {1, inf}:
-    the exact constrained model minimum via the LP machinery."""
-    prob = ap.problem
+def psi(bp: BenchmarkProblem, x, p: PNorm, r: float) -> float:
+    """Stationarity measure of the registry record ``bp`` from its closed-form
+    Jacobian, p in {1, inf}: the exact model minimum over R^n by the LP machinery."""
     x = np.asarray(x, dtype=float)
-    J = np.asarray(ap.jacobian(x), dtype=float)
-    F_x = prob.oracle.eval_F(x)
-    return solve_tr_subproblem(reformulate(prob.h, F_x, J, prob.region, x, p, r)).eta
+    region = FeasibleRegion.unconstrained(bp.n)
+    return solve_tr_subproblem(reformulate(bp.family, bp.residuals(x), bp.jacobian(x), region, x, p, r)).eta
 
 
 def delta_min(params: TrfdParams, L_J: float) -> float:
@@ -67,14 +45,14 @@ def delta_min(params: TrfdParams, L_J: float) -> float:
     )
 
 
-def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> bool:
+def audit_trace(record: RunRecord, analytic: BenchmarkProblem | None = None) -> bool:
     """Replay a trace against every recorded-state invariant.
 
     Raises AuditFailure naming the first violated invariant and the
-    iteration index.  When an analytic certificate is supplied and the
-    true stationarity measure stays above epsilon along the whole trace
-    (with every iterate inside the certificate box), the radius floor is
-    enforced as well.  Returns whether that radius-floor check ran.
+    iteration index.  When ``analytic``, a registry record with a
+    closed-form Jacobian, is given and the true stationarity measure stays
+    above epsilon along the trace (every iterate in its ``jacobian_box``),
+    the radius floor is enforced too.  Returns whether that check ran.
     """
     p = record.params
     n = record.n
@@ -177,7 +155,10 @@ def audit_trace(record: RunRecord, analytic: AnalyticProblem | None = None) -> b
     if record.total_evals > (n + 1) * (len(snaps) + partial) + 1:
         raise AuditFailure("per-iteration evaluation bound violated")
 
-    if analytic is not None and snaps and all(analytic.in_box(s.x) for s in snaps):
+    if analytic is None or not snaps:
+        return False
+    lo, hi = analytic.jacobian_box
+    if all(lo - 1e-12 <= s.x.min() and s.x.max() <= hi + 1e-12 for s in snaps):
         psis = [psi(analytic, s.x, p.p, p.delta_star) for s in snaps]
         if min(psis) > p.epsilon:
             floor = delta_min(p, analytic.lipschitz_jacobian)

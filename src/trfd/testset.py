@@ -39,18 +39,8 @@ class BenchmarkProblem:
         )
 
     def analytic(self):
-        if self.jacobian is None:
-            return None
-        # imported here: the audits alone need it, not a campaign's set-up
-        from .diagnostics import AnalyticProblem
-
-        lo, hi = self.jacobian_box
-        return AnalyticProblem(
-            problem=self.make_problem(),
-            jacobian=self.jacobian,
-            lipschitz_jacobian=self.lipschitz_jacobian,
-            box=(np.full(self.n, lo, dtype=float), np.full(self.n, hi, dtype=float)),
-        )
+        """The audit's certificate: the record itself if it has a closed-form Jacobian, else None."""
+        return self if self.jacobian is not None else None
 
 
 def _on_floats(fn, x):

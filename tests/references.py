@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from trfd.core import OuterFunction, PNorm, eval_h, norm_constants
-from trfd.diagnostics import AnalyticProblem, psi
+from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm_constants
+from trfd.diagnostics import psi
 from trfd.jacobian import build_jacobian
 from trfd.subproblem import reformulate, solve_tr_subproblem
 
@@ -125,43 +125,40 @@ def highs_subproblem(h, F, A, region, x, p, r) -> float:
     return eval_h(h, F + A @ res.x[:n])
 
 
-def psi_euclidean(ap: AnalyticProblem, x, r: float) -> float:
-    """The stationarity measure at p = 2 for one smooth minimax component
-    over an unconstrained region.
+def psi_euclidean(bp, x, r: float) -> float:
+    """The stationarity measure at p = 2 of a registry record ``bp`` with
+    one smooth minimax component, over its unconstrained region.
 
     There the model minimum over the Euclidean ball has the closed form
     F(x) - r * ||grad||_2, and the measure is evaluated from it without
     algebraic simplification so rounding behaves like any other route.
     """
-    prob = ap.problem
-    region = prob.region
-    unconstrained = not region.linear_ineq and np.all(np.isinf(region.lower)) and np.all(np.isinf(region.upper))
-    if prob.m != 1 or prob.h is not OuterFunction.MINIMAX or not unconstrained:
-        raise ValueError("p=2 stationarity needs m=1, minimax h, unconstrained region")
+    if bp.m != 1 or bp.family is not OuterFunction.MINIMAX:
+        raise ValueError("p=2 stationarity needs m=1 and minimax h")
     x = np.asarray(x, dtype=float)
-    J = np.asarray(ap.jacobian(x), dtype=float)
-    base = eval_h(prob.h, prob.oracle.eval_F(x))
-    model_min = base - r * float(np.linalg.norm(J[0]))
+    base = eval_h(bp.family, bp.residuals(x))
+    model_min = base - r * float(np.linalg.norm(bp.jacobian(x)[0]))
     return (base - model_min) / r
 
 
-def check_psi_eta_gap(ap: AnalyticProblem, x, p: PNorm, r: float, tau: float) -> bool:
-    """Gap between the true and finite-difference measures against its bound.
+def check_psi_eta_gap(bp, x, p: PNorm, r: float, tau: float) -> bool:
+    """Gap between the true and finite-difference measures of a registry
+    record ``bp`` against its bound.
 
-    Builds the model at stepsize tau on a throwaway evaluation path (the
-    analytic problem's oracle counter is test scratch space) and checks
+    Builds the model at stepsize tau from the record's residual map, which
+    no oracle counts, and checks
 
         |psi - eta| <= (L_h * L_J * c_p2 * c_2p * sqrt(n) / 2) * tau
 
     with a 1 + 1e-6 rounding allowance.
     """
-    prob = ap.problem
     x = np.asarray(x, dtype=float)
-    F_x = prob.oracle.eval_F(x)
-    A = build_jacobian(prob.oracle.eval_F, x, F_x, tau)
-    eta = solve_tr_subproblem(reformulate(prob.h, F_x, A, prob.region, x, p, r)).eta
-    psi_val = psi(ap, x, p, r)
-    c2p_n, cp2_m = norm_constants(p, prob.n, prob.m)
-    lip = prob.h.lipschitz(p, prob.m)
-    bound = lip * ap.lipschitz_jacobian * cp2_m * c2p_n * math.sqrt(prob.n) / 2 * tau
+    F_x = bp.residuals(x)
+    A = build_jacobian(bp.residuals, x, F_x, tau)
+    region = FeasibleRegion.unconstrained(bp.n)
+    eta = solve_tr_subproblem(reformulate(bp.family, F_x, A, region, x, p, r)).eta
+    psi_val = psi(bp, x, p, r)
+    c2p_n, cp2_m = norm_constants(p, bp.n, bp.m)
+    lip = bp.family.lipschitz(p, bp.m)
+    bound = lip * bp.lipschitz_jacobian * cp2_m * c2p_n * math.sqrt(bp.n) / 2 * tau
     return abs(psi_val - eta) <= bound * (1 + 1e-6)

@@ -17,13 +17,13 @@ from conftest import enumerate_lp_minimum, make_problem, random_box_lp, random_t
 from references import check_psi_eta_gap, eta_bruteforce, highs_subproblem, psi_euclidean
 
 from trfd.bench import Campaign, TRFD_L1, TRFD_M, data_profile, emit_profile_csv, run_campaign
-from trfd.core import PNorm, eval_h
-from trfd.diagnostics import AnalyticProblem, audit_trace
+from trfd.core import OuterFunction, PNorm, eval_h
+from trfd.diagnostics import audit_trace
 from trfd.jacobian import build_jacobian
 from trfd.simplex import solve_lp
 from trfd.solver import IterationClass, Termination, TrfdParams, solve
 from trfd.subproblem import reformulate, solve_tr_subproblem
-from trfd.testset import registry, registry_by_name, registry_family
+from trfd.testset import BenchmarkProblem, registry, registry_by_name, registry_family
 
 
 def _report(num, ok, detail):
@@ -59,12 +59,10 @@ def affine_runs():
     return runs
 
 
-def _analytic_samples(rng, bp, count):
-    ap = bp.analytic()
-    lo, hi = ap.box
-    lo = np.maximum(lo, -2.0)
-    hi = np.minimum(hi, 2.0)
-    return ap, [rng.uniform(lo, hi) for _ in range(count)]
+def _box_samples(rng, bp, count):
+    """``count`` points drawn uniformly from ``bp``'s certificate box, cut to [-2, 2]^n."""
+    lo, hi = bp.jacobian_box
+    return [rng.uniform(max(lo, -2.0), min(hi, 2.0), bp.n) for _ in range(count)]
 
 
 def test_criterion_1_invariant_suite(campaigns):
@@ -88,11 +86,9 @@ def test_criterion_1_invariant_suite(campaigns):
     for bp in registry():
         if bp.jacobian is None:
             continue
-        ap, xs = _analytic_samples(rng, bp, 5)
-        p = PNorm.ONE
-        for x in xs:
+        for x in _box_samples(rng, bp, 5):
             for tau in (1e-2, 1e-4):
-                assert check_psi_eta_gap(ap, x, p, 1.0, tau), (bp.name, tau)
+                assert check_psi_eta_gap(bp, x, PNorm.ONE, 1.0, tau), (bp.name, tau)
                 gap_checks += 1
 
     # radius monotonicity of eta
@@ -165,14 +161,13 @@ def test_criterion_3_fd_jacobian_error_bound():
     assert certified
     checks = 0
     for bp in certified:
-        ap, xs = _analytic_samples(rng, bp, 20)
-        for x in xs:
+        for x in _box_samples(rng, bp, 20):
             for tau in (1e-2, 1e-4, 1e-6):
                 scratch = bp.make_problem()
                 F_x = scratch.oracle.eval_F(x)
                 A = build_jacobian(scratch.oracle.eval_F, x, F_x, tau)
-                err = float(np.linalg.norm(A - ap.jacobian(x), 2))
-                bound = ap.lipschitz_jacobian * math.sqrt(bp.n) / 2.0 * tau
+                err = float(np.linalg.norm(A - bp.jacobian(x), 2))
+                bound = bp.lipschitz_jacobian * math.sqrt(bp.n) / 2.0 * tau
                 assert err <= bound * (1 + 1e-6), (bp.name, tau, err, bound)
                 checks += 1
 
@@ -180,14 +175,13 @@ def test_criterion_3_fd_jacobian_error_bound():
     slopes = []
     taus = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     for bp in certified:
-        ap, xs = _analytic_samples(rng, bp, 3)
-        for x in xs:
+        for x in _box_samples(rng, bp, 3):
             errs = []
             for tau in taus:
                 scratch = bp.make_problem()
                 F_x = scratch.oracle.eval_F(x)
                 A = build_jacobian(scratch.oracle.eval_F, x, F_x, tau)
-                errs.append(float(np.linalg.norm(A - ap.jacobian(x), 2)))
+                errs.append(float(np.linalg.norm(A - bp.jacobian(x), 2)))
             if min(errs) <= 0:
                 continue
             slopes.append(float(np.polyfit(np.log(taus), np.log(errs), 1)[0]))
@@ -205,11 +199,8 @@ def test_criterion_4_euclidean_closed_form():
     rng = np.random.default_rng(404)
 
     def scalar_ap(fn, jac, n):
-        prob = make_problem(fn, n, 1, "minimax", np.zeros(n), name="scalar")
-        return AnalyticProblem(
-            problem=prob, jacobian=jac, lipschitz_jacobian=1.0,
-            box=(np.full(n, -1e6), np.full(n, 1e6)),
-        )
+        return BenchmarkProblem("scalar", OuterFunction.MINIMAX, n, 1, fn, (0.0,) * n, None, "",
+                                jacobian=jac, lipschitz_jacobian=1.0, jacobian_box=(-1e6, 1e6))
 
     b = np.array([0.4, -0.9, 1.3])
     quad = scalar_ap(
@@ -224,12 +215,12 @@ def test_criterion_4_euclidean_closed_form():
     )
 
     worst = 0.0
-    for ap, n, grad in ((quad, 3, lambda x: x + b), (expo, 2, None)):
+    for bp, n in ((quad, 3), (expo, 2)):
         for _ in range(20):
             x = rng.uniform(-2, 2, n)
-            want = float(np.linalg.norm(ap.jacobian(x)[0]))
+            want = float(np.linalg.norm(bp.jacobian(x)[0]))
             for r in (0.5, 1.0, 2.0):
-                got = psi_euclidean(ap, x, r)
+                got = psi_euclidean(bp, x, r)
                 rel = abs(got - want) / want
                 worst = max(worst, rel)
                 assert rel <= 1e-10
@@ -303,11 +294,10 @@ def test_criterion_8_radius_floor_audit(campaigns):
     for family in ("l1", "minimax"):
         for (pname, _), rec in campaigns[family].records.items():
             bp = registry_by_name(pname)
-            ap = bp.analytic()
-            if ap is None:
+            if bp.analytic() is None:
                 continue
             audited += 1
-            if audit_trace(rec, analytic=ap):
+            if audit_trace(rec, analytic=bp.analytic()):
                 engaged += 1
     _report(
         8,

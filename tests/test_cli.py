@@ -290,15 +290,27 @@ def test_profile_tolerances_never_share_a_file(tmp_path, capsys):
     for old in out.glob("profile_*.csv"):
         old.unlink()
     capsys.readouterr()
-    tolerances = [1e-3, 1.4e-3, 0.10000000000000003, 1e-3]
+    tolerances = [1e-3, 1.4e-3, 0.10000000000000003]
     assert main(["profile", "--out", str(out), *(f"--tolerance={t!r}" for t in tolerances)]) == 0
     written = capsys.readouterr().out.splitlines()
-    assert len(written) == 4
+    assert len(written) == 3
     # one-digit tolerances keep their names, and every name reads back as its tolerance
     assert (out / "profile_tol1e-03.csv").exists() and (out / "profile_tol1.4e-03.csv").exists()
     names = sorted(p.name for p in out.glob("profile_*.csv"))
     assert len(names) == 3
-    assert sorted(float(name[len("profile_tol"):-len(".csv")]) for name in names) == sorted(set(tolerances))
+    assert sorted(float(name[len("profile_tol"):-len(".csv")]) for name in names) == sorted(tolerances)
+
+
+def test_profile_refuses_a_tolerance_given_twice_before_any_csv(tmp_path, capsys):
+    out = run_into(tmp_path, ["rosenbrock"], budget=2)
+    for old in out.glob("profile_*.csv"):
+        old.unlink()
+    capsys.readouterr()
+    assert main(["profile", "--out", str(out), "--tolerance", "1e-3", "--tolerance", "0.001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["trfd profile: error: the tolerance 0.001 is given twice"]
+    assert not list(out.glob("profile_*.csv"))
 
 
 @pytest.mark.parametrize("case", ["missing_pair", "unreadable", "wrong_type", "empty"])
@@ -466,6 +478,7 @@ BAD_CONFIGS = {
     "tolerance_negative": ({"problems": ["rosenbrock"], "tolerances": [1e-3, -1]}, '"tolerances"'),
     "tolerance_nan": ({"problems": ["rosenbrock"], "tolerances": [float("nan")]}, '"tolerances"'),
     "tolerance_above_one": ({"problems": ["rosenbrock"], "tolerances": [2]}, '"tolerances"'),
+    "tolerance_twice": ({"problems": ["rosenbrock"], "tolerances": [0.1, 1e-3, 0.001]}, "tolerance 0.001 is given twice"),
     "solver_key_misspelt": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpah": 0.9}]}, '"alpah"'),
     "top_key_budget": ({"problems": ["rosenbrock"], "budget": 2}, '"budget"'),
     "top_key_tolerance": ({"problems": ["rosenbrock"], "tolerance": [0.5]}, '"tolerance"'),
@@ -492,7 +505,7 @@ BAD_CONFIGS = {
         "p2", "p_one", "p_infinity", "p_number", "theta_override", "family_max", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "epsilon_nan",
         "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_fractional", "budget_infinite",
-        "tolerance_negative", "tolerance_nan", "tolerance_above_one",
+        "tolerance_negative", "tolerance_nan", "tolerance_above_one", "tolerance_twice",
         "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
         "problems_empty", "solvers_empty", "solver_name_twice", "problem_twice", "solver_name_slash",
         "solver_name_empty", "solver_name_non_ascii",

@@ -8,12 +8,12 @@ from conftest import make_problem
 from references import check_psi_eta_gap, eta_bruteforce, psi_euclidean
 
 from trfd.core import FeasibleRegion, OuterFunction, PNorm
-from trfd.diagnostics import AnalyticProblem, AuditFailure, audit_trace, delta_min, psi
+from trfd.diagnostics import AuditFailure, audit_trace, delta_min, psi
 from trfd.jacobian import build_jacobian
 from trfd.oracle import EvalBudget
 from trfd.solver import TrfdParams, record_from_doc, record_to_doc, solve
 from trfd.subproblem import ETA_SNAP, reformulate, solve_tr_subproblem
-from trfd.testset import registry_by_name
+from trfd.testset import BenchmarkProblem, registry_by_name
 
 
 def quadratic_scalar_ap(b):
@@ -27,55 +27,48 @@ def quadratic_scalar_ap(b):
     def jac(x):
         return (np.asarray(x, dtype=float) + b)[None, :]
 
-    prob = make_problem(fn, n, 1, "minimax", np.zeros(n), name="scalar_quad")
-    return AnalyticProblem(
-        problem=prob, jacobian=jac, lipschitz_jacobian=1.0,
-        box=(np.full(n, -1e6), np.full(n, 1e6)),
-    )
+    return BenchmarkProblem("scalar_quad", OuterFunction.MINIMAX, n, 1, fn, (0.0,) * n, None, "",
+                            jacobian=jac, lipschitz_jacobian=1.0, jacobian_box=(-1e6, 1e6))
 
 
 def affine_l1_ap(B, c=0.0, lipschitz_jacobian=0.0):
     # F(x) = B x + c under h = l1, certified on [-10, 10]^2
-    prob = make_problem(lambda x: B @ x + c, 2, 2, "l1", (0.0, 0.0), name="affine")
-    return AnalyticProblem(
-        problem=prob, jacobian=lambda x: B, lipschitz_jacobian=lipschitz_jacobian,
-        box=(np.full(2, -10.0), np.full(2, 10.0)),
-    )
+    return BenchmarkProblem("affine", OuterFunction.L1, 2, 2, lambda x: B @ x + c, (0.0, 0.0), None, "",
+                            jacobian=lambda x: B, lipschitz_jacobian=lipschitz_jacobian, jacobian_box=(-10.0, 10.0))
 
 
 def test_psi_p2_closed_form_matches_gradient_norm():
     rng = np.random.default_rng(0)
-    ap = quadratic_scalar_ap([0.3, -1.1, 0.7])
+    bp = quadratic_scalar_ap([0.3, -1.1, 0.7])
     for _ in range(20):
         x = rng.uniform(-2, 2, 3)
         for r in (0.5, 1.0, 2.0):
             want = float(np.linalg.norm(x + np.array([0.3, -1.1, 0.7])))
-            assert psi_euclidean(ap, x, r) == pytest.approx(want, rel=1e-10)
+            assert psi_euclidean(bp, x, r) == pytest.approx(want, rel=1e-10)
 
 
 def test_psi_zero_at_stationary_point():
-    ap = quadratic_scalar_ap([0.0, 0.0])
-    assert psi_euclidean(ap, np.zeros(2), 1.0) == 0.0
+    bp = quadratic_scalar_ap([0.0, 0.0])
+    assert psi_euclidean(bp, np.zeros(2), 1.0) == 0.0
     # L1 composite with an exact residual root: the model minimum over
     # any ball is 0 at d = 0
-    ap2 = affine_l1_ap(np.array([[2.0, 1.0], [0.0, 1.0]]))
-    assert psi(ap2, np.zeros(2), PNorm.ONE, 1.0) == 0.0
+    bp2 = affine_l1_ap(np.array([[2.0, 1.0], [0.0, 1.0]]))
+    assert psi(bp2, np.zeros(2), PNorm.ONE, 1.0) == 0.0
 
 
 def test_psi_p2_requires_scalar_minimax():
     bp = registry_by_name("rosenbrock")
-    ap = bp.analytic()
     with pytest.raises(ValueError, match="p=2 stationarity needs"):
-        psi_euclidean(ap, np.zeros(2), 1.0)
+        psi_euclidean(bp, np.zeros(2), 1.0)
 
 
 def test_psi_affine_l1_matches_grid():
     B = np.array([[1.2, -0.4], [0.3, 0.9]])
     c = np.array([0.5, -0.7])
-    ap = affine_l1_ap(B, c)
+    bp = affine_l1_ap(B, c)
     x = np.array([0.3, -0.2])
-    got = psi(ap, x, PNorm.ONE, 1.0)
-    eta_grid = eta_bruteforce(OuterFunction.L1, B @ x + c, B, ap.problem.region, x, PNorm.ONE, 1.0)
+    got = psi(bp, x, PNorm.ONE, 1.0)
+    eta_grid = eta_bruteforce(OuterFunction.L1, B @ x + c, B, FeasibleRegion.unconstrained(2), x, PNorm.ONE, 1.0)
     assert abs(got - eta_grid) <= 2e-3 * (1 + np.linalg.norm(B, 2))
 
 
@@ -106,18 +99,17 @@ def test_eta_bruteforce_small_radius_limit():
 def test_check_psi_eta_gap_rosenbrock():
     bp = registry_by_name("rosenbrock")
     rng = np.random.default_rng(4)
-    ap = bp.analytic()
     for tau in (1e-2, 1e-4):
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
-            assert check_psi_eta_gap(ap, x, PNorm.ONE, 1.0, tau)
+            assert check_psi_eta_gap(bp, x, PNorm.ONE, 1.0, tau)
 
 
 def test_check_psi_eta_gap_affine_is_tight():
-    ap = affine_l1_ap(np.array([[1.0, 2.0], [3.0, -1.0]]), lipschitz_jacobian=1e-9)
+    bp = affine_l1_ap(np.array([[1.0, 2.0], [3.0, -1.0]]), lipschitz_jacobian=1e-9)
     # the gap is rounding-level for affine maps, so even a near-zero
     # Lipschitz certificate passes
-    assert check_psi_eta_gap(ap, np.array([0.5, 0.5]), PNorm.ONE, 1.0, 0.25)
+    assert check_psi_eta_gap(bp, np.array([0.5, 0.5]), PNorm.ONE, 1.0, 0.25)
 
 
 def _params_for_delta_min(epsilon, alpha, sigma, lip, n=1):

@@ -141,20 +141,25 @@ def test_analytic_jacobians_match_forward_differences():
     rng = np.random.default_rng(12)
     tau = 1e-6
     for bp in registry():
-        ap = bp.analytic()
-        if ap is None:
+        if bp.analytic() is None:
             continue
-        lo, hi = ap.box
-        sample_lo = np.maximum(lo, -2.0)
-        sample_hi = np.minimum(hi, 2.0)
+        lo, hi = bp.jacobian_box
         for _ in range(5):
-            x = rng.uniform(sample_lo, sample_hi)
+            x = rng.uniform(max(lo, -2.0), min(hi, 2.0), bp.n)
             scratch = bp.make_problem()
             F_x = scratch.oracle.eval_F(x)
             A = build_jacobian(scratch.oracle.eval_F, x, F_x, tau)
-            bound = ap.lipschitz_jacobian * math.sqrt(bp.n) / 2.0 * tau
-            err = np.linalg.norm(A - ap.jacobian(x), 2)
+            bound = bp.lipschitz_jacobian * math.sqrt(bp.n) / 2.0 * tau
+            err = np.linalg.norm(A - bp.jacobian(x), 2)
             assert err <= bound * (1 + 1e-6) + 1e-12, bp.name
+
+
+def test_the_certificate_is_the_record_itself():
+    # the 10 records with a closed-form Jacobian certify their own runs
+    analytic = [registry_by_name(bp.name).analytic() for bp in registry()]
+    assert len(analytic) == 28 and sum(a is not None for a in analytic) == 10
+    for bp, a in zip(registry(), analytic):
+        assert a is (bp if bp.jacobian is not None else None)
 
 
 def test_at_least_three_certificates_per_family():
@@ -258,11 +263,14 @@ def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
 
 
 # rosenbrock's residuals read x[0] and x[1]: at n = 3 the third
-# coordinate goes unread, and at n = 1 a run dies on an IndexError
+# coordinate goes unread, and at n = 1 a run dies on an IndexError.
+# A huge n is refused by the length of x0, before any list of n bounds
+# is made (10**30 of them would raise OverflowError)
 @pytest.mark.parametrize("n, m, x0, message", [
     (3, 2, [-1.2, 1.0, 7.0], "registry oracle 'rosenbrock' has n=2, config says 3"),
     (1, 2, [-1.2], "registry oracle 'rosenbrock' has n=2, config says 1"),
     (2, 3, [-1.2, 1.0], "registry oracle 'rosenbrock' has m=2, config says 3"),
+    (10**30, 2, [-1.2, 1.0], f'"x0" must be an array of {10**30} numbers, not [-1.2, 1.0]'),
 ])
 def test_problem_config_refuses_a_registry_oracle_of_another_size(n, m, x0, message):
     from trfd.config import problem_from_config
