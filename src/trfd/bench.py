@@ -66,7 +66,9 @@ TRFD_M = SolverConfig(name="TRFD-M", p="auto")
 
 
 def check_tolerances(tolerances) -> tuple:
-    """``tolerances`` as a tuple if each lies in (0, 1) and none repeats; a ValueError otherwise."""
+    """``tolerances`` as a tuple if it is not empty, each lies in (0, 1) and none repeats; a ValueError otherwise."""
+    if not tolerances:
+        raise ValueError("no tolerance is given")
     for i, tol in enumerate(tolerances):
         if not 0.0 < tol < 1.0:
             raise ValueError(f"a tolerance must lie in (0, 1), not {tol!r}")

@@ -44,7 +44,7 @@ import math
 
 from .bench import DEFAULT_TOLERANCES, TRFD_L1, TRFD_M, Campaign, SolverConfig, check_tolerances
 from .core import FeasibleRegion, OuterFunction, Problem
-from .jsontext import check, field, is_a
+from .jsontext import at_least_one, check, field, is_a
 from .oracle import DEFAULT_TIMEOUT, ExternalOracle, InProcessOracle
 from .solver import DEFAULT_SIMPLEX_GRADIENTS
 from .testset import registry_by_name, registry_family
@@ -58,7 +58,7 @@ OVERRIDE_KEYS = ("epsilon", "alpha", "delta_star", "stop_delta", "stop_eta")
 def problem_from_config(doc: dict) -> Problem:
     """Build a Problem from one problem document."""
     _known_keys(check(doc, "the problem config", "object"), PROBLEM_KEYS, "the problem config")
-    n, m = (_at_least_one(field(doc, key, "integer"), key) for key in ("n", "m"))
+    n, m = (at_least_one(field(doc, key, "integer"), key) for key in ("n", "m"))
     h = OuterFunction.from_value(field(doc, "h", "string"))
     name = field(doc, "name", "string", default="")
     x0 = field(doc, "x0", "array", of="number", size=n)
@@ -114,7 +114,7 @@ def campaign_from_config(doc: dict) -> Campaign:
     _distinct([config.name for config in solvers], "solver")
 
     key = "budget_simplex_gradients"
-    simplex_gradients = _at_least_one(field(doc, key, "integer", default=DEFAULT_SIMPLEX_GRADIENTS), key)
+    simplex_gradients = at_least_one(field(doc, key, "integer", default=DEFAULT_SIMPLEX_GRADIENTS), key)
     # build each solver's parameters once, on every problem, so that a
     # value out of range fails here, before any run starts
     for config in solvers:
@@ -153,9 +153,3 @@ def _distinct(names, what):
             )
         if name in names[:i]:
             raise ValueError(f'{what} "{name}" appears twice in the campaign config')
-
-
-def _at_least_one(value, key):
-    if value < 1:
-        raise ValueError(f'"{key}" must be an integer of at least 1, not {value!r}')
-    return value

@@ -23,7 +23,7 @@ exact Python type as ``loads`` gives it, so a boolean is no number and
 a float no integer; an array is checked for its length and each
 element's type.
 A missing key or a wrong type raises a ValueError naming the key; range
-checks, finiteness among them, are the caller's.
+checks, finiteness among them, are the caller's, as is ``at_least_one``.
 """
 import json
 
@@ -96,3 +96,9 @@ def field(doc: dict, key: str, kind: str, of: str | None = None, size: int | Non
     if default is _REQUIRED:
         raise ValueError(f'"{key}" is missing')
     return default
+
+
+def at_least_one(value: int, key: str) -> int:
+    if value < 1:
+        raise ValueError(f'"{key}" must be an integer of at least 1, not {value!r}')
+    return value

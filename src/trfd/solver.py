@@ -413,7 +413,7 @@ def record_from_doc(doc: dict) -> RunRecord:
     field = jsontext.field
     problem = field(doc, "problem", "object")
     pd = field(doc, "params", "object")
-    n = field(problem, "n", "integer")
+    n, m = (jsontext.at_least_one(field(problem, key, "integer"), key) for key in ("n", "m"))
     numbers = ("epsilon", "alpha", "sigma", "lipschitz_h", "c2p_n", "cp2_m",
                "delta0", "delta_star", "stop_delta", "stop_eta")
     params = TrfdParams(
@@ -430,7 +430,7 @@ def record_from_doc(doc: dict) -> RunRecord:
     record = RunRecord(
         problem_name=field(problem, "name", "string"),
         n=n,
-        m=field(problem, "m", "integer"),
+        m=m,
         h=OuterFunction.from_value(field(problem, "h", "string")),
         params=params,
         iterations=snapshots,

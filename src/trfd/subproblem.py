@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MACHINE_EPS, FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from .simplex import LinearProgram, NumericalTrouble, SimplexResult, solve_lp
+from .simplex import LinearProgram, NumericalTrouble, solve_lp
 
 # eta within this of zero is snapped to zero to keep the criticality
 # test free of sign noise
@@ -219,7 +219,7 @@ def solve_tr_subproblem(tr: TrustRegionLP) -> SubproblemSolution:
     model_value = eval_h(tr.h, tr.F_x + tr.A @ d)
     step_norm = norm(d, tr.p)
 
-    _check_solution(tr, d, step_norm, model_value, result)
+    _check_solution(tr, d, step_norm, model_value, result.objective)
 
     # the true optimum never exceeds the value at d = 0, so any negative
     # eta that survives the model-vs-base guard is rounding; snapping it
@@ -345,7 +345,7 @@ def _ray_length(tr: TrustRegionLP, u: np.ndarray) -> float:
     return float(t)
 
 
-def _check_solution(tr, d, step_norm, model_value, result: SimplexResult) -> None:
+def _check_solution(tr, d, step_norm, model_value, objective: float) -> None:
     # abort threshold is 1e-6 absolute on constraint residuals; the LP
     # works in absolute arithmetic, so at tiny radii the step may
     # overshoot the ball by rounding-level amounts without being wrong
@@ -357,9 +357,9 @@ def _check_solution(tr, d, step_norm, model_value, result: SimplexResult) -> Non
     region = tr.region
     if (region.bounded or region.linear_ineq) and not region.contains(tr.x + d, abort):
         raise NumericalTrouble("step left the feasible region")
-    # the LP objective and the recomputed model must agree
+    # the LP objective, in model units, and the recomputed model must agree
     scale = 1.0 + abs(tr.base_value)
-    if abs(result.objective - model_value) > 1e-7 * scale:
+    if abs(objective - model_value) > 1e-7 * scale:
         raise NumericalTrouble("LP objective inconsistent with model value")
     # exact solve: the model never increases over d = 0
     if model_value > tr.base_value + FEAS_TOL * scale:

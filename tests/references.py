@@ -1,11 +1,13 @@
 """References that only tests use: the model minimum by a brute-force
-grid and by HiGHS on an LP of its own, the Euclidean stationarity
-measure by its closed form, and the gap between the true and
-finite-difference measures against its bound."""
+grid and by HiGHS on an LP of its own, an LP's optimum by HiGHS, the
+Euclidean stationarity measure by its closed form, and the gap between
+the true and finite-difference measures against its bound.  This is the
+one module that imports scipy, and only when a test calls HiGHS."""
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm_constants
 from trfd.diagnostics import psi
@@ -88,26 +90,29 @@ def highs_subproblem(h, F, A, region, x, p, r) -> float:
 
     The variables are d (free), for p = 1 the bounds w with |d_j| <= w_j
     and sum(w) <= r, and t: t_i >= +-(F + A d)_i for L1, t >= F + A d for
-    minimax.  The box bounds d, and each row reads a.(x + d) <= b.  At
-    scipy's default feasibility tolerance (1e-7) HiGHS misses the optimum
-    of some campaign models, so both tolerances are 1e-10, and the model
-    is evaluated at HiGHS's d rather than read from its objective.
-    """
-    from scipy.optimize import linprog
+    minimax.  The box bounds d, and each row reads a.(x + d) <= b.  The
+    model is evaluated at HiGHS's d rather than read from its objective.
 
+    HiGHS drops a matrix entry under 1e-9 in size, so F and A are divided
+    by their largest entry first.  h is positively homogeneous, so the
+    minimizing d is the same, and h(F + A d) is evaluated in the original
+    units.  An entry of A under about 1e-9 times that largest entry is
+    still dropped.
+    """
     F, A, x = (np.asarray(v, dtype=float) for v in (F, A, x))
     m, n = A.shape
+    s = max(np.abs(F).max(), np.abs(A).max()) or 1.0
     lo, hi = region.lower - x, region.upper - x
     if p is PNorm.INF:
         lo, hi = np.maximum(lo, -r), np.minimum(hi, r)
     nw = n if p is PNorm.ONE else 0
     nt = m if h is OuterFunction.L1 else 1
     minus_t = -np.eye(m) if h is OuterFunction.L1 else -np.ones((m, 1))
-    rows = [np.hstack([A, np.zeros((m, nw)), minus_t])]
-    rhs = [-F]
+    rows = [np.hstack([A / s, np.zeros((m, nw)), minus_t])]
+    rhs = [-F / s]
     if h is OuterFunction.L1:
-        rows.append(np.hstack([-A, np.zeros((m, nw)), minus_t]))
-        rhs.append(F)
+        rows.append(np.hstack([-A / s, np.zeros((m, nw)), minus_t]))
+        rhs.append(F / s)
     if p is PNorm.ONE:
         eye = np.eye(n)
         rows += [np.hstack([eye, -eye, np.zeros((n, nt))]), np.hstack([-eye, -eye, np.zeros((n, nt))]),
@@ -117,12 +122,31 @@ def highs_subproblem(h, F, A, region, x, p, r) -> float:
         rows.append(np.hstack([a, np.zeros(nw + nt)])[None, :])
         rhs.append([b - float(a @ x)])
     bounds = [*zip(lo, hi), *[(0, None)] * nw, *[(None, None)] * nt]
-    res = linprog(np.r_[np.zeros(n + nw), np.ones(nt)], A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                  bounds=bounds, method="highs-ds",
+    d = _highs(np.r_[np.zeros(n + nw), np.ones(nt)], np.vstack(rows), np.concatenate(rhs), bounds).x[:n]
+    return eval_h(h, F + A @ d)
+
+
+def highs_lp(lp) -> float:
+    """The optimum of the ``LinearProgram`` ``lp`` by HiGHS, for checks on the simplex alone."""
+    return _highs(lp.c, lp.rows, lp.rhs, np.column_stack([lp.lower, lp.upper])).fun
+
+
+def lp_model_value(tr, x_lp) -> float:
+    """h(F + A d) at the point ``x_lp`` of ``tr``'s LP: the units every subproblem check reads."""
+    return eval_h(tr.h, tr.F_x + tr.A @ tr.extract_d(x_lp))
+
+
+def _highs(c, rows, rhs, bounds):
+    """scipy's HiGHS dual simplex on min c.z over rows.z <= rhs within
+    ``bounds``; a ValueError if it fails, a skip of the calling test without
+    scipy.  At the default feasibility tolerance (1e-7) HiGHS misses the
+    optimum of some campaign models, so both tolerances are 1e-10."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(c, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise ValueError(f"HiGHS failed: {res.message}")
-    return eval_h(h, F + A @ res.x[:n])
+    return res
 
 
 def psi_euclidean(bp, x, r: float) -> float:

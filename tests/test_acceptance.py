@@ -337,7 +337,6 @@ def test_every_recorded_eta_agrees_with_an_independent_solve(campaigns):
     # or a bracket read off the step, is checked against HiGHS on the
     # model rebuilt at the snapshot's x and tau (the oracle and the
     # Jacobian build are deterministic), in units of (1 + |h(F)|)/Delta*
-    pytest.importorskip("scipy")
     runs = [rec for family in ("l1", "minimax") for rec in campaigns[family].records.values()]
     for family, config in (("l1", TRFD_M), ("minimax", TRFD_L1)):
         runs += run_campaign(Campaign(problems=registry_family(family), solver_configs=[config])).records.values()

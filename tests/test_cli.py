@@ -113,11 +113,15 @@ def test_audit_reports_a_field_of_the_wrong_json_type_with_one_line(tmp_path, ca
     ("x", [1.0], "must hold n = 2 numbers, not 1"),
     ("final_x", [1.0, 2.0, 3.0], "must hold n = 2 numbers, not 3"),
     ("lipschitz_h", -1, "must be positive, not -1"),
+    ("n", 0, "must be an integer of at least 1, not 0"),
+    ("n", -1, "must be an integer of at least 1, not -1"),
+    ("m", 0, "must be an integer of at least 1, not 0"),
 ])
 def test_audit_reports_a_value_outside_its_schema_with_one_line(tmp_path, capsys, field, value, message):
     out = run_into(tmp_path, ["rosenbrock"], budget=2)
     doc = json.loads((out / "rosenbrock__TRFD-L1.json").read_text())
-    owner = {"x": doc["iterations"][0], "final_x": doc}.get(field, doc["params"])
+    owners = {"x": doc["iterations"][0], "final_x": doc, "n": doc["problem"], "m": doc["problem"]}
+    owner = owners.get(field, doc["params"])
     owner[field] = value
     bad = tmp_path / f"{field}.json"
     bad.write_text(json.dumps(doc))
@@ -479,6 +483,8 @@ BAD_CONFIGS = {
     "tolerance_nan": ({"problems": ["rosenbrock"], "tolerances": [float("nan")]}, '"tolerances"'),
     "tolerance_above_one": ({"problems": ["rosenbrock"], "tolerances": [2]}, '"tolerances"'),
     "tolerance_twice": ({"problems": ["rosenbrock"], "tolerances": [0.1, 1e-3, 0.001]}, "tolerance 0.001 is given twice"),
+    # a campaign with no tolerance would write no profile
+    "tolerances_empty": ({"problems": ["rosenbrock"], "tolerances": []}, '"tolerances": no tolerance is given'),
     "solver_key_misspelt": ({"problems": ["rosenbrock"], "solvers": [{"name": "X", "alpah": 0.9}]}, '"alpah"'),
     "top_key_budget": ({"problems": ["rosenbrock"], "budget": 2}, '"budget"'),
     "top_key_tolerance": ({"problems": ["rosenbrock"], "tolerance": [0.5]}, '"tolerance"'),
@@ -505,7 +511,7 @@ BAD_CONFIGS = {
         "p2", "p_one", "p_infinity", "p_number", "theta_override", "family_max", "unknown_problem", "missing_file", "problems_string", "solvers_string", "solver_without_name",
         "not_object", "tolerances_number", "override_string", "epsilon_negative", "epsilon_nan",
         "stop_eta_infinite", "alpha_above_one", "budget_zero", "budget_string", "budget_fractional", "budget_infinite",
-        "tolerance_negative", "tolerance_nan", "tolerance_above_one", "tolerance_twice",
+        "tolerance_negative", "tolerance_nan", "tolerance_above_one", "tolerance_twice", "tolerances_empty",
         "solver_key_misspelt", "top_key_budget", "top_key_tolerance", "family_key_misspelt",
         "problems_empty", "solvers_empty", "solver_name_twice", "problem_twice", "solver_name_slash",
         "solver_name_empty", "solver_name_non_ascii",

@@ -3,16 +3,12 @@ import warnings
 import numpy as np
 import pytest
 from conftest import enumerate_lp_minimum, random_box_lp, random_mixed_lp, random_tr_instance
+from references import highs_lp, highs_subproblem, lp_model_value
 
 from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm
 from trfd.simplex import OPT_TOL, REFACTOR_EVERY, LinearProgram, NumericalTrouble, _residual, solve_lp
 from trfd.subproblem import reformulate
-
-try:  # independent reference solver; optional, not a runtime dependency
-    from scipy.optimize import linprog
-except ImportError:
-    linprog = None
 
 
 def test_min_of_two_lower_bounds():
@@ -131,7 +127,6 @@ def test_restart_ending_above_the_start_falls_back_to_the_crash():
     # the first pass, and its reduced costs of -2.8e-10 clear -OPT_TOL, so
     # the restart stops at once; yet at this radius they leave a decrease
     # of 2.8e-7, and that vertex lies 1.4e-7 above the d = 0 start
-    linprog = pytest.importorskip("scipy.optimize").linprog
     lp = LinearProgram(
         c=[0.0, 0.0, 0.0, 0.0, 1.0],
         rows=[
@@ -150,11 +145,10 @@ def test_restart_ending_above_the_start_falls_back_to_the_crash():
     start = np.array([0.0, 0.0, 0.0, 0.0, 7.200086806961321e-08])
     lp.basic = np.array([4, 6, 3, 0])
     lp.at_upper = np.zeros(9, dtype=bool)
-    ref = linprog(lp.c, A_ub=lp.rows, b_ub=lp.rhs, bounds=np.column_stack([lp.lower, lp.upper]),
-                  method="highs")
+    best = highs_lp(lp)
     res = solve_lp(lp, start)
     assert res.objective <= lp.c @ start
-    assert res.objective == pytest.approx(ref.fun, abs=OPT_TOL * (1.0 + abs(ref.fun)))
+    assert res.objective == pytest.approx(best, abs=OPT_TOL * (1.0 + abs(best)))
 
 
 def _residual_by_rows(lp, x):
@@ -216,20 +210,15 @@ def test_large_lp_through_refactors_matches_highs():
     # fresh-solve exit check
     rng = np.random.default_rng(40)
     n, m = 40, 80
-    tr = reformulate(
-        OuterFunction.L1, rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (m, n)),
-        FeasibleRegion.unconstrained(n), np.zeros(n), PNorm.ONE, 0.5,
-    )
+    inst = (OuterFunction.L1, rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (m, n)),
+            FeasibleRegion.unconstrained(n), np.zeros(n), PNorm.ONE, 0.5)
+    tr = reformulate(*inst)
     assert tr.lp.n_rows == 161
     res = solve_lp(tr.lp, start=tr.start)
     assert res.iterations > REFACTOR_EVERY
     assert res.max_residual <= 1e-6
-    if linprog is not None:
-        ref = linprog(
-            tr.lp.c, A_ub=tr.lp.rows, b_ub=tr.lp.rhs,
-            bounds=np.column_stack([tr.lp.lower, tr.lp.upper]), method="highs",
-        )
-        assert res.objective == pytest.approx(ref.fun, abs=1e-8 * (1.0 + abs(ref.fun)))
+    best = highs_subproblem(*inst)
+    assert lp_model_value(tr, res.x) == pytest.approx(best, abs=1e-8 * (1.0 + abs(best)))
 
 
 @pytest.mark.parametrize("h", ["l1", "minimax"])

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 from conftest import random_tr_instance
-from references import eta_bruteforce
+from references import eta_bruteforce, highs_subproblem, lp_model_value
 
 from trfd import simplex
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h, norm
-from trfd.simplex import NumericalTrouble, SimplexResult, _residual, solve_lp
+from trfd.simplex import NumericalTrouble, _residual, solve_lp
 from trfd.subproblem import _check_solution, _ray_length, reformulate, solve_tr_subproblem
-
-try:  # independent reference solver; optional, not a runtime dependency
-    from scipy.optimize import linprog
-except ImportError:
-    linprog = None
 
 UNC2 = FeasibleRegion.unconstrained(2)
 
@@ -137,15 +132,6 @@ def test_region_constrained_step_stays_feasible():
         assert region.contains(sol.d_star, tol=1e-9)
 
 
-def _highs_objective(lp):
-    ref = linprog(
-        lp.c, A_ub=lp.rows, b_ub=lp.rhs,
-        bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
-    )
-    assert ref.status == 0
-    return ref.fun
-
-
 @pytest.mark.parametrize(
     "h, p, seed", [("l1", "1", 31), ("l1", "inf", 32), ("minimax", "1", 33), ("minimax", "inf", 34)]
 )
@@ -169,11 +155,10 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         inst = random_tr_instance(rng, h, p, n=n, m=m, constrained=k % 4 != 0)
         tr = reformulate(*inst)
-        crashed = solve_lp(tr.lp, start=tr.start)
+        crashed = lp_model_value(tr, solve_lp(tr.lp, start=tr.start).x)
         scale = 1.0 + abs(tr.base_value)
-        assert crashed.objective <= tr.base_value + 1e-12 * scale
-        if linprog is not None:
-            assert crashed.objective == pytest.approx(_highs_objective(tr.lp), abs=1e-7 * scale)
+        assert crashed <= tr.base_value + 1e-12 * scale
+        assert crashed == pytest.approx(highs_subproblem(*inst), abs=1e-7 * scale)
 
         # the same model re-solved warm: a U2 retry at r/2, and the step
         # LP at r after the Delta* LP
@@ -190,10 +175,10 @@ def test_crash_start_matches_cold_solve_and_highs(h, p, seed, monkeypatch):
             # a restart runs the loop once; a fallback runs it again from the crash
             assert runs in ([True], [False, True])
             used.append(runs[0])
-            want = solve_lp(fresh.lp, start=fresh.start)
-            assert warm.objective == pytest.approx(want.objective, abs=1e-9 * scale)
-            if linprog is not None:
-                assert warm.objective == pytest.approx(_highs_objective(fresh.lp), abs=1e-7 * scale)
+            value = lp_model_value(target, warm.x)
+            want = lp_model_value(fresh, solve_lp(fresh.lp, start=fresh.start).x)
+            assert value == pytest.approx(want, abs=1e-9 * scale)
+            assert value == pytest.approx(highs_subproblem(*inst[:-1], radius), abs=1e-7 * scale)
             warm_pivots.append(warm.iterations)
     # some earlier bases stay optimal, and some no longer fit the bounds
     assert len(used) == len(warm_pivots) == 160
@@ -215,7 +200,6 @@ def test_subproblem_start_satisfies_every_row():
                 solve_tr_subproblem(reformulate(*inst))
 
 
-@pytest.mark.skipif(linprog is None, reason="needs scipy's HiGHS as the reference solver")
 @pytest.mark.parametrize("constrained", [False, True])
 @pytest.mark.parametrize("p", ["1", "inf"])
 @pytest.mark.parametrize("h", ["l1", "minimax"])
@@ -226,7 +210,7 @@ def test_subproblem_solves_reach_the_highs_optimum(h, p, constrained):
     for _ in range(40):
         inst = random_tr_instance(rng, h, p, constrained=constrained)
         tr = reformulate(*inst)
-        best = _highs_objective(tr.lp)
+        best = highs_subproblem(*inst)
         sol = solve_tr_subproblem(tr)
         tol = 1e-9 * (1 + abs(tr.base_value))
         assert best - tol <= sol.model_value <= best + tol
@@ -244,9 +228,7 @@ def test_a_step_past_a_one_sided_box_is_refused(p):
 
     def check(d):
         model_value = eval_h(tr.h, F + A @ d)
-        result = SimplexResult(x=np.zeros(tr.lp.n_variables), objective=model_value, iterations=0,
-                               max_residual=0.0)
-        _check_solution(tr, d, norm(d, tr.p), model_value, result)
+        _check_solution(tr, d, norm(d, tr.p), model_value, model_value)
 
     # along an infinite side, and onto the finite one within the tolerance
     check(np.array([0.0, 0.9, 0.0]))
@@ -263,17 +245,11 @@ def test_an_lp_objective_off_the_model_value_is_refused():
     model_value = eval_h(tr.h, F + A @ d)
     scale = 1.0 + abs(tr.base_value)
     assert (tr.base_value, model_value) == (3.0, 2.0)
-
-    def check(objective):
-        result = SimplexResult(x=np.zeros(tr.lp.n_variables), objective=objective, iterations=0,
-                               max_residual=0.0)
-        _check_solution(tr, d, norm(d, tr.p), model_value, result)
-
     for off in (0.5e-7, -0.5e-7):
-        check(model_value + off * scale)
+        _check_solution(tr, d, norm(d, tr.p), model_value, model_value + off * scale)
     for off in (2e-7, -2e-7):
         with pytest.raises(NumericalTrouble, match="^LP objective inconsistent with model value$"):
-            check(model_value + off * scale)
+            _check_solution(tr, d, norm(d, tr.p), model_value, model_value + off * scale)
 
 
 def test_ray_length_is_the_ratio_test_over_finite_sides_and_rows():

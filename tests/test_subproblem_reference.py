@@ -10,6 +10,7 @@ instances here do.
 import numpy as np
 import pytest
 from conftest import random_tr_instance
+from references import highs_lp
 
 from trfd import subproblem
 from trfd.bench import TRFD_L1, TRFD_M, Campaign, run_campaign
@@ -170,7 +171,6 @@ def test_dumped_delta_star_lp_reloads_bit_exact(h, p, monkeypatch):
 def test_captured_campaign_lps_match_highs(monkeypatch):
     # differential replay: every LP a small campaign solves, re-solved
     # from a copy by the bundled simplex and by HiGHS
-    linprog = pytest.importorskip("scipy.optimize").linprog
     captured = capture_lps(monkeypatch)
     # both configs on these cover all four (h, p) layouts
     names = ("rosenbrock", "bard", "brown_dennis", "cb2", "chebyshev_line_fit", "maxl_6")
@@ -182,9 +182,6 @@ def test_captured_campaign_lps_match_highs(monkeypatch):
     for k, (lp, start) in enumerate(captured):
         # minimax's t is free below; p = 1's first column is unbounded above
         layouts.add((bool(np.isneginf(lp.lower).any()), bool(np.isposinf(lp.upper[0]))))
-        got = solve_lp(lp, start)
-        ref = linprog(lp.c, A_ub=lp.rows, b_ub=lp.rhs, bounds=np.column_stack([lp.lower, lp.upper]),
-                      method="highs")
-        assert ref.status == 0, k
-        assert got.objective == pytest.approx(ref.fun, abs=1e-7 * (1.0 + abs(ref.fun))), k
+        best = highs_lp(lp)
+        assert solve_lp(lp, start).objective == pytest.approx(best, abs=1e-7 * (1.0 + abs(best))), k
     assert len(layouts) == 4

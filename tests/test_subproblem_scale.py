@@ -14,7 +14,6 @@ from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h
 from trfd.simplex import NumericalTrouble
 from trfd.subproblem import reformulate, solve_tr_subproblem
 
-pytest.importorskip("scipy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -82,15 +81,29 @@ def test_the_model_minimum_matches_highs_at_residual_scale_1e8():
         ))
 
 
+def tiny_slope(h, p):
+    """Found at residual scale 1e-7: min over |d| <= 100 of |1e-7 - 5e-10 d|,
+    or of 1e-7 - 5e-10 d, is 5e-8 at d = 100."""
+    h, p = OuterFunction.from_value(h), PNorm.from_value(p)
+    return h, np.array([1e-7]), np.array([[-5e-10]]), FeasibleRegion.unconstrained(1), np.zeros(1), p, 100.0
+
+
+@pytest.mark.parametrize("h", ["l1", "minimax"])
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_the_reference_reaches_the_minimum_on_tiny_entries(h, p):
+    """HiGHS drops a matrix entry under 1e-9, such as this slope, unless
+    ``highs_subproblem`` first divides F and A by their largest entry.
+    The scaling cannot fix an entry of A under about 1e-9 times the
+    largest entry of F and A: HiGHS still drops it."""
+    assert highs_subproblem(*tiny_slope(h, p)) == pytest.approx(5e-8, rel=1e-12)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the simplex's absolute optimality tolerance reads a slope under 1e-9 as no descent; "
                           "ROADMAP item 3")
 @pytest.mark.parametrize("h", ["l1", "minimax"])
 @pytest.mark.parametrize("p", ["1", "inf"])
 def test_a_slope_under_the_optimality_tolerance_still_decreases_the_model(h, p):
-    # found at residual scale 1e-7: min over |d| <= 100 of |1e-7 - 5e-10 d|,
-    # or of 1e-7 - 5e-10 d, is 5e-8 at d = 100, yet the LP stops at d = 0
-    h, p = OuterFunction.from_value(h), PNorm.from_value(p)
-    region = FeasibleRegion.unconstrained(1)
-    sol = solve_tr_subproblem(reformulate(h, np.array([1e-7]), np.array([[-5e-10]]), region, np.zeros(1), p, 100.0))
+    # the LP stops at d = 0
+    sol = solve_tr_subproblem(reformulate(*tiny_slope(h, p)))
     assert sol.model_value <= 5e-8 + 1e-9 * (1.0 + 1e-7)
