@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from trfd.core import eval_h
-from trfd.testset import registry
+from trfd.testset import registry_family
 
 
 def objective(bp):
@@ -73,7 +73,7 @@ def certify(bp, n_starts=48, seed=20250808):
 
 def main(argv):
     names = set(argv[1:])
-    for bp in registry():
+    for bp in registry_family("all"):
         if names and bp.name not in names:
             continue
         best, best_x = certify(bp)

@@ -24,7 +24,7 @@ import numpy as np
 from trfd.bench import TRFD_L1, TRFD_M
 from trfd.core import FeasibleRegion, Problem
 from trfd.solver import DEFAULT_SIMPLEX_GRADIENTS, solve
-from trfd.testset import registry, registry_by_name
+from trfd.testset import registry_by_name, registry_family
 
 
 def box(half_width):
@@ -73,7 +73,7 @@ def sweep(problems) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    problems = [registry_by_name(name) for name in argv] if argv else registry()
+    problems = [registry_by_name(name) for name in argv] if argv else registry_family("all")
     for name, counter in sweep(problems).items():
         terminations = ", ".join(f"{key}={value}" for key, value in sorted(counter.items()))
         print(f"{name:18s} {sum(counter.values())} runs: {terminations}")

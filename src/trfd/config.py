@@ -76,6 +76,11 @@ def problem_from_config(doc: dict) -> Problem:
 
     binding = field(doc, "oracle", "object")
     _known_keys(binding, ORACLE_KEYS, '"oracle"')
+    # one of the two is read, and the timeout only with the command
+    if "registry" in binding and "command" in binding:
+        raise ValueError("oracle binding needs 'registry' or 'command', not both")
+    if "timeout" in binding and "command" not in binding:
+        raise ValueError("oracle binding has 'timeout' without 'command'")
     if "registry" in binding:
         bp = registry_by_name(field(binding, "registry", "string"))
         # residuals of another n would ignore coordinates, or read past x

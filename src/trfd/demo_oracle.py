@@ -4,11 +4,14 @@ Run as ``python -m trfd.demo_oracle --problem rosenbrock`` to serve any
 registry problem over stdin/stdout.  The child loads ``json`` and
 ``trfd.problems``, which imports ``math`` and ``functools`` alone, and
 no numpy and no other trfd module, so it starts in little more than the
-interpreter's own time.  A hello that asks for another n or m than the
-child serves is answered ``{"ready": false, "error": ...}``, and the
-child exits.  A query whose ``x`` is not an array of n finite numbers is
-answered ``{"id": ..., "error": ...}``, as is a float fault in the map
-or a value of it that is not finite, and the child serves on.
+interpreter's own time.  A hello that is not a JSON object holding an
+object ``"hello"``, or that asks for another n or m than the child
+serves, is answered ``{"ready": false, "error": ...}``, and the child
+exits with status 2.  A query line that is not a JSON object holding an
+integer ``"id"`` is answered ``{"id": null, "error": ...}``; a query
+whose ``x`` is not an array of n finite numbers is answered
+``{"id": ..., "error": ...}``, as is a float fault in the map or a value
+of it that is not finite; after either the child serves on.
 """
 from __future__ import annotations
 
@@ -35,13 +38,8 @@ def main(argv=None) -> int:
     stdin = sys.stdin
     stdout = sys.stdout
 
-    hello = json.loads(stdin.readline())
-    if "hello" not in hello:
-        print(json.dumps({"error": "expected hello"}), flush=True)
-        return 2
-    asked = (hello["hello"].get("n"), hello["hello"].get("m"))
-    if asked != (n, m):
-        error = "%s serves n = %s, m = %s, not n = %s, m = %s" % (name, n, m, *asked)
+    error = _hello_error(stdin.readline().strip(), name, n, m)
+    if error is not None:
         print(json.dumps({"ready": False, "error": error}), flush=True)
         return 2
     stdout.write('{"ready": true}\n')
@@ -51,19 +49,44 @@ def main(argv=None) -> int:
         line = line.strip()
         if not line:
             continue
-        req = json.loads(line)
+        req = _object(line)
+        qid = req.get("id")
         try:
+            if type(qid) is not int:  # a boolean is none
+                qid = None
+                raise ValueError('expected {"id": <integer>, "x": [...]}, not %.40r' % line)
             fvec = [float(v) for v in fn(_point(req.get("x"), n))]
             # a product that overflows raises nothing, and JSON has no inf
             if not all(map(math.isfinite, fvec)):
                 raise ArithmeticError(f"{name} returned non-finite values")
         except (ValueError, ArithmeticError) as exc:  # a bad x, an overflow or a division by zero
-            stdout.write(json.dumps({"id": req["id"], "error": str(exc)}) + "\n")
+            stdout.write(json.dumps({"id": qid, "error": str(exc)}) + "\n")
         else:
             body = ", ".join([repr(v) for v in fvec])
-            stdout.write('{"id": %d, "fvec": [%s]}\n' % (req["id"], body))
+            stdout.write('{"id": %d, "fvec": [%s]}\n' % (qid, body))
         stdout.flush()
     return 0
+
+
+def _hello_error(line: str, name: str, n: int, m: int):
+    """Why the child cannot serve the hello ``line``, or None."""
+    hello = _object(line).get("hello")
+    if type(hello) is not dict:
+        return 'expected {"hello": {"n": <integer>, "m": <integer>}}, not %.40r' % line
+    asked = (hello.get("n"), hello.get("m"))
+    if asked != (n, m):
+        return "%s serves n = %s, m = %s, not n = %s, m = %s" % (name, n, m, *asked)
+    return None
+
+
+def _object(line: str) -> dict:
+    """The JSON object ``line`` holds; an empty one for any other line,
+    JSON or not (``json`` raises RecursionError on deep nesting)."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError):
+        return {}
+    return doc if type(doc) is dict else {}
 
 
 def _point(x, n: int) -> list:

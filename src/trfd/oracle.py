@@ -10,10 +10,13 @@ Wire protocol (one JSON document per line):
 
     solver -> oracle   {"hello": {"n": <int>, "m": <int>}}
     oracle -> solver   {"ready": true}
-                       or {"ready": false, "error": "<message>"}
+                       or {"ready": false, "error": "<message>"} to a hello
+                       it cannot serve, and the oracle exits
     solver -> oracle   {"id": <int>, "x": [<n floats>]}
     oracle -> solver   {"id": <int>, "fvec": [<m floats>]}
                        or {"id": <int>, "error": "<message>"}
+                       or {"id": null, "error": "<message>"} to a line
+                       that is no such query, and the oracle serves on
 
 Both ends write each float as its shortest round-trip decimal (Python's
 ``repr``), so the text parses back to the same float64 bit for bit; any

@@ -161,7 +161,6 @@ class SimplexResult:
     x: np.ndarray
     objective: float
     iterations: int
-    max_residual: float
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore")
@@ -231,12 +230,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     lp.at_upper = value == lp.hi
     lp.at_upper[basic] = False
     lp.reduced = reduced
-    return SimplexResult(
-        x=x,
-        objective=objective,
-        iterations=iters,
-        max_residual=max_residual,
-    )
+    return SimplexResult(x=x, objective=objective, iterations=iters)
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:

@@ -65,19 +65,15 @@ def _record(name, h, n, m, residuals, x0, f_ref, note, jacobian=None, lipschitz=
 _REGISTRY = [_record(*row) for row in problems.REGISTRY]
 
 
-def registry() -> list:
-    """All benchmark problems, least-absolute-deviation family first."""
-    return list(_REGISTRY)
-
-
 def registry_by_name(name: str) -> BenchmarkProblem:
     return _REGISTRY[problems.find(name)]
 
 
 def registry_family(family) -> list:
-    """The problems of one family, "l1" or "minimax", or every problem for "all"."""
+    """The problems of one family, "l1" or "minimax", or every problem for
+    "all", least-absolute-deviation family first."""
     if family == "all":
-        return registry()
+        return list(_REGISTRY)
     family = OuterFunction.from_value(family)
     return [bp for bp in _REGISTRY if bp.family is family]
 

@@ -23,7 +23,7 @@ from trfd.jacobian import build_jacobian
 from trfd.simplex import solve_lp
 from trfd.solver import IterationClass, Termination, TrfdParams, solve
 from trfd.subproblem import reformulate, solve_tr_subproblem
-from trfd.testset import BenchmarkProblem, registry, registry_by_name, registry_family
+from trfd.testset import BenchmarkProblem, registry_by_name, registry_family
 
 
 def _report(num, ok, detail):
@@ -83,7 +83,7 @@ def test_criterion_1_invariant_suite(campaigns):
 
     # |psi - eta| bound on every certified problem
     gap_checks = 0
-    for bp in registry():
+    for bp in registry_family("all"):
         if bp.jacobian is None:
             continue
         for x in _box_samples(rng, bp, 5):
@@ -157,7 +157,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_fd_jacobian_error_bound():
     rng = np.random.default_rng(303)
-    certified = [bp for bp in registry() if bp.jacobian is not None]
+    certified = [bp for bp in registry_family("all") if bp.jacobian is not None]
     assert certified
     checks = 0
     for bp in certified:

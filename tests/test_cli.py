@@ -9,7 +9,7 @@ from trfd import solver
 from trfd.bench import DEFAULT_TOLERANCES, TRFD_L1, TRFD_M
 from trfd.cli import main
 from trfd.config import campaign_from_config
-from trfd.testset import registry
+from trfd.testset import registry_family
 
 
 def test_list_runs():
@@ -198,7 +198,7 @@ def test_run_with_family_config_and_budget_key(tmp_path):
 
 def test_the_empty_config_is_the_default_campaign():
     campaign = campaign_from_config({})
-    assert [bp.name for bp in campaign.problems] == [bp.name for bp in registry()]
+    assert [bp.name for bp in campaign.problems] == [bp.name for bp in registry_family("all")]
     assert campaign.solver_configs == [TRFD_L1, TRFD_M]
     assert campaign.simplex_gradients == 100
     assert campaign.tolerances == DEFAULT_TOLERANCES
@@ -210,7 +210,7 @@ def test_run_without_a_config_runs_the_default_campaign(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("*__*.json")) == sorted(
-        f"{bp.name}__{name}.json" for bp in registry() for name in ("TRFD-L1", "TRFD-M")
+        f"{bp.name}__{name}.json" for bp in registry_family("all") for name in ("TRFD-L1", "TRFD-M")
     )
     assert json.loads((out / "cb2__TRFD-M.json").read_text())["params"]["simplex_gradients"] == 100
     assert capsys.readouterr().out.splitlines()[-1] == f"56 runs, 0 failed; traces in {out}"

@@ -189,7 +189,50 @@ TRACE_EDITS = {
                          "evals_total 0, the ledger gives "),
     "rho_degenerate_true": (lambda doc: _every(doc, "rho_degenerate", lambda _: True), AuditFailure,
                             "rho_degenerate True with class "),
+    # one edit per later check, on rosenbrock's 25 iterations: U2s at
+    # 1, 2, 4, 6, 7, ..., 21, each re-entered at step 3; 23 and 24 are
+    # successes entered at step 1, 24 the last, and its bracket nobody's
+    "tau_over_delta": (lambda doc: _at(doc, 24, tau=1.0), AuditFailure,
+                       "iteration 24: tau*sqrt(n) = 1.414214e+00 exceeds delta = 1.000000e+00"),
+    "tau_not_replayed": (lambda doc: _at(doc, 24, tau=doc["params"]["tau0"] / 2), AuditFailure,
+                         "iteration 24: tau 7.450580596923828e-09 != replayed 1.4901161193847656e-08"),
+    "step1_after_u2": (lambda doc: _at(doc, 5, entered_at="step1"), AuditFailure,
+                       "iteration 5: iteration after U2 did not re-enter at step 3"),
+    "step3_after_success": (lambda doc: _at(doc, 1, entered_at="step3"), AuditFailure,
+                            "iteration 1: iteration after non-U2 did not enter at step 1"),
+    "eta_not_inherited": (lambda doc: _at(doc, 2, eta=2 * doc["iterations"][2]["eta"]), AuditFailure,
+                          "iteration 2: inherited eta, eta_upper or eta_radius changed across a U2 re-entry"),
+    "bracket_under_eta": (lambda doc: _at(doc, 24, eta_upper=doc["iterations"][24]["eta"] / 2), AuditFailure,
+                          "iteration 24: bracket needs delta < Delta* and eta <= eta_upper: "),
+    "f_increased": (lambda doc: _at(doc, 24, f=1.0), AuditFailure,
+                    "iteration 24: objective increased: "),
+    "moved_on_u2": (lambda doc: _at(doc, 2, x=[v + 1e-3 for v in doc["iterations"][2]["x"]]), AuditFailure,
+                    "iteration 2: iterate moved on a non-success iteration"),
+    "evals_iter": (lambda doc: _at(doc, 24, evals_iter=2), AuditFailure,
+                   "iteration 24: evaluation cost 2, expected 3"),
+    "termination_evals": (lambda doc: doc.update(termination_evals=3), AuditFailure,
+                          "evaluation ledger off: start + iters + trailing = 55, trace has 54"),
+    # 54 evaluations against a budget of 17 simplex gradients, 51
+    "budget": (lambda doc: doc["params"].update(simplex_gradients=17, max_evals=51), AuditFailure,
+               "budget exceeded"),
+    # 26 more trailing evaluations than 3 for each of 25 iterations and
+    # the partial one, plus the start, allow
+    "trailing_evals": (lambda doc: _trail(doc, 26), AuditFailure, "per-iteration evaluation bound violated"),
+    # tau0 = epsilon / (... c2p_n ...) is unchanged, and the floor, which
+    # divides by c2p_n squared, rises above every radius
+    "c2p_n": (lambda doc: doc["params"].update(c2p_n=2.0**-60, epsilon=doc["params"]["epsilon"] * 2.0**-60),
+              AuditFailure, "iteration 0: delta 1.000000e+00 fell under the floor "),
 }
+
+
+def _at(doc, k, **values):
+    doc["iterations"][k].update(values)
+
+
+def _trail(doc, count):
+    # evaluations after the last iteration, each no better than the best
+    doc["best_f"] += doc["best_f"][-1:] * count
+    doc.update(termination_evals=doc["termination_evals"] + count, total_evals=len(doc["best_f"]))
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +249,7 @@ def test_audit_refuses_a_trace_whose_start_or_ledger_was_edited(rosenbrock_trace
     doc = json.loads(rosenbrock_trace)
     change(doc)
     with pytest.raises(error, match=re.escape(message)):
-        audit_trace(record_from_doc(doc))
+        audit_trace(record_from_doc(doc), analytic=registry_by_name("rosenbrock").analytic())
 
 
 def test_audit_affine_trace_all_success():

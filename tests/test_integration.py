@@ -13,7 +13,7 @@ from trfd.bench import Campaign, SolverConfig, run_campaign
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, eval_h
 from trfd.diagnostics import audit_trace
 from trfd.solver import TrfdParams, Termination, record_to_doc, solve
-from trfd.testset import problem_to_config, registry, registry_by_name
+from trfd.testset import problem_to_config, registry_by_name, registry_family
 
 
 def test_box_constrained_rosenbrock():
@@ -87,12 +87,12 @@ def test_cross_config_audits_whole_registry():
     # class derivation, update rules, and cost accounting must hold on
     # configurations the campaign defaults never exercise
     campaign = Campaign(
-        problems=registry(),
+        problems=registry_family("all"),
         solver_configs=[SolverConfig(name="P1", p="1"), SolverConfig(name="PINF", p="inf")],
         simplex_gradients=40,
     )
     result = run_campaign(campaign)
-    assert len(result.records) == 2 * len(registry())
+    assert len(result.records) == 2 * len(registry_family("all"))
     troubles = []
     for (pname, cname), rec in result.records.items():
         audit_trace(rec)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -12,10 +13,11 @@ import pytest
 from conftest import rosenbrock_residuals
 
 import trfd.oracle
+from trfd import demo_oracle
 from trfd.core import FeasibleRegion, OuterFunction, PNorm, Problem
 from trfd.oracle import EvalBudget, ExternalOracle, InProcessOracle, OracleFailure
 from trfd.solver import Termination, TrfdParams, solve
-from trfd.testset import registry, registry_by_name
+from trfd.testset import registry_by_name, registry_family
 
 
 def test_inprocess_rosenbrock_values():
@@ -43,6 +45,15 @@ def test_wrong_length_and_nonfinite():
     bad_val = InProcessOracle(lambda x: np.array([np.nan, 0.0]), 2)
     with pytest.raises(OracleFailure):
         bad_val.eval_F([0.0, 0.0])
+
+
+def test_a_query_point_that_is_not_finite_is_refused_unevaluated():
+    calls = []
+    oracle = InProcessOracle(lambda x: calls.append(x) or np.zeros(2), 2)
+    for x in ([np.nan, 0.0], [0.0, -np.inf]):
+        with pytest.raises(OracleFailure, match="^query point has non-finite components$"):
+            oracle.eval_F(x)
+    assert (calls, oracle.eval_count) == ([], 0)
 
 
 def test_budget_accounting():
@@ -82,24 +93,18 @@ def test_wire_is_bit_exact(demo_oracle_cmd):
 
 
 def test_oracle_child_imports_no_solver_code(demo_oracle_cmd):
-    # a fresh interpreter: the child's imports, then the lazy package names
+    # a fresh interpreter: the package itself imports no submodule and
+    # names none of theirs, and the child loads no solver code
     code = """
 import sys
-import trfd.demo_oracle
-assert not {"trfd.solver", "trfd.simplex", "trfd.subproblem", "trfd.bench", "trfd.oracle"} & set(sys.modules)
 import trfd
-from trfd import simplex
-assert trfd.solve is sys.modules["trfd.solver"].solve
-for name in trfd.__all__:
-    getattr(trfd, name)
-try:
-    trfd.no_such_name
-except AttributeError:
-    print("ok")
+print(sorted(name for name in sys.modules if name.split(".")[0] == "trfd"), hasattr(trfd, "solve"))
+import trfd.demo_oracle
+print(sorted({"trfd.solver", "trfd.simplex", "trfd.subproblem", "trfd.bench", "trfd.oracle"} & set(sys.modules)))
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    assert done.stdout == "['trfd'] False\n[]\n"
 
 
 def test_oracle_child_loads_no_numpy(demo_oracle_cmd):
@@ -160,6 +165,44 @@ def test_oracle_child_answers_a_query_without_n_numbers_and_serves_on(demo_oracl
     assert last["id"] == 4 and len(last["fvec"]) == m
 
 
+def _serve(monkeypatch, capsys, lines):
+    """The exit status and reply lines of a cb2 child, its main run in
+    process on ``lines`` as its input."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    status = demo_oracle.main(["--problem", "cb2"])
+    return status, capsys.readouterr().out.splitlines()
+
+
+# a first line the child cannot read as a hello
+NOT_HELLOS = {
+    "a string": '"hello"', "no hello": "{}", "a number": '{"hello": 5}', "an array": '{"hello": [2, 3]}',
+    "in an array": '[{"hello": {"n": 2, "m": 3}}]', "not json": "not json", "empty": "",
+    "too deep": "[" * 100000,
+}
+
+
+@pytest.mark.parametrize("hello", list(NOT_HELLOS.values()), ids=list(NOT_HELLOS))
+def test_oracle_child_refuses_a_first_line_that_is_no_hello(monkeypatch, capsys, hello):
+    # the refusal is one the solver reads: not ready, with the line shown
+    status, replies = _serve(monkeypatch, capsys, [hello, '{"id": 0, "x": [1.0, 2.0]}'])
+    error = 'expected {"hello": {"n": <integer>, "m": <integer>}}, not %.40r' % hello
+    assert (status, [json.loads(reply) for reply in replies]) == (2, [{"ready": False, "error": error}])
+
+
+def test_oracle_child_answers_a_line_that_is_no_query_and_serves_on(monkeypatch, capsys):
+    # no id to answer to: the reply's id is null, and the next query is
+    # answered as if the line had not come
+    lines = ["not json", '{"id": "a", "x": [1.0, 2.0]}', '{"id": true, "x": [1.0, 2.0]}',
+             '{"id": 1.0, "x": [1.0, 2.0]}', '{"x": [1.0, 2.0]}', "[0, [1.0, 2.0]]", "[" * 100000]
+    status, replies = _serve(monkeypatch, capsys, ['{"hello": {"n": 2, "m": 3}}', *lines, '{"id": 7, "x": [1.0, 2.0]}'])
+    assert status == 0 and replies[0] == '{"ready": true}' and len(replies) == len(lines) + 2
+    for line, reply in zip(lines, replies[1:]):
+        error = 'expected {"id": <integer>, "x": [...]}, not %.40r' % line
+        assert json.loads(reply) == {"id": None, "error": error}
+    # cb2 at (1, 2): x1^2 + x2^4, (2 - x1)^2 + (2 - x2)^2, 2 exp(x2 - x1)
+    assert replies[-1] == '{"id": 7, "fvec": [17.0, 1.0, 5.43656365691809]}'
+
+
 def test_an_overflow_in_a_map_fails_the_evaluation(demo_oracle_cmd):
     # gaussian's exp overflows at x2 = -1000; numpy's gave inf, and so
     # does either oracle fail, not the process that calls it
@@ -210,7 +253,7 @@ def test_oracle_child_refuses_its_arguments_before_the_handshake(demo_oracle_cmd
 def test_every_registry_problem_crosses_the_wire_bit_for_bit(demo_oracle_cmd):
     # the child serves the very table the in-process registry is built from
     rng = np.random.default_rng(24)
-    for bp in registry():
+    for bp in registry_family("all"):
         x0 = np.array(bp.x0)
         oracle = ExternalOracle(f"{demo_oracle_cmd} --problem {bp.name}", n=bp.n, m=bp.m)
         try:
@@ -323,6 +366,27 @@ def test_process_death(tmp_path):
         assert oracle._proc.wait(timeout=5.0) == 0
         with pytest.raises(OracleFailure, match="^oracle process closed its (input|output)$"):
             oracle.eval_F([3.0, 4.0])
+    finally:
+        oracle.close()
+
+
+def test_a_child_that_exits_unasked_closed_its_output(tmp_path):
+    # the child reads the query and exits without an answer; the query
+    # was written while it still read, so its output ends, not its input
+    oracle = scripted_oracle(tmp_path, [READY], then="sys.stdin.readline()")
+    try:
+        with pytest.raises(OracleFailure, match="^oracle process closed its output$"):
+            oracle.eval_F([1.0, 2.0])
+    finally:
+        oracle.close()
+
+
+def test_a_reply_to_another_query_is_an_oracle_failure(tmp_path):
+    oracle = scripted_oracle(tmp_path, [READY, '{"id": 0, "fvec": [1.0, 2.0]}', '{"id": 0, "fvec": [1.0, 2.0]}'])
+    try:
+        assert np.array_equal(oracle.eval_F([1.0, 2.0]), [1.0, 2.0])
+        with pytest.raises(OracleFailure, match="^oracle answered id 0 to query 1$"):
+            oracle.eval_F([1.0, 2.0])
     finally:
         oracle.close()
 

@@ -74,7 +74,7 @@ def reference_solve_lp(lp, start):
     lp.basic = basic
     lp.at_upper = value == hi
     lp.at_upper[basic] = False
-    return simplex.SimplexResult(x=x, objective=float(lp.c @ x), iterations=iters, max_residual=max_residual)
+    return simplex.SimplexResult(x=x, objective=float(lp.c @ x), iterations=iters)
 
 
 def _reference_warm_start(A, b, lo, hi, basic, at_upper):

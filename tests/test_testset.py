@@ -7,12 +7,7 @@ import pytest
 from trfd import problems
 from trfd.core import OuterFunction, eval_h
 from trfd.jacobian import build_jacobian
-from trfd.testset import (
-    problem_to_config,
-    registry,
-    registry_by_name,
-    registry_family,
-)
+from trfd.testset import problem_to_config, registry_by_name, registry_family
 
 L1_REQUIRED = {
     "linear_full_rank", "linear_rank_one", "rosenbrock", "powell_singular",
@@ -50,7 +45,7 @@ def test_standard_entries():
 
 
 def test_every_entry_evaluates_at_start():
-    for bp in registry():
+    for bp in registry_family("all"):
         fvec = bp.residuals(np.asarray(bp.x0, dtype=float))
         assert np.shape(fvec) == (bp.m,)
         f0 = eval_h(bp.family, fvec)
@@ -101,8 +96,8 @@ MOVED_ULPS = {"linear_rank_one": 4, "beale": 4, "gaussian": 346, "box_3d": 4, "e
 def test_every_map_keeps_its_value_at_the_start():
     # a slip in transcribing a map moves h(F(x0)), which a pinned count
     # of a whole campaign need not show
-    assert set(H_AT_START) == {bp.name for bp in registry()}
-    for bp in registry():
+    assert set(H_AT_START) == {bp.name for bp in registry_family("all")}
+    for bp in registry_family("all"):
         got = eval_h(bp.family, bp.make_problem().oracle.eval_F(bp.x0))
         want = float.fromhex(H_AT_START[bp.name])
         assert abs(got - want) <= MOVED_ULPS.get(bp.name, 0) * math.ulp(want), (bp.name, got.hex())
@@ -132,7 +127,7 @@ def test_hoisted_nodes_keep_the_inline_formulas_bit_for_bit():
 
 
 def test_f_ref_provenance_notes():
-    for bp in registry():
+    for bp in registry_family("all"):
         assert bp.f_ref_note
         assert "certify_f_ref.py" in bp.f_ref_note
 
@@ -140,7 +135,7 @@ def test_f_ref_provenance_notes():
 def test_analytic_jacobians_match_forward_differences():
     rng = np.random.default_rng(12)
     tau = 1e-6
-    for bp in registry():
+    for bp in registry_family("all"):
         if bp.analytic() is None:
             continue
         lo, hi = bp.jacobian_box
@@ -156,9 +151,9 @@ def test_analytic_jacobians_match_forward_differences():
 
 def test_the_certificate_is_the_record_itself():
     # the 10 records with a closed-form Jacobian certify their own runs
-    analytic = [registry_by_name(bp.name).analytic() for bp in registry()]
+    analytic = [registry_by_name(bp.name).analytic() for bp in registry_family("all")]
     assert len(analytic) == 28 and sum(a is not None for a in analytic) == 10
-    for bp, a in zip(registry(), analytic):
+    for bp, a in zip(registry_family("all"), analytic):
         assert a is (bp if bp.jacobian is not None else None)
 
 
@@ -249,6 +244,10 @@ def test_problem_config_refuses_unknown_keys(where, key):
     ("linear_ineq", [{"a": [1.0, 0.0]}], '"b" is missing'),
     ("oracle", {"command": 5}, '"command" must be a string, not 5'),
     ("oracle", "cb2", '"oracle" must be an object, not \'cb2\''),
+    # a key the other binding reads would go unread: this command is
+    # never started, and this timeout never waited for
+    ("oracle", {"registry": "cb2", "command": "false"}, "oracle binding needs 'registry' or 'command', not both"),
+    ("oracle", {"registry": "cb2", "timeout": -5}, "oracle binding has 'timeout' without 'command'"),
 ])
 def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
     from trfd.config import problem_from_config
