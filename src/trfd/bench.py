@@ -149,21 +149,19 @@ def summarize(records: dict) -> dict:
     return {"schema": "trfd-summary-v1", "runs": rows}
 
 
-class EmptyGroup(Exception):
-    """No records to profile."""
-
-
 def data_profile(records: dict, tolerance: float, budget: int | None = None) -> dict:
     """Profile a group of records keyed (problem, solver) -> RunRecord:
-    solver name -> list of fractions solved, index = kappa 0..budget."""
+    solver name -> list of fractions solved, index = kappa 0..budget.
+    An empty group, or one missing a (problem, solver) record, raises
+    ValueError."""
     if not records:
-        raise EmptyGroup("no records")
+        raise ValueError("no records")
     solvers = sorted({conf for _, conf in records})
     problems = sorted({prob for prob, _ in records})
     for prob in problems:
         for solver in solvers:
             if (prob, solver) not in records:
-                raise EmptyGroup(f"missing record for {prob!r} under {solver!r}")
+                raise ValueError(f"missing record for {prob!r} under {solver!r}")
     if budget is None:
         budget = max(rec.params.budget.simplex_gradients for rec in records.values())
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from .bench import (
     DEFAULT_TOLERANCES,
-    EmptyGroup,
     check_tolerances,
     data_profile,
     emit_profile_csv,
@@ -137,7 +136,7 @@ def _cmd_profile(args) -> int:
         return _profile_error(f"no trace files under {args.out}")
     try:
         _write_profiles(records, tolerances, args.out)
-    except EmptyGroup as exc:
+    except ValueError as exc:
         return _profile_error(exc)
     return 0
 
@@ -149,7 +148,7 @@ def _profile_error(message, status=1) -> int:
 
 def _write_profiles(records, tolerances, out_dir) -> None:
     """Build every profile, to the records' budget, then write them: a
-    group that cannot be profiled raises EmptyGroup before any file is written."""
+    group that cannot be profiled raises ValueError before any file is written."""
     for tol, curves in [(tol, data_profile(records, tol)) for tol in tolerances]:
         name = np.format_float_scientific(tol, trim="-", exp_digits=2)
         path = os.path.join(out_dir, f"profile_tol{name}.csv")

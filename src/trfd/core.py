@@ -145,10 +145,6 @@ class FeasibleRegion:
     def unconstrained(cls, n: int) -> "FeasibleRegion":
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
-    @property
-    def n(self) -> int:
-        return self.lower.size
-
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
         if self.bounded and (
@@ -176,7 +172,7 @@ class Problem:
             raise ValueError("start point has wrong length")
         if not np.isfinite(x0).all():
             raise ValueError("start point is not finite")
-        if self.region.n != self.n:
+        if self.region.lower.size != self.n:
             raise ValueError("region dimension mismatch")
         if not self.region.contains(x0):
             raise ValueError("start point is infeasible")

@@ -147,14 +147,6 @@ class LinearProgram:
         self.rows = self.augmented[:, :nv]
         self.c, self.lower, self.upper = self.cost[:nv], self.lo[:nv], self.hi[:nv]
 
-    @property
-    def n_variables(self) -> int:
-        return self.c.size
-
-    @property
-    def n_rows(self) -> int:
-        return self.rhs.size
-
 
 @dataclass
 class SimplexResult:
@@ -172,7 +164,7 @@ def solve_lp(lp: LinearProgram, start) -> SimplexResult:
     left, or crashes when that basis is infeasible or the restart ends
     above the start's objective.
     """
-    nv, nr = lp.n_variables, lp.n_rows
+    nv, nr = lp.c.size, lp.rhs.size
     x0 = np.minimum(np.maximum(start, lp.lower), lp.upper)
     resid = lp.rhs - lp.rows @ x0
     # argmin takes a NaN first, so a NaN start fails too

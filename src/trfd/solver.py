@@ -425,6 +425,8 @@ def record_from_doc(doc: dict) -> RunRecord:
     for it in field(doc, "iterations", "array", of="object"):
         row = {name: _point(it, key, n) if kind == "point" else field(it, key, kind)
                for name, key, kind in SNAPSHOT_ROW}
+        if row["entered_at"] not in ("step1", "step3"):
+            raise ValueError(f'"entered_at" must be "step1" or "step3", not {row["entered_at"]!r}')
         snapshots.append(IterationSnapshot(**row | {"cls": IterationClass(row["cls"])}))
     final_f = field(doc, "final_f", "number or null")
     record = RunRecord(

@@ -59,9 +59,8 @@ from .simplex import LinearProgram, NumericalTrouble, solve_lp
 # test free of sign noise
 ETA_SNAP = 1e-12
 FEAS_TOL = 1e-9
-# the two ends of an eta bracket read psi at the step and at the step
-# pulled into the ball; a bracket whose ends disagree by more than this
-# is not returned
+# an eta bracket (lower, upper, rho) must keep lower * Delta* <=
+# upper * (1 + BRACKET_RTOL) * rho, concavity read with this much slack
 BRACKET_RTOL = 1e-6
 
 
@@ -244,15 +243,15 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     which psi(rho) is at least.  It tries the step pulled into the ball
     first (rho = delta): ``_check_solution`` lets the step overshoot it
     slightly, and the region is convex and holds x, so the pulled-in
-    step is feasible.  Its decrease must agree with the LP's within
-    BRACKET_RTOL, as two readings of psi(delta).  Otherwise it reads
-    the model along the step's ray, at rho times the step's unit
-    direction for rho = 4^k delta and rho = r_ref, capped where the ray
-    leaves the region, and takes the largest decrease that clears the
-    threshold.  There the upper end adds the rounding allowance of its
-    reading.  A ray point whose lower end exceeds the upper end, or that
-    breaks psi(rho)/rho <= psi(delta)/delta, the concavity the audit
-    checks, is never taken.
+    step is feasible, and the upper end is raised to its reading when
+    that is larger.  Otherwise it reads the model along the step's ray,
+    at rho times the step's unit direction for rho = 4^k delta and
+    rho = r_ref, capped where the ray leaves the region, and takes the
+    largest decrease that clears the threshold; there the upper end adds
+    the rounding allowance of its reading.  Every bracket returned keeps
+    one rule, the one the audit checks: delta <= rho <= r_ref and
+    lower * r_ref <= upper * (1 + BRACKET_RTOL) * rho, which is
+    psi(rho)/rho <= psi(delta)/delta, the concavity of psi.
     """
     r = tr.radius
     F, A, base = tr.F_x, tr.A, tr.base_value
@@ -277,7 +276,7 @@ def eta_bracket(tr: TrustRegionLP, sol: SubproblemSolution, r_ref: float, floor:
     spread_F = base if tr.h is OuterFunction.L1 else float(np.add.reduce(np.abs(F)))
     col_A = np.add.reduce(np.abs(A), axis=0)
     allowance = unit * (spread_F + float(col_A @ np.abs(d)))
-    if (psi_lower - allowance) / r_ref > 2.0 * floor and psi_lower >= (1.0 - BRACKET_RTOL) * psi_upper:
+    if (psi_lower - allowance) / r_ref > 2.0 * floor:
         return psi_lower / r_ref, psi_upper / r, r
     if size == 0.0:
         return None

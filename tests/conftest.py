@@ -69,7 +69,7 @@ def random_box_lp(rng, max_total=12):
 def enumerate_lp_minimum(lp):
     """Exhaustive vertex enumeration over all nv-subsets of active
     constraints; independent of the simplex implementation."""
-    nv = lp.n_variables
+    nv = lp.c.size
     G, g = list(lp.rows), list(lp.rhs)
     for j in range(nv):
         e = np.zeros(nv)

@@ -14,7 +14,6 @@ import pytest
 
 from trfd.bench import (
     Campaign,
-    EmptyGroup,
     SolverConfig,
     TRFD_L1,
     TRFD_M,
@@ -109,9 +108,9 @@ def test_profile_missing_record_raises():
         ("q", "a"): fake_record("q", 1, [1.0]),
         ("p", "b"): fake_record("p", 1, [1.0]),
     }
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(ValueError, match="^missing record for 'q' under 'b'$"):
         data_profile(records, 1e-3)
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(ValueError, match="^no records$"):
         data_profile({}, 1e-3)
 
 

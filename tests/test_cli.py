@@ -62,6 +62,32 @@ def test_audit_rejects_corrupted_trace(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("final_x", "iteration 117: final_x or final_f is not the iterate of the last iteration"),
+    ("final_f", "iteration 117: final_x or final_f is not the iterate of the last iteration"),
+    ("termination", "iteration 117: the radius reached stop_delta = 1e-13, yet the run ended eta_floor"),
+    ("trailing", "delta_floor after 1 trailing evaluations, not 0"),
+])
+def test_audit_refuses_a_trace_whose_end_was_edited(tmp_path, capsys, edit, message):
+    # cb2 stops at delta_floor after the U3 iteration 117
+    out = run_into(tmp_path, ["cb2"])
+    trace = out / "cb2__TRFD-L1.json"
+    doc = json.loads(trace.read_text())
+    if edit == "final_x":
+        doc["final_x"][0] += 1.0
+    elif edit == "final_f":
+        doc["final_f"] -= 1.0
+    elif edit == "termination":
+        doc["termination"] = "eta_floor"
+    else:
+        doc["best_f"].append(doc["best_f"][-1])
+        doc.update(termination_evals=1, total_evals=doc["total_evals"] + 1)
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr() == (f"{trace}: FAILED: {message}\n", "")
+
+
 def test_audit_reports_unreadable_traces_and_goes_on(tmp_path, capsys):
     out = run_into(tmp_path, ["rosenbrock"])
     capsys.readouterr()

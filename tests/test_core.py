@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,9 @@ def test_machine_eps():
 def test_norm_constants_values(p, n, m, c2p, cp2):
     assert norm_constants(p, n, m) == (c2p, cp2)
     assert c2p >= 1.0 and cp2 >= 1.0
+    for empty in ((0, m), (n, 0)):
+        with pytest.raises(ValueError, match="^dimensions must be at least 1$"):
+            norm_constants(p, *empty)
 
 
 def test_norm_equivalence_random_and_tight():
@@ -126,6 +131,11 @@ def test_region_validation():
     assert np.all(np.isinf(free.lower)) and np.all(np.isinf(free.upper)) and not free.linear_ineq
     with pytest.raises(ValueError):
         FeasibleRegion([1.0], [0.0])
+    for lower, upper in (([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="^bounds must be 1-d arrays of equal length$"):
+            FeasibleRegion(lower, upper)
+    with pytest.raises(ValueError, match="^inequality row has wrong length$"):
+        FeasibleRegion([0.0, 0.0], [1.0, 1.0], [([1.0], 1.0)])
     tri = FeasibleRegion(
         np.full(2, -np.inf), np.full(2, np.inf), ((np.array([1.0, 1.0]), 1.0),)
     )
@@ -143,3 +153,11 @@ def test_problem_validation():
             rosenbrock_residuals, 2, 2, "l1", [5.0, 5.0],
             region=FeasibleRegion([0.0, 0.0], [1.0, 1.0]),
         )
+    # each field against n and m, and the oracle's m against the problem's
+    for change, message in (
+        ({"x0": [1.0]}, "start point has wrong length"),
+        ({"region": FeasibleRegion.unconstrained(3)}, "region dimension mismatch"),
+        ({"m": 3}, "oracle output dimension mismatch"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(prob, **change)

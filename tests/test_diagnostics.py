@@ -189,6 +189,10 @@ TRACE_EDITS = {
                          "evals_total 0, the ledger gives "),
     "rho_degenerate_true": (lambda doc: _every(doc, "rho_degenerate", lambda _: True), AuditFailure,
                             "rho_degenerate True with class "),
+    "first_at_step3": (lambda doc: _first_at_step3(doc), AuditFailure,
+                       "iteration 0: the first iteration did not enter at step 1"),
+    "entered_at_bogus": (lambda doc: _at(doc, 0, entered_at="bogus"), ValueError,
+                         '"entered_at" must be "step1" or "step3", not \'bogus\''),
     # one edit per later check, on rosenbrock's 25 iterations: U2s at
     # 1, 2, 4, 6, 7, ..., 21, each re-entered at step 3; 23 and 24 are
     # successes entered at step 1, 24 the last, and its bracket nobody's
@@ -222,11 +226,34 @@ TRACE_EDITS = {
     # divides by c2p_n squared, rises above every radius
     "c2p_n": (lambda doc: doc["params"].update(c2p_n=2.0**-60, epsilon=doc["params"]["epsilon"] * 2.0**-60),
               AuditFailure, "iteration 0: delta 1.000000e+00 fell under the floor "),
+    # the run's end: it stops at eta_floor after iteration 24's success,
+    # at step 1 after the n = 2 evaluations of the next model
+    "final_f_lowered": (lambda doc: doc.update(final_f=doc["final_f"] - 1.0), AuditFailure,
+                        "iteration 24: final_f -0.9999999999999989 outside [best f, the success's f) = "),
+    "final_x_moved": (lambda doc: doc.update(final_x=[v + 1.0 for v in doc["final_x"]]), AuditFailure,
+                      "iteration 24: final_x lies 2.0103018455821626 from the success's x, beyond its radius 1.0"),
+    "delta_floor_above_stop_delta": (lambda doc: doc.update(termination="delta_floor"), AuditFailure,
+                                     "delta_floor, yet no radius update reached stop_delta = 1e-13"),
+    "eta_floor_after_3": (lambda doc: _trail(doc, 1), AuditFailure,
+                          "eta_floor at step1 after 3 trailing evaluations, not at step1 after n = 2"),
+    "budget_left": (lambda doc: doc.update(termination="budget_exhausted"), AuditFailure,
+                    "budget_exhausted, yet the next 1 evaluations fit: 54 + 1 <= max_evals = 300"),
+    "budget_after_3": (lambda doc: (_trail(doc, 1), doc.update(termination="budget_exhausted")), AuditFailure,
+                       "budget_exhausted at step1 after 3 trailing evaluations"),
 }
 
 
 def _at(doc, k, **values):
     doc["iterations"][k].update(values)
+
+
+def _first_at_step3(doc):
+    # iteration 0 entered at step 3, its ledger shifted to match: its
+    # model's two evaluations leave best_f
+    _at(doc, 0, entered_at="step3", evals_iter=1)
+    _every(doc, "evals_total", lambda total: total - 2)
+    del doc["best_f"][1:3]
+    doc.update(total_evals=len(doc["best_f"]))
 
 
 def _trail(doc, count):
@@ -250,6 +277,18 @@ def test_audit_refuses_a_trace_whose_start_or_ledger_was_edited(rosenbrock_trace
     change(doc)
     with pytest.raises(error, match=re.escape(message)):
         audit_trace(record_from_doc(doc), analytic=registry_by_name("rosenbrock").analytic())
+
+
+def test_audit_checks_the_end_of_a_run_without_iterations():
+    # started at its root, the run stops at eta_floor after the first
+    # model's n = 2 evaluations, before any snapshot
+    prob = make_problem(lambda x: x - np.array([1.0, 2.0]), 2, 2, "l1", (1.0, 2.0))
+    rec = solve(prob, TrfdParams.defaults(prob, PNorm.ONE))
+    assert (rec.iterations, rec.termination_evals, rec.final_f) == ([], 2, 0.0)
+    audit_trace(rec)
+    rec.final_f = 1.0
+    with pytest.raises(AuditFailure, match=r"^final_f 1\.0 is not the start's f 0\.0$"):
+        audit_trace(rec)
 
 
 def test_audit_affine_trace_all_success():
@@ -311,7 +350,7 @@ def test_audit_accepts_brackets_and_rejects_one_on_a_u1_iteration():
 
 @pytest.mark.parametrize("fault, message", [
     ("low", r"bracketed eta .* does not clear"),
-    ("disagree", r"bracket ends disagree: "),
+    ("disagree", r"bracket breaks concavity: eta\*Delta\* = .* > eta_upper\*\(1 \+ rtol\)\*rho = "),
 ])
 def test_audit_rejects_a_bracket_under_the_threshold_or_with_ends_that_disagree(fault, message):
     prob = registry_by_name("cb2").make_problem()
@@ -326,7 +365,10 @@ def test_audit_rejects_a_bracket_under_the_threshold_or_with_ends_that_disagree(
             # still above epsilon/2, so the class stays as recorded
             it["eta"] = 1.5 * floor
         else:
-            it["eta_upper"] *= 2.0
+            # a lower end twice psi(delta)/Delta*, still under eta_upper:
+            # at rho = delta the ends disagree, which breaks concavity
+            it["eta"] = 2.0 * it["eta_upper"] * it["delta"] / params.delta_star
+            assert it["eta"] <= it["eta_upper"]
 
     with pytest.raises(AuditFailure, match=rf"^iteration \d+: {message}") as info:
         audit_trace(_edited_trace(rec, edit))

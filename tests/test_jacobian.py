@@ -83,6 +83,9 @@ def test_degenerate_tau_costs_nothing():
     assert x[0] + 1e-12 != x[0] and x[1] + 1e-12 == x[1]
     with pytest.raises(DegenerateStep, match=r"^x\[1\] \+ tau is not representable \(tau=1e-12\)$"):
         build_jacobian(oracle.eval_F, x, x.copy(), 1e-12)
+    for tau in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="^tau must be positive$"):
+            build_jacobian(oracle.eval_F, x, x.copy(), tau)
     assert oracle.eval_count == 0
 
 

@@ -52,6 +52,14 @@ def test_unbounded_raises():
         solve_lp(lp, [1.0])
 
 
+def test_linear_program_refuses_mismatched_lengths():
+    with pytest.raises(ValueError, match="^row/rhs length mismatch$"):
+        LinearProgram(c=[1.0, 1.0], rows=[[1.0, 2.0]], rhs=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0])
+    for lower, upper in (([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0])):
+        with pytest.raises(ValueError, match="^bound length mismatch$"):
+            LinearProgram(c=[1.0, 1.0], rows=[[1.0, 2.0]], rhs=[1.0], lower=lower, upper=upper)
+
+
 def test_infeasible_raises():
     # 1 <= x <= 3: the start must satisfy every row within OPT_TOL
     lp = LinearProgram(
@@ -165,7 +173,7 @@ def test_residual_matches_row_loop():
     for _ in range(200):
         lp, _ = random_mixed_lp(rng)
         # points inside and outside the feasible set
-        x = rng.uniform(-4.0, 4.0, lp.n_variables)
+        x = rng.uniform(-4.0, 4.0, lp.c.size)
         want = _residual_by_rows(lp, x)
         # matrix-vector and row-wise dot products may round differently
         assert _residual(lp, x) == pytest.approx(want, rel=1e-13, abs=1e-13)
@@ -213,7 +221,7 @@ def test_large_lp_through_refactors_matches_highs():
     inst = (OuterFunction.L1, rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (m, n)),
             FeasibleRegion.unconstrained(n), np.zeros(n), PNorm.ONE, 0.5)
     tr = reformulate(*inst)
-    assert tr.lp.n_rows == 161
+    assert tr.lp.rhs.size == 161
     res = solve_lp(tr.lp, start=tr.start)
     assert res.iterations > REFACTOR_EVERY
     assert simplex._residual(tr.lp, res.x) <= 1e-6
@@ -234,7 +242,7 @@ def test_singular_kept_basis_falls_back_to_the_crash(h, p):
         cold_tr, tr = reformulate(*inst), reformulate(*inst)
         want = solve_lp(cold_tr.lp, cold_tr.start)
         lp = tr.lp
-        nv, nr = lp.n_variables, lp.n_rows
+        nv, nr = lp.c.size, lp.rhs.size
         lp.basic = nv + np.concatenate([[0, 0], np.arange(2, nr)])
         lp.at_upper = np.zeros(nv + nr, dtype=bool)
         for reduced in (None, np.zeros(nv + nr)):

@@ -35,8 +35,8 @@ bland_entries = []
 
 
 def reference_solve_lp(lp, start):
-    nv = lp.n_variables
-    nr = lp.n_rows
+    nv = lp.c.size
+    nr = lp.rhs.size
     ncol = nv + nr
     A = lp.augmented
     b = lp.rhs
@@ -214,8 +214,8 @@ def test_random_lps_and_restarts_match_reference(generator, seed):
         ref_lp = _twin(lp)
         _assert_bit_equal(lp, ref_lp, xbar)
         for _ in range(2):
-            f_lo, f_hi = rng.uniform(0.0, 1.0, (2, lp.n_variables))
-            f_rhs = rng.uniform(0.0, 1.0, lp.n_rows)
+            f_lo, f_hi = rng.uniform(0.0, 1.0, (2, lp.c.size))
+            f_rhs = rng.uniform(0.0, 1.0, lp.rhs.size)
             for target in (lp, ref_lp):
                 for bound, f in ((target.lower, f_lo), (target.upper, f_hi)):
                     bound[:] = np.where(np.isfinite(bound), xbar + f * (bound - xbar), bound)
@@ -233,7 +233,7 @@ def test_fixed_columns_match_reference_and_enumeration():
     rng = np.random.default_rng(54)
     for _ in range(100):
         lp, xbar = random_box_lp(rng)
-        nv = lp.n_variables
+        nv = lp.c.size
         pinned = rng.random(nv) < 0.3
         pinned[rng.integers(nv)] = True
         ref_lp = _twin(lp)
@@ -243,7 +243,7 @@ def test_fixed_columns_match_reference_and_enumeration():
         assert got.objective == pytest.approx(enumerate_lp_minimum(lp), rel=1e-9, abs=1e-9)
         for _ in range(2):
             f_lo, f_hi = rng.uniform(0.0, 1.0, (2, nv))
-            f_rhs = rng.uniform(0.0, 1.0, lp.n_rows)
+            f_rhs = rng.uniform(0.0, 1.0, lp.rhs.size)
             j = rng.integers(nv)
             for target in (lp, ref_lp):
                 target.lower[:] = xbar + f_lo * (target.lower - xbar)

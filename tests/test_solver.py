@@ -85,6 +85,11 @@ def test_params_validation():
     for name, bad in (("c2p_n", 0.0), ("cp2_m", -1.0)):
         with pytest.raises(ValueError, match=f"^{name} must be positive, not "):
             dataclasses.replace(good, **{name: bad})
+    # the start keeps the coupling tau0 * sqrt(n) <= delta0 <= Delta*
+    with pytest.raises(ValueError, match=r"^delta0 must be at least tau0 \* sqrt\(n\)$"):
+        dataclasses.replace(good, delta0=good.tau0)
+    with pytest.raises(ValueError, match="^delta0 must not exceed delta_star$"):
+        dataclasses.replace(good, delta_star=good.delta0 / 2.0)
     # p = 2 has no LP subproblem: rejected before any evaluation is spent
     with pytest.raises(ValueError, match="p = 2"):
         TrfdParams.defaults(prob, "2")

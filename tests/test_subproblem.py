@@ -15,8 +15,8 @@ def test_reformulate_counts_minimax_inf():
     tr = reformulate(
         OuterFunction.MINIMAX, np.zeros(3), np.zeros((3, 2)), UNC2, np.zeros(2), PNorm.INF, 1.0
     )
-    assert tr.lp.n_variables == 3  # d1, d2, t
-    assert tr.lp.n_rows == 3
+    assert tr.lp.c.size == 3  # d1, d2, t
+    assert tr.lp.rhs.size == 3
     assert np.isfinite(tr.lp.lower).sum() + np.isfinite(tr.lp.upper).sum() == 4
 
 
@@ -24,8 +24,8 @@ def test_reformulate_counts_l1_p1():
     tr = reformulate(
         OuterFunction.L1, np.zeros(2), np.zeros((2, 2)), UNC2, np.zeros(2), PNorm.ONE, 1.0
     )
-    assert tr.lp.n_variables == 6  # u1, u2, v1, v2, t1, t2
-    assert tr.lp.n_rows == 5
+    assert tr.lp.c.size == 6  # u1, u2, v1, v2, t1, t2
+    assert tr.lp.rhs.size == 5
 
 
 def test_reformulate_extra_inequality_row():
@@ -35,7 +35,23 @@ def test_reformulate_extra_inequality_row():
     tr = reformulate(
         OuterFunction.L1, np.zeros(2), np.zeros((2, 2)), region, np.zeros(2), PNorm.ONE, 1.0
     )
-    assert tr.lp.n_rows == 6
+    assert tr.lp.rhs.size == 6
+
+
+def test_set_model_and_set_radius_refuse_what_the_lp_cannot_hold():
+    tr = reformulate(
+        OuterFunction.L1, np.zeros(2), np.zeros((2, 2)), UNC2, np.zeros(2), PNorm.ONE, 1.0
+    )
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            tr.set_radius(r)
+    for F_x, A, x in (
+        (np.zeros(3), np.zeros((2, 2)), np.zeros(2)),
+        (np.zeros(2), np.zeros((2, 3)), np.zeros(2)),
+        (np.zeros(2), np.zeros((2, 2)), np.zeros(3)),
+    ):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            tr.set_model(F_x, A, x)
 
 
 def test_p2_rejected():

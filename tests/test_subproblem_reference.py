@@ -121,7 +121,7 @@ def test_set_radius_moves_the_arrays_solve_lp_reads(h, p):
     inst = random_tr_instance(rng, h, p, n=3, m=4)
     tr = reformulate(*inst[:-1], 1000.0)
     lp = tr.lp
-    nv = lp.n_variables
+    nv = lp.c.size
     for view, kept in ((lp.c, lp.cost), (lp.lower, lp.lo), (lp.upper, lp.hi)):
         assert view.base is kept and view.size == nv
     tr.set_radius(0.25)

@@ -248,6 +248,7 @@ def test_problem_config_refuses_unknown_keys(where, key):
     # never started, and this timeout never waited for
     ("oracle", {"registry": "cb2", "command": "false"}, "oracle binding needs 'registry' or 'command', not both"),
     ("oracle", {"registry": "cb2", "timeout": -5}, "oracle binding has 'timeout' without 'command'"),
+    ("oracle", {}, "oracle binding needs 'registry' or 'command'"),
 ])
 def test_problem_config_refuses_what_a_run_cannot_use(key, value, message):
     from trfd.config import problem_from_config
